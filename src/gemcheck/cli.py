@@ -9,9 +9,10 @@ Subcommands:
 * ``countermodel`` search for a structure separating a theory from a target
 * ``export``       write TPTP problem files for the lemma obligations
 
-Exit codes: 0 success, 1 obligation failure, 2 usage/parse error,
-3 capacity exceeded.  ``--format json`` output is byte-stable across runs
-and worker counts; timings are included only with ``--timings``.
+Exit codes: 0 success, 1 obligation failure, 2 usage/parse error or an
+unreadable file, 3 capacity exceeded.  ``--format json`` output is
+byte-stable across runs and worker counts; timings are included only with
+``--timings``.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, StructureFormatError, KeyError, FileNotFoundError,
+    except (ParseError, StructureFormatError, KeyError, OSError,
             ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -9,11 +9,33 @@ F; on a part structure F, O, PP and U are derived from P.  Asking for
 either signature's predicates on either kind of structure is always legal.
 
 Formulas are compiled once into nested Python closures (cached per AST
-node), so repeated evaluation over large assignment spaces does not
-re-traverse the tree.  Plural values are bitmasks internally; plural
-quantifiers iterate subsets in ascending characteristic order and
-short-circuit, which fixes the deterministic witness order.  The
-assignment space is never materialized.
+node, together with the node's free variables), so repeated evaluation
+over large assignment spaces does not re-traverse the tree.  Plural values
+are bitmasks internally.  The assignment space is never materialized.
+
+Compilation plans each block of like quantifiers (a run of universal, or
+of existential, quantifiers), reading only the formula:
+
+* A universal body ``A1 and ... and Am -> C`` (an existential body
+  ``A1 and ... and Am``) is split into guards ``Ai``, and each guard is
+  tested as soon as the block variables it mentions are bound.
+* Inside the block the variables are reordered, which preserves truth:
+  variables that close guards are bound first.
+* An individual variable goes innermost and is evaluated bit-parallel:
+  its body compiles to the n-bit mask of the values that satisfy it.
+  Atoms linear in the variable are table lookups (``P(v, y)`` is
+  ``down[y]``, ``P(y, v)`` is ``up[y]``, ``F(T, v)`` is ``frow[T]``,
+  ``v in T`` is ``T``), connectives are bit operations, and ``forall v``
+  becomes one comparison of the mask with the domain.
+
+Order still matters where it is observable: failure witnesses.
+``Evaluator.find_witness`` fixes the leading universal variables one at a
+time in their written order, individuals ascending and plural values in
+ascending characteristic order, each taking the first value under which
+the rest of the sentence is false.  That is the lexicographically first
+refuting assignment, independent of how evaluation was planned.  The
+naive compiler that loops in written order is kept as
+``_compile_reference``, the reference the planned one is tested against.
 
 Everything here is pure; contexts cache derived predicates per structure
 and are safe for concurrent readers.
@@ -25,12 +47,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .structures import (CapacityError, FusionStructure, PartStructure,
-                         Plurality, Structure, mask_of, members_of)
+                         Plurality, Structure, iter_bits, mask_of, members_of)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, Member, NamedFormula,
                      Not, Or, OverlapAtom, PartAtom, PluralTerm,
-                     ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
-                     TermEq, free_vars, term_free_ivars, term_free_pvars)
+                     ProperPartAtom, PVar, PInter, PUnion, QUANTIFIERS,
+                     Singleton, SubTerm, TermEq, free_vars, term_free_ivars,
+                     term_free_pvars)
 
 #: past this size even a single plural quantifier is out of reach
 MAX_EVAL_DOMAIN = 16
@@ -66,12 +89,15 @@ class EvalContext:
 
     down[y]  bitmask of the parts of y (primitive P, or derived via the
              union of pluralities fusing to y on fusion structures)
+    up[x]    bitmask of the individuals x is part of
     ov[y]    bitmask of the individuals overlapping y
     frow[p]  bitmask of the individuals fused by plurality mask p
              (primitive F, or derived from the closure conditions)
+    full     bitmask of the whole domain
     """
 
-    __slots__ = ("structure", "n", "kind", "down", "ov", "frow", "_ucache")
+    __slots__ = ("structure", "n", "kind", "down", "up", "ov", "frow", "full",
+                 "_ucache")
 
     def __init__(self, s: Structure):
         if s.n > MAX_EVAL_DOMAIN:
@@ -91,6 +117,11 @@ class EvalContext:
                     if (row >> y) & 1:
                         down[y] |= p
         self.down = down
+        self.up = [0] * n
+        for y in range(n):
+            for x in iter_bits(down[y]):
+                self.up[x] |= 1 << y
+        self.full = (1 << n) - 1
         self.ov = [0] * n
         for y in range(n):
             m = 0
@@ -140,9 +171,11 @@ class EvalContext:
 
 
 # ---------------------------------------------------------------------------
-# compilation of terms and formulas to closures over (ctx, env)
+# shared pieces: terms, atoms, connectives, quantifier domains
 
 _UNSET = object()
+_UNIVERSAL = (ForallI, ForallP)
+_INDIVIDUAL = (ForallI, ExistsI)
 
 
 def _compile_term(t: PluralTerm):
@@ -153,6 +186,12 @@ def _compile_term(t: PluralTerm):
         case Singleton(v):
             def run(ctx, env, v=v):
                 return 1 << env[v]
+        case PUnion(PVar(a), PVar(b)):
+            def run(ctx, env, a=a, b=b):
+                return env[a] | env[b]
+        case PInter(PVar(a), PVar(b)):
+            def run(ctx, env, a=a, b=b):
+                return env[a] & env[b]
         case PUnion(a, b):
             fa, fb = _compile_term(a), _compile_term(b)
 
@@ -180,7 +219,31 @@ def _restore(env, var, old):
         env[var] = old
 
 
-def _compile(f: Formula):
+def _submasks(t: int):
+    """Submasks of t in ascending order, via s -> (s - t) & t."""
+    s = 0
+    while True:
+        yield s
+        if s == t:
+            return
+        s = (s - t) & t
+
+
+def _domain(q):
+    """Closure giving the values a quantifier's variable ranges over, in order."""
+    plural = not isinstance(q, _INDIVIDUAL)
+    if q.bound is None:
+        if plural:
+            return lambda ctx, env: range(1 << ctx.n)
+        return lambda ctx, env: range(ctx.n)
+    ft = compiled_term(q.bound)[0]
+    if plural:
+        return lambda ctx, env: _submasks(ft(ctx, env))
+    return lambda ctx, env: iter_bits(ft(ctx, env))
+
+
+def _compile_node(f: Formula, sub):
+    """Closure for an atom or connective; ``sub`` compiles the operands."""
     match f:
         case Eq(a, b):
             def run(ctx, env, a=a, b=b):
@@ -196,182 +259,438 @@ def _compile(f: Formula):
             def run(ctx, env, a=a, b=b):
                 return ctx.down[env[a]] & ctx.down[env[b]] != 0
         case FusionAtom(t, v):
-            ft = _compile_term(t)
+            ft = compiled_term(t)[0]
 
             def run(ctx, env, ft=ft, v=v):
                 return (ctx.frow[ft(ctx, env)] >> env[v]) & 1 == 1
         case Member(v, t):
-            ft = _compile_term(t)
+            ft = compiled_term(t)[0]
 
             def run(ctx, env, ft=ft, v=v):
                 return (ft(ctx, env) >> env[v]) & 1 == 1
         case SubTerm(a, b):
-            fa, fb = _compile_term(a), _compile_term(b)
+            fa, fb = compiled_term(a)[0], compiled_term(b)[0]
 
             def run(ctx, env, fa=fa, fb=fb):
                 return fa(ctx, env) & ~fb(ctx, env) == 0
         case TermEq(a, b):
-            fa, fb = _compile_term(a), _compile_term(b)
+            fa, fb = compiled_term(a)[0], compiled_term(b)[0]
 
             def run(ctx, env, fa=fa, fb=fb):
                 return fa(ctx, env) == fb(ctx, env)
         case Not(g):
-            fg = _compile(g)
+            fg = sub(g)
 
             def run(ctx, env, fg=fg):
                 return not fg(ctx, env)
         case And(a, b):
-            fa, fb = _compile(a), _compile(b)
+            fa, fb = sub(a), sub(b)
 
             def run(ctx, env, fa=fa, fb=fb):
                 return fa(ctx, env) and fb(ctx, env)
         case Or(a, b):
-            fa, fb = _compile(a), _compile(b)
+            fa, fb = sub(a), sub(b)
 
             def run(ctx, env, fa=fa, fb=fb):
                 return fa(ctx, env) or fb(ctx, env)
         case Implies(a, b):
-            fa, fb = _compile(a), _compile(b)
+            fa, fb = sub(a), sub(b)
 
             def run(ctx, env, fa=fa, fb=fb):
                 return not fa(ctx, env) or fb(ctx, env)
         case Iff(a, b):
-            fa, fb = _compile(a), _compile(b)
+            fa, fb = sub(a), sub(b)
 
             def run(ctx, env, fa=fa, fb=fb):
                 return fa(ctx, env) == fb(ctx, env)
-        case ForallI(v, body, None):
-            fb = _compile(body)
-
-            def run(ctx, env, v=v, fb=fb):
-                old = env.get(v, _UNSET)
-                for i in range(ctx.n):
-                    env[v] = i
-                    if not fb(ctx, env):
-                        _restore(env, v, old)
-                        return False
-                _restore(env, v, old)
-                return True
-        case ExistsI(v, body, None):
-            fb = _compile(body)
-
-            def run(ctx, env, v=v, fb=fb):
-                old = env.get(v, _UNSET)
-                for i in range(ctx.n):
-                    env[v] = i
-                    if fb(ctx, env):
-                        _restore(env, v, old)
-                        return True
-                _restore(env, v, old)
-                return False
-        case ForallI(v, body, bound):
-            ft, fb = _compile_term(bound), _compile(body)
-
-            def run(ctx, env, v=v, ft=ft, fb=fb):
-                rest = ft(ctx, env)
-                old = env.get(v, _UNSET)
-                while rest:
-                    low = rest & -rest
-                    env[v] = low.bit_length() - 1
-                    if not fb(ctx, env):
-                        _restore(env, v, old)
-                        return False
-                    rest ^= low
-                _restore(env, v, old)
-                return True
-        case ExistsI(v, body, bound):
-            ft, fb = _compile_term(bound), _compile(body)
-
-            def run(ctx, env, v=v, ft=ft, fb=fb):
-                rest = ft(ctx, env)
-                old = env.get(v, _UNSET)
-                while rest:
-                    low = rest & -rest
-                    env[v] = low.bit_length() - 1
-                    if fb(ctx, env):
-                        _restore(env, v, old)
-                        return True
-                    rest ^= low
-                _restore(env, v, old)
-                return False
-        case ForallP(v, body, None):
-            fb = _compile(body)
-
-            def run(ctx, env, v=v, fb=fb):
-                old = env.get(v, _UNSET)
-                for m in range(1 << ctx.n):
-                    env[v] = m
-                    if not fb(ctx, env):
-                        _restore(env, v, old)
-                        return False
-                _restore(env, v, old)
-                return True
-        case ExistsP(v, body, None):
-            fb = _compile(body)
-
-            def run(ctx, env, v=v, fb=fb):
-                old = env.get(v, _UNSET)
-                for m in range(1 << ctx.n):
-                    env[v] = m
-                    if fb(ctx, env):
-                        _restore(env, v, old)
-                        return True
-                _restore(env, v, old)
-                return False
-        case ForallP(v, body, bound):
-            ft, fb = _compile_term(bound), _compile(body)
-
-            def run(ctx, env, v=v, ft=ft, fb=fb):
-                # submasks of t in ascending order via s -> (s - t) & t
-                t = ft(ctx, env)
-                old = env.get(v, _UNSET)
-                s = 0
-                while True:
-                    env[v] = s
-                    if not fb(ctx, env):
-                        _restore(env, v, old)
-                        return False
-                    if s == t:
-                        _restore(env, v, old)
-                        return True
-                    s = (s - t) & t
-        case ExistsP(v, body, bound):
-            ft, fb = _compile_term(bound), _compile(body)
-
-            def run(ctx, env, v=v, ft=ft, fb=fb):
-                t = ft(ctx, env)
-                old = env.get(v, _UNSET)
-                s = 0
-                while True:
-                    env[v] = s
-                    if fb(ctx, env):
-                        _restore(env, v, old)
-                        return True
-                    if s == t:
-                        _restore(env, v, old)
-                        return False
-                    s = (s - t) & t
         case _:
             raise TypeError(f)
     return run
+
+
+def _loop(var, dom, body, universal, guard=None):
+    """A quantifier over ``var`` stepping through ``dom`` in order.
+
+    Values failing ``guard`` are skipped; the loop stops at the first
+    value where ``body`` is false (universal) or true (existential).
+    """
+    if guard is None:
+        def run(ctx, env):
+            old = env.get(var, _UNSET)
+            for val in dom(ctx, env):
+                env[var] = val
+                if body(ctx, env) != universal:
+                    _restore(env, var, old)
+                    return not universal
+            _restore(env, var, old)
+            return universal
+    else:
+        def run(ctx, env):
+            old = env.get(var, _UNSET)
+            for val in dom(ctx, env):
+                env[var] = val
+                if guard(ctx, env) and body(ctx, env) != universal:
+                    _restore(env, var, old)
+                    return not universal
+            _restore(env, var, old)
+            return universal
+    return run
+
+
+def _compile_reference(f: Formula):
+    """The naive compiler: every quantifier loops in its written order.
+
+    Not used for evaluation; it is the reference the planned compiler is
+    tested against.
+    """
+    if isinstance(f, QUANTIFIERS):
+        return _loop(f.var, _domain(f), _compile_reference(f.body),
+                     isinstance(f, _UNIVERSAL))
+    return _compile_node(f, _compile_reference)
+
+
+# ---------------------------------------------------------------------------
+# bit-parallel forms: a formula as the mask of the values of one individual
+# variable that satisfy it, restricted to a candidate mask
+
+def _keep(ctx, env, cand):
+    return cand
+
+
+def _drop(ctx, env, cand):
+    return 0
+
+
+def _looped(f: Formula, v: str):
+    """Mask of ``f`` in ``v`` by evaluating it at each candidate."""
+    fn = compiled(f)[0]
+
+    def run(ctx, env, cand):
+        old = env.get(v, _UNSET)
+        out = 0
+        for i in iter_bits(cand):
+            env[v] = i
+            if fn(ctx, env):
+                out |= 1 << i
+        _restore(env, v, old)
+        return out
+    return run
+
+
+def _mask_and(ma, mb):
+    def run(ctx, env, cand):
+        t = ma(ctx, env, cand)
+        return mb(ctx, env, t) if t else 0
+    return run
+
+
+def _mask_or(ma, mb):
+    def run(ctx, env, cand):
+        t = ma(ctx, env, cand)
+        rest = cand & ~t
+        return t | mb(ctx, env, rest) if rest else t
+    return run
+
+
+def _mask_implies(ma, mb):
+    def run(ctx, env, cand):
+        t = ma(ctx, env, cand)
+        return (cand & ~t) | mb(ctx, env, t) if t else cand
+    return run
+
+
+def _mask_iff(ma, mb):
+    def run(ctx, env, cand):
+        return cand & ~(ma(ctx, env, cand) ^ mb(ctx, env, cand))
+    return run
+
+
+_MASK_CONNECTIVES = {And: _mask_and, Or: _mask_or, Implies: _mask_implies,
+                     Iff: _mask_iff}
+
+
+def _mask_quantifier(q, mb):
+    """A quantifier over another variable: AND (or OR) of its body's masks."""
+    w, dom = q.var, _domain(q)
+    if isinstance(q, _UNIVERSAL):
+        def run(ctx, env, cand):
+            old = env.get(w, _UNSET)
+            for val in dom(ctx, env):
+                if not cand:
+                    break
+                env[w] = val
+                cand = mb(ctx, env, cand)
+            _restore(env, w, old)
+            return cand
+    else:
+        def run(ctx, env, cand):
+            old = env.get(w, _UNSET)
+            out = 0
+            for val in dom(ctx, env):
+                if not cand:
+                    break
+                env[w] = val
+                got = mb(ctx, env, cand)
+                out |= got
+                cand ^= got
+            _restore(env, w, old)
+            return out
+    return run
+
+
+def _lifted(f: Formula, v: str):
+    """Bit-parallel form of ``f`` in the individual variable ``v``, or None.
+
+    The closure maps ``(ctx, env, cand)`` to the members i of the mask
+    ``cand`` for which ``f`` holds with ``v = i``; ``env`` need not bind
+    ``v``.  Atoms linear in ``v`` become table lookups, connectives bit
+    operations.  None means no part of ``f`` lifts, so looping over the
+    values of ``v`` is as good.
+    """
+    fn, names = compiled(f)
+    if v not in names:
+        def run(ctx, env, cand):
+            return cand if cand and fn(ctx, env) else 0
+        return run
+    match f:
+        case Eq(a, b):
+            if a == b:
+                return _keep
+            y = b if a == v else a
+
+            def run(ctx, env, cand):
+                return cand & (1 << env[y])
+        case PartAtom(a, b) if a != b:
+            if a == v:
+                def run(ctx, env, cand):
+                    return cand & ctx.down[env[b]]
+            else:
+                def run(ctx, env, cand):
+                    return cand & ctx.up[env[a]]
+        case ProperPartAtom(a, b):
+            if a == b:
+                return _drop
+            if a == v:
+                def run(ctx, env, cand):
+                    j = env[b]
+                    return cand & ctx.down[j] & ~(1 << j)
+            else:
+                def run(ctx, env, cand):
+                    i = env[a]
+                    return cand & ctx.up[i] & ~(1 << i)
+        case OverlapAtom(a, b) if a != b:
+            y = b if a == v else a
+
+            def run(ctx, env, cand):
+                return cand & ctx.ov[env[y]]
+        case FusionAtom(t, _) if v not in compiled_term(t)[1]:
+            ft = compiled_term(t)[0]
+
+            def run(ctx, env, cand):
+                return cand & ctx.frow[ft(ctx, env)]
+        case Member(_, t) if v not in compiled_term(t)[1]:
+            ft = compiled_term(t)[0]
+
+            def run(ctx, env, cand):
+                return cand & ft(ctx, env)
+        case Not(g):
+            mg = _lifted(g, v)
+            if mg is None:
+                return None
+
+            def run(ctx, env, cand):
+                return cand & ~mg(ctx, env, cand)
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            la, lb = _lifted(a, v), _lifted(b, v)
+            if la is None and lb is None:
+                return None
+            return _MASK_CONNECTIVES[type(f)](la or _looped(a, v),
+                                              lb or _looped(b, v))
+        case ForallI() | ExistsI() | ForallP() | ExistsP():
+            if f.bound is not None and v in compiled_term(f.bound)[1]:
+                return None
+            mb = _lifted(f.body, v)
+            if mb is None:
+                return None
+            return _mask_quantifier(f, mb)
+        case _:
+            return None
+    return run
+
+
+def _bitwise(q, mask):
+    """A quantifier over an individual variable as one test of its body's mask."""
+    ft = compiled_term(q.bound)[0] if q.bound is not None else None
+    if isinstance(q, _UNIVERSAL):
+        def run(ctx, env):
+            cand = ctx.full if ft is None else ft(ctx, env)
+            return mask(ctx, env, cand) == cand
+    else:
+        def run(ctx, env):
+            cand = ctx.full if ft is None else ft(ctx, env)
+            return mask(ctx, env, cand) != 0
+    return run
+
+
+# ---------------------------------------------------------------------------
+# the planning compiler
+
+def _conjuncts(f: Formula) -> list:
+    if isinstance(f, And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
+
+
+def _conj(fs: list) -> Formula:
+    out = fs[-1]
+    for g in reversed(fs[:-1]):
+        out = And(g, out)
+    return out
+
+
+def _true(ctx, env):
+    return True
+
+
+def _split_block(f: Formula) -> tuple:
+    """(quantifiers, dependencies, guards, conclusion) of the block at ``f``.
+
+    The block is the maximal run of universal (or of existential)
+    quantifiers starting at ``f``; commuting them preserves truth.  A
+    variable's dependencies are the block variables its bound reads.  A
+    universal body ``A1 and ... and Am -> C`` gives guards ``Ai`` and
+    conclusion ``C``; an existential body ``A1 and ... and Am`` gives
+    guards ``Ai`` and no conclusion.
+    """
+    same = _UNIVERSAL if isinstance(f, _UNIVERSAL) else (ExistsI, ExistsP)
+    block, deps, seen = [], {}, set()
+    body = f
+    # a variable read by an earlier bound refers to an outer binding, so
+    # it ends the block rather than being commuted past that bound
+    while isinstance(body, same) and body.var not in seen:
+        read = set(compiled_term(body.bound)[1]) if body.bound is not None else set()
+        deps[body.var] = read & {q.var for q in block}
+        block.append(body)
+        seen |= read | {body.var}
+        body = body.body
+    if same is not _UNIVERSAL:
+        return block, deps, _conjuncts(body), None
+    guards = []
+    while isinstance(body, Implies):
+        guards += _conjuncts(body.left)
+        body = body.right
+    return block, deps, guards, body
+
+
+def _innermost(block, deps, scoped, concl):
+    """(quantifier, mask) for the bit-parallel innermost variable, or (None, None).
+
+    It is the last individual variable that no bound reads and whose
+    guards and conclusion lift in it.
+    """
+    needed = set().union(*deps.values())
+    for q in reversed(block):
+        if not isinstance(q, _INDIVIDUAL) or q.var in needed:
+            continue
+        pieces = [g for g, gv in scoped if q.var in gv]
+        if concl is not None:
+            tail = Implies(_conj(pieces), concl) if pieces else concl
+        elif pieces:
+            tail = _conj(pieces)
+        else:
+            continue
+        if q.var in compiled(tail)[1]:
+            mask = _lifted(tail, q.var)
+            if mask is not None:
+                return q, mask
+    return None, None
+
+
+def _binding_order(rest, deps, scoped) -> list:
+    """``rest`` ordered so that guards close early.
+
+    Each step binds, among the variables whose bound is ready, the one
+    closing the most guards, then the one in the most guards, then an
+    individual before a plural, then the first written.
+    """
+    order, bound = [], set()
+
+    def score(q):
+        v = q.var
+        closes = sum(v in gv and gv <= bound | {v} for _, gv in scoped)
+        touches = sum(v in gv for _, gv in scoped)
+        return (closes, touches, isinstance(q, _INDIVIDUAL), -rest.index(q))
+
+    rest = list(rest)
+    while rest:
+        q = max((q for q in rest if deps[q.var] <= bound), key=score)
+        order.append(q)
+        bound.add(q.var)
+        rest.remove(q)
+    return order
+
+
+def _compile_block(f: Formula):
+    """Plan a block of like quantifiers, then compile it.
+
+    The innermost variable is evaluated bit-parallel; the others loop in
+    an order that closes guards early, and each guard is tested as soon
+    as its block variables are bound.  The plan reads only the formula.
+    """
+    universal = isinstance(f, _UNIVERSAL)
+    block, deps, guards, concl = _split_block(f)
+    names = {q.var for q in block}
+    scoped = [(g, set(compiled(g)[1]) & names) for g in guards]
+    inner, mask = _innermost(block, deps, scoped, concl)
+    if inner is not None:
+        scoped = [(g, gv) for g, gv in scoped if inner.var not in gv]
+    order = _binding_order([q for q in block if q is not inner], deps, scoped)
+
+    level = {q.var: i for i, q in enumerate(order)}
+    at, pre = [[] for _ in order], []
+    for g, gv in scoped:
+        (at[max(level[v] for v in gv)] if gv else pre).append(g)
+    if inner is not None:
+        run = _bitwise(inner, mask)
+    else:
+        run = compiled(concl)[0] if universal else _true
+    for q, gs in reversed(list(zip(order, at))):
+        run = _loop(q.var, _domain(q), run, universal,
+                    compiled(_conj(gs))[0] if gs else None)
+    if pre:
+        guard, inner_run = compiled(_conj(pre))[0], run
+
+        def run(ctx, env):
+            return inner_run(ctx, env) if guard(ctx, env) else universal
+    return run
+
+
+def _compile(f: Formula):
+    if isinstance(f, QUANTIFIERS):
+        return _compile_block(f)
+    return _compile_node(f, lambda g: compiled(g)[0])
 
 
 _COMPILED = {}
 _TERM_COMPILED = {}
 
 
-def compiled(f: Formula):
-    fn = _COMPILED.get(f)
-    if fn is None:
-        fn = _COMPILED[f] = _compile(f)
-    return fn
+def compiled(f: Formula) -> tuple:
+    """(closure, sorted free variable names) of a formula, built once."""
+    entry = _COMPILED.get(f)
+    if entry is None:
+        iv, pv = free_vars(f)
+        entry = _COMPILED[f] = (_compile(f), tuple(sorted(iv | pv)))
+    return entry
 
 
-def compiled_term(t: PluralTerm):
-    fn = _TERM_COMPILED.get(t)
-    if fn is None:
-        fn = _TERM_COMPILED[t] = _compile_term(t)
-    return fn
+def compiled_term(t: PluralTerm) -> tuple:
+    """(closure, sorted free variable names) of a plural term, built once."""
+    entry = _TERM_COMPILED.get(t)
+    if entry is None:
+        names = term_free_ivars(t) | term_free_pvars(t)
+        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(names)))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +712,8 @@ def _env_of(s: Structure, a: Optional[Assignment]) -> dict:
     return env
 
 
-def _check_bound(f_or_t, env, is_term=False):
-    if is_term:
-        iv, pv = term_free_ivars(f_or_t), term_free_pvars(f_or_t)
-    else:
-        iv, pv = free_vars(f_or_t)
-    for v in sorted(iv | pv):
+def _check_bound(names: tuple, env: dict) -> None:
+    for v in names:
         if v not in env:
             raise EvalError(f"unbound variable {v!r}")
 
@@ -411,13 +726,15 @@ class Evaluator:
 
     def term(self, t: PluralTerm, a: Optional[Assignment] = None) -> Plurality:
         env = _env_of(self.ctx.structure, a)
-        _check_bound(t, env, is_term=True)
-        return members_of(compiled_term(t)(self.ctx, env))
+        fn, names = compiled_term(t)
+        _check_bound(names, env)
+        return members_of(fn(self.ctx, env))
 
     def eval(self, f: Formula, a: Optional[Assignment] = None) -> bool:
         env = _env_of(self.ctx.structure, a)
-        _check_bound(f, env)
-        return compiled(f)(self.ctx, env)
+        fn, names = compiled(f)
+        _check_bound(names, env)
+        return fn(self.ctx, env)
 
     def check(self, nf: NamedFormula) -> EvalOutcome:
         if self.eval(nf.sentence):
@@ -428,53 +745,33 @@ class Evaluator:
         """First assignment to the leading universal block refuting the rest.
 
         Returns None when the sentence is true or does not start with a
-        universal quantifier.
+        universal quantifier.  The prefix is fixed one variable at a time,
+        in its written order: each takes the first value under which the
+        remaining universal suffix is false, which gives the
+        lexicographically first refuting assignment without backtracking.
         """
         ctx = self.ctx
+        env = {}
         prefix = []
-        body = sentence
-        while isinstance(body, (ForallI, ForallP)):
-            prefix.append((type(body), body.var, body.bound))
-            body = body.body
+        q = sentence
+        while isinstance(q, _UNIVERSAL):
+            suffix = compiled(q.body)[0]
+            for val in _domain(q)(ctx, env):
+                env[q.var] = val
+                if not suffix(ctx, env):
+                    break
+            else:
+                return None
+            prefix.append(q)
+            q = q.body
         if not prefix:
             return None
-        fbody = compiled(body)
-        bound_fns = [compiled_term(b) if b is not None else None
-                     for (_, _, b) in prefix]
-        env = {}
-
-        def candidates(i):
-            cls, var, _ = prefix[i]
-            bf = bound_fns[i]
-            if cls is ForallI:
-                if bf is None:
-                    return range(ctx.n)
-                m = bf(ctx, env)
-                return list(_iter_bits_asc(m))
-            if bf is None:
-                return range(1 << ctx.n)
-            t = bf(ctx, env)
-            return _submasks_asc(t)
-
-        def search(i):
-            if i == len(prefix):
-                return not fbody(ctx, env)
-            _, var, _ = prefix[i]
-            for val in candidates(i):
-                env[var] = val
-                if search(i + 1):
-                    return True
-            env.pop(var, None)
-            return False
-
-        if not search(0):
-            return None
         individuals, plurals = {}, {}
-        for (cls, var, _) in prefix:
-            if cls is ForallI:
-                individuals[var] = env[var]
+        for q in prefix:
+            if isinstance(q, ForallI):
+                individuals[q.var] = env[q.var]
             else:
-                plurals[var] = members_of(env[var])
+                plurals[q.var] = members_of(env[q.var])
         return Assignment(individuals, plurals)
 
     def refutes(self, sentence: Formula, witness: Assignment) -> bool:
@@ -484,22 +781,6 @@ class Evaluator:
         while isinstance(body, (ForallI, ForallP)) and body.var in names:
             body = body.body
         return not self.eval(body, witness)
-
-
-def _iter_bits_asc(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _submasks_asc(t: int):
-    s = 0
-    while True:
-        yield s
-        if s == t:
-            return
-        s = (s - t) & t
 
 
 def eval_term(s: Structure, t: PluralTerm, a: Optional[Assignment] = None) -> Plurality:

@@ -229,7 +229,8 @@ def test_criterion_5_oracle_equivalence():
             f"{audited} audited structures (exhaustive part n<=3 and fusion "
             f"n<=2, the full 19208-candidate fusion survivor region at n=3, "
             f"and 10^4 seeded samples each at part n=4 and fusion n=3); "
-            f"exhaustive fusion n=3 is out of evaluator reach, see ledger")
+            f"exhaustive fusion n=3 is left out: its 2^24 candidates are out "
+            f"of evaluator reach")
 
 
 def test_criterion_6_parser_round_trip():

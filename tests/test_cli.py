@@ -48,6 +48,18 @@ def test_check_missing_file():
     assert code == 2
 
 
+def test_check_directory(tmp_path):
+    code, _, err = run_cli("check", str(tmp_path), "gem_f")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_check_undecodable_file(tmp_path):
+    p = tmp_path / "binary.structure"
+    p.write_bytes(b"n=1\npart: \xff\xfe\n")
+    code, _, err = run_cli("check", str(p), "gem_p")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_unknown_subcommand_and_theory(k2_file):
     code, _, _ = run_cli("frobnicate")
     assert code == 2

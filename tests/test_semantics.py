@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
                       canonical_gem, check_sentence, eval_formula, eval_term,
-                      gem_f, gem_p, parse)
+                      gem_f, gem_p, parse, semantics)
 from gemcheck.semantics import Evaluator
-from gemcheck.structures import CapacityError
-from gemcheck.syntax import NamedFormula, desugar
+from gemcheck.structures import CapacityError, induced_fusion
+from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, Implies,
+                             NamedFormula, PVar, desugar, free_vars)
 from gemcheck.search import random_structure
+from gemcheck.theory import lemma_suite, pp_axioms
 
-from util import random_formula
+from util import IVARS, PVARS, random_formula, random_pterm
 
 
 def _nf(text, name="t"):
@@ -138,10 +140,7 @@ def test_desugar_preserves_semantics(seed, n, fusion_kind):
     rng = random.Random(seed)
     s = random_structure("fusion" if fusion_kind else "part", n, rng)
     f = random_formula(rng, 3)
-    a = Assignment(
-        individuals={v: rng.randrange(n) for v in "xyzuvw"} if n else {},
-        plurals={V: frozenset(i for i in range(n) if rng.random() < 0.5)
-                 for V in ("XX", "YY", "ZZ", "UU", "VV", "WW")})
+    a = _random_assignment(rng, n)
     if n == 0:
         a = Assignment(individuals={}, plurals=a.plurals)
         if any(v in "xyzuvw" for v in __free_ivars(f)):
@@ -149,8 +148,14 @@ def test_desugar_preserves_semantics(seed, n, fusion_kind):
     assert eval_formula(s, f, a) == eval_formula(s, desugar(f), a)
 
 
+def _random_assignment(rng, n):
+    return Assignment(
+        individuals={v: rng.randrange(n) for v in IVARS} if n else {},
+        plurals={V: frozenset(i for i in range(n) if rng.random() < 0.5)
+                 for V in PVARS})
+
+
 def __free_ivars(f):
-    from gemcheck.syntax import free_vars
     return free_vars(f)[0]
 
 
@@ -163,3 +168,161 @@ def test_desugar_on_registry():
                 for nf in t:
                     assert (eval_formula(s, nf.sentence)
                             == eval_formula(s, desugar(nf.sentence))), nf.name
+
+
+# ---------------------------------------------------------------------------
+# the planned compiler against the naive reference compiler
+
+
+def _reference_eval(ev, f, a=None):
+    env = semantics._env_of(ev.ctx.structure, a)
+    return semantics._compile_reference(f)(ev.ctx, env)
+
+
+def _reference_witness(ev, sentence):
+    """Backtracking search for the first refuting prefix assignment."""
+    ctx = ev.ctx
+    prefix, body = [], sentence
+    while isinstance(body, (ForallI, ForallP)):
+        prefix.append(body)
+        body = body.body
+    if not prefix:
+        return None
+    fbody = semantics._compile_reference(body)
+    env = {}
+
+    def values(q):
+        if q.bound is None:
+            top = ctx.n if isinstance(q, ForallI) else 1 << ctx.n
+            return list(range(top))
+        t = semantics._compile_term(q.bound)(ctx, env)
+        if isinstance(q, ForallI):
+            return [i for i in range(ctx.n) if (t >> i) & 1]
+        return [m for m in range(t + 1) if m & ~t == 0]
+
+    def search(i):
+        if i == len(prefix):
+            return not fbody(ctx, env)
+        for val in values(prefix[i]):
+            env[prefix[i].var] = val
+            if search(i + 1):
+                return True
+        return False
+
+    if not search(0):
+        return None
+    return Assignment(
+        {q.var: env[q.var] for q in prefix if isinstance(q, ForallI)},
+        {q.var: frozenset(i for i in range(ctx.n) if (env[q.var] >> i) & 1)
+         for q in prefix if isinstance(q, ForallP)})
+
+
+def _random_block(rng):
+    """A block of like quantifiers over guards, the shape the planner splits.
+
+    Universal: ``forall ... . A1 and ... and Am -> C``; existential:
+    ``exists ... . A1 and ... and Am``.  Variables come from small pools
+    so that guards mention them often; some get restricting bounds.
+    """
+    universal = rng.random() < 0.5
+    parts = [random_formula(rng, rng.randrange(2)) for _ in range(rng.randrange(1, 5))]
+    guards, body = parts[:-1], parts[-1]
+    if universal and guards:
+        body = Implies(semantics._conj(guards), body)
+    elif guards:
+        body = semantics._conj(parts)
+    for _ in range(rng.randrange(1, 5)):
+        plural = rng.random() < 0.4
+        var = rng.choice(PVARS[:3] if plural else IVARS[:3])
+        bound = random_pterm(rng, 1) if rng.random() < 0.3 else None
+        cls = ((ForallP if plural else ForallI) if universal
+               else (ExistsP if plural else ExistsI))
+        body = cls(var, body, bound)
+    return body
+
+
+def _random_formula_or_block(rng):
+    if rng.random() < 0.5:
+        return _random_block(rng)
+    return random_formula(rng, rng.randrange(2, 6))
+
+
+def _random_structure_of_reach(rng):
+    if rng.random() < 0.5:
+        return random_structure("part", rng.randrange(5), rng)
+    return random_structure("fusion", rng.randrange(4), rng)
+
+
+def test_planned_matches_reference_on_random_formulas():
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(1500):
+        s = _random_structure_of_reach(rng)
+        ev = Evaluator(s)
+        f = _random_formula_or_block(rng)
+        a = _random_assignment(rng, s.n)
+        if s.n == 0 and free_vars(f)[0]:
+            continue
+        assert ev.eval(f, a) == _reference_eval(ev, f, a), (s, f, a)
+        compared += 1
+    assert compared > 1000
+
+
+def _close_universally(rng, f):
+    """``f`` under a leading universal block binding its free variables.
+
+    The block's order is random, and some variables get a bound built
+    from the variables bound before them.
+    """
+    iv, pv = free_vars(f)
+    names = sorted(iv | pv)
+    rng.shuffle(names)
+    for i, v in reversed(list(enumerate(names))):
+        earlier = [w for w in names[:i] if w.isupper()]
+        bound = None
+        if earlier and rng.random() < 0.3:
+            bound = PVar(rng.choice(earlier))
+        f = (ForallI if v.islower() else ForallP)(v, f, bound)
+    return f
+
+
+def test_witness_matches_reference_on_random_sentences():
+    rng = random.Random(99)
+    refuted = 0
+    for _ in range(1000):
+        s = _random_structure_of_reach(rng)
+        ev = Evaluator(s)
+        f = _random_formula_or_block(rng)
+        iv, pv = free_vars(f)
+        if max(s.n, 1) ** len(iv) * 2 ** (s.n * len(pv)) > 4096:
+            continue
+        f = _close_universally(rng, f)
+        w = ev.find_witness(f)
+        assert w == _reference_witness(ev, f), (s, f)
+        if w is not None:
+            assert ev.refutes(f, w)
+            refuted += 1
+    assert refuted > 100
+
+
+def test_registry_matches_reference_on_canonical_models():
+    k2 = canonical_gem(2)
+    registries = (gem_f(), gem_p(), pp_axioms(), lemma_suite())
+    for s in (k2, induced_fusion(k2)):
+        ev = Evaluator(s)
+        for t in registries:
+            for nf in t:
+                assert ev.eval(nf.sentence) == _reference_eval(ev, nf.sentence), nf.name
+                assert ev.find_witness(nf.sentence) == \
+                    _reference_witness(ev, nf.sentence), nf.name
+
+
+def test_registry_witnesses_match_reference_on_random_structures():
+    rng = random.Random(5)
+    registries = (gem_f(), gem_p(), pp_axioms(), lemma_suite())
+    for _ in range(60):
+        ev = Evaluator(_random_structure_of_reach(rng))
+        for t in registries:
+            for nf in t:
+                assert ev.find_witness(nf.sentence) == \
+                    _reference_witness(ev, nf.sentence), nf.name
