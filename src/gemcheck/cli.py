@@ -9,21 +9,26 @@ Subcommands:
 * ``countermodel`` search for a structure separating a theory from a target
 * ``export``       write TPTP problem files for the lemma obligations
 
-Exit codes: 0 success, 1 obligation failure, 2 usage/parse error or an
-unreadable file, 3 capacity exceeded.  ``--format json`` output is
-byte-stable across runs and worker counts; timings are included only with
-``--timings``.
+Each subcommand renders a report built by :mod:`gemcheck.search`.
+
+Exit codes: 0 success, 1 obligation failure, 2 a usage error (bad flags,
+an unknown theory, obligation or lemma name), a malformed structure file,
+or a file that cannot be opened or decoded, 3 capacity exceeded.  Any
+other exception is a bug and propagates.  ``--format json`` output is
+byte-stable across runs and worker counts; every JSON report gains
+``elapsed_ms`` with ``--timings``, and only then.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import export as export_mod
 from . import search, structures, theory
-from .semantics import Evaluator
-from .structures import CapacityError, StructureFormatError, canonical_gem, induced_fusion
+from .structures import CapacityError, StructureFormatError
+from .structures import induced_fusion  # noqa: F401 -- a boundary perfbench/tracing.py wraps
 from .syntax import ParseError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAPACITY = 0, 1, 2, 3
@@ -80,65 +85,18 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if rep.all_ok else EXIT_FAIL
 
 
-def _lemma_models(side: str, bounds: search.SearchBounds, workers: int,
-                  canonical_k: int) -> list:
-    if side == "gem_p":
-        out = [("all gem_p models", m)
-               for n in range(bounds.max_n_part + 1)
-               for m in search.filter_models("part", n, theory.gem_p(),
-                                             workers=workers)]
-        if canonical_k:
-            out.append((f"canonical k={canonical_k}", canonical_gem(canonical_k)))
-        return out
-    out = [("all gem_f models", m)
-           for n in range(bounds.max_n_fusion + 1)
-           for m in search.filter_models("fusion", n, theory.gem_f(),
-                                         workers=workers)]
-    if canonical_k:
-        out.append((f"canonical k={canonical_k}, fusion side",
-                    induced_fusion(canonical_gem(canonical_k))))
-    return out
-
-
 def cmd_lemmas(args) -> int:
-    suite = theory.lemma_suite()
-    if args.name is not None:
-        suite = theory.Theory("lemmas", (suite.get(args.name),))
-    bounds = _bounds(args)
-    models = {side: _lemma_models(side, bounds, args.workers, args.canonical_k)
-              for side in sorted({nf.side for nf in suite})}
-    evaluators = {side: [(label, Evaluator(m)) for label, m in ms]
-                  for side, ms in models.items()}
-    rows = []
-    all_ok = True
-    for nf in suite:
-        failures = []
-        for label, ev in evaluators[nf.side]:
-            outcome = ev.check(nf)
-            if not outcome.value:
-                if outcome.witness is not None and \
-                        not ev.refutes(nf.sentence, outcome.witness):
-                    raise RuntimeError(f"unsound witness for {nf.name}")
-                failures.append({
-                    "structure": structures.summarize(ev.ctx.structure),
-                    "scope": label,
-                    "witness": search._witness_dict(outcome.witness),
-                })
-        ok = not failures
-        all_ok &= ok
-        rows.append({"name": nf.name, "side": nf.side,
-                     "models_checked": len(evaluators[nf.side]),
-                     "passed": ok, "failures": failures})
-    payload = {"max_n_part": bounds.max_n_part, "max_n_fusion": bounds.max_n_fusion,
-               "canonical_k": args.canonical_k, "rows": rows}
+    rep = search.verify_lemmas(_bounds(args), args.canonical_k, name=args.name,
+                               workers=args.workers)
     lines = [f"{r['name']:<10} [{r['side']}] "
              f"{'pass' if r['passed'] else 'FAIL'} "
-             f"({r['models_checked']} models)" for r in rows]
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK if all_ok else EXIT_FAIL
+             f"({r['models_checked']} models)" for r in rep.rows]
+    _emit(args, rep.to_dict(timings=args.timings), "\n".join(lines) + "\n")
+    return EXIT_OK if rep.all_passed else EXIT_FAIL
 
 
 def cmd_models(args) -> int:
+    t0 = time.monotonic()
     t = theory.theory_by_name(args.theory)
     models = search.filter_models(args.kind, args.n, t, workers=args.workers)
     payload = {
@@ -151,6 +109,8 @@ def cmd_models(args) -> int:
         "seed": args.seed,
         "structures": [structures.summarize(m) for m in models],
     }
+    if args.timings:
+        payload["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
     text = "\n".join(payload["structures"] + [f"{len(models)} models"]) + "\n"
     _emit(args, payload, text)
     return EXIT_OK
@@ -162,7 +122,7 @@ def cmd_countermodel(args) -> int:
         base = base.drop(name)
     try:
         target = base.get(args.target)
-    except KeyError:
+    except theory.UnknownNameError:
         target = theory.find_named(args.target)
     if args.kind == "part":
         bounds = search.SearchBounds(max_n_part=args.max_n, max_n_fusion=0,
@@ -283,8 +243,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, StructureFormatError, KeyError, OSError,
-            ValueError) as e:
+    except (ParseError, StructureFormatError, theory.UnknownNameError, OSError,
+            UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except CapacityError as e:

@@ -267,14 +267,6 @@ def fun_f_closure(t: NativeTables) -> bool:
     return True
 
 
-def as_pp(t: NativeTables) -> bool:
-    for x in range(t.n):
-        for y in range(t.n):
-            if x != y and (t.down[y] >> x) & 1 and (t.down[x] >> y) & 1:
-                return False
-    return True
-
-
 def trans_pp(t: NativeTables) -> bool:
     for x in range(t.n):
         for y in range(t.n):
@@ -321,7 +313,7 @@ def _registry():
         p["trans_P"]: trans_p,
         p["exists_F"]: exists_f_closure,
         p["fun_F"]: fun_f_closure,
-        pp["as_PP"]: as_pp,
+        pp["as_PP"]: antis_p,  # asymmetry of PP is antisymmetry of P
         pp["trans_PP"]: trans_pp,
         pp["dfP_PP"]: dfp_pp,
     }

@@ -16,14 +16,17 @@ space row by row, baking row-local axioms (reflexivity on the part side,
 fusion existence and singleton collapse on the fusion side) into the row
 value lists and rejecting the rest with the hand-coded native checkers
 (cheap axioms first, in a fixed documented order:
-ref_P, id_F, exists_F, antis_P, trans_P, fun_F, as_PP, trans_PP, dfP_PP,
-approx_F, wsp_F, comp_F, ext_F; the order affects speed, never results).
-Every surviving candidate is then re-verified through the formula
-evaluator, and any witness or countermodel reported from here is
-re-checked through :mod:`gemcheck.semantics` before it is emitted; the
-scanning stage is never the final authority.  Agreement of the native
-route with the evaluator is itself the subject of the oracle-equivalence
-tests.
+ref_P, id_F, exists_F, antis_P and as_PP (one checker), trans_P, fun_F,
+trans_PP, dfP_PP, approx_F, wsp_F, comp_F, ext_F; the order affects speed,
+never results).  Every surviving candidate is then re-verified through
+the formula evaluator; the scanning stage is never the final authority.
+Agreement of the native route with the evaluator is itself the subject of
+the oracle-equivalence tests.
+
+Every verdict that can carry a witness (``check_theory``,
+``verify_lemmas``, ``find_countermodel``) comes from one helper that runs
+``Evaluator.check`` and raises unless ``Evaluator.refutes`` confirms the
+witness, so no unconfirmed witness is ever emitted.
 
 Two runs with the same bounds, seed, and any worker counts produce
 identical reports; JSON serializations are byte-stable (timings are
@@ -41,21 +44,21 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import native
-from .semantics import Assignment, Evaluator
+from .semantics import Assignment, EvalOutcome, Evaluator
 from .structures import (CapacityError, FusionStructure, PartStructure,
-                         Structure, components, induced_fusion, induced_part,
-                         kind_of, members_of, summarize)
+                         Structure, canonical_gem, components, induced_fusion,
+                         induced_part, kind_of, members_of, summarize)
 from .syntax import NamedFormula
-from .theory import Theory, gem_f, gem_p
+from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
 
 DEFAULT_CEILING = 1 << 26
 
 _NATIVE_RANK = {
     native.ref_p: 0, native.id_f: 1, native.exists_f: 2,
     native.exists_f_closure: 2, native.antis_p: 3, native.trans_p: 4,
-    native.fun_f: 5, native.fun_f_closure: 5, native.as_pp: 6,
-    native.trans_pp: 7, native.dfp_pp: 8, native.approx_f: 9,
-    native.wsp_f: 10, native.comp_f: 11, native.ext_f: 12,
+    native.fun_f: 5, native.fun_f_closure: 5, native.trans_pp: 7,
+    native.dfp_pp: 8, native.approx_f: 9, native.wsp_f: 10,
+    native.comp_f: 11, native.ext_f: 12,
 }
 
 
@@ -123,9 +126,14 @@ def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
 # ---------------------------------------------------------------------------
 # the scanning stage
 
-def _plan(kind: str, n: int, theory: Theory):
-    """Split obligations into row-local constraints, natives, and AST rest."""
+def _plan(kind: str, theory: Theory, use_native: bool):
+    """Split obligations into row-local constraints, natives, and AST rest.
+
+    Without ``use_native`` every obligation is left to the evaluator.
+    """
     row_local = {"ref": False, "exists": False, "id": False}
+    if not use_native:
+        return row_local, [], list(theory.obligations)
     deep = []
     rest = []
     for i, nf in enumerate(theory.obligations):
@@ -197,13 +205,7 @@ def _product_slice(allowed: list, start: int, stop: int):
 
 def _scan_worker(args) -> list:
     """Codes in [start, stop) of the pruned space passing every obligation."""
-    kind, n, theory, start, stop, use_native = args
-    if not use_native:
-        row_local = {"ref": False, "exists": False, "id": False}
-        deep, rest = [], list(theory.obligations)
-    else:
-        row_local, deep, rest = _plan(kind, n, theory)
-    allowed = _allowed_rows(kind, n, row_local)
+    kind, n, allowed, deep, rest, start, stop = args
     found = []
     for vals in _product_slice(allowed, start, stop):
         if kind == "part":
@@ -257,21 +259,19 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
     total = 1 << relation_bits(kind, n)
     if total > ceiling:
         raise CapacityError(f"{total} candidates exceed the ceiling {ceiling}")
-    row_local, deep, rest = _plan(kind, n, theory)
-    if not use_native:
-        row_local = {"ref": False, "exists": False, "id": False}
+    row_local, deep, rest = _plan(kind, theory, use_native)
     allowed = _allowed_rows(kind, n, row_local)
     pruned = _pruned_total(allowed)
     if workers > 1 and pruned > 4096:
         chunks = workers * 4
         step = (pruned + chunks - 1) // chunks
-        tasks = [(kind, n, theory, a, min(a + step, pruned), use_native)
+        tasks = [(kind, n, allowed, deep, rest, a, min(a + step, pruned))
                  for a in range(0, pruned, step)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
         codes = [c for part in parts for c in part]
     else:
-        codes = _scan_worker((kind, n, theory, 0, pruned, use_native))
+        codes = _scan_worker((kind, n, allowed, deep, rest, 0, pruned))
     models = []
     for code in codes:
         s = structure_from_code(kind, n, code)
@@ -338,16 +338,22 @@ class CheckReport:
         return d
 
 
+def _verified_check(ev: Evaluator, nf: NamedFormula) -> EvalOutcome:
+    """``ev.check(nf)``, raising if a failure witness does not refute the sentence."""
+    outcome = ev.check(nf)
+    if not outcome.value and outcome.witness is not None \
+            and not ev.refutes(nf.sentence, outcome.witness):
+        raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
+    return outcome
+
+
 def check_theory(s: Structure, theory: Theory) -> CheckReport:
     """Evaluate every obligation; failure witnesses are re-verified before emission."""
     t0 = time.monotonic()
     ev = Evaluator(s)
     results = []
     for nf in theory.obligations:
-        outcome = ev.check(nf)
-        if not outcome.value and outcome.witness is not None:
-            if not ev.refutes(nf.sentence, outcome.witness):
-                raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
+        outcome = _verified_check(ev, nf)
         results.append(ObligationVerdict(nf.name, outcome.value, outcome.witness))
     return CheckReport(theory.name, kind_of(s), s.n, summarize(s),
                        tuple(results), int((time.monotonic() - t0) * 1000))
@@ -360,15 +366,19 @@ class CountermodelResult:
     witness: Optional[Assignment]
     candidates: int
     seed: int
+    elapsed_ms: int
 
     def to_dict(self, timings: bool = False) -> dict:
-        return {
+        d = {
             "verdict": self.verdict,
             "structure": None if self.structure is None else summarize(self.structure),
             "witness": _witness_dict(self.witness),
             "candidates": self.candidates,
             "seed": self.seed,
         }
+        if timings:
+            d["elapsed_ms"] = self.elapsed_ms
+        return d
 
 
 def find_countermodel(kind: str, base: Theory, target: NamedFormula,
@@ -381,33 +391,35 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
     Any returned structure has been re-verified through the evaluator,
     and the witness against the target re-checked.
     """
+    t0 = time.monotonic()
     max_n = bounds.max_n_part if kind == "part" else bounds.max_n_fusion
-    checked = 0
+    # batches of (candidates they count for, structures to try)
     if strategy == "exhaustive":
-        for n in range(max_n + 1):
-            checked += 1 << relation_bits(kind, n)
-            for s in filter_models(kind, n, base, workers=workers, ceiling=ceiling):
-                ev = Evaluator(s)
-                if not ev.eval(target.sentence):
-                    w = ev.find_witness(target.sentence)
-                    if w is not None and not ev.refutes(target.sentence, w):
-                        raise RuntimeError("unsound countermodel witness; this is a bug")
-                    return CountermodelResult("found", s, w, checked, bounds.seed)
-        return CountermodelResult("exhausted bounds", None, None, checked, bounds.seed)
-    if strategy != "random":
+        batches = ((1 << relation_bits(kind, n),
+                    filter_models(kind, n, base, workers=workers, ceiling=ceiling))
+                   for n in range(max_n + 1))
+        spent = "exhausted bounds"
+    elif strategy == "random":
+        rng = random.Random(bounds.seed)
+        batches = ((1, [random_structure(kind, max_n, rng)])
+                   for _ in range(bounds.random_samples))
+        spent = "sample budget spent"
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    rng = random.Random(bounds.seed)
-    for _ in range(bounds.random_samples):
-        s = random_structure(kind, max_n, rng)
-        checked += 1
-        ev = Evaluator(s)
-        if all(ev.eval(nf.sentence) for nf in base.obligations):
-            if not ev.eval(target.sentence):
-                w = ev.find_witness(target.sentence)
-                if w is not None and not ev.refutes(target.sentence, w):
-                    raise RuntimeError("unsound countermodel witness; this is a bug")
-                return CountermodelResult("found", s, w, checked, bounds.seed)
-    return CountermodelResult("sample budget spent", None, None, checked, bounds.seed)
+    checked = 0
+    for count, candidates in batches:
+        checked += count
+        for s in candidates:
+            ev = Evaluator(s)
+            # exhaustive candidates come from filter_models, already models of base
+            if strategy == "random" and not all(ev.eval(nf.sentence) for nf in base):
+                continue
+            outcome = _verified_check(ev, target)
+            if not outcome.value:
+                return CountermodelResult("found", s, outcome.witness, checked, bounds.seed,
+                                          int((time.monotonic() - t0) * 1000))
+    return CountermodelResult(spent, None, None, checked, bounds.seed,
+                              int((time.monotonic() - t0) * 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +450,14 @@ class EquivalenceReport:
         return not self.violations
 
     def to_dict(self, timings: bool = False) -> dict:
-        common = range(min(self.max_n_part, self.max_n_fusion) + 1)
         d = {
             "max_n_part": self.max_n_part,
             "max_n_fusion": self.max_n_fusion,
             "seed": self.seed,
             "part_side": list(self.part_rows),
             "fusion_side": list(self.fusion_rows),
-            "model_counts_match": all(
-                self.part_rows[n]["models"] == self.fusion_rows[n]["models"]
-                for n in common),
+            "model_counts_match": all(v["check"] != "model_counts_match"
+                                      for v in self.violations),
             "violations": list(self.violations),
         }
         if timings:
@@ -455,82 +465,65 @@ class EquivalenceReport:
         return d
 
 
+def _def_pf(m: PartStructure, fs: FusionStructure, back: PartStructure):
+    """The fusion-side parthood definition, point by point (back = induced_part(fs))."""
+    return back.part == m.part, sorted(back.part ^ m.part)
+
+
+def _def_uf(fs: FusionStructure, m: PartStructure, back: FusionStructure):
+    """The components former agrees across the two signatures."""
+    return all(components(fs, members_of(p)) == components(m, members_of(p))
+               for p in range(1 << fs.n)), None
+
+
 def verify_equivalence(bounds: SearchBounds, workers: int = 1,
                        ceiling: int = DEFAULT_CEILING) -> EquivalenceReport:
     t0 = time.monotonic()
     violations = []
-    part_rows = []
-    for n in range(bounds.max_n_part + 1):
-        models = filter_models("part", n, gem_p(), workers=workers, ceiling=ceiling)
-        row = {"n": n, "candidates": 1 << relation_bits("part", n),
-               "models": len(models), "fusion_axioms_pass": 0,
-               "def_pf_pass": 0, "round_trip_pass": 0, "injective": True}
-        images = set()
-        for m in models:
-            fs = induced_fusion(m)
-            images.add(fs)
-            ev = Evaluator(fs)
-            bad = [nf.name for nf in gem_f() if not ev.eval(nf.sentence)]
-            if bad:
-                violations.append({"side": "part", "n": n, "structure": summarize(m),
-                                   "check": "gem_f axioms", "detail": bad})
-            else:
-                row["fusion_axioms_pass"] += 1
-            # the fusion-side parthood definition, point by point
-            derived = {(x, y) for (zz, y) in fs.fusion for x in zz}
-            if derived == set(m.part):
-                row["def_pf_pass"] += 1
-            else:
-                violations.append({"side": "part", "n": n, "structure": summarize(m),
-                                   "check": "def_pf", "detail": sorted(
-                                       derived ^ set(m.part))})
-            if induced_part(fs) == m:
-                row["round_trip_pass"] += 1
-            else:
-                violations.append({"side": "part", "n": n, "structure": summarize(m),
-                                   "check": "round_trip_a", "detail": None})
-        if len(images) != len(models):
-            row["injective"] = False
-            violations.append({"side": "part", "n": n, "structure": None,
-                               "check": "translation_injective", "detail": None})
-        part_rows.append(row)
-    fusion_rows = []
-    for n in range(bounds.max_n_fusion + 1):
-        models = filter_models("fusion", n, gem_f(), workers=workers, ceiling=ceiling)
-        row = {"n": n, "candidates": 1 << relation_bits("fusion", n),
-               "models": len(models), "part_axioms_pass": 0,
-               "def_uf_pass": 0, "round_trip_pass": 0,
-               "with_empty_plurality": 0, "injective": True}
-        images = set()
-        for fs in models:
-            if any(not zz for (zz, _) in fs.fusion):
-                row["with_empty_plurality"] += 1
-            m = induced_part(fs)
-            images.add(m)
-            ev = Evaluator(m)
-            bad = [nf.name for nf in gem_p() if not ev.eval(nf.sentence)]
-            if bad:
-                violations.append({"side": "fusion", "n": n, "structure": summarize(fs),
-                                   "check": "gem_p axioms", "detail": bad})
-            else:
-                row["part_axioms_pass"] += 1
-            # the components former agrees across the two signatures
-            if all(components(fs, members_of(p)) == components(m, members_of(p))
-                   for p in range(1 << n)):
-                row["def_uf_pass"] += 1
-            else:
-                violations.append({"side": "fusion", "n": n, "structure": summarize(fs),
-                                   "check": "def_uf", "detail": None})
-            if induced_fusion(m) == fs:
-                row["round_trip_pass"] += 1
-            else:
-                violations.append({"side": "fusion", "n": n, "structure": summarize(fs),
-                                   "check": "round_trip_b", "detail": None})
-        if len(images) != len(models):
-            row["injective"] = False
-            violations.append({"side": "fusion", "n": n, "structure": None,
-                               "check": "translation_injective", "detail": None})
-        fusion_rows.append(row)
+    # per side (named by its model kind): size bound, source theory, the
+    # translation there and back, the target theory the image must satisfy,
+    # its tally key, the definition check with its name, the round trip's name
+    sides = (
+        ("part", bounds.max_n_part, gem_p(), induced_fusion, induced_part, gem_f(),
+         "fusion_axioms_pass", "def_pf", _def_pf, "round_trip_a"),
+        ("fusion", bounds.max_n_fusion, gem_f(), induced_part, induced_fusion, gem_p(),
+         "part_axioms_pass", "def_uf", _def_uf, "round_trip_b"),
+    )
+    side_rows = {}
+    for (side, max_n, source, there, back, target, axioms_key, definition,
+         definition_holds, round_trip) in sides:
+        rows = side_rows[side] = []
+        for n in range(max_n + 1):
+            models = filter_models(side, n, source, workers=workers, ceiling=ceiling)
+            row = {"n": n, "candidates": 1 << relation_bits(side, n),
+                   "models": len(models), axioms_key: 0, f"{definition}_pass": 0,
+                   "round_trip_pass": 0, "injective": True}
+            if side == "fusion":
+                row["with_empty_plurality"] = sum(
+                    any(not zz for (zz, _) in fs.fusion) for fs in models)
+            images = set()
+            for s in models:
+                image = there(s)
+                images.add(image)
+                returned = back(image)
+                ev = Evaluator(image)
+                bad = [nf.name for nf in target if not ev.eval(nf.sentence)]
+                for key, check, ok, detail in (
+                        (axioms_key, f"{target.name} axioms", not bad, bad),
+                        (f"{definition}_pass", definition,
+                         *definition_holds(s, image, returned)),
+                        ("round_trip_pass", round_trip, returned == s, None)):
+                    if ok:
+                        row[key] += 1
+                    else:
+                        violations.append({"side": side, "n": n, "structure": summarize(s),
+                                           "check": check, "detail": detail})
+            if len(images) != len(models):
+                row["injective"] = False
+                violations.append({"side": side, "n": n, "structure": None,
+                                   "check": "translation_injective", "detail": None})
+            rows.append(row)
+    part_rows, fusion_rows = side_rows["part"], side_rows["fusion"]
     for n in range(min(bounds.max_n_part, bounds.max_n_fusion) + 1):
         if part_rows[n]["models"] != fusion_rows[n]["models"]:
             violations.append({"side": "both", "n": n, "structure": None,
@@ -539,8 +532,71 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1,
                                           fusion_rows[n]["models"]]})
     return EquivalenceReport(bounds.max_n_part, bounds.max_n_fusion, bounds.seed,
                              tuple(part_rows), tuple(fusion_rows),
-                             tuple(violations),
-                             int((time.monotonic() - t0) * 1000))
+                             tuple(violations), int((time.monotonic() - t0) * 1000))
+
+
+# ---------------------------------------------------------------------------
+# the lemma suite
+
+@dataclass(frozen=True)
+class LemmaReport:
+    """Per-lemma verdicts on every model of the lemma's theory up to the
+    bounds, plus the canonical model of ``canonical_k`` atoms (or its
+    induced fusion structure) unless ``canonical_k`` is 0."""
+
+    max_n_part: int
+    max_n_fusion: int
+    canonical_k: int
+    rows: tuple
+    elapsed_ms: int
+
+    @property
+    def all_passed(self) -> bool:
+        return all(row["passed"] for row in self.rows)
+
+    def to_dict(self, timings: bool = False) -> dict:
+        d = {"max_n_part": self.max_n_part, "max_n_fusion": self.max_n_fusion,
+             "canonical_k": self.canonical_k, "rows": list(self.rows)}
+        if timings:
+            d["elapsed_ms"] = self.elapsed_ms
+        return d
+
+
+def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = None,
+                  workers: int = 1) -> LemmaReport:
+    """Check every lemma (or only ``name``) on its scope; failure witnesses
+    are re-verified before emission."""
+    t0 = time.monotonic()
+    suite = lemma_suite()
+    if name is not None:
+        suite = Theory("lemmas", (suite.get(name),))
+    evaluators = {}
+    for side in sorted({nf.side for nf in suite}):
+        if side == "gem_p":
+            kind, max_n, suffix = "part", bounds.max_n_part, ""
+        else:
+            kind, max_n, suffix = "fusion", bounds.max_n_fusion, ", fusion side"
+        scope = [(f"all {side} models", m) for n in range(max_n + 1)
+                 for m in filter_models(kind, n, theory_by_name(side), workers=workers)]
+        if canonical_k:
+            canonical = canonical_gem(canonical_k)
+            scope.append((f"canonical k={canonical_k}{suffix}",
+                          canonical if kind == "part" else induced_fusion(canonical)))
+        evaluators[side] = [(label, Evaluator(m)) for label, m in scope]
+    rows = []
+    for nf in suite:
+        failures = []
+        for label, ev in evaluators[nf.side]:
+            outcome = _verified_check(ev, nf)
+            if not outcome.value:
+                failures.append({"structure": summarize(ev.ctx.structure),
+                                 "scope": label,
+                                 "witness": _witness_dict(outcome.witness)})
+        rows.append({"name": nf.name, "side": nf.side,
+                     "models_checked": len(evaluators[nf.side]),
+                     "passed": not failures, "failures": failures})
+    return LemmaReport(bounds.max_n_part, bounds.max_n_fusion, canonical_k,
+                       tuple(rows), int((time.monotonic() - t0) * 1000))
 
 
 # ---------------------------------------------------------------------------

@@ -46,17 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .structures import (CapacityError, FusionStructure, PartStructure,
-                         Plurality, Structure, iter_bits, mask_of, members_of)
+from .structures import (MAX_PLURAL_DOMAIN, CapacityError, PartStructure,
+                         Plurality, Structure, fusion_rows_from_parts,
+                         iter_bits, mask_of, members_of, overlap_masks,
+                         parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, Member, NamedFormula,
                      Not, Or, OverlapAtom, PartAtom, PluralTerm,
                      ProperPartAtom, PVar, PInter, PUnion, QUANTIFIERS,
                      Singleton, SubTerm, TermEq, free_vars, term_free_ivars,
                      term_free_pvars)
-
-#: past this size even a single plural quantifier is out of reach
-MAX_EVAL_DOMAIN = 16
 
 
 class EvalError(ValueError):
@@ -100,60 +99,27 @@ class EvalContext:
                  "_ucache")
 
     def __init__(self, s: Structure):
-        if s.n > MAX_EVAL_DOMAIN:
+        if s.n > MAX_PLURAL_DOMAIN:
             raise CapacityError(f"formula evaluation needs 2^{s.n} pluralities")
         self.structure = s
-        self.n = s.n
-        n = s.n
+        self.n = n = s.n
         if isinstance(s, PartStructure):
             self.kind = "part"
             down = s.down_masks()
+            ov = overlap_masks(n, down)
+            frow = fusion_rows_from_parts(n, down, ov)
         else:
             self.kind = "fusion"
-            self.frow = s.rows()
-            down = [0] * n
-            for p, row in enumerate(self.frow):
-                for y in range(n):
-                    if (row >> y) & 1:
-                        down[y] |= p
-        self.down = down
-        self.up = [0] * n
+            frow = s.rows()
+            down = parts_from_fusion_rows(n, frow)
+            ov = overlap_masks(n, down)
+        self.down, self.ov, self.frow = down, ov, frow
+        self.up = up = [0] * n
         for y in range(n):
             for x in iter_bits(down[y]):
-                self.up[x] |= 1 << y
+                up[x] |= 1 << y
         self.full = (1 << n) - 1
-        self.ov = [0] * n
-        for y in range(n):
-            m = 0
-            dy = down[y]
-            for v in range(n):
-                if down[v] & dy:
-                    m |= 1 << v
-            self.ov[y] = m
-        if isinstance(s, PartStructure):
-            self.frow = self._derive_frows()
         self._ucache = {}
-
-    def _derive_frows(self):
-        n, down, ov = self.n, self.down, self.ov
-        frow = [0] * (1 << n)
-        for p in range(1 << n):
-            row = 0
-            for x in range(n):
-                if p & ~down[x]:
-                    continue
-                rest = down[x]
-                ok = True
-                while rest:
-                    low = rest & -rest
-                    if not (p & ov[low.bit_length() - 1]):
-                        ok = False
-                        break
-                    rest ^= low
-                if ok:
-                    row |= 1 << x
-            frow[p] = row
-        return frow
 
     def umask(self, m: int) -> int:
         """U(m): union of down[y] over members y of m (either signature)."""

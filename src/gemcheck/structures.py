@@ -29,8 +29,9 @@ from typing import Iterable, Iterator, Union
 
 Plurality = frozenset  # frozenset[int]; the denotation of a second-sort term
 
-#: largest domain size for which we ever materialize all 2^n pluralities
-MAX_PLURAL_DOMAIN = 20
+#: largest domain size for which we ever materialize or quantify over all
+#: 2^n pluralities
+MAX_PLURAL_DOMAIN = 16
 
 #: largest 2^k - 1 domain canonical_gem will build
 DEFAULT_DOMAIN_LIMIT = 1023
@@ -221,28 +222,56 @@ def components(s: Structure, zz: Iterable[int]) -> Plurality:
 # definitional translations between the signatures
 
 
+def overlap_masks(n: int, down: list) -> list:
+    """ov[y] = bitmask of the individuals sharing some part with y."""
+    ov = [0] * n
+    for y in range(n):
+        m = 0
+        dy = down[y]
+        for v in range(n):
+            if down[v] & dy:
+                m |= 1 << v
+        ov[y] = m
+    return ov
+
+
+def fusion_rows_from_parts(n: int, down: list, ov: list) -> list:
+    """rows[p] = bitmask of the x that plurality mask p fuses to by the closure
+    conditions: every member of p is part of x, and every part of x
+    overlaps some member of p."""
+    rows = [0] * (1 << n)
+    for p in range(1 << n):
+        row = 0
+        for x in range(n):
+            if p & ~down[x]:
+                continue
+            rest = down[x]
+            while rest:
+                low = rest & -rest
+                if not (p & ov[low.bit_length() - 1]):
+                    break
+                rest ^= low
+            else:
+                row |= 1 << x
+        rows[p] = row
+    return rows
+
+
+def parts_from_fusion_rows(n: int, rows: list) -> list:
+    """down[y] = bitmask of the x belonging to some plurality that fuses to y."""
+    down = [0] * n
+    for p, row in enumerate(rows):
+        for y in range(n):
+            if (row >> y) & 1:
+                down[y] |= p
+    return down
+
+
 def induced_part(fs: FusionStructure) -> PartStructure:
     """Parthood defined from fusion: x P y iff x belongs to some plurality fusing to y."""
-    pairs = set()
-    for (zz, y) in fs.fusion:
-        for x in zz:
-            pairs.add((x, y))
-    return PartStructure(fs.n, frozenset(pairs))
-
-
-def _fuses(down: list, ov: list, zmask: int, x: int) -> bool:
-    # zmask fuses to x iff every member is part of x and every part of x
-    # overlaps some member of zmask
-    if zmask & ~down[x]:
-        return False
-    rest = down[x]
-    while rest:
-        low = rest & -rest
-        y = low.bit_length() - 1
-        if not (zmask & ov[y]):
-            return False
-        rest ^= low
-    return True
+    down = parts_from_fusion_rows(fs.n, fs.rows())
+    return PartStructure(fs.n, frozenset((x, y) for y in range(fs.n)
+                                         for x in iter_bits(down[y])))
 
 
 def induced_fusion(ps: PartStructure) -> FusionStructure:
@@ -256,20 +285,8 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
     if ps.n > MAX_PLURAL_DOMAIN:
         raise CapacityError(f"cannot enumerate 2^{ps.n} pluralities")
     down = ps.down_masks()
-    ov = [0] * ps.n
-    for y in range(ps.n):
-        m = 0
-        for v in range(ps.n):
-            if down[v] & down[y]:
-                m |= 1 << v
-        ov[y] = m
-    pairs = []
-    for p in range(1 << ps.n):
-        members = members_of(p)
-        for x in range(ps.n):
-            if _fuses(down, ov, p, x):
-                pairs.append((members, x))
-    return FusionStructure(ps.n, frozenset(pairs))
+    rows = fusion_rows_from_parts(ps.n, down, overlap_masks(ps.n, down))
+    return FusionStructure.from_rows(ps.n, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ from importlib import resources
 from .syntax import NamedFormula, is_closed, parse
 
 
+class UnknownNameError(KeyError):
+    """A theory or obligation name that the registry does not have."""
+
+
 @dataclass(frozen=True)
 class Theory:
     name: str
@@ -53,7 +57,7 @@ class Theory:
         for nf in self.obligations:
             if nf.name == name:
                 return nf
-        raise KeyError(f"no obligation named {name!r} in theory {self.name}")
+        raise UnknownNameError(f"no obligation named {name!r} in theory {self.name}")
 
     def drop(self, name: str) -> "Theory":
         self.get(name)
@@ -224,10 +228,9 @@ def theory_names() -> list:
 
 
 def theory_by_name(name: str) -> Theory:
-    try:
-        return _THEORY_BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown theory {name!r}; choose from {theory_names()}") from None
+    if name not in _THEORY_BUILDERS:
+        raise UnknownNameError(f"unknown theory {name!r}; choose from {theory_names()}")
+    return _THEORY_BUILDERS[name]()
 
 
 def find_named(name: str) -> NamedFormula:
@@ -236,7 +239,7 @@ def find_named(name: str) -> NamedFormula:
         for nf in t():
             if nf.name == name:
                 return nf
-    raise KeyError(f"no registry formula named {name!r}")
+    raise UnknownNameError(f"no registry formula named {name!r}")
 
 
 # ---------------------------------------------------------------------------

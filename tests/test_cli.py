@@ -1,11 +1,14 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from gemcheck import canonical_gem, dump_structure, induced_fusion
+from gemcheck import canonical_gem, dump_structure, induced_fusion, search
 from gemcheck.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -60,6 +63,15 @@ def test_check_undecodable_file(tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_internal_error_is_not_a_usage_error(monkeypatch, k2_file, error):
+    def broken(s, t):
+        raise error("internal")
+    monkeypatch.setattr(search, "check_theory", broken)
+    with pytest.raises(error):
+        run_cli("check", k2_file, "gem_p")
+
+
 def test_unknown_subcommand_and_theory(k2_file):
     code, _, _ = run_cli("frobnicate")
     assert code == 2
@@ -81,13 +93,24 @@ def test_equiv_deterministic_json():
     assert run_cli(*args) == run_cli(*args)
 
 
-def test_timings_flag_adds_elapsed():
-    base = ("equiv", "--max-part", "1", "--max-fusion", "1", "--format",
-            "json", "--workers", "1")
+@pytest.mark.parametrize("command", ["check", "equiv", "lemmas", "models",
+                                     "countermodel"])
+def test_timings_flag_adds_elapsed(command, k2_file):
+    base = {
+        "check": ("check", k2_file, "gem_p"),
+        "equiv": ("equiv", "--max-part", "1", "--max-fusion", "1", "--workers", "1"),
+        "lemmas": ("lemmas", "--max-part", "1", "--max-fusion", "1",
+                   "--canonical-k", "1", "--workers", "1"),
+        "models": ("models", "--kind", "part", "--n", "2", "--theory", "gem_p",
+                   "--workers", "1"),
+        "countermodel": ("countermodel", "--kind", "fusion", "--theory", "gem_f",
+                         "--drop", "id_F", "--target", "id_F", "--max-n", "1",
+                         "--workers", "1"),
+    }[command] + ("--format", "json")
     _, out, _ = run_cli(*base)
     assert "elapsed_ms" not in json.loads(out)
     _, out, _ = run_cli(*base, "--timings")
-    assert "elapsed_ms" in json.loads(out)
+    assert isinstance(json.loads(out)["elapsed_ms"], int)
 
 
 def test_lemmas_single_name():
@@ -174,3 +197,28 @@ def test_invalid_worker_and_size_flags():
     assert code == 2 and "workers" in err
     code, _, _ = run_cli("lemmas", "--max-part", "-1", "--workers", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("lemmas", "--max-part", "3", "--max-fusion", "2", "--canonical-k", "2"),
+     "lemmas_small.json"),
+    (("models", "--kind", "fusion", "--n", "3", "--theory", "gem_f"),
+     "models_fusion3_gem_f.json"),
+])
+def test_json_matches_golden(argv, golden):
+    code, out, _ = run_cli(*argv, "--format", "json", "--workers", "1")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("theory_name", ["gem_p", "gem_f"])
+@pytest.mark.parametrize("kind,literal", [
+    ("part", "n=2\npart: (0,0) (0,1) (1,0)\n"),
+    ("fusion", "n=2\nfusion: ({0},1) ({0,1},0) ({},1)\n"),
+])
+def test_check_failure_json_matches_golden(tmp_path, kind, literal, theory_name):
+    p = tmp_path / f"{kind}.structure"
+    p.write_text(literal)
+    code, out, _ = run_cli("check", str(p), theory_name, "--format", "json")
+    assert code == 1
+    assert out == (GOLDEN / f"check_{kind}_{theory_name}.json").read_text()

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
                       canonical_gem, check_sentence, eval_formula, eval_term,
-                      gem_f, gem_p, parse, semantics)
+                      gem_f, gem_p, native, parse, semantics)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import CapacityError, induced_fusion
 from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, Implies,
                              NamedFormula, PVar, desugar, free_vars)
-from gemcheck.search import random_structure
+from gemcheck.search import enumerate_structures, random_structure
 from gemcheck.theory import lemma_suite, pp_axioms
 
 from util import IVARS, PVARS, random_formula, random_pterm
@@ -132,6 +132,29 @@ def test_unbound_variable_error():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         Evaluator(PartStructure(17, frozenset()))
+    with pytest.raises(CapacityError):
+        FusionStructure(17, frozenset()).rows()
+    with pytest.raises(CapacityError):
+        induced_fusion(PartStructure(17, frozenset()))
+
+
+def _builder_cases():
+    for kind, n in (("part", 0), ("part", 1), ("part", 2), ("part", 3),
+                    ("fusion", 0), ("fusion", 1), ("fusion", 2)):
+        yield from enumerate_structures(kind, n)
+    rng = random.Random(23)
+    for kind, n in (("part", 4), ("fusion", 3)):
+        for _ in range(200):
+            yield random_structure(kind, n, rng)
+
+
+def test_context_tables_match_native_tables():
+    for s in _builder_cases():
+        ctx = semantics.EvalContext(s)
+        t = native.tables_for(s)
+        assert (ctx.down, ctx.ov, ctx.frow) == (t.down, t.ov, t.frow), s
+        assert all((ctx.up[x] >> y) & 1 == (ctx.down[y] >> x) & 1
+                   for x in range(s.n) for y in range(s.n)), s
 
 
 @settings(max_examples=60, deadline=None)

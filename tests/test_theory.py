@@ -3,9 +3,11 @@ import pytest
 from gemcheck import (FusionStructure, PartStructure, canonical_gem, gem_f,
                       gem_p, induced_fusion, lemma_suite, pp_axioms,
                       theory_by_name)
+from gemcheck import theory
 from gemcheck.semantics import Evaluator
 from gemcheck.syntax import NamedFormula, parse
-from gemcheck.theory import COVERAGE, Theory, find_named, theory_names
+from gemcheck.theory import (COVERAGE, Theory, UnknownNameError, find_named,
+                             theory_names)
 
 
 def test_axiom_counts():
@@ -88,15 +90,26 @@ def test_lemmas_scoped_to_models():
 
 
 def test_theory_lookup_and_drop():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownNameError):
         theory_by_name("nope")
     t = gem_f().drop("wsp_F")
     assert len(t.obligations) == 5 and "wsp_F" not in t.names()
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownNameError):
         gem_f().drop("nope")
+    with pytest.raises(UnknownNameError):
+        gem_f().get("nope")
     assert find_named("FUIx").side == "gem_f"
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownNameError):
         find_named("nope")
+
+
+def test_builder_key_error_is_not_an_unknown_name(monkeypatch):
+    def broken():
+        return {}["missing"]
+    monkeypatch.setitem(theory._THEORY_BUILDERS, "broken", broken)
+    with pytest.raises(KeyError) as info:
+        theory_by_name("broken")
+    assert not isinstance(info.value, UnknownNameError)
 
 
 def test_theory_validation():

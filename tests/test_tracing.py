@@ -1,0 +1,35 @@
+"""The benchmark's tracer must find every boundary it wraps and put each back.
+
+``perfbench/tracing.py`` patches names where gemcheck's modules look them
+up, so a refactor that moves or drops one of those names breaks the traced
+benchmark runs; this keeps that visible in the test suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from gemcheck import cli, native, search, semantics, structures, theory
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_then_uninstall_restores_every_boundary():
+    tracing = _load_tracing()
+    owners = (cli, native, search, semantics, structures, theory,
+              semantics.Evaluator, structures.FusionStructure)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert semantics.compiled is not before[3]["compiled"]
+        assert cli.induced_fusion is not before[0]["induced_fusion"]
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before
