@@ -18,10 +18,10 @@ from .structures import (CapacityError, FusionStructure, PartStructure,
 from .syntax import (Formula, NamedFormula, ParseError, PluralTerm, SortError,
                      parse, print_formula)
 from .search import (CheckReport, CountermodelResult, EquivalenceReport,
-                     LemmaReport, SearchBounds, automorphism_count,
-                     check_theory, count_models, enumerate_structures,
-                     filter_models, find_countermodel, verify_equivalence,
-                     verify_lemmas)
+                     LemmaReport, ModelsReport, SearchBounds,
+                     automorphism_count, check_theory, count_models,
+                     enumerate_structures, filter_models, find_countermodel,
+                     list_models, verify_equivalence, verify_lemmas)
 from .theory import Theory, gem_f, gem_p, lemma_suite, pp_axioms, theory_by_name
 
 __version__ = "0.1.0"
@@ -35,7 +35,8 @@ __all__ = [
     "check_sentence", "check_theory", "components", "count_models",
     "dump_structure", "enumerate_structures", "eval_formula", "eval_term",
     "filter_models", "find_countermodel", "gem_f", "gem_p", "induced_fusion",
-    "induced_part", "LemmaReport", "lemma_suite", "load_structure", "mub",
-    "overlap", "parse", "print_formula", "proper_part", "pp_axioms",
-    "theory_by_name", "verify_equivalence", "verify_lemmas",
+    "induced_part", "LemmaReport", "lemma_suite", "list_models",
+    "load_structure", "ModelsReport", "mub", "overlap", "parse",
+    "print_formula", "proper_part", "pp_axioms", "theory_by_name",
+    "verify_equivalence", "verify_lemmas",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import export as export_mod
 from . import search, structures, theory
@@ -32,15 +31,12 @@ from .structures import induced_fusion  # noqa: F401 -- a boundary perfbench/tra
 from .syntax import ParseError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAPACITY = 0, 1, 2, 3
+DEFAULT_BOUNDS = search.SearchBounds()
 
 
 def _bounds(args) -> search.SearchBounds:
-    return search.SearchBounds(
-        max_n_part=getattr(args, "max_part", 4),
-        max_n_fusion=getattr(args, "max_fusion", 3),
-        random_samples=getattr(args, "samples", 10000),
-        seed=getattr(args, "seed", 0),
-    )
+    return search.SearchBounds(max_n_part=args.max_part, max_n_fusion=args.max_fusion,
+                               seed=args.seed)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -96,23 +92,10 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_models(args) -> int:
-    t0 = time.monotonic()
-    t = theory.theory_by_name(args.theory)
-    models = search.filter_models(args.kind, args.n, t, workers=args.workers)
-    payload = {
-        "theory": t.name,
-        "kind": args.kind,
-        "n": args.n,
-        "candidates": 1 << search.relation_bits(args.kind, args.n),
-        "models": len(models),
-        "failures": [],
-        "seed": args.seed,
-        "structures": [structures.summarize(m) for m in models],
-    }
-    if args.timings:
-        payload["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
-    text = "\n".join(payload["structures"] + [f"{len(models)} models"]) + "\n"
-    _emit(args, payload, text)
+    rep = search.list_models(args.kind, args.n, theory.theory_by_name(args.theory),
+                             seed=args.seed, workers=args.workers)
+    text = "\n".join(rep.structures + (f"{len(rep.structures)} models",)) + "\n"
+    _emit(args, rep.to_dict(timings=args.timings), text)
     return EXIT_OK
 
 
@@ -148,8 +131,7 @@ def cmd_export(args) -> int:
         sys.stderr.write("export needs --all or --name\n")
         return EXIT_USAGE
     nf = theory.lemma_suite().get(args.name)
-    t = theory.gem_f() if nf.side == "gem_f" else theory.gem_p()
-    text = export_mod.emit_obligation(nf.name, t, nf)
+    text = export_mod.emit_obligation(nf.name, theory.theory_by_name(nf.side), nf)
     if args.out:
         from pathlib import Path
         out = Path(args.out)
@@ -163,11 +145,16 @@ def cmd_export(args) -> int:
 
 def _add_common(p, workers=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DEFAULT_BOUNDS.seed)
     p.add_argument("--timings", action="store_true",
                    help="include elapsed_ms in JSON output (nondeterministic)")
     if workers:
         p.add_argument("--workers", type=int, default=4)
+
+
+def _add_size_bounds(p):
+    p.add_argument("--max-part", type=int, default=DEFAULT_BOUNDS.max_n_part)
+    p.add_argument("--max-fusion", type=int, default=DEFAULT_BOUNDS.max_n_fusion)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,14 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check, workers=1)
 
     p = sub.add_parser("equiv", help="verify the definitional equivalence")
-    p.add_argument("--max-part", type=int, default=4)
-    p.add_argument("--max-fusion", type=int, default=3)
+    _add_size_bounds(p)
     _add_common(p)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("lemmas", help="check the lemma obligations")
-    p.add_argument("--max-part", type=int, default=4)
-    p.add_argument("--max-fusion", type=int, default=3)
+    _add_size_bounds(p)
     p.add_argument("--canonical-k", type=int, default=3,
                    help="also check on the canonical model of this many atoms (0 disables)")
     p.add_argument("--name", help="check a single lemma")
@@ -213,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--strategy", choices=("exhaustive", "random"),
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=DEFAULT_BOUNDS.random_samples)
     _add_common(p)
     p.set_defaults(fn=cmd_countermodel)
 

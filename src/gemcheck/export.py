@@ -25,7 +25,7 @@ from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Not, Or, OverlapAtom, PartAtom, PluralTerm,
                      ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
                      TermEq)
-from .theory import Theory, gem_f, gem_p, lemma_suite
+from .theory import Theory, lemma_suite, theory_by_name
 
 COMPREHENSION_INSTANCES = ("I", "union", "intersection", "U_F", "U_P", "zzstar")
 
@@ -275,8 +275,7 @@ def emit_all(out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for nf in lemma_suite():
-        theory = gem_f() if nf.side == "gem_f" else gem_p()
-        text = emit_obligation(nf.name, theory, nf)
+        text = emit_obligation(nf.name, theory_by_name(nf.side), nf)
         path = out / f"{nf.name}.p"
         path.write_text(text)
         paths.append(path)

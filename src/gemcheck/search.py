@@ -285,6 +285,43 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
     return models
 
 
+@dataclass(frozen=True)
+class ModelsReport:
+    """The models of one theory at one size, in code order."""
+
+    theory: str
+    kind: str
+    n: int
+    seed: int
+    structures: tuple  # summaries
+    elapsed_ms: int
+
+    def to_dict(self, timings: bool = False) -> dict:
+        d = {
+            "theory": self.theory,
+            "kind": self.kind,
+            "n": self.n,
+            "candidates": 1 << relation_bits(self.kind, self.n),
+            "models": len(self.structures),
+            "failures": [],
+            "seed": self.seed,
+            "structures": list(self.structures),
+        }
+        if timings:
+            d["elapsed_ms"] = self.elapsed_ms
+        return d
+
+
+def list_models(kind: str, n: int, theory: Theory, seed: int = 0,
+                workers: int = 1) -> ModelsReport:
+    """``filter_models`` as a report; ``seed`` is only echoed."""
+    t0 = time.monotonic()
+    models = filter_models(kind, n, theory, workers=workers)
+    return ModelsReport(theory.name, kind, n, seed,
+                        tuple(summarize(m) for m in models),
+                        int((time.monotonic() - t0) * 1000))
+
+
 def count_models(kind: str, theory: Theory, n: int, workers: int = 1,
                  ceiling: int = DEFAULT_CEILING) -> int:
     return len(filter_models(kind, n, theory, workers=workers, ceiling=ceiling))
@@ -466,8 +503,12 @@ class EquivalenceReport:
 
 
 def _def_pf(m: PartStructure, fs: FusionStructure, back: PartStructure):
-    """The fusion-side parthood definition, point by point (back = induced_part(fs))."""
-    return back.part == m.part, sorted(back.part ^ m.part)
+    """The fusion-side parthood definition, point by point, through the native
+    oracle's parthood from fusion rows (independent of ``back``, the round trip)."""
+    derived = native.fusion_tables(m.n, fs.rows()).down
+    diff = sorted((x, y) for y, (a, b) in enumerate(zip(derived, m.down_masks()))
+                  for x in range(m.n) if (a ^ b) >> x & 1)
+    return not diff, diff
 
 
 def _def_uf(fs: FusionStructure, m: PartStructure, back: FusionStructure):

@@ -20,7 +20,7 @@ AST; the evaluator treats them as their guarded expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 RESERVED = {"forall", "exists", "not", "and", "or", "in", "sub", "eq",
@@ -268,8 +268,25 @@ def is_closed(f: Formula) -> bool:
     return not iv and not pv
 
 
+def _rename(node, old: str, new: str):
+    """``node`` with the free occurrences of the variable ``old`` renamed ``new``."""
+    if node is None or isinstance(node, str):
+        return new if node == old else node
+    if isinstance(node, QUANTIFIERS) and node.var == old:
+        return replace(node, bound=_rename(node.bound, old, new))
+    return type(node)(*(_rename(getattr(node, fl.name), old, new) for fl in fields(node)))
+
+
 def desugar(f: Formula) -> Formula:
-    """Expand restricted quantifiers into their guarded forms."""
+    """Expand restricted quantifiers into their guarded forms.
+
+    A bound is read outside its quantifier's scope, so a variable its own
+    bound mentions is renamed (primed, which no parsed name is) first.
+    """
+    if isinstance(f, QUANTIFIERS) and f.bound is not None and \
+            f.var in term_free_ivars(f.bound) | term_free_pvars(f.bound):
+        fresh = f.var + "'"
+        f = replace(f, var=fresh, body=_rename(f.body, f.var, fresh))
     match f:
         case ForallI(v, body, bound) if bound is not None:
             return ForallI(v, Implies(Member(v, bound), desugar(body)))

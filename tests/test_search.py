@@ -9,9 +9,9 @@ import pytest
 from gemcheck import (CapacityError, FusionStructure, PartStructure,
                       automorphism_count, canonical_gem, check_theory,
                       count_models, enumerate_structures, filter_models,
-                      find_countermodel, gem_f, gem_p, pp_axioms,
-                      verify_equivalence)
-from gemcheck.search import (SearchBounds, code_of, random_structure,
+                      find_countermodel, gem_f, gem_p, induced_fusion,
+                      induced_part, list_models, pp_axioms, verify_equivalence)
+from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              relation_bits, report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
 
@@ -181,6 +181,23 @@ def test_equivalence_report_shape():
     assert [r["models"] for r in d["part_side"]] == [1, 1, 0]
     assert d["model_counts_match"]
     assert json.loads(report_json(d)) == d
+
+
+def test_def_pf_is_independent_of_the_round_trip():
+    m = canonical_gem(2)
+    image = induced_fusion(m)
+    assert _def_pf(m, image, induced_part(image)) == (True, [])
+    # a wrong image the round trip is not consulted about: the converse order
+    converse = PartStructure(m.n, frozenset((y, x) for (x, y) in m.part))
+    assert _def_pf(converse, image, converse) == (False, sorted(m.part ^ converse.part))
+
+
+def test_list_models_report():
+    d = list_models("part", 3, gem_p(), seed=7).to_dict()
+    assert (d["candidates"], d["models"], d["failures"], d["seed"]) == (512, 3, [], 7)
+    assert d["structures"][0] == "n=3 part: (0,0) (0,2) (1,1) (1,2) (2,2)"
+    assert "elapsed_ms" not in d
+    assert "elapsed_ms" in list_models("part", 1, gem_p()).to_dict(timings=True)
 
 
 def test_equivalence_vacuous_bounds():

@@ -171,6 +171,18 @@ def test_desugar_preserves_semantics(seed, n, fusion_kind):
     assert eval_formula(s, f, a) == eval_formula(s, desugar(f), a)
 
 
+@pytest.mark.parametrize("text", ["exists YY sub YY . exists x . x in YY",
+                                  "exists x in I(x) . not x = y"])
+def test_desugar_reads_a_bound_outside_its_quantifier(text):
+    # the bound mentions the quantified variable itself, which it reads
+    # from the enclosing scope; desugaring must not capture it
+    f = parse(text)
+    a = Assignment(individuals={"x": 0, "y": 0}, plurals={"YY": frozenset()})
+    s = PartStructure.from_pairs(2, [(0, 0), (1, 1)])
+    assert eval_formula(s, f, a) is False
+    assert eval_formula(s, desugar(f), a) is False
+
+
 def _random_assignment(rng, n):
     return Assignment(
         individuals={v: rng.randrange(n) for v in IVARS} if n else {},

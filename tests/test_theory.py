@@ -1,11 +1,16 @@
+import json
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from gemcheck import (FusionStructure, PartStructure, canonical_gem, gem_f,
                       gem_p, induced_fusion, lemma_suite, pp_axioms,
                       theory_by_name)
 from gemcheck import theory
+from gemcheck.export import emit_obligation
 from gemcheck.semantics import Evaluator
-from gemcheck.syntax import NamedFormula, parse
+from gemcheck.syntax import NamedFormula, parse, print_formula
 from gemcheck.theory import (COVERAGE, Theory, UnknownNameError, find_named,
                              theory_names)
 
@@ -140,3 +145,46 @@ def test_coverage_registry_complete():
                 assert key in theory_by_name(tname).names(), key
         elif role == "lemma" and key in lemma_names:
             assert lemma_suite().get(key).side in where
+
+
+def registry_dump() -> str:
+    """Every registry entry and every TPTP problem, as stable JSON text."""
+    registry = {name: [{"name": nf.name, "side": nf.side, "anchor": nf.anchor,
+                        "sentence": print_formula(nf.sentence)}
+                       for nf in theory_by_name(name)]
+                for name in theory_names()}
+    tptp = {nf.name: emit_obligation(nf.name, theory_by_name(nf.side), nf)
+            for nf in lemma_suite()}
+    return json.dumps({"registry": registry, "tptp": tptp}, indent=2) + "\n"
+
+
+def test_registry_matches_golden():
+    golden = Path(__file__).parent / "golden" / "registry.json"
+    assert registry_dump() == golden.read_text()
+
+
+def test_every_shipped_thy_file_is_a_registry():
+    shipped = resources.files("gemcheck") / "theories"
+    assert theory_names() == sorted(p.name.removesuffix(".thy")
+                                    for p in shipped.iterdir() if p.name.endswith(".thy"))
+
+
+def test_thy_text_without_sides_or_anchors():
+    t = theory.parse_theory_text("user", "# a comment\n\nrefl : forall x . P(x, x)\n"
+                                         "sym : forall x . forall y . P(x, y) -> P(y, x)\n",
+                                 anchor="user.thy")
+    assert t.names() == ["refl", "sym"]
+    assert [(nf.side, nf.anchor) for nf in t] == [(None, "user.thy")] * 2
+    assert t.get("refl").sentence == parse("forall x . P(x, x)")
+
+
+def test_thy_sides_and_anchors():
+    t = theory.parse_theory_text("user", "a : forall x . P(x, x) ; first\n[gem_p]\n"
+                                         "b : forall x . P(x, x)\n[gem_f]\n"
+                                         "c : forall x . P(x, x) ; third  # comment\n")
+    assert [(nf.name, nf.side, nf.anchor) for nf in t] == [
+        ("a", None, "first"), ("b", "gem_p", "file"), ("c", "gem_f", "third")]
+    with pytest.raises(ValueError, match="user:1"):
+        theory.parse_theory_text("user", "[gem_x]\n")
+    with pytest.raises(ValueError, match="user:2"):
+        theory.parse_theory_text("user", "\nno formula ; anchor\n")
