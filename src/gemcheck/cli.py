@@ -34,9 +34,9 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAPACITY = 0, 1, 2, 3
 DEFAULT_BOUNDS = search.SearchBounds()
 
 
-def _bounds(args) -> search.SearchBounds:
+def _bounds(args, **fields) -> search.SearchBounds:
     return search.SearchBounds(max_n_part=args.max_part, max_n_fusion=args.max_fusion,
-                               seed=args.seed)
+                               **fields)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -63,7 +63,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    rep = search.verify_equivalence(_bounds(args), workers=args.workers)
+    rep = search.verify_equivalence(_bounds(args, seed=args.seed), workers=args.workers)
     lines = ["definitional equivalence check"]
     for row in rep.part_rows:
         lines.append(
@@ -106,13 +106,9 @@ def cmd_countermodel(args) -> int:
     try:
         target = base.get(args.target)
     except theory.UnknownNameError:
-        target = theory.find_named(args.target)
-    if args.kind == "part":
-        bounds = search.SearchBounds(max_n_part=args.max_n, max_n_fusion=0,
-                                     random_samples=args.samples, seed=args.seed)
-    else:
-        bounds = search.SearchBounds(max_n_part=0, max_n_fusion=args.max_n,
-                                     random_samples=args.samples, seed=args.seed)
+        target = theory.find_named(args.target, "gem_p" if args.kind == "part" else "gem_f")
+    bounds = search.SearchBounds(max_n_part=args.max_n, max_n_fusion=args.max_n,
+                                 random_samples=args.samples, seed=args.seed)
     res = search.find_countermodel(args.kind, base, target, bounds,
                                    strategy=args.strategy, workers=args.workers)
     text = f"{res.verdict}\n"
@@ -143,9 +139,10 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, workers=True):
+def _add_common(p, seed=True, workers=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=DEFAULT_BOUNDS.seed)
+    if seed:
+        p.add_argument("--seed", type=int, default=DEFAULT_BOUNDS.seed)
     p.add_argument("--timings", action="store_true",
                    help="include elapsed_ms in JSON output (nondeterministic)")
     if workers:
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check a structure file against a theory")
     p.add_argument("structure")
     p.add_argument("theory", choices=theory.theory_names())
-    _add_common(p, workers=False)
+    _add_common(p, seed=False, workers=False)
     p.set_defaults(fn=cmd_check, workers=1)
 
     p = sub.add_parser("equiv", help="verify the definitional equivalence")
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical-k", type=int, default=3,
                    help="also check on the canonical model of this many atoms (0 disables)")
     p.add_argument("--name", help="check a single lemma")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(fn=cmd_lemmas)
 
     p = sub.add_parser("models", help="list models of a theory at one size")
@@ -206,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--name")
     p.add_argument("--out", default="obligations")
-    _add_common(p, workers=False)
     p.set_defaults(fn=cmd_export, workers=1)
 
     return ap

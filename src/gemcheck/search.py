@@ -14,14 +14,15 @@ never depends on scheduling.
 Filtering is a two-stage pipeline.  A scanning stage walks the candidate
 space row by row, baking row-local axioms (reflexivity on the part side,
 fusion existence and singleton collapse on the fusion side) into the row
-value lists and rejecting the rest with the hand-coded native checkers
-(cheap axioms first, in a fixed documented order:
-ref_P, id_F, exists_F, antis_P and as_PP (one checker), trans_P, fun_F,
-trans_PP, dfP_PP, approx_F, wsp_F, comp_F, ext_F; the order affects speed,
-never results).  Every surviving candidate is then re-verified through
-the formula evaluator; the scanning stage is never the final authority.
-Agreement of the native route with the evaluator is itself the subject of
-the oracle-equivalence tests.
+value lists and rejecting the rest with the hand-coded native checkers,
+cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F, exists_F,
+antis_P and as_PP (one checker), trans_P, fun_F, trans_PP, dfP_PP,
+approx_F, wsp_F, comp_F, ext_F (the order affects speed, never results).
+Workers run only this stage.  The formula evaluator then decides each
+obligation once per survivor: a false obligation without a native checker
+rejects the survivor, a false natively decided one raises, so the scanning
+stage is never the final authority.  Agreement of the native route with
+the evaluator is itself the subject of the oracle-equivalence tests.
 
 Every verdict that can carry a witness (``check_theory``,
 ``verify_lemmas``, ``find_countermodel``) comes from one helper that runs
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 import random
 import time
@@ -53,13 +55,14 @@ from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
 
 DEFAULT_CEILING = 1 << 26
 
-_NATIVE_RANK = {
-    native.ref_p: 0, native.id_f: 1, native.exists_f: 2,
-    native.exists_f_closure: 2, native.antis_p: 3, native.trans_p: 4,
-    native.fun_f: 5, native.fun_f_closure: 5, native.trans_pp: 7,
-    native.dfp_pp: 8, native.approx_f: 9, native.wsp_f: 10,
-    native.comp_f: 11, native.ext_f: 12,
-}
+# the native checkers, cheap first; the order affects speed, never results
+_PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.exists_f_closure,
+               native.antis_p, native.trans_p, native.fun_f, native.fun_f_closure,
+               native.trans_pp, native.dfp_pp, native.approx_f, native.wsp_f,
+               native.comp_f, native.ext_f)
+
+# checkers whose axiom the scan bakes into the per-row value lists
+_ROW_LOCAL = {"part": {native.ref_p}, "fusion": {native.id_f, native.exists_f}}
 
 
 @dataclass(frozen=True)
@@ -127,87 +130,52 @@ def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
 # the scanning stage
 
 def _plan(kind: str, theory: Theory, use_native: bool):
-    """Split obligations into row-local constraints, natives, and AST rest.
+    """``(row_local, natives, rest)``: the checkers of the natively decided
+    obligations, split into those the scan bakes into the row values and
+    the others in ``_PLAN_ORDER``, and the obligations only the evaluator
+    decides.
 
     Without ``use_native`` every obligation is left to the evaluator.
     """
-    row_local = {"ref": False, "exists": False, "id": False}
     if not use_native:
-        return row_local, [], list(theory.obligations)
-    deep = []
+        return set(), [], list(theory.obligations)
+    natives = set()
     rest = []
-    for i, nf in enumerate(theory.obligations):
-        if kind == "fusion" and nf.sentence == gem_f().get("exists_F").sentence:
-            row_local["exists"] = True
-            continue
-        if kind == "fusion" and nf.sentence == gem_f().get("id_F").sentence:
-            row_local["id"] = True
-            continue
-        if kind == "part" and nf.sentence == gem_p().get("ref_P").sentence:
-            row_local["ref"] = True
-            continue
+    for nf in theory:
         fn = native.native_for(nf.sentence)
-        if fn is not None:
-            deep.append((_NATIVE_RANK[fn], i, fn))
-        else:
+        if fn is None:
             rest.append(nf)
-    deep.sort()
-    return row_local, [fn for (_, _, fn) in deep], rest
+        else:
+            natives.add(fn)
+    row_local = natives & _ROW_LOCAL[kind]
+    return row_local, sorted(natives - row_local, key=_PLAN_ORDER.index), rest
 
 
-def _allowed_rows(kind: str, n: int, row_local: dict) -> list:
+def _allowed_rows(kind: str, n: int, row_local: set) -> list:
     """Per-row admissible values, most significant row first."""
     full = list(range(1 << n))
     rows = []
     if kind == "part":
         for x in reversed(range(n)):
-            rows.append([v for v in full if (v >> x) & 1] if row_local["ref"] else full)
+            rows.append([v for v in full if (v >> x) & 1]
+                        if native.ref_p in row_local else full)
         return rows
     for p in reversed(range(1 << n)):
         vals = full
-        if row_local["id"] and p and p & (p - 1) == 0:
+        if native.id_f in row_local and p and p & (p - 1) == 0:
             y = p.bit_length() - 1
             vals = [0, 1 << y]
-        if row_local["exists"] and p:
+        if native.exists_f in row_local and p:
             vals = [v for v in vals if v]
         rows.append(vals)
     return rows
 
 
-def _product_slice(allowed: list, start: int, stop: int):
-    """Row-value tuples (most significant first) for product indices [start, stop)."""
-    if not allowed:
-        if start == 0 < stop:
-            yield []
-        return
-    radices = [len(v) for v in allowed]
-    idx = []
-    r = start
-    for base in reversed(radices):
-        idx.append(r % base)
-        r //= base
-    idx.reverse()
-    vals = [allowed[i][idx[i]] for i in range(len(allowed))]
-    count = stop - start
-    while count > 0:
-        yield vals
-        count -= 1
-        for i in reversed(range(len(idx))):
-            idx[i] += 1
-            if idx[i] < radices[i]:
-                vals[i] = allowed[i][idx[i]]
-                break
-            idx[i] = 0
-            vals[i] = allowed[i][0]
-        else:
-            return
-
-
 def _scan_worker(args) -> list:
-    """Codes in [start, stop) of the pruned space passing every obligation."""
-    kind, n, allowed, deep, rest, start, stop = args
+    """Structures at [start, stop) of the pruned space passing every native."""
+    kind, n, allowed, natives, start, stop = args
     found = []
-    for vals in _product_slice(allowed, start, stop):
+    for vals in itertools.islice(itertools.product(*allowed), start, stop):
         if kind == "part":
             down = [0] * n
             for x in range(n):
@@ -215,35 +183,18 @@ def _scan_worker(args) -> list:
                 for y in range(n):
                     if (up >> y) & 1:
                         down[y] |= 1 << x
-            tables = native.part_tables(n, down) if deep else None
+            tables = native.part_tables(n, down) if natives else None
         else:
             frow = vals[::-1]
-            tables = native.fusion_tables(n, frow) if deep else None
-        if deep and not all(fn(tables) for fn in deep):
+            tables = native.fusion_tables(n, frow) if natives else None
+        if natives and not all(fn(tables) for fn in natives):
             continue
-        if rest:
-            if kind == "part":
-                s = PartStructure(n, frozenset(
-                    (x, y) for y in range(n) for x in range(n)
-                    if (down[y] >> x) & 1))
-            else:
-                s = FusionStructure.from_rows(n, frow)
-            ev = Evaluator(s)
-            if not all(ev.eval(nf.sentence) for nf in rest):
-                continue
-        code = 0
-        width = len(vals)
-        for i, v in enumerate(vals):
-            code |= v << ((width - 1 - i) * n)
-        found.append(code)
+        if kind == "part":
+            found.append(PartStructure(n, frozenset(
+                (x, y) for y in range(n) for x in range(n) if (down[y] >> x) & 1)))
+        else:
+            found.append(FusionStructure.from_rows(n, frow))
     return found
-
-
-def _pruned_total(allowed: list) -> int:
-    total = 1
-    for vals in allowed:
-        total *= len(vals)
-    return total
 
 
 def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
@@ -252,31 +203,34 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
     """Exactly the structures on which every obligation is true, in code order.
 
     Candidates are pre-filtered natively where obligations are recognized
-    registry axioms, then every survivor is re-verified through the
-    evaluator; a disagreement between the two routes raises rather than
-    silently corrupting the model set.
+    registry axioms; the evaluator then decides every other obligation and
+    re-verifies the natively decided ones on each survivor, once each.  A
+    disagreement between the two routes raises rather than silently
+    corrupting the model set.
     """
     total = 1 << relation_bits(kind, n)
     if total > ceiling:
         raise CapacityError(f"{total} candidates exceed the ceiling {ceiling}")
-    row_local, deep, rest = _plan(kind, theory, use_native)
+    row_local, natives, rest = _plan(kind, theory, use_native)
     allowed = _allowed_rows(kind, n, row_local)
-    pruned = _pruned_total(allowed)
+    pruned = math.prod(map(len, allowed))
     if workers > 1 and pruned > 4096:
         chunks = workers * 4
         step = (pruned + chunks - 1) // chunks
-        tasks = [(kind, n, allowed, deep, rest, a, min(a + step, pruned))
+        tasks = [(kind, n, allowed, natives, a, min(a + step, pruned))
                  for a in range(0, pruned, step)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
-        codes = [c for part in parts for c in part]
+        survivors = [s for part in parts for s in part]
     else:
-        codes = _scan_worker((kind, n, allowed, deep, rest, 0, pruned))
+        survivors = _scan_worker((kind, n, allowed, natives, 0, pruned))
+    decided = [nf for nf in theory if nf not in rest]
     models = []
-    for code in codes:
-        s = structure_from_code(kind, n, code)
+    for s in survivors:
         ev = Evaluator(s)
-        for nf in theory.obligations:
+        if not all(ev.eval(nf.sentence) for nf in rest):
+            continue
+        for nf in decided:
             if not ev.eval(nf.sentence):
                 raise RuntimeError(
                     f"native scan and evaluator disagree on {nf.name} "

@@ -94,9 +94,6 @@ class PartStructure:
             down[y] |= 1 << x
         return down
 
-    def holds(self, x: int, y: int) -> bool:
-        return (x, y) in self.part
-
 
 @dataclass(frozen=True)
 class FusionStructure:
@@ -136,9 +133,6 @@ class FusionStructure:
         for (zz, x) in self.fusion:
             rows[mask_of(zz)] |= 1 << x
         return rows
-
-    def holds(self, zz: Iterable[int], x: int) -> bool:
-        return (frozenset(zz), x) in self.fusion
 
 
 Structure = Union[PartStructure, FusionStructure]

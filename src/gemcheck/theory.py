@@ -28,6 +28,7 @@ parser round-trip corpus.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -114,12 +115,15 @@ def theory_by_name(name: str) -> Theory:
     return _THEORY_BUILDERS[name]()
 
 
-def find_named(name: str) -> NamedFormula:
-    """Look an obligation up by name across all built-in theories."""
-    for t in _THEORY_BUILDERS.values():
-        for nf in t():
-            if nf.name == name:
-                return nf
+def find_named(name: str, side: str) -> NamedFormula:
+    """Look an obligation up by name across all built-in theories: the
+    theory ``side`` (``gem_f`` or ``gem_p``) first, since names recur across
+    registries, then that side's lemmas, then every theory in builder order."""
+    lemmas = (nf for nf in lemma_suite() if nf.side == side)
+    everything = (nf for t in _THEORY_BUILDERS.values() for nf in t())
+    for nf in itertools.chain(theory_by_name(side), lemmas, everything):
+        if nf.name == name:
+            return nf
     raise UnknownNameError(f"no registry formula named {name!r}")
 
 

@@ -167,6 +167,29 @@ def test_countermodel_unknown_target():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "k2.structure", "gem_p", "--seed", "1"),
+    ("lemmas", "--seed", "1"),
+    ("export", "--all", "--seed", "1"),
+    ("export", "--all", "--format", "json"),
+    ("export", "--all", "--timings"),
+])
+def test_flags_without_effect_are_rejected(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert code == 2 and not out and "unrecognized arguments" in err
+    assert not (tmp_path / "obligations").exists()
+
+
+def test_countermodel_target_resolves_on_the_run_side():
+    # gem_p's fun_F (fusion unfolded to P) has a countermodel here, the
+    # gem_f-side lemma fun_F has none
+    code, out, _ = run_cli("countermodel", "--kind", "fusion", "--theory", "gem_f",
+                           "--drop", "wsp_F", "--target", "fun_F", "--max-n", "2",
+                           "--format", "json", "--workers", "1")
+    assert code == 0 and json.loads(out)["verdict"] == "exhausted bounds"
+
+
 def test_export_all(tmp_path):
     out_dir = tmp_path / "obs"
     code, out, _ = run_cli("export", "--all", "--out", str(out_dir))

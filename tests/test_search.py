@@ -10,7 +10,8 @@ from gemcheck import (CapacityError, FusionStructure, PartStructure,
                       automorphism_count, canonical_gem, check_theory,
                       count_models, enumerate_structures, filter_models,
                       find_countermodel, gem_f, gem_p, induced_fusion,
-                      induced_part, list_models, pp_axioms, verify_equivalence)
+                      induced_part, lemma_suite, list_models, native, pp_axioms,
+                      search, verify_equivalence)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              relation_bits, report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
@@ -76,7 +77,7 @@ def test_gem_p_models_at_3_are_canonical_relabelings():
 def test_filter_native_and_pure_paths_agree():
     for kind, n in (("part", 0), ("part", 1), ("part", 2),
                     ("fusion", 1), ("fusion", 2)):
-        for t in (gem_f(), gem_p(), pp_axioms()):
+        for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite()):
             fast = filter_models(kind, n, t)
             slow = filter_models(kind, n, t, use_native=False)
             assert fast == slow, (kind, n, t.name)
@@ -88,6 +89,21 @@ def test_filter_workers_match_serial():
     pooled = filter_models("part", 4, t, workers=2)
     assert serial == pooled
     assert len(serial) == 219  # labeled posets on four points
+    # natives plus evaluator-only lemmas; without ref_P, which would be baked
+    # into the rows and leave too few candidates for the pool
+    t = lemma_suite().drop("ref_P")
+    assert filter_models("part", 4, t, workers=2) == filter_models("part", 4, t)
+
+
+def test_native_and_evaluator_disagreement_raises(monkeypatch):
+    def accept(tables):
+        return True
+    sentence = pp_axioms().get("trans_PP").sentence
+    native.native_for(sentence)  # builds the registry
+    monkeypatch.setitem(native._NATIVE, sentence, accept)
+    monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
+    with pytest.raises(RuntimeError, match="native scan and evaluator disagree on trans_PP"):
+        filter_models("part", 3, pp_axioms())
 
 
 def test_check_theory_reports():

@@ -103,9 +103,18 @@ def test_theory_lookup_and_drop():
         gem_f().drop("nope")
     with pytest.raises(UnknownNameError):
         gem_f().get("nope")
-    assert find_named("FUIx").side == "gem_f"
+    assert find_named("FUIx", "gem_p").side == "gem_f"
     with pytest.raises(UnknownNameError):
-        find_named("nope")
+        find_named("nope", "gem_f")
+
+
+def test_find_named_prefers_the_side():
+    assert find_named("fun_F", "gem_f") == lemma_suite().get("fun_F")
+    assert find_named("fun_F", "gem_p") == gem_p().get("fun_F")
+    assert lemma_suite().get("fun_F").sentence != gem_p().get("fun_F").sentence
+    assert find_named("ref_P", "gem_f") == lemma_suite().get("ref_P")
+    assert find_named("id_F", "gem_p") == lemma_suite().get("id_F")
+    assert find_named("id_F", "gem_f") == gem_f().get("id_F")
 
 
 def test_builder_key_error_is_not_an_unknown_name(monkeypatch):
