@@ -20,8 +20,8 @@ from .syntax import (Formula, NamedFormula, ParseError, PluralTerm, SortError,
 from .search import (CheckReport, CountermodelResult, EquivalenceReport,
                      LemmaReport, ModelsReport, SearchBounds,
                      automorphism_count, check_theory, count_models,
-                     enumerate_structures, filter_models, find_countermodel,
-                     list_models, verify_equivalence, verify_lemmas)
+                     filter_models, find_countermodel, list_models,
+                     verify_equivalence, verify_lemmas)
 from .theory import Theory, gem_f, gem_p, lemma_suite, pp_axioms, theory_by_name
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "Plurality", "PluralTerm", "SearchBounds", "SortError", "Structure",
     "StructureFormatError", "Theory", "automorphism_count", "canonical_gem",
     "check_sentence", "check_theory", "components", "count_models",
-    "dump_structure", "enumerate_structures", "eval_formula", "eval_term",
+    "dump_structure", "eval_formula", "eval_term",
     "filter_models", "find_countermodel", "gem_f", "gem_p", "induced_fusion",
     "induced_part", "LemmaReport", "lemma_suite", "list_models",
     "load_structure", "ModelsReport", "mub", "overlap", "parse",

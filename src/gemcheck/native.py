@@ -12,9 +12,9 @@ the search core recognize registry axioms inside arbitrary theories and
 use these as a fast pre-filter; every surviving structure is still
 re-verified through the evaluator.
 
-Fusion-relation candidates are handled as plain row tables
-(``rows[p]`` = bitmask of individuals fused by plurality mask ``p``), so
-enumeration loops never need to build structure objects.
+The tables take the mask rows a structure holds (``down[y]`` for
+parthood, ``rows[p]`` for fusion) as they are, so the scan builds a
+structure object only for a candidate that passes.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def fusion_tables(n: int, rows: list) -> NativeTables:
 
 def tables_for(s: Structure) -> NativeTables:
     if isinstance(s, PartStructure):
-        return part_tables(s.n, s.down_masks())
-    return fusion_tables(s.n, s.rows())
+        return part_tables(s.n, s.down)
+    return fusion_tables(s.n, s.rows)
 
 
 def _components(t: NativeTables, m: int) -> int:

@@ -1,24 +1,23 @@
 """Exhaustive and randomized exploration of finite structures.
 
-Relations are encoded as integers so the whole candidate space is a range:
+Every relation has an integer code, which fixes the order of reports:
 
 * part relations: bit ``x*n + y`` set iff (x, y) is in the relation;
 * fusion relations: bit ``p*n + x`` set iff the plurality with
   characteristic mask ``p`` fuses to ``x``.
 
-Enumeration is by ascending code, which doubles as the lexicographic
-order of the encoding; prefix partitions of the space are contiguous code
-ranges, so parallel workers merge back in encoding order and the output
-never depends on scheduling.
-
-Filtering is a two-stage pipeline.  A scanning stage walks the candidate
-space row by row, baking row-local axioms (reflexivity on the part side,
-fusion existence and singleton collapse on the fusion side) into the row
-value lists and rejecting the rest with the hand-coded native checkers,
+Filtering is a two-stage pipeline.  A scanning stage walks one stream of
+row tuples, the product of per-row value lists in row index order
+(``down[y]`` on the part side, ``rows[p]`` on the fusion side), baking
+row-local axioms (reflexivity on the part side, fusion existence and
+singleton collapse on the fusion side) into the value lists and
+rejecting the rest with the hand-coded native checkers,
 cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F, exists_F,
 antis_P and as_PP (one checker), trans_P, fun_F, trans_PP, dfP_PP,
 approx_F, wsp_F, comp_F, ext_F (the order affects speed, never results).
-Workers run only this stage.  The formula evaluator then decides each
+Workers run only this stage, each on a contiguous slice of the product.
+The survivors are sorted by code, so the output never depends on the
+stream's order or on scheduling.  The formula evaluator then decides each
 obligation once per survivor: a false obligation without a native checker
 rejects the survivor, a false natively decided one raises, so the scanning
 stage is never the final authority.  Agreement of the native route with
@@ -43,13 +42,13 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import native
 from .semantics import Assignment, EvalOutcome, Evaluator
 from .structures import (CapacityError, FusionStructure, PartStructure,
                          Structure, canonical_gem, components, induced_fusion,
-                         induced_part, kind_of, members_of, summarize)
+                         induced_part, iter_bits, kind_of, members_of, summarize)
 from .syntax import NamedFormula
 from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
 
@@ -84,41 +83,18 @@ def relation_bits(kind: str, n: int) -> int:
     return n * n if kind == "part" else n * (1 << n)
 
 
-def part_from_code(n: int, code: int) -> PartStructure:
-    pairs = [(x, y) for x in range(n) for y in range(n)
-             if (code >> (x * n + y)) & 1]
-    return PartStructure(n, frozenset(pairs))
-
-
-def fusion_from_code(n: int, code: int) -> FusionStructure:
-    mask = (1 << n) - 1
-    rows = [(code >> (p * n)) & mask for p in range(1 << n)]
-    return FusionStructure.from_rows(n, rows)
-
-
 def structure_from_code(kind: str, n: int, code: int) -> Structure:
-    return part_from_code(n, code) if kind == "part" else fusion_from_code(n, code)
+    if kind == "part":
+        return PartStructure(n, tuple(sum(((code >> (x * n + y)) & 1) << x for x in range(n))
+                                      for y in range(n)))
+    mask = (1 << n) - 1
+    return FusionStructure.from_rows(n, [(code >> (p * n)) & mask for p in range(1 << n)])
 
 
 def code_of(s: Structure) -> int:
     if isinstance(s, PartStructure):
-        return sum(1 << (x * s.n + y) for (x, y) in s.part)
-    return sum(row << (p * s.n) for p, row in enumerate(s.rows()))
-
-
-def enumerate_structures(kind: str, n: int, code_range: Optional[tuple] = None,
-                         ceiling: int = DEFAULT_CEILING) -> Iterator[Structure]:
-    """Every relation of the kind exactly once, by ascending code.
-
-    ``code_range=(lo, hi)`` restricts to a slice of the space, which is
-    how the space is partitioned by encoding prefix.
-    """
-    total = 1 << relation_bits(kind, n)
-    if total > ceiling:
-        raise CapacityError(f"{total} candidates exceed the ceiling {ceiling}")
-    lo, hi = code_range if code_range is not None else (0, total)
-    for code in range(lo, hi):
-        yield structure_from_code(kind, n, code)
+        return sum(1 << (x * s.n + y) for y, d in enumerate(s.down) for x in iter_bits(d))
+    return sum(row << (p * s.n) for p, row in enumerate(s.rows))
 
 
 def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
@@ -129,16 +105,12 @@ def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
 # ---------------------------------------------------------------------------
 # the scanning stage
 
-def _plan(kind: str, theory: Theory, use_native: bool):
+def _plan(kind: str, theory: Theory):
     """``(row_local, natives, rest)``: the checkers of the natively decided
     obligations, split into those the scan bakes into the row values and
     the others in ``_PLAN_ORDER``, and the obligations only the evaluator
     decides.
-
-    Without ``use_native`` every obligation is left to the evaluator.
     """
-    if not use_native:
-        return set(), [], list(theory.obligations)
     natives = set()
     rest = []
     for nf in theory:
@@ -152,19 +124,16 @@ def _plan(kind: str, theory: Theory, use_native: bool):
 
 
 def _allowed_rows(kind: str, n: int, row_local: set) -> list:
-    """Per-row admissible values, most significant row first."""
+    """Per-row admissible values in row index order."""
     full = list(range(1 << n))
-    rows = []
     if kind == "part":
-        for x in reversed(range(n)):
-            rows.append([v for v in full if (v >> x) & 1]
-                        if native.ref_p in row_local else full)
-        return rows
-    for p in reversed(range(1 << n)):
+        return [[v for v in full if (v >> y) & 1] if native.ref_p in row_local else full
+                for y in range(n)]
+    rows = []
+    for p in range(1 << n):
         vals = full
         if native.id_f in row_local and p and p & (p - 1) == 0:
-            y = p.bit_length() - 1
-            vals = [0, 1 << y]
+            vals = [0, p]  # the singleton {y} fuses to nothing but y
         if native.exists_f in row_local and p:
             vals = [v for v in vals if v]
         rows.append(vals)
@@ -172,34 +141,23 @@ def _allowed_rows(kind: str, n: int, row_local: set) -> list:
 
 
 def _scan_worker(args) -> list:
-    """Structures at [start, stop) of the pruned space passing every native."""
+    """Structures at [start, stop) of the pruned row product passing every native."""
     kind, n, allowed, natives, start, stop = args
+    if kind == "part":
+        tables, build = native.part_tables, PartStructure
+    else:
+        tables, build = native.fusion_tables, FusionStructure.from_rows
     found = []
-    for vals in itertools.islice(itertools.product(*allowed), start, stop):
-        if kind == "part":
-            down = [0] * n
-            for x in range(n):
-                up = vals[n - 1 - x]
-                for y in range(n):
-                    if (up >> y) & 1:
-                        down[y] |= 1 << x
-            tables = native.part_tables(n, down) if natives else None
-        else:
-            frow = vals[::-1]
-            tables = native.fusion_tables(n, frow) if natives else None
-        if natives and not all(fn(tables) for fn in natives):
-            continue
-        if kind == "part":
-            found.append(PartStructure(n, frozenset(
-                (x, y) for y in range(n) for x in range(n) if (down[y] >> x) & 1)))
-        else:
-            found.append(FusionStructure.from_rows(n, frow))
+    for rows in itertools.islice(itertools.product(*allowed), start, stop):
+        if natives:
+            t = tables(n, rows)
+            if not all(fn(t) for fn in natives):
+                continue
+        found.append(build(n, rows))
     return found
 
 
-def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
-                  use_native: bool = True,
-                  ceiling: int = DEFAULT_CEILING) -> list:
+def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
     """Exactly the structures on which every obligation is true, in code order.
 
     Candidates are pre-filtered natively where obligations are recognized
@@ -209,9 +167,9 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
     corrupting the model set.
     """
     total = 1 << relation_bits(kind, n)
-    if total > ceiling:
-        raise CapacityError(f"{total} candidates exceed the ceiling {ceiling}")
-    row_local, natives, rest = _plan(kind, theory, use_native)
+    if total > DEFAULT_CEILING:
+        raise CapacityError(f"{total} candidates exceed the ceiling {DEFAULT_CEILING}")
+    row_local, natives, rest = _plan(kind, theory)
     allowed = _allowed_rows(kind, n, row_local)
     pruned = math.prod(map(len, allowed))
     if workers > 1 and pruned > 4096:
@@ -224,6 +182,7 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1,
         survivors = [s for part in parts for s in part]
     else:
         survivors = _scan_worker((kind, n, allowed, natives, 0, pruned))
+    survivors.sort(key=code_of)
     decided = [nf for nf in theory if nf not in rest]
     models = []
     for s in survivors:
@@ -276,9 +235,8 @@ def list_models(kind: str, n: int, theory: Theory, seed: int = 0,
                         int((time.monotonic() - t0) * 1000))
 
 
-def count_models(kind: str, theory: Theory, n: int, workers: int = 1,
-                 ceiling: int = DEFAULT_CEILING) -> int:
-    return len(filter_models(kind, n, theory, workers=workers, ceiling=ceiling))
+def count_models(kind: str, theory: Theory, n: int, workers: int = 1) -> int:
+    return len(filter_models(kind, n, theory, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +332,7 @@ class CountermodelResult:
 
 def find_countermodel(kind: str, base: Theory, target: NamedFormula,
                       bounds: SearchBounds, strategy: str = "exhaustive",
-                      workers: int = 1,
-                      ceiling: int = DEFAULT_CEILING) -> CountermodelResult:
+                      workers: int = 1) -> CountermodelResult:
     """A structure satisfying ``base`` and falsifying ``target``, if the
     bounds contain one.
 
@@ -387,7 +344,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
     # batches of (candidates they count for, structures to try)
     if strategy == "exhaustive":
         batches = ((1 << relation_bits(kind, n),
-                    filter_models(kind, n, base, workers=workers, ceiling=ceiling))
+                    filter_models(kind, n, base, workers=workers))
                    for n in range(max_n + 1))
         spent = "exhausted bounds"
     elif strategy == "random":
@@ -459,8 +416,8 @@ class EquivalenceReport:
 def _def_pf(m: PartStructure, fs: FusionStructure, back: PartStructure):
     """The fusion-side parthood definition, point by point, through the native
     oracle's parthood from fusion rows (independent of ``back``, the round trip)."""
-    derived = native.fusion_tables(m.n, fs.rows()).down
-    diff = sorted((x, y) for y, (a, b) in enumerate(zip(derived, m.down_masks()))
+    derived = native.fusion_tables(m.n, fs.rows).down
+    diff = sorted((x, y) for y, (a, b) in enumerate(zip(derived, m.down))
                   for x in range(m.n) if (a ^ b) >> x & 1)
     return not diff, diff
 
@@ -471,8 +428,7 @@ def _def_uf(fs: FusionStructure, m: PartStructure, back: FusionStructure):
                for p in range(1 << fs.n)), None
 
 
-def verify_equivalence(bounds: SearchBounds, workers: int = 1,
-                       ceiling: int = DEFAULT_CEILING) -> EquivalenceReport:
+def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceReport:
     t0 = time.monotonic()
     violations = []
     # per side (named by its model kind): size bound, source theory, the
@@ -489,13 +445,12 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1,
          definition_holds, round_trip) in sides:
         rows = side_rows[side] = []
         for n in range(max_n + 1):
-            models = filter_models(side, n, source, workers=workers, ceiling=ceiling)
+            models = filter_models(side, n, source, workers=workers)
             row = {"n": n, "candidates": 1 << relation_bits(side, n),
                    "models": len(models), axioms_key: 0, f"{definition}_pass": 0,
                    "round_trip_pass": 0, "injective": True}
             if side == "fusion":
-                row["with_empty_plurality"] = sum(
-                    any(not zz for (zz, _) in fs.fusion) for fs in models)
+                row["with_empty_plurality"] = sum(fs.rows[0] != 0 for fs in models)
             images = set()
             for s in models:
                 image = there(s)
@@ -602,9 +557,9 @@ def automorphism_count(ps: PartStructure) -> int:
     if ps.n > 8:
         raise CapacityError("automorphism counting is limited to n <= 8")
     count = 0
-    pairs = ps.part
+    down = ps.down
     for perm in itertools.permutations(range(ps.n)):
-        if all(((perm[x], perm[y]) in pairs) == ((x, y) in pairs)
+        if all((down[perm[y]] >> perm[x]) & 1 == (down[y] >> x) & 1
                for x in range(ps.n) for y in range(ps.n)):
             count += 1
     return count

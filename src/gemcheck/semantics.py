@@ -105,12 +105,12 @@ class EvalContext:
         self.n = n = s.n
         if isinstance(s, PartStructure):
             self.kind = "part"
-            down = s.down_masks()
+            down = s.down
             ov = overlap_masks(n, down)
             frow = fusion_rows_from_parts(n, down, ov)
         else:
             self.kind = "fusion"
-            frow = s.rows()
+            frow = s.rows
             down = parts_from_fusion_rows(n, frow)
             ov = overlap_masks(n, down)
         self.down, self.ov, self.frow = down, ov, frow

@@ -8,10 +8,12 @@ Two kinds of structure are supported:
 * ``FusionStructure`` -- a finite domain with a relation F between
   pluralities (subsets of the domain) and individuals.
 
-Pluralities are plain ``frozenset``s of domain indices; the empty
-plurality is a legal value.  Internally most code works with bitmask
-encodings of pluralities (bit i set iff i is a member), converted at the
-public boundary by :func:`mask_of` / :func:`members_of`.
+Relations are stored as bitmask rows (bit i set iff i is in the row):
+``PartStructure.down[y]`` holds the parts of y, ``FusionStructure.rows[p]``
+what the plurality with characteristic mask p fuses to.  Pairs appear only
+in ``from_pairs`` and the literal format.  Pluralities at the public
+boundary are ``frozenset``s (the empty plurality is a legal value),
+converted by :func:`mask_of` / :func:`members_of`.
 
 The module also provides the canonical models (powerset lattices minus
 the empty set), the definitional translations between the two signatures,
@@ -52,15 +54,6 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def members_of(mask: int) -> Plurality:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while mask:
@@ -69,70 +62,73 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def members_of(mask: int) -> Plurality:
+    return frozenset(iter_bits(mask))
+
+
+def _check_size(n: int, plural: bool) -> None:
+    if n < 0:
+        raise ValueError("domain size must be >= 0")
+    if plural and n > MAX_PLURAL_DOMAIN:
+        raise CapacityError(f"cannot tabulate 2^{n} pluralities")
+
+
+def _check_masks(n: int, masks: tuple, count: int) -> None:
+    if not (isinstance(masks, tuple) and len(masks) == count
+            and all(isinstance(m, int) and 0 <= m < 1 << n for m in masks)):
+        raise ValueError(f"expected a tuple of {count} masks over 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class PartStructure:
-    """Domain {0..n-1} with a primitive parthood relation."""
+    """Domain {0..n-1} with a primitive parthood relation:
+    ``down[y]`` is the bitmask of {x : P(x, y)}."""
 
     n: int
-    part: frozenset  # frozenset[tuple[int, int]]
+    down: tuple
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("domain size must be >= 0")
-        for (x, y) in self.part:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ValueError(f"pair ({x},{y}) out of domain 0..{self.n - 1}")
+        _check_size(self.n, plural=False)
+        _check_masks(self.n, self.down, self.n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple]) -> "PartStructure":
-        return cls(n, frozenset((int(x), int(y)) for x, y in pairs))
-
-    def down_masks(self) -> list:
-        """down[y] = bitmask of {x : P(x, y)}."""
-        down = [0] * self.n
-        for (x, y) in self.part:
+        _check_size(n, plural=False)
+        down = [0] * n
+        for x, y in pairs:
+            x, y = int(x), int(y)
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x},{y}) out of domain 0..{n - 1}")
             down[y] |= 1 << x
-        return down
+        return cls(n, tuple(down))
 
 
 @dataclass(frozen=True)
 class FusionStructure:
-    """Domain {0..n-1} with a primitive fusion relation on pluralities."""
+    """Domain {0..n-1}, n <= ``MAX_PLURAL_DOMAIN``, with a primitive fusion
+    relation: ``rows[p]`` is the bitmask of {x : F(p, x)}."""
 
     n: int
-    fusion: frozenset  # frozenset[tuple[Plurality, int]]
+    rows: tuple
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("domain size must be >= 0")
-        for (zz, x) in self.fusion:
-            if not isinstance(zz, frozenset):
-                raise ValueError("pluralities must be frozensets")
-            if not (0 <= x < self.n) or any(not (0 <= i < self.n) for i in zz):
-                raise ValueError(f"fusion pair ({set(zz)},{x}) out of domain")
+        _check_size(self.n, plural=True)
+        _check_masks(self.n, self.rows, 1 << self.n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple]) -> "FusionStructure":
-        return cls(n, frozenset((frozenset(zz), int(x)) for zz, x in pairs))
+        _check_size(n, plural=True)
+        rows = [0] * (1 << n)
+        for zz, x in pairs:
+            zz, x = frozenset(zz), int(x)
+            if not (0 <= x < n) or any(not (0 <= i < n) for i in zz):
+                raise ValueError(f"fusion pair ({set(zz)},{x}) out of domain")
+            rows[mask_of(zz)] |= 1 << x
+        return cls(n, tuple(rows))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "FusionStructure":
-        """rows[p] = bitmask of individuals fused by the plurality with mask p."""
-        pairs = []
-        for p, row in enumerate(rows):
-            members = members_of(p)
-            for x in iter_bits(row):
-                pairs.append((members, x))
-        return cls(n, frozenset(pairs))
-
-    def rows(self) -> list:
-        """rows[p] = bitmask of {x : F(p, x)}, indexed by plurality mask."""
-        if self.n > MAX_PLURAL_DOMAIN:
-            raise CapacityError(f"cannot tabulate 2^{self.n} pluralities")
-        rows = [0] * (1 << self.n)
-        for (zz, x) in self.fusion:
-            rows[mask_of(zz)] |= 1 << x
-        return rows
+        return cls(n, tuple(rows))
 
 
 Structure = Union[PartStructure, FusionStructure]
@@ -159,12 +155,8 @@ def canonical_gem(k: int, limit: int = DEFAULT_DOMAIN_LIMIT) -> PartStructure:
     if n > limit:
         raise CapacityError(f"canonical model on 2^{k}-1 = {n} elements exceeds limit {limit}")
     subsets = sorted(range(1, 1 << k), key=lambda m: (bin(m).count("1"), m))
-    pairs = []
-    for i, a in enumerate(subsets):
-        for j, b in enumerate(subsets):
-            if a & ~b == 0:
-                pairs.append((i, j))
-    return PartStructure(n, frozenset(pairs))
+    return PartStructure(n, tuple(mask_of(i for i, a in enumerate(subsets) if a & ~b == 0)
+                                  for b in subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +165,11 @@ def canonical_gem(k: int, limit: int = DEFAULT_DOMAIN_LIMIT) -> PartStructure:
 
 def overlap(ps: PartStructure, x: int, y: int) -> bool:
     """Common-part overlap: some z is part of both x and y."""
-    return any((z, x) in ps.part and (z, y) in ps.part for z in range(ps.n))
+    return ps.down[x] & ps.down[y] != 0
 
 
 def proper_part(ps: PartStructure, x: int, y: int) -> bool:
-    return x != y and (x, y) in ps.part
+    return x != y and (ps.down[y] >> x) & 1 == 1
 
 
 def mub(ps: PartStructure, zz: Iterable[int]) -> frozenset:
@@ -187,11 +179,11 @@ def mub(ps: PartStructure, zz: Iterable[int]) -> frozenset:
     x is part of every upper bound of zz.  On pathological relations the
     result may be empty or contain several elements.
     """
-    zz = frozenset(zz)
-    if not zz:
+    m = mask_of(zz)
+    if not m:
         return frozenset()
-    uppers = [x for x in range(ps.n) if all((y, x) in ps.part for y in zz)]
-    return frozenset(x for x in uppers if all((x, y) in ps.part for y in uppers))
+    uppers = [x for x in range(ps.n) if m & ~ps.down[x] == 0]
+    return frozenset(x for x in uppers if all((ps.down[y] >> x) & 1 for y in uppers))
 
 
 def components(s: Structure, zz: Iterable[int]) -> Plurality:
@@ -201,15 +193,16 @@ def components(s: Structure, zz: Iterable[int]) -> Plurality:
     zz.  On a fusion structure, x is in U(zz) iff x is a member of some
     plurality fusing to a member of zz.
     """
-    zz = frozenset(zz)
+    m = mask_of(zz) & ((1 << s.n) - 1)
+    u = 0
     if isinstance(s, PartStructure):
-        return frozenset(x for x in range(s.n)
-                         if any((x, y) in s.part for y in zz))
-    out = set()
-    for (yy, z) in s.fusion:
-        if z in zz:
-            out |= yy
-    return frozenset(out)
+        for y in iter_bits(m):
+            u |= s.down[y]
+    else:
+        for p, row in enumerate(s.rows):
+            if row & m:
+                u |= p
+    return members_of(u)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +256,7 @@ def parts_from_fusion_rows(n: int, rows: list) -> list:
 
 def induced_part(fs: FusionStructure) -> PartStructure:
     """Parthood defined from fusion: x P y iff x belongs to some plurality fusing to y."""
-    down = parts_from_fusion_rows(fs.n, fs.rows())
-    return PartStructure(fs.n, frozenset((x, y) for y in range(fs.n)
-                                         for x in iter_bits(down[y])))
+    return PartStructure(fs.n, tuple(parts_from_fusion_rows(fs.n, fs.rows)))
 
 
 def induced_fusion(ps: PartStructure) -> FusionStructure:
@@ -278,8 +269,7 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
     """
     if ps.n > MAX_PLURAL_DOMAIN:
         raise CapacityError(f"cannot enumerate 2^{ps.n} pluralities")
-    down = ps.down_masks()
-    rows = fusion_rows_from_parts(ps.n, down, overlap_masks(ps.n, down))
+    rows = fusion_rows_from_parts(ps.n, ps.down, overlap_masks(ps.n, ps.down))
     return FusionStructure.from_rows(ps.n, rows)
 
 
@@ -296,13 +286,14 @@ _FUSION_PAIR = re.compile(r"\(\{([\d,]*)\},(\d+)\)$")
 def dump_structure(s: Structure) -> str:
     lines = [f"n={s.n}"]
     if isinstance(s, PartStructure):
-        body = " ".join(f"({x},{y})" for (x, y) in sorted(s.part))
+        pairs = sorted((x, y) for y, d in enumerate(s.down) for x in iter_bits(d))
+        body = " ".join(f"({x},{y})" for (x, y) in pairs)
         lines.append(f"part: {body}".rstrip())
     else:
-        pairs = sorted(((mask_of(zz), x) for (zz, x) in s.fusion))
+        pairs = sorted((p, x) for p, row in enumerate(s.rows) for x in iter_bits(row))
         toks = []
         for (p, x) in pairs:
-            inner = ",".join(str(i) for i in sorted(members_of(p)))
+            inner = ",".join(str(i) for i in iter_bits(p))
             toks.append(f"({{{inner}}},{x})")
         lines.append(("fusion: " + " ".join(toks)).rstrip())
     return "\n".join(lines) + "\n"
@@ -321,6 +312,8 @@ def load_structure(text: str) -> Structure:
         n = int(toks[0][2:])
     except ValueError:
         raise StructureFormatError(f"bad domain size {toks[0][2:]!r}") from None
+    if n > DEFAULT_DOMAIN_LIMIT:  # before from_pairs allocates a row per element
+        raise CapacityError(f"a {n}-element structure exceeds the limit {DEFAULT_DOMAIN_LIMIT}")
     if len(toks) < 2 or toks[1] not in ("part:", "fusion:"):
         raise StructureFormatError("expected 'part:' or 'fusion:' after header")
     body = toks[2:]

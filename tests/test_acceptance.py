@@ -26,7 +26,7 @@ from gemcheck.semantics import Evaluator
 from gemcheck.structures import PartStructure
 from gemcheck.theory import lemma_suite, theory_by_name, theory_names
 
-from util import random_formula
+from util import part_pairs, random_formula
 
 WORKERS = 4
 
@@ -254,11 +254,11 @@ def test_criterion_7_automorphism_oracle():
     assert math.factorial(3) // 2 == count_models("part", gem_p(), 3) == 3
     # the k=3 value 7!/6 = 840 is validated through relabeling invariance
     base = canonical_gem(3)
-    relabelings = {frozenset((p[x], p[y]) for (x, y) in base.part)
+    relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
                    for p in itertools.permutations(range(7))}
     assert len(relabelings) == 840
     for pairs in relabelings:
-        tab = native.tables_for(PartStructure(7, pairs))
+        tab = native.tables_for(PartStructure.from_pairs(7, pairs))
         assert all(native.native_for(nf.sentence)(tab) for nf in gem_p())
     _report("criterion 7 PASS: automorphism counts 2 and 6; 3!/2 matches the "
             "3 labeled models at n=3; all 840 relabelings of the canonical "

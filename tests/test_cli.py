@@ -215,6 +215,16 @@ def test_capacity_exit_code():
     assert code == 3 and "capacity" in err
 
 
+def test_oversized_structure_literal_exit_code(tmp_path):
+    # a fusion structure past 16 elements cannot be built; a part literal
+    # past the literal limit is refused before any row is allocated
+    for literal in ("n=17\nfusion: ({0},0)\n", f"n={10 ** 12}\npart:\n"):
+        p = tmp_path / "big.structure"
+        p.write_text(literal)
+        code, _, err = run_cli("check", str(p), "gem_f")
+        assert code == 3 and "capacity" in err, literal
+
+
 def test_invalid_worker_and_size_flags():
     code, _, err = run_cli("equiv", "--workers", "0")
     assert code == 2 and "workers" in err

@@ -6,51 +6,43 @@ from pathlib import Path
 
 import pytest
 
-from gemcheck import (CapacityError, FusionStructure, PartStructure,
+from gemcheck import (CapacityError, FusionStructure, PartStructure, Theory,
                       automorphism_count, canonical_gem, check_theory,
-                      count_models, enumerate_structures, filter_models,
-                      find_countermodel, gem_f, gem_p, induced_fusion,
-                      induced_part, lemma_suite, list_models, native, pp_axioms,
-                      search, verify_equivalence)
+                      count_models, filter_models, find_countermodel, gem_f,
+                      gem_p, induced_fusion, induced_part, lemma_suite,
+                      list_models, native, pp_axioms, search,
+                      verify_equivalence)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
-                             relation_bits, report_json, structure_from_code)
+                             report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
 
-from util import oracle_gem_p_model_codes
+from util import (all_structures, evaluator_models, oracle_gem_p_model_codes,
+                  part_pairs)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_structures("part", 2)) == 16
-    assert sum(1 for _ in enumerate_structures("fusion", 1)) == 4
-    assert sum(1 for _ in enumerate_structures("part", 3)) == 512
-    assert sum(1 for _ in enumerate_structures("part", 0)) == 1
+    assert sum(1 for _ in all_structures("part", 2)) == 16
+    assert sum(1 for _ in all_structures("fusion", 1)) == 4
+    assert sum(1 for _ in all_structures("part", 3)) == 512
+    assert sum(1 for _ in all_structures("part", 0)) == 1
 
 
 def test_enumeration_order_and_codes():
     for kind, n in (("part", 2), ("fusion", 1)):
-        for code, s in enumerate(enumerate_structures(kind, n)):
-            assert code_of(s) == code
-            assert structure_from_code(kind, n, code) == s
+        structures = list(all_structures(kind, n))
+        assert [code_of(s) for s in structures] == list(range(len(structures)))
+        assert len(set(structures)) == len(structures)
+    # the scan, with nothing to reject, yields the whole space in code order
+    assert filter_models("fusion", 1, Theory("none", ())) == list(all_structures("fusion", 1))
 
 
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
-        list(enumerate_structures("part", 6))
+        filter_models("part", 6, gem_p())
     with pytest.raises(CapacityError):
-        list(enumerate_structures("fusion", 4))
-
-
-def test_partition_correctness():
-    for kind, n in (("part", 2), ("fusion", 2), ("part", 3)):
-        total = 1 << relation_bits(kind, n)
-        serial = list(enumerate_structures(kind, n))
-        cut = total // 3
-        pieces = (list(enumerate_structures(kind, n, (0, cut)))
-                  + list(enumerate_structures(kind, n, (cut, 2 * cut)))
-                  + list(enumerate_structures(kind, n, (2 * cut, total))))
-        assert pieces == serial
+        filter_models("fusion", 4, gem_f())
 
 
 def test_filter_models_part_against_naive_oracle():
@@ -69,8 +61,8 @@ def test_gem_p_models_at_3_are_canonical_relabelings():
     base = canonical_gem(2)
     expected = set()
     for perm in itertools.permutations(range(3)):
-        expected.add(frozenset((perm[x], perm[y]) for (x, y) in base.part))
-    got = {m.part for m in filter_models("part", 3, gem_p())}
+        expected.add(frozenset((perm[x], perm[y]) for (x, y) in part_pairs(base)))
+    got = {part_pairs(m) for m in filter_models("part", 3, gem_p())}
     assert got == expected and len(got) == 3
 
 
@@ -79,7 +71,7 @@ def test_filter_native_and_pure_paths_agree():
                     ("fusion", 1), ("fusion", 2)):
         for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite()):
             fast = filter_models(kind, n, t)
-            slow = filter_models(kind, n, t, use_native=False)
+            slow = evaluator_models(kind, n, t)
             assert fast == slow, (kind, n, t.name)
 
 
@@ -93,6 +85,9 @@ def test_filter_workers_match_serial():
     # into the rows and leave too few candidates for the pool
     t = lemma_suite().drop("ref_P")
     assert filter_models("part", 4, t, workers=2) == filter_models("part", 4, t)
+    # every candidate is a model, so a pool chunk losing any candidate shows
+    codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
+    assert codes == list(range(1 << 16))
 
 
 def test_native_and_evaluator_disagreement_raises(monkeypatch):
@@ -109,7 +104,7 @@ def test_native_and_evaluator_disagreement_raises(monkeypatch):
 def test_check_theory_reports():
     rep = check_theory(canonical_gem(2), gem_p())
     assert rep.all_passed and rep.kind == "part" and rep.n == 3
-    rep = check_theory(FusionStructure(1, frozenset()), gem_f())
+    rep = check_theory(FusionStructure(1, (0, 0)), gem_f())
     failed = [r.name for r in rep.results if not r.passed]
     assert failed == ["exists_F"]
     d = rep.to_dict()
@@ -117,7 +112,7 @@ def test_check_theory_reports():
     assert d["failures"][0]["witness"] == {"individuals": {},
                                            "plurals": {"ZZ": [0]}}
     assert "elapsed_ms" not in d and "elapsed_ms" in rep.to_dict(timings=True)
-    rep = check_theory(PartStructure(0, frozenset()), gem_p())
+    rep = check_theory(PartStructure(0, ()), gem_p())
     assert rep.all_passed
 
 
@@ -163,11 +158,11 @@ def test_countermodel_random_strategy():
 
 
 def test_automorphism_counts():
-    assert automorphism_count(PartStructure(1, frozenset({(0, 0)}))) == 1
+    assert automorphism_count(PartStructure(1, (1,))) == 1
     assert automorphism_count(canonical_gem(2)) == 2
     assert automorphism_count(canonical_gem(3)) == 6
     with pytest.raises(CapacityError):
-        automorphism_count(PartStructure(9, frozenset()))
+        automorphism_count(PartStructure(9, (0,) * 9))
 
 
 def test_labeled_count_formula():
@@ -204,8 +199,9 @@ def test_def_pf_is_independent_of_the_round_trip():
     image = induced_fusion(m)
     assert _def_pf(m, image, induced_part(image)) == (True, [])
     # a wrong image the round trip is not consulted about: the converse order
-    converse = PartStructure(m.n, frozenset((y, x) for (x, y) in m.part))
-    assert _def_pf(converse, image, converse) == (False, sorted(m.part ^ converse.part))
+    converse = PartStructure.from_pairs(m.n, ((y, x) for (x, y) in part_pairs(m)))
+    assert _def_pf(converse, image, converse) == (
+        False, sorted(part_pairs(m) ^ part_pairs(converse)))
 
 
 def test_list_models_report():
@@ -226,14 +222,14 @@ def test_canonical_k3_relabelings_satisfy_gem_p():
     # n=7 is out of exhaustive reach, so validate the formula's premise:
     # every distinct relabeling of the canonical model is a model
     base = canonical_gem(3)
-    relabelings = {frozenset((p[x], p[y]) for (x, y) in base.part)
+    relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
                    for p in itertools.permutations(range(7))}
     assert len(relabelings) == math.factorial(7) // 6 == 840
     from gemcheck.native import check_native
     sample = random.Random(4).sample(sorted(relabelings, key=sorted), 25)
     for pairs in sample:
-        s = PartStructure(7, pairs)
+        s = PartStructure.from_pairs(7, pairs)
         for nf in gem_p():
             assert check_native(nf.sentence, s), nf.name
-    ev = Evaluator(PartStructure(7, sample[0]))
+    ev = Evaluator(PartStructure.from_pairs(7, sample[0]))
     assert all(ev.eval(nf.sentence) for nf in gem_p())

@@ -5,17 +5,18 @@ from gemcheck import (CapacityError, FusionStructure, PartStructure,
                       dump_structure, gem_f, gem_p, induced_fusion,
                       induced_part, load_structure, mub, overlap, proper_part)
 from gemcheck.semantics import Evaluator
-from gemcheck.search import filter_models
+from gemcheck.search import code_of, filter_models, structure_from_code
 
-from util import oracle_fuses
+from util import all_structures, fusion_pairs, oracle_fuses, part_pairs
 
 
 def test_canonical_small():
-    assert canonical_gem(0) == PartStructure(0, frozenset())
-    assert canonical_gem(1) == PartStructure(1, frozenset({(0, 0)}))
+    assert canonical_gem(0) == PartStructure(0, ())
+    assert canonical_gem(1) == PartStructure.from_pairs(1, {(0, 0)})
     k2 = canonical_gem(2)
     assert k2.n == 3
-    assert k2.part == frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)})
+    assert part_pairs(k2) == frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)})
+    assert k2.down == (0b001, 0b010, 0b111)
 
 
 def test_canonical_k2_satisfies_gem_p():
@@ -36,17 +37,46 @@ def test_canonical_capacity():
 
 
 def test_structure_validation():
-    with pytest.raises(ValueError):
-        PartStructure(2, frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
-        FusionStructure(1, frozenset({(frozenset({1}), 0)}))
+    with pytest.raises(ValueError, match=r"pair \(0,2\) out of domain 0..1"):
+        PartStructure.from_pairs(2, {(0, 2)})
+    with pytest.raises(ValueError, match=r"fusion pair \(\{1\},0\) out of domain"):
+        FusionStructure.from_pairs(1, {(frozenset({1}), 0)})
+    with pytest.raises(ValueError, match="domain size must be >= 0"):
+        PartStructure.from_pairs(-1, ())
+
+
+def test_mask_tuples_are_validated():
+    for bad in ((1,), (1, 2, 4), (4, 2), (-1, 2), [1, 2], (1, "2")):
+        with pytest.raises(ValueError):
+            PartStructure(2, bad)
+    for bad in ((0,), (0, 1, 1), (0, 2), (0, -1), [0, 1]):
+        with pytest.raises(ValueError):
+            FusionStructure(1, bad)
+    assert PartStructure(2, (1, 3)) == PartStructure.from_pairs(2, {(0, 0), (0, 1), (1, 1)})
+    assert FusionStructure(1, (0, 1)) == FusionStructure.from_pairs(1, {(frozenset({0}), 0)})
+
+
+def test_fusion_capacity():
+    with pytest.raises(CapacityError):
+        FusionStructure(17, ())
+    with pytest.raises(CapacityError):
+        FusionStructure.from_pairs(17, ())
+    assert FusionStructure(16, (0,) * (1 << 16)).n == 16
+
+
+def test_literal_and_code_round_trips():
+    for kind, top in (("part", 3), ("fusion", 2)):
+        for n in range(top + 1):
+            for code, s in enumerate(all_structures(kind, n)):
+                assert load_structure(dump_structure(s)) == s
+                assert code_of(structure_from_code(kind, n, code)) == code
 
 
 def test_induced_part_examples():
     fs = FusionStructure.from_pairs(1, [({0}, 0)])
-    assert induced_part(fs) == PartStructure(1, frozenset({(0, 0)}))
-    assert induced_part(FusionStructure(2, frozenset())) == \
-        PartStructure(2, frozenset())
+    assert induced_part(fs) == PartStructure.from_pairs(1, {(0, 0)})
+    assert induced_part(FusionStructure.from_pairs(2, ())) == \
+        PartStructure.from_pairs(2, ())
 
 
 def test_induced_fusion_canonical_k2():
@@ -58,29 +88,29 @@ def test_induced_fusion_canonical_k2():
         (frozenset({0, 1}), 2), (frozenset({0, 2}), 2),
         (frozenset({1, 2}), 2), (frozenset({0, 1, 2}), 2),
     }
-    assert fs.fusion == frozenset(expected)
+    assert fusion_pairs(fs) == frozenset(expected)
     for zz, x in expected:
-        assert oracle_fuses(3, canonical_gem(2).part, zz, x)
+        assert oracle_fuses(3, part_pairs(canonical_gem(2)), zz, x)
 
 
 def test_induced_fusion_one_element():
-    ps = PartStructure(1, frozenset({(0, 0)}))
-    assert induced_fusion(ps).fusion == frozenset({(frozenset({0}), 0)})
+    ps = PartStructure.from_pairs(1, {(0, 0)})
+    assert fusion_pairs(induced_fusion(ps)) == frozenset({(frozenset({0}), 0)})
 
 
 def test_induced_fusion_antichain():
     ps = PartStructure.from_pairs(2, [(0, 0), (1, 1)])
     fs = induced_fusion(ps)
-    assert not any(zz == frozenset({0, 1}) for (zz, _) in fs.fusion)
+    assert not any(zz == frozenset({0, 1}) for (zz, _) in fusion_pairs(fs))
 
 
 def test_induced_fusion_empty_plurality_needs_partless_element():
     # an irreflexive point has no parts, so the empty plurality fuses to it
-    ps = PartStructure(1, frozenset())
+    ps = PartStructure.from_pairs(1, ())
     fs = induced_fusion(ps)
-    assert (frozenset(), 0) in fs.fusion
-    reflexive = PartStructure(1, frozenset({(0, 0)}))
-    assert not any(not zz for (zz, _) in induced_fusion(reflexive).fusion)
+    assert (frozenset(), 0) in fusion_pairs(fs)
+    reflexive = PartStructure.from_pairs(1, {(0, 0)})
+    assert not any(not zz for (zz, _) in fusion_pairs(induced_fusion(reflexive)))
 
 
 def test_overlap_and_proper_part():
@@ -106,7 +136,7 @@ def test_mub_examples():
     k2 = canonical_gem(2)
     assert mub(k2, frozenset()) == frozenset()
     assert mub(k2, {0, 1}) == frozenset({2})
-    one = PartStructure(1, frozenset({(0, 0)}))
+    one = PartStructure.from_pairs(1, {(0, 0)})
     assert mub(one, {0}) == frozenset({0})
 
 
@@ -116,7 +146,7 @@ def test_mub_matches_induced_fusion_on_models():
             fs = induced_fusion(m)
             for p in range(1 << n):
                 zz = frozenset(i for i in range(n) if (p >> i) & 1)
-                fused = {x for (yy, x) in fs.fusion if yy == zz}
+                fused = {x for (yy, x) in fusion_pairs(fs) if yy == zz}
                 assert mub(m, zz) == fused, (m, zz)
 
 
@@ -126,7 +156,7 @@ def test_unique_fusion_on_models():
             fs = induced_fusion(m)
             for p in range(1, 1 << n):
                 zz = frozenset(i for i in range(n) if (p >> i) & 1)
-                assert sum(1 for (yy, _) in fs.fusion if yy == zz) == 1
+                assert sum(1 for (yy, _) in fusion_pairs(fs) if yy == zz) == 1
 
 
 def test_round_trips_on_models():
@@ -145,7 +175,7 @@ def test_canonical_round_trip():
 
 def test_file_format_round_trip():
     for s in (canonical_gem(2), induced_fusion(canonical_gem(2)),
-              PartStructure(0, frozenset()), FusionStructure(2, frozenset()),
+              PartStructure.from_pairs(0, ()), FusionStructure.from_pairs(2, ()),
               FusionStructure.from_pairs(2, [(frozenset(), 1), ({0, 1}, 0)])):
         assert load_structure(dump_structure(s)) == s
 

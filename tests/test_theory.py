@@ -79,7 +79,7 @@ def test_asymmetry_fails_on_symmetric_pair():
 
 
 def test_empty_domain_satisfies_everything():
-    for s in (PartStructure(0, frozenset()), FusionStructure(0, frozenset())):
+    for s in (PartStructure.from_pairs(0, ()), FusionStructure.from_pairs(0, ())):
         ev = Evaluator(s)
         for name in theory_names():
             assert all(ev.eval(nf.sentence) for nf in theory_by_name(name))

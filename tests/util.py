@@ -8,6 +8,8 @@ expected values they produce are frozen from a third route.
 import itertools
 import random
 
+from gemcheck.search import relation_bits, structure_from_code
+from gemcheck.semantics import Evaluator
 from gemcheck.syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI,
                              ForallP, FusionAtom, Iff, Implies, Member, Not,
                              Or, OverlapAtom, PartAtom, ProperPartAtom, PVar,
@@ -78,6 +80,19 @@ def random_formula(rng: random.Random, depth: int):
 # ---------------------------------------------------------------------------
 # naive oracles over raw pair sets
 
+def part_pairs(ps):
+    """The parthood relation of a part structure as a set of (x, y) pairs."""
+    return frozenset((x, y) for y, d in enumerate(ps.down) for x in range(ps.n)
+                     if (d >> x) & 1)
+
+
+def fusion_pairs(fs):
+    """The fusion relation of a fusion structure as a set of (plurality, x) pairs."""
+    return frozenset((frozenset(i for i in range(fs.n) if (p >> i) & 1), x)
+                     for p, row in enumerate(fs.rows) for x in range(fs.n)
+                     if (row >> x) & 1)
+
+
 def oracle_overlap(n, part, a, b):
     return any((c, a) in part and (c, b) in part for c in range(n))
 
@@ -123,4 +138,24 @@ def oracle_gem_p_model_codes(n):
                 if (code >> (x * n + y)) & 1}
         if oracle_is_gem_p(n, part):
             out.append(code)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exhaustive references for the scan
+
+def all_structures(kind, n):
+    """Every relation of the kind at size n exactly once, by ascending code."""
+    return (structure_from_code(kind, n, code)
+            for code in range(1 << relation_bits(kind, n)))
+
+
+def evaluator_models(kind, n, theory):
+    """``filter_models`` without the scan: every obligation of every
+    candidate through the evaluator, in code order."""
+    out = []
+    for s in all_structures(kind, n):
+        ev = Evaluator(s)
+        if all(ev.eval(nf.sentence) for nf in theory):
+            out.append(s)
     return out
