@@ -6,22 +6,30 @@ Every relation has an integer code, which fixes the order of reports:
 * fusion relations: bit ``p*n + x`` set iff the plurality with
   characteristic mask ``p`` fuses to ``x``.
 
-Filtering is a two-stage pipeline.  A scanning stage walks one stream of
-row tuples, the product of per-row value lists in row index order
-(``down[y]`` on the part side, ``rows[p]`` on the fusion side), baking
-row-local axioms (reflexivity on the part side, fusion existence and
-singleton collapse on the fusion side) into the value lists and
-rejecting the rest with the hand-coded native checkers,
-cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F, exists_F,
-antis_P and as_PP (one checker), trans_P, fun_F, trans_PP, dfP_PP,
-approx_F, wsp_F, comp_F, ext_F (the order affects speed, never results).
-Workers run only this stage, each on a contiguous slice of the product.
-The survivors are sorted by code, so the output never depends on the
-stream's order or on scheduling.  The formula evaluator then decides each
-obligation once per survivor: a false obligation without a native checker
-rejects the survivor, a false natively decided one raises, so the scanning
-stage is never the final authority.  Agreement of the native route with
-the evaluator is itself the subject of the oracle-equivalence tests.
+Filtering is a two-stage pipeline.  A scanning stage is one depth-first
+search over the rows (``down[y]`` on the part side, ``rows[p]`` on the
+fusion side), each ranging over a value list into which row-local axioms
+are baked (reflexivity on the part side, fusion existence and singleton
+collapse on the fusion side).  Part rows are assigned in index order,
+fusion rows in ascending popcount with ties by mask.  Some native
+checkers are also split into clauses, one per instance of the checker's
+own loop, each filed under the last row it reads and tested as soon as
+that row is assigned: ext_F instances (ZZ, YY, UU) on the fusion side,
+antis_P (which also decides as_PP) instances (x, y), and trans_P and
+trans_PP instances (x, y, z) on the part side.  Only the checkers of the
+theory's own obligations are filed, so without them the search visits
+the whole product of the value lists.  At each leaf every native checker
+runs in full, cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F,
+exists_F, antis_P and as_PP (one checker), trans_P, fun_F, trans_PP,
+dfP_PP, approx_F, wsp_F, comp_F, ext_F (the order affects speed, never
+results).  Workers run only this stage, one task per value of row 0,
+which comes first in either order.  The survivors are sorted by code, so
+the output never depends on the search order or on scheduling.  The
+formula evaluator then decides each obligation once per survivor: a false
+obligation without a native checker rejects the survivor, a false
+natively decided one raises, so the scanning stage is never the final
+authority.  Agreement of the native route with the evaluator is itself
+the subject of the oracle-equivalence tests.
 
 Every verdict that can carry a witness (``check_theory``,
 ``verify_lemmas``, ``find_countermodel``) comes from one helper that runs
@@ -140,20 +148,125 @@ def _allowed_rows(kind: str, n: int, row_local: set) -> list:
     return rows
 
 
+def _row_order(kind: str, n: int) -> list:
+    """Row indices in search order: part rows by index, fusion rows by
+    ascending popcount, ties by mask."""
+    if kind == "part":
+        return list(range(n))
+    return sorted(range(1 << n), key=lambda p: (p.bit_count(), p))
+
+
+# Instance-triggered clauses.  A clause is one instance of a native
+# checker's own loop.  A family yields each as (rows it reads, clause), and
+# its test says whether any of a list of clauses rejects the rows.
+
+
+def _part_fires(rows, clauses) -> bool:
+    # rows[i] holds bit bx, rows[j] holds bit by and lacks bit c (none if c is 0)
+    for i, j, bx, by, c in clauses:
+        if rows[i] & bx and rows[j] & by and not rows[j] & c:
+            return True
+    return False
+
+
+def _ext_f_fires(rows, clauses) -> bool:
+    # ZZ and YY share a fusion, but UU + ZZ fuses to something UU + YY does not
+    for zz, yy, a, b in clauses:
+        if rows[zz] & rows[yy] and rows[a] & ~rows[b]:
+            return True
+    return False
+
+
+def _antis_p_clauses(n: int):
+    # x != y, P(x, y) and P(y, x)
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                yield (x, y), (y, x, 1 << x, 1 << y, 0)
+
+
+def _trans_p_clauses(n: int):
+    # P(x, y), P(y, z) and not P(x, z)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                yield (y, z), (y, z, 1 << x, 1 << y, 1 << x)
+
+
+def _trans_pp_clauses(n: int):
+    # PP(x, y), PP(y, z) and not PP(x, z)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if x != y and y != z:
+                    yield (y, z), (y, z, 1 << x, 1 << y, 0 if x == z else 1 << x)
+
+
+def _ext_f_clauses(n: int):
+    size = 1 << n
+    for zz in range(size):
+        for yy in range(size):
+            for uu in range(size):
+                a, b = uu | zz, uu | yy
+                yield (zz, yy, a, b), (zz, yy, a, b)
+
+
+# (kind, checker) -> (the family's test, its instances at size n)
+_CLAUSES = {
+    ("part", native.antis_p): (_part_fires, _antis_p_clauses),
+    ("part", native.trans_p): (_part_fires, _trans_p_clauses),
+    ("part", native.trans_pp): (_part_fires, _trans_pp_clauses),
+    ("fusion", native.ext_f): (_ext_f_fires, _ext_f_clauses),
+}
+
+
+def _filed_clauses(kind: str, n: int, natives, order: list) -> list:
+    """Per search position, ``(test, clauses)`` pairs: the clauses of the
+    natives in ``natives`` whose last row read is assigned there."""
+    position = {r: k for k, r in enumerate(order)}
+    filed = [{} for _ in order]
+    for fn in natives:
+        family = _CLAUSES.get((kind, fn))
+        if family is None:
+            continue
+        fires, instances = family
+        for reads, clause in instances(n):
+            at = filed[max(map(position.__getitem__, reads))]
+            at.setdefault(fires, {})[clause] = None  # once per distinct clause
+    return [[(fires, tuple(clauses)) for fires, clauses in at.items()] for at in filed]
+
+
 def _scan_worker(args) -> list:
-    """Structures at [start, stop) of the pruned row product passing every native."""
-    kind, n, allowed, natives, start, stop = args
+    """Structures of the row search over ``allowed`` passing every native.
+
+    Rows are assigned depth first in ``_row_order``; after each row the
+    clauses filed there are tested, and a leaf runs every native in full.
+    """
+    kind, n, allowed, natives = args
     if kind == "part":
         tables, build = native.part_tables, PartStructure
     else:
         tables, build = native.fusion_tables, FusionStructure.from_rows
+    order = _row_order(kind, n)
+    filed = _filed_clauses(kind, n, natives, order)
+    rows = [0] * len(allowed)
     found = []
-    for rows in itertools.islice(itertools.product(*allowed), start, stop):
-        if natives:
-            t = tables(n, rows)
-            if not all(fn(t) for fn in natives):
-                continue
-        found.append(build(n, rows))
+
+    def assign(k):
+        if k == len(order):
+            if natives:
+                t = tables(n, rows)
+                if not all(fn(t) for fn in natives):
+                    return
+            found.append(build(n, tuple(rows)))
+            return
+        r, checks = order[k], filed[k]
+        for v in allowed[r]:
+            rows[r] = v
+            if not any(fires(rows, clauses) for fires, clauses in checks):
+                assign(k + 1)
+
+    assign(0)
     return found
 
 
@@ -173,15 +286,13 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
     allowed = _allowed_rows(kind, n, row_local)
     pruned = math.prod(map(len, allowed))
     if workers > 1 and pruned > 4096:
-        chunks = workers * 4
-        step = (pruned + chunks - 1) // chunks
-        tasks = [(kind, n, allowed, natives, a, min(a + step, pruned))
-                 for a in range(0, pruned, step)]
+        # one task per value of row 0, the first row in either search order
+        tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
         survivors = [s for part in parts for s in part]
     else:
-        survivors = _scan_worker((kind, n, allowed, natives, 0, pruned))
+        survivors = _scan_worker((kind, n, allowed, natives))
     survivors.sort(key=code_of)
     decided = [nf for nf in theory if nf not in rest]
     models = []

@@ -41,29 +41,56 @@ class SortError(ParseError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per instance.
+
+    Formulas key the evaluator's compile caches, and the generated
+    ``__hash__`` walks the whole tree on every lookup.  The cached value
+    sits in the instance dict and is left out of pickles: string hashes
+    differ between interpreters, so an unpickled node hashes afresh.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(fl.name for fl in fields(cls))
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class PVar:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Singleton:
     var: str  # I(x)
 
 
-@dataclass(frozen=True)
+@_node
 class PUnion:
     left: "PluralTerm"
     right: "PluralTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class PInter:
     left: "PluralTerm"
     right: "PluralTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class Components:
     term: "PluralTerm"  # U(T)
 
@@ -71,105 +98,105 @@ class Components:
 PluralTerm = Union[PVar, Singleton, PUnion, PInter, Components]
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class Member:
     var: str
     term: PluralTerm
 
 
-@dataclass(frozen=True)
+@_node
 class SubTerm:
     left: PluralTerm
     right: PluralTerm
 
 
-@dataclass(frozen=True)
+@_node
 class TermEq:
     left: PluralTerm
     right: PluralTerm
 
 
-@dataclass(frozen=True)
+@_node
 class FusionAtom:
     term: PluralTerm
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class PartAtom:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class ProperPartAtom:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class OverlapAtom:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class ForallI:
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall x in bound
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsI:
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None
 
 
-@dataclass(frozen=True)
+@_node
 class ForallP:
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall XX sub bound
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsP:
     var: str
     body: "Formula"

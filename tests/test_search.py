@@ -15,9 +15,10 @@ from gemcheck import (CapacityError, FusionStructure, PartStructure, Theory,
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
+from gemcheck.structures import summarize
 
 from util import (all_structures, evaluator_models, oracle_gem_p_model_codes,
-                  part_pairs)
+                  part_pairs, product_models)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +76,58 @@ def test_filter_native_and_pure_paths_agree():
             assert fast == slow, (kind, n, t.name)
 
 
+DIFFERENTIAL_THEORIES = {
+    "gem_f": gem_f, "gem_p": gem_p, "pp": pp_axioms, "lemmas": lemma_suite,
+    "gem_f-ext_F": lambda: gem_f().drop("ext_F"),
+    "gem_p-antis_P": lambda: gem_p().drop("antis_P"),
+    "gem_p-trans_P": lambda: gem_p().drop("trans_P"),
+}
+# the product stream takes more than a few seconds (or minutes) on these
+SLOW_FOR_THE_PRODUCT = {("gem_f", "part", 4), ("gem_f-ext_F", "part", 4),
+                        ("gem_p", "fusion", 3), ("pp", "fusion", 3),
+                        ("gem_p-antis_P", "fusion", 3), ("gem_p-trans_P", "fusion", 3)}
+
+
+@pytest.mark.parametrize("name,kind,n", [
+    (name, kind, n) for name in DIFFERENTIAL_THEORIES
+    for kind, max_n in (("part", 4), ("fusion", 3)) for n in range(max_n + 1)
+    if (name, kind, n) not in SLOW_FOR_THE_PRODUCT])
+def test_row_search_matches_the_product_stream(name, kind, n):
+    t = DIFFERENTIAL_THEORIES[name]()
+    assert filter_models(kind, n, t) == product_models(kind, n, t)
+
+
+def _fires_on_the_way(kind, n, checker, rows):
+    """Whether a clause of ``checker`` fires while the search assigns
+    ``rows``, each tested where it is filed with later rows still unset."""
+    order = search._row_order(kind, n)
+    filed = search._filed_clauses(kind, n, [checker], order)
+    partial = [None] * len(rows)
+    for k, r in enumerate(order):
+        partial[r] = rows[r]
+        if any(fires(partial, clauses) for fires, clauses in filed[k]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind,name", sorted((kind, fn.__name__)
+                                              for kind, fn in search._CLAUSES))
+def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
+    checker = getattr(native, name)
+    rng = random.Random(31)
+    exhaustive = range(4) if kind == "part" else range(3)
+    structures = [s for n in exhaustive for s in all_structures(kind, n)]
+    structures += [random_structure(kind, 4 if kind == "part" else 3, rng)
+                   for _ in range(200)]
+    verdicts = set()
+    for s in structures:
+        rows = s.down if kind == "part" else s.rows
+        holds = checker(native.tables_for(s))
+        assert holds != _fires_on_the_way(kind, s.n, checker, rows), summarize(s)
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
 def test_filter_workers_match_serial():
     t = pp_axioms()  # no row-local pruning, so the pool path is exercised
     serial = filter_models("part", 4, t, workers=1)
@@ -85,9 +138,12 @@ def test_filter_workers_match_serial():
     # into the rows and leave too few candidates for the pool
     t = lemma_suite().drop("ref_P")
     assert filter_models("part", 4, t, workers=2) == filter_models("part", 4, t)
-    # every candidate is a model, so a pool chunk losing any candidate shows
+    # every candidate is a model, so a pool task losing any candidate shows
     codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
     assert codes == list(range(1 << 16))
+    # ext_F clauses prune inside each task; 19 208 baked candidates start the pool
+    t = gem_f()
+    assert filter_models("fusion", 3, t, workers=2) == filter_models("fusion", 3, t)
 
 
 def test_native_and_evaluator_disagreement_raises(monkeypatch):

@@ -1,7 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gemcheck
 from gemcheck import parse, print_formula
 from gemcheck.syntax import (And, Eq, ExistsP, ForallI, FusionAtom, Implies,
                              Not, ParseError, PartAtom, PInter, PUnion,
@@ -92,3 +98,23 @@ def test_random_round_trip():
     for _ in range(1000):
         f = random_formula(rng, rng.randrange(7))
         assert parse(print_formula(f)) == f
+
+
+def test_cached_hash_does_not_cross_a_pickle():
+    # string hashes are randomized per interpreter, so a node unpickled
+    # under another hash seed must hash as that interpreter's own parse does
+    text = "forall ZZ . ((exists x . x in ZZ) -> (exists y . F(ZZ + I(x), y)))"
+    f = parse(text)
+    hash(f)  # fills the cache before pickling
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    script = ("import pickle, sys\n"
+              "from gemcheck import parse\n"
+              "f = pickle.loads(sys.stdin.buffer.read())\n"
+              "g = parse(sys.argv[1])\n"
+              "print(hash('ZZ'), hash(f) == hash(g), f == g, {g: 1}.get(f))\n")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(gemcheck.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, text], input=pickle.dumps(f),
+                         env=env, capture_output=True, check=True).stdout.split()
+    assert int(out[0]) != hash("ZZ")  # the two interpreters really differ
+    assert out[1:] == [b"True", b"True", b"1"]

@@ -33,3 +33,15 @@ def test_install_then_uninstall_restores_every_boundary():
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_row_search_builds_native_tables_once_per_leaf():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        search.filter_models("part", 4, theory.gem_p())
+    finally:
+        tracer.uninstall()
+    # the antis_P and trans_P clauses leave the 219 labeled posets on four points
+    assert tracer.summary()["native.tables"]["calls"] == 219

@@ -8,8 +8,11 @@ expected values they produce are frozen from a third route.
 import itertools
 import random
 
-from gemcheck.search import relation_bits, structure_from_code
+from gemcheck import native
+from gemcheck.search import (_allowed_rows, _plan, code_of, relation_bits,
+                             structure_from_code)
 from gemcheck.semantics import Evaluator
+from gemcheck.structures import FusionStructure, PartStructure
 from gemcheck.syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI,
                              ForallP, FusionAtom, Iff, Implies, Member, Not,
                              Or, OverlapAtom, PartAtom, ProperPartAtom, PVar,
@@ -159,3 +162,23 @@ def evaluator_models(kind, n, theory):
         if all(ev.eval(nf.sentence) for nf in theory):
             out.append(s)
     return out
+
+
+def product_models(kind, n, theory):
+    """``filter_models`` over the product of the baked row lists in row
+    index order, the stream the row search replaced: every native on every
+    candidate, then every obligation through the evaluator, in code order."""
+    row_local, natives, _ = _plan(kind, theory)
+    if kind == "part":
+        tables, build = native.part_tables, PartStructure
+    else:
+        tables, build = native.fusion_tables, FusionStructure
+    out = []
+    for rows in itertools.product(*_allowed_rows(kind, n, row_local)):
+        t = tables(n, rows)
+        if all(fn(t) for fn in natives):
+            s = build(n, rows)
+            ev = Evaluator(s)
+            if all(ev.eval(nf.sentence) for nf in theory):
+                out.append(s)
+    return sorted(out, key=code_of)
