@@ -13,8 +13,7 @@ assumes this).
 
 from gemcheck import SearchBounds, verify_equivalence
 
-report = verify_equivalence(SearchBounds(max_n_part=4, max_n_fusion=3),
-                            workers=4)
+report = verify_equivalence(SearchBounds(max_n_part=4, max_n_fusion=3))
 
 print("part side:")
 for row in report.part_rows:

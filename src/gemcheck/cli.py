@@ -146,7 +146,8 @@ def _add_common(p, seed=True, workers=True):
     p.add_argument("--timings", action="store_true",
                    help="include elapsed_ms in JSON output (nondeterministic)")
     if workers:
-        p.add_argument("--workers", type=int, default=4)
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for the model scan (default 1)")
 
 
 def _add_size_bounds(p):

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
-                     Formula, FusionAtom, Iff, Implies, Member, NamedFormula,
-                     Not, Or, OverlapAtom, PartAtom, PluralTerm,
+                     Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
+                     NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
                      ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
-                     TermEq)
+                     TermEq, UNIVERSAL)
 from .theory import Theory, lemma_suite, theory_by_name
 
 COMPREHENSION_INSTANCES = ("I", "union", "intersection", "U_F", "U_P", "zzstar")
@@ -36,6 +36,9 @@ def _iv(name: str) -> str:
 
 def _pv(name: str) -> str:
     return "W" + name.lower()
+
+
+_CONNECTIVES = {And: "&", Or: "|", Implies: "=>", Iff: "<=>"}
 
 
 class _Encoder:
@@ -87,38 +90,23 @@ class _Encoder:
                 return f"overlap({_iv(a)},{_iv(b)})"
             case Not(g):
                 return f"(~ {self.formula(g)})"
-            case And(a, b):
-                return f"({self.formula(a)} & {self.formula(b)})"
-            case Or(a, b):
-                return f"({self.formula(a)} | {self.formula(b)})"
-            case Implies(a, b):
-                return f"({self.formula(a)} => {self.formula(b)})"
-            case Iff(a, b):
-                return f"({self.formula(a)} <=> {self.formula(b)})"
-            case ForallI(v, body, bound):
-                guard = f"indiv({_iv(v)})"
-                if bound is not None:
-                    self.used.add("memb")
-                    guard = f"({guard} & memb({_iv(v)},{self.term(bound)}))"
-                return f"(! [{_iv(v)}] : ({guard} => {self.formula(body)}))"
-            case ExistsI(v, body, bound):
-                guard = f"indiv({_iv(v)})"
-                if bound is not None:
-                    self.used.add("memb")
-                    guard = f"{guard} & memb({_iv(v)},{self.term(bound)})"
-                return f"(? [{_iv(v)}] : ({guard} & {self.formula(body)}))"
-            case ForallP(v, body, bound):
-                guard = f"plur({_pv(v)})"
-                if bound is not None:
-                    self.used.add("are")
-                    guard = f"({guard} & are({_pv(v)},{self.term(bound)}))"
-                return f"(! [{_pv(v)}] : ({guard} => {self.formula(body)}))"
-            case ExistsP(v, body, bound):
-                guard = f"plur({_pv(v)})"
-                if bound is not None:
-                    self.used.add("are")
-                    guard = f"{guard} & are({_pv(v)},{self.term(bound)})"
-                return f"(? [{_pv(v)}] : ({guard} & {self.formula(body)}))"
+            case And() | Or() | Implies() | Iff():
+                op = _CONNECTIVES[type(f)]
+                return f"({self.formula(f.left)} {op} {self.formula(f.right)})"
+            case ForallI() | ExistsI() | ForallP() | ExistsP():
+                individual = isinstance(f, INDIVIDUAL)
+                v = _iv(f.var) if individual else _pv(f.var)
+                guard = f"indiv({v})" if individual else f"plur({v})"
+                if f.bound is not None:
+                    rel = "memb" if individual else "are"
+                    self.used.add(rel)
+                    guard = f"{guard} & {rel}({v},{self.term(f.bound)})"
+                body = self.formula(f.body)
+                if not isinstance(f, UNIVERSAL):
+                    return f"(? [{v}] : ({guard} & {body}))"
+                if f.bound is not None:
+                    guard = f"({guard})"
+                return f"(! [{v}] : ({guard} => {body}))"
         raise TypeError(f)
 
 

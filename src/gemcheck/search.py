@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -286,6 +285,7 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
     allowed = _allowed_rows(kind, n, row_local)
     pruned = math.prod(map(len, allowed))
     if workers > 1 and pruned > 4096:
+        import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row in either search order
         tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
         with multiprocessing.Pool(workers) as pool:

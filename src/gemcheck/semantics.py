@@ -51,11 +51,10 @@ from .structures import (MAX_PLURAL_DOMAIN, CapacityError, PartStructure,
                          iter_bits, mask_of, members_of, overlap_masks,
                          parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
-                     Formula, FusionAtom, Iff, Implies, Member, NamedFormula,
-                     Not, Or, OverlapAtom, PartAtom, PluralTerm,
+                     Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
+                     NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
                      ProperPartAtom, PVar, PInter, PUnion, QUANTIFIERS,
-                     Singleton, SubTerm, TermEq, free_vars, term_free_ivars,
-                     term_free_pvars)
+                     Singleton, SubTerm, TermEq, UNIVERSAL, free_vars)
 
 
 class EvalError(ValueError):
@@ -140,8 +139,6 @@ class EvalContext:
 # shared pieces: terms, atoms, connectives, quantifier domains
 
 _UNSET = object()
-_UNIVERSAL = (ForallI, ForallP)
-_INDIVIDUAL = (ForallI, ExistsI)
 
 
 def _compile_term(t: PluralTerm):
@@ -197,7 +194,7 @@ def _submasks(t: int):
 
 def _domain(q):
     """Closure giving the values a quantifier's variable ranges over, in order."""
-    plural = not isinstance(q, _INDIVIDUAL)
+    plural = not isinstance(q, INDIVIDUAL)
     if q.bound is None:
         if plural:
             return lambda ctx, env: range(1 << ctx.n)
@@ -311,7 +308,7 @@ def _compile_reference(f: Formula):
     """
     if isinstance(f, QUANTIFIERS):
         return _loop(f.var, _domain(f), _compile_reference(f.body),
-                     isinstance(f, _UNIVERSAL))
+                     isinstance(f, UNIVERSAL))
     return _compile_node(f, _compile_reference)
 
 
@@ -378,7 +375,7 @@ _MASK_CONNECTIVES = {And: _mask_and, Or: _mask_or, Implies: _mask_implies,
 def _mask_quantifier(q, mb):
     """A quantifier over another variable: AND (or OR) of its body's masks."""
     w, dom = q.var, _domain(q)
-    if isinstance(q, _UNIVERSAL):
+    if isinstance(q, UNIVERSAL):
         def run(ctx, env, cand):
             old = env.get(w, _UNSET)
             for val in dom(ctx, env):
@@ -487,7 +484,7 @@ def _lifted(f: Formula, v: str):
 def _bitwise(q, mask):
     """A quantifier over an individual variable as one test of its body's mask."""
     ft = compiled_term(q.bound)[0] if q.bound is not None else None
-    if isinstance(q, _UNIVERSAL):
+    if isinstance(q, UNIVERSAL):
         def run(ctx, env):
             cand = ctx.full if ft is None else ft(ctx, env)
             return mask(ctx, env, cand) == cand
@@ -528,7 +525,7 @@ def _split_block(f: Formula) -> tuple:
     conclusion ``C``; an existential body ``A1 and ... and Am`` gives
     guards ``Ai`` and no conclusion.
     """
-    same = _UNIVERSAL if isinstance(f, _UNIVERSAL) else (ExistsI, ExistsP)
+    same = UNIVERSAL if isinstance(f, UNIVERSAL) else (ExistsI, ExistsP)
     block, deps, seen = [], {}, set()
     body = f
     # a variable read by an earlier bound refers to an outer binding, so
@@ -539,7 +536,7 @@ def _split_block(f: Formula) -> tuple:
         block.append(body)
         seen |= read | {body.var}
         body = body.body
-    if same is not _UNIVERSAL:
+    if same is not UNIVERSAL:
         return block, deps, _conjuncts(body), None
     guards = []
     while isinstance(body, Implies):
@@ -556,7 +553,7 @@ def _innermost(block, deps, scoped, concl):
     """
     needed = set().union(*deps.values())
     for q in reversed(block):
-        if not isinstance(q, _INDIVIDUAL) or q.var in needed:
+        if not isinstance(q, INDIVIDUAL) or q.var in needed:
             continue
         pieces = [g for g, gv in scoped if q.var in gv]
         if concl is not None:
@@ -585,7 +582,7 @@ def _binding_order(rest, deps, scoped) -> list:
         v = q.var
         closes = sum(v in gv and gv <= bound | {v} for _, gv in scoped)
         touches = sum(v in gv for _, gv in scoped)
-        return (closes, touches, isinstance(q, _INDIVIDUAL), -rest.index(q))
+        return (closes, touches, isinstance(q, INDIVIDUAL), -rest.index(q))
 
     rest = list(rest)
     while rest:
@@ -603,7 +600,7 @@ def _compile_block(f: Formula):
     an order that closes guards early, and each guard is tested as soon
     as its block variables are bound.  The plan reads only the formula.
     """
-    universal = isinstance(f, _UNIVERSAL)
+    universal = isinstance(f, UNIVERSAL)
     block, deps, guards, concl = _split_block(f)
     names = {q.var for q in block}
     scoped = [(g, set(compiled(g)[1]) & names) for g in guards]
@@ -654,8 +651,8 @@ def compiled_term(t: PluralTerm) -> tuple:
     """(closure, sorted free variable names) of a plural term, built once."""
     entry = _TERM_COMPILED.get(t)
     if entry is None:
-        names = term_free_ivars(t) | term_free_pvars(t)
-        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(names)))
+        iv, pv = free_vars(t)
+        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(iv | pv)))
     return entry
 
 
@@ -720,7 +717,7 @@ class Evaluator:
         env = {}
         prefix = []
         q = sentence
-        while isinstance(q, _UNIVERSAL):
+        while isinstance(q, UNIVERSAL):
             suffix = compiled(q.body)[0]
             for val in _domain(q)(ctx, env):
                 env[q.var] = val
@@ -744,7 +741,7 @@ class Evaluator:
         """True iff the witness really falsifies the body under its prefix."""
         body = sentence
         names = set(witness.individuals) | set(witness.plurals)
-        while isinstance(body, (ForallI, ForallP)) and body.var in names:
+        while isinstance(body, UNIVERSAL) and body.var in names:
             body = body.body
         return not self.eval(body, witness)
 

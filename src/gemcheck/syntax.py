@@ -16,6 +16,12 @@ Plural terms are built from plural variables, singletons ``I(x)``, unions
 bodies extend as far right as possible.  Restricted quantifiers
 (``forall x in T``, ``exists XX sub T``) are kept as sugar nodes in the
 AST; the evaluator treats them as their guarded expansions.
+
+The parser checks the case convention; after parsing, a variable's sort
+is read from where it sits in the tree, never from its case.  A ``PVar``
+names a plural, a quantifier binds a plural (``ForallP``, ``ExistsP``) or
+an individual (``ForallI``, ``ExistsI``), and every other name field of a
+node names an individual.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ def _node(cls):
 
     Formulas key the evaluator's compile caches, and the generated
     ``__hash__`` walks the whole tree on every lookup.  The cached value
-    sits in the instance dict and is left out of pickles: string hashes
-    differ between interpreters, so an unpickled node hashes afresh.
+    sits in the instance dict, next to ``free_vars``'s, and a pickle
+    carries neither: string hashes differ between interpreters, so an
+    unpickled node hashes afresh.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(fl.name for fl in fields(cls))
@@ -61,7 +68,7 @@ def _node(cls):
         return h
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {name: getattr(self, name) for name in names}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -208,6 +215,8 @@ Formula = Union[Eq, Member, SubTerm, TermEq, FusionAtom, PartAtom,
                 ForallI, ExistsI, ForallP, ExistsP]
 
 QUANTIFIERS = (ForallI, ExistsI, ForallP, ExistsP)
+UNIVERSAL = (ForallI, ForallP)
+INDIVIDUAL = (ForallI, ExistsI)
 
 
 @dataclass(frozen=True)
@@ -225,74 +234,50 @@ class NamedFormula:
 
 
 # ---------------------------------------------------------------------------
-# free variables / sort analysis
+# free variables
 
-def term_free_pvars(t: PluralTerm) -> frozenset:
-    match t:
-        case PVar(name):
-            return frozenset([name])
-        case Singleton(_):
-            return frozenset()
-        case PUnion(a, b) | PInter(a, b):
-            return term_free_pvars(a) | term_free_pvars(b)
-        case Components(s):
-            return term_free_pvars(s)
-    raise TypeError(t)
-
-
-def term_free_ivars(t: PluralTerm) -> frozenset:
-    match t:
-        case PVar(_):
-            return frozenset()
-        case Singleton(v):
-            return frozenset([v])
-        case PUnion(a, b) | PInter(a, b):
-            return term_free_ivars(a) | term_free_ivars(b)
-        case Components(s):
-            return term_free_ivars(s)
-    raise TypeError(t)
-
-
-def free_vars(f: Formula) -> tuple:
-    """(free individual variables, free plural variables) of a formula."""
-    match f:
-        case Eq(a, b):
-            return frozenset([a, b]), frozenset()
-        case PartAtom(a, b) | ProperPartAtom(a, b) | OverlapAtom(a, b):
-            return frozenset([a, b]), frozenset()
-        case Member(v, t):
-            return frozenset([v]) | term_free_ivars(t), term_free_pvars(t)
-        case SubTerm(a, b) | TermEq(a, b):
-            return (term_free_ivars(a) | term_free_ivars(b),
-                    term_free_pvars(a) | term_free_pvars(b))
-        case FusionAtom(t, v):
-            return frozenset([v]) | term_free_ivars(t), term_free_pvars(t)
-        case Not(g):
-            return free_vars(g)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            ia, pa = free_vars(a)
-            ib, pb = free_vars(b)
-            return ia | ib, pa | pb
-        case ForallI(v, body, bound) | ExistsI(v, body, bound):
-            iv, pv = free_vars(body)
-            iv = iv - {v}
-            if bound is not None:
-                iv |= term_free_ivars(bound)
-                pv |= term_free_pvars(bound)
-            return iv, pv
-        case ForallP(v, body, bound) | ExistsP(v, body, bound):
-            iv, pv = free_vars(body)
-            pv = pv - {v}
-            if bound is not None:
-                iv |= term_free_ivars(bound)
-                pv |= term_free_pvars(bound)
-            return iv, pv
-    raise TypeError(f)
+def free_vars(node) -> tuple:
+    """(free individual variables, free plural variables) of a formula or
+    plural term, computed once per node, with sorts read as the module
+    docstring says.  A quantifier's bound lies outside its scope.
+    """
+    fv = node.__dict__.get("_free")
+    if fv is not None:
+        return fv
+    if isinstance(node, PVar):
+        fv = frozenset(), frozenset([node.name])
+    elif isinstance(node, QUANTIFIERS):
+        iv, pv = free_vars(node.body)
+        if isinstance(node, INDIVIDUAL):
+            iv = iv - {node.var}
+        else:
+            pv = pv - {node.var}
+        if node.bound is not None:
+            bi, bp = free_vars(node.bound)
+            iv, pv = iv | bi, pv | bp
+        fv = iv, pv
+    else:
+        iv = pv = frozenset()
+        for fl in fields(node):
+            x = getattr(node, fl.name)
+            if isinstance(x, str):
+                iv |= {x}
+            else:
+                xi, xp = free_vars(x)
+                iv, pv = iv | xi, pv | xp
+        fv = iv, pv
+    object.__setattr__(node, "_free", fv)
+    return fv
 
 
 def is_closed(f: Formula) -> bool:
     iv, pv = free_vars(f)
     return not iv and not pv
+
+
+def _map(node, fn):
+    """``node`` rebuilt from ``fn`` of each of its fields."""
+    return type(node)(*(fn(getattr(node, fl.name)) for fl in fields(node)))
 
 
 def _rename(node, old: str, new: str):
@@ -301,48 +286,26 @@ def _rename(node, old: str, new: str):
         return new if node == old else node
     if isinstance(node, QUANTIFIERS) and node.var == old:
         return replace(node, bound=_rename(node.bound, old, new))
-    return type(node)(*(_rename(getattr(node, fl.name), old, new) for fl in fields(node)))
+    return _map(node, lambda x: _rename(x, old, new))
 
 
-def desugar(f: Formula) -> Formula:
+def desugar(node):
     """Expand restricted quantifiers into their guarded forms.
 
     A bound is read outside its quantifier's scope, so a variable its own
     bound mentions is renamed (primed, which no parsed name is) first.
     """
-    if isinstance(f, QUANTIFIERS) and f.bound is not None and \
-            f.var in term_free_ivars(f.bound) | term_free_pvars(f.bound):
-        fresh = f.var + "'"
-        f = replace(f, var=fresh, body=_rename(f.body, f.var, fresh))
-    match f:
-        case ForallI(v, body, bound) if bound is not None:
-            return ForallI(v, Implies(Member(v, bound), desugar(body)))
-        case ExistsI(v, body, bound) if bound is not None:
-            return ExistsI(v, And(Member(v, bound), desugar(body)))
-        case ForallP(v, body, bound) if bound is not None:
-            return ForallP(v, Implies(SubTerm(PVar(v), bound), desugar(body)))
-        case ExistsP(v, body, bound) if bound is not None:
-            return ExistsP(v, And(SubTerm(PVar(v), bound), desugar(body)))
-        case ForallI(v, body, None):
-            return ForallI(v, desugar(body))
-        case ExistsI(v, body, None):
-            return ExistsI(v, desugar(body))
-        case ForallP(v, body, None):
-            return ForallP(v, desugar(body))
-        case ExistsP(v, body, None):
-            return ExistsP(v, desugar(body))
-        case Not(g):
-            return Not(desugar(g))
-        case And(a, b):
-            return And(desugar(a), desugar(b))
-        case Or(a, b):
-            return Or(desugar(a), desugar(b))
-        case Implies(a, b):
-            return Implies(desugar(a), desugar(b))
-        case Iff(a, b):
-            return Iff(desugar(a), desugar(b))
-        case _:
-            return f
+    if node is None or isinstance(node, str):
+        return node
+    if not isinstance(node, QUANTIFIERS) or node.bound is None:
+        return _map(node, desugar)
+    v, body, bound = node.var, node.body, node.bound
+    if v in frozenset().union(*free_vars(bound)):
+        v = v + "'"
+        body = _rename(body, node.var, v)
+    guard = Member(v, bound) if isinstance(node, INDIVIDUAL) else SubTerm(PVar(v), bound)
+    conn = Implies if isinstance(node, UNIVERSAL) else And
+    return type(node)(v, conn(guard, desugar(body)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +638,10 @@ def _pr(f: Formula, prec: int) -> str:
             return f"({s})" if prec > _IFF else s
         case ForallI(v, body, bound) | ExistsI(v, body, bound) | \
                 ForallP(v, body, bound) | ExistsP(v, body, bound):
-            kw = "forall" if isinstance(f, (ForallI, ForallP)) else "exists"
+            kw = "forall" if isinstance(f, UNIVERSAL) else "exists"
             restr = ""
             if bound is not None:
-                rel = "in" if isinstance(f, (ForallI, ExistsI)) else "sub"
+                rel = "in" if isinstance(f, INDIVIDUAL) else "sub"
                 restr = f" {rel} {_pt(bound, 0)}"
             s = f"{kw} {v}{restr} . {_pr(body, 0)}"
             return f"({s})" if prec > 0 else s

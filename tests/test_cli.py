@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import gemcheck
 from gemcheck import canonical_gem, dump_structure, induced_fusion, search
 from gemcheck.cli import main
 
@@ -88,9 +92,24 @@ def test_equiv_vacuous():
 
 
 def test_equiv_deterministic_json():
-    args = ("equiv", "--max-part", "2", "--max-fusion", "2", "--format", "json",
-            "--workers", "1")
-    assert run_cli(*args) == run_cli(*args)
+    args = ("equiv", "--max-part", "2", "--max-fusion", "2", "--format", "json")
+    assert run_cli(*args, "--workers", "1") == run_cli(*args, "--workers", "1") \
+        == run_cli(*args)
+
+
+def test_serial_runs_never_import_multiprocessing():
+    # the pool's import is paid only by a run that starts one, and by
+    # default no run does
+    script = ("import sys\n"
+              "import gemcheck\n"
+              "from gemcheck.cli import main\n"
+              "main(['equiv', '--max-part', '2', '--max-fusion', '2', '--workers', '1'])\n"
+              "main(['equiv'])\n"
+              "print('multiprocessing' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gemcheck.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                         capture_output=True, check=True).stdout
+    assert out.splitlines()[-1] == b"False"
 
 
 @pytest.mark.parametrize("command", ["check", "equiv", "lemmas", "models",

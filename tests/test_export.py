@@ -13,9 +13,24 @@ def test_encode_ref_p_is_one_universal():
 
 
 def test_encode_restricted_quantifiers():
-    f = parse("exists VV sub U(ZZ) . F(VV, x)")
-    out = encode(f)
-    assert "are(Wvv,u(Wzz))" in out and out.startswith("(? [Wvv]")
+    # every quantifier class, bounded and not: a bounded universal
+    # parenthesizes its guard, a bounded existential does not
+    cases = {
+        "forall x . P(x, y)": "(! [Vx] : (indiv(Vx) => part(Vx,Vy)))",
+        "forall x in XX + I(y) . P(x, y)":
+            "(! [Vx] : ((indiv(Vx) & memb(Vx,un(Wxx,sing(Vy)))) => part(Vx,Vy)))",
+        "exists x . P(x, y)": "(? [Vx] : (indiv(Vx) & part(Vx,Vy)))",
+        "exists x in U(XX) . P(x, y)":
+            "(? [Vx] : (indiv(Vx) & memb(Vx,u(Wxx)) & part(Vx,Vy)))",
+        "forall XX . F(XX, y)": "(! [Wxx] : (plur(Wxx) => fuses(Wxx,Vy)))",
+        "forall XX sub YY & I(y) . F(XX, y)":
+            "(! [Wxx] : ((plur(Wxx) & are(Wxx,int(Wyy,sing(Vy)))) => fuses(Wxx,Vy)))",
+        "exists XX . F(XX, y)": "(? [Wxx] : (plur(Wxx) & fuses(Wxx,Vy)))",
+        "exists VV sub U(ZZ) . F(VV, x)":
+            "(? [Wvv] : (plur(Wvv) & are(Wvv,u(Wzz)) & fuses(Wvv,Vx)))",
+    }
+    for text, want in cases.items():
+        assert encode(parse(text)) == want, text
 
 
 def test_fix_problem_contents():

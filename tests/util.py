@@ -81,6 +81,70 @@ def random_formula(rng: random.Random, depth: int):
 
 
 # ---------------------------------------------------------------------------
+# case-by-case free variables, the reference for syntax.free_vars
+
+def reference_term_free_pvars(t) -> frozenset:
+    match t:
+        case PVar(name):
+            return frozenset([name])
+        case Singleton(_):
+            return frozenset()
+        case PUnion(a, b) | PInter(a, b):
+            return reference_term_free_pvars(a) | reference_term_free_pvars(b)
+        case Components(s):
+            return reference_term_free_pvars(s)
+    raise TypeError(t)
+
+
+def reference_term_free_ivars(t) -> frozenset:
+    match t:
+        case PVar(_):
+            return frozenset()
+        case Singleton(v):
+            return frozenset([v])
+        case PUnion(a, b) | PInter(a, b):
+            return reference_term_free_ivars(a) | reference_term_free_ivars(b)
+        case Components(s):
+            return reference_term_free_ivars(s)
+    raise TypeError(t)
+
+
+def reference_free_vars(f) -> tuple:
+    """(free individual variables, free plural variables) of a formula."""
+    ti, tp = reference_term_free_ivars, reference_term_free_pvars
+    match f:
+        case Eq(a, b):
+            return frozenset([a, b]), frozenset()
+        case PartAtom(a, b) | ProperPartAtom(a, b) | OverlapAtom(a, b):
+            return frozenset([a, b]), frozenset()
+        case Member(v, t):
+            return frozenset([v]) | ti(t), tp(t)
+        case SubTerm(a, b) | TermEq(a, b):
+            return ti(a) | ti(b), tp(a) | tp(b)
+        case FusionAtom(t, v):
+            return frozenset([v]) | ti(t), tp(t)
+        case Not(g):
+            return reference_free_vars(g)
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            ia, pa = reference_free_vars(a)
+            ib, pb = reference_free_vars(b)
+            return ia | ib, pa | pb
+        case ForallI(v, body, bound) | ExistsI(v, body, bound):
+            iv, pv = reference_free_vars(body)
+            iv = iv - {v}
+            if bound is not None:
+                iv, pv = iv | ti(bound), pv | tp(bound)
+            return iv, pv
+        case ForallP(v, body, bound) | ExistsP(v, body, bound):
+            iv, pv = reference_free_vars(body)
+            pv = pv - {v}
+            if bound is not None:
+                iv, pv = iv | ti(bound), pv | tp(bound)
+            return iv, pv
+    raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
 # naive oracles over raw pair sets
 
 def part_pairs(ps):
