@@ -27,6 +27,15 @@ of existential, quantifiers), reading only the formula:
   ``down[y]``, ``P(y, v)`` is ``up[y]``, ``F(T, v)`` is ``frow[T]``,
   ``v in T`` is ``T``), connectives are bit operations, and ``forall v``
   becomes one comparison of the mask with the domain.
+* A plural variable ranges over the values its guards leave, where a
+  guard pins them down: under ``YY eq T`` it takes the single value of
+  ``T``, and under ``F(YY, w)`` with ``w`` bound it ranges over the
+  fusion preimage ``fpre(w)``, the masks fusing to ``w``.  A bound
+  ``YY sub T`` filters these values.  This holds in a block's loops and
+  for a plural quantifier inside a bit-parallel mask, where the guard is
+  a conjunct of the existential body or of the universal antecedent and
+  must not read the bit-parallel variable.  Each such domain is the
+  ascending list of all masks with the values failing the guard removed.
 
 Order still matters where it is observable: failure witnesses.
 ``Evaluator.find_witness`` fixes the leading universal variables one at a
@@ -92,10 +101,12 @@ class EvalContext:
     frow[p]  bitmask of the individuals fused by plurality mask p
              (primitive F, or derived from the closure conditions)
     full     bitmask of the whole domain
+
+    ``fpre(x)``, the fusion preimage of x, is built on first use.
     """
 
     __slots__ = ("structure", "n", "kind", "down", "up", "ov", "frow", "full",
-                 "_ucache")
+                 "_ucache", "_fpre")
 
     def __init__(self, s: Structure):
         if s.n > MAX_PLURAL_DOMAIN:
@@ -119,6 +130,7 @@ class EvalContext:
                 up[x] |= 1 << y
         self.full = (1 << n) - 1
         self._ucache = {}
+        self._fpre = None
 
     def umask(self, m: int) -> int:
         """U(m): union of down[y] over members y of m (either signature)."""
@@ -133,6 +145,17 @@ class EvalContext:
                 rest ^= low
             self._ucache[m] = u
         return u
+
+    def fpre(self, x: int) -> list:
+        """The plurality masks p with x in frow[p], ascending."""
+        pre = self._fpre
+        if pre is None:
+            pre = [[] for _ in range(self.n)]
+            for p, row in enumerate(self.frow):
+                for y in iter_bits(row):
+                    pre[y].append(p)
+            self._fpre = pre
+        return pre[x]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +226,62 @@ def _domain(q):
     if plural:
         return lambda ctx, env: _submasks(ft(ctx, env))
     return lambda ctx, env: iter_bits(ft(ctx, env))
+
+
+def _pushed_guard(q, guards, lifted):
+    """(index, kind, operand) of the guard a plural ``q`` can range over, or None.
+
+    ``YY eq T`` (kind "eq", operand T) is preferred to ``F(YY, w)`` (kind
+    "F", operand w).  T must not read ``YY`` or ``lifted``, and w must not
+    be ``lifted``: the bit-parallel variable has no single value in env.
+    """
+    me, unread = PVar(q.var), {q.var, lifted}
+    found = None
+    for i, g in enumerate(guards):
+        if isinstance(g, TermEq):
+            for a, t in ((g.left, g.right), (g.right, g.left)):
+                if a == me and unread.isdisjoint(compiled_term(t)[1]):
+                    return i, "eq", t
+        elif (found is None and isinstance(g, FusionAtom) and g.term == me
+              and g.var != lifted):
+            found = i, "F", g.var
+    return found
+
+
+def _guarded_domain(q, guards, lifted=None):
+    """(domain, guards left) of ``q`` when ``guards`` must hold of its value.
+
+    ``guards`` are conjuncts tested on each value of ``q``'s variable; every
+    variable they read is bound by then except ``lifted``, the bit-parallel
+    variable, if any.  For a plural, one guard moves into the domain (see
+    ``_pushed_guard``) and is dropped: ``YY eq T`` gives the single value
+    of T, ``F(YY, w)`` the fusion preimage ``ctx.fpre(w)``.  A bound
+    ``YY sub B`` filters either lazily, so an existential still stops at
+    its first success.  The domain is the subsequence of ``_domain(q)``
+    that passes the guard, so truth values and witnesses do not change.
+    """
+    push = None if isinstance(q, INDIVIDUAL) else _pushed_guard(q, guards, lifted)
+    if push is None:
+        return _domain(q), guards
+    i, kind, operand = push
+    fb = compiled_term(q.bound)[0] if q.bound is not None else None
+    if kind == "eq":
+        ft = compiled_term(operand)[0]
+        if fb is None:
+            def dom(ctx, env):
+                return (ft(ctx, env),)
+        else:
+            def dom(ctx, env):
+                t = ft(ctx, env)
+                return () if t & ~fb(ctx, env) else (t,)
+    elif fb is None:
+        def dom(ctx, env, w=operand):
+            return ctx.fpre(env[w])
+    else:
+        def dom(ctx, env, w=operand):
+            out = ~fb(ctx, env)
+            return (p for p in ctx.fpre(env[w]) if not p & out)
+    return dom, guards[:i] + guards[i + 1:]
 
 
 def _compile_node(f: Formula, sub):
@@ -372,9 +451,9 @@ _MASK_CONNECTIVES = {And: _mask_and, Or: _mask_or, Implies: _mask_implies,
                      Iff: _mask_iff}
 
 
-def _mask_quantifier(q, mb):
+def _mask_quantifier(q, dom, mb):
     """A quantifier over another variable: AND (or OR) of its body's masks."""
-    w, dom = q.var, _domain(q)
+    w = q.var
     if isinstance(q, UNIVERSAL):
         def run(ctx, env, cand):
             old = env.get(w, _UNSET)
@@ -410,8 +489,9 @@ def _lifted(f: Formula, v: str):
     operations.  None means no part of ``f`` lifts, so looping over the
     values of ``v`` is as good.
     """
-    fn, names = compiled(f)
-    if v not in names:
+    if v not in free_vars(f)[0]:
+        fn = compiled(f)[0]
+
         def run(ctx, env, cand):
             return cand if cand and fn(ctx, env) else 0
         return run
@@ -472,10 +552,14 @@ def _lifted(f: Formula, v: str):
         case ForallI() | ExistsI() | ForallP() | ExistsP():
             if f.bound is not None and v in compiled_term(f.bound)[1]:
                 return None
-            mb = _lifted(f.body, v)
+            universal = isinstance(f, UNIVERSAL)
+            guards, concl = _guards(f.body, universal)
+            dom, left = _guarded_domain(f, guards, v)
+            body = f.body if left is guards else _guarded(left, concl)
+            mb = _lifted(body, v)
             if mb is None:
                 return None
-            return _mask_quantifier(f, mb)
+            return _mask_quantifier(f, dom, mb)
         case _:
             return None
     return run
@@ -515,15 +599,36 @@ def _true(ctx, env):
     return True
 
 
+def _guards(body: Formula, universal: bool) -> tuple:
+    """(guards, conclusion) of a quantifier body.
+
+    A universal body ``A1 and ... and Am -> C`` gives guards ``Ai`` and
+    conclusion ``C``; an existential body ``A1 and ... and Am`` gives
+    guards ``Ai`` and no conclusion.
+    """
+    if not universal:
+        return _conjuncts(body), None
+    guards = []
+    while isinstance(body, Implies):
+        guards += _conjuncts(body.left)
+        body = body.right
+    return guards, body
+
+
+def _guarded(guards: list, concl) -> Formula:
+    """The body ``_guards`` split, rebuilt from what is left of it."""
+    if concl is None:
+        return _conj(guards)
+    return Implies(_conj(guards), concl) if guards else concl
+
+
 def _split_block(f: Formula) -> tuple:
     """(quantifiers, dependencies, guards, conclusion) of the block at ``f``.
 
     The block is the maximal run of universal (or of existential)
     quantifiers starting at ``f``; commuting them preserves truth.  A
-    variable's dependencies are the block variables its bound reads.  A
-    universal body ``A1 and ... and Am -> C`` gives guards ``Ai`` and
-    conclusion ``C``; an existential body ``A1 and ... and Am`` gives
-    guards ``Ai`` and no conclusion.
+    variable's dependencies are the block variables its bound reads.  The
+    guards and conclusion are those ``_guards`` splits the body into.
     """
     same = UNIVERSAL if isinstance(f, UNIVERSAL) else (ExistsI, ExistsP)
     block, deps, seen = [], {}, set()
@@ -536,13 +641,7 @@ def _split_block(f: Formula) -> tuple:
         block.append(body)
         seen |= read | {body.var}
         body = body.body
-    if same is not UNIVERSAL:
-        return block, deps, _conjuncts(body), None
-    guards = []
-    while isinstance(body, Implies):
-        guards += _conjuncts(body.left)
-        body = body.right
-    return block, deps, guards, body
+    return (block, deps) + _guards(body, same is UNIVERSAL)
 
 
 def _innermost(block, deps, scoped, concl):
@@ -598,7 +697,8 @@ def _compile_block(f: Formula):
 
     The innermost variable is evaluated bit-parallel; the others loop in
     an order that closes guards early, and each guard is tested as soon
-    as its block variables are bound.  The plan reads only the formula.
+    as its block variables are bound, or becomes the domain of a plural
+    it closes (``_guarded_domain``).  The plan reads only the formula.
     """
     universal = isinstance(f, UNIVERSAL)
     block, deps, guards, concl = _split_block(f)
@@ -618,7 +718,8 @@ def _compile_block(f: Formula):
     else:
         run = compiled(concl)[0] if universal else _true
     for q, gs in reversed(list(zip(order, at))):
-        run = _loop(q.var, _domain(q), run, universal,
+        dom, gs = _guarded_domain(q, gs)
+        run = _loop(q.var, dom, run, universal,
                     compiled(_conj(gs))[0] if gs else None)
     if pre:
         guard, inner_run = compiled(_conj(pre))[0], run

@@ -26,7 +26,7 @@ node names an individual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 RESERVED = {"forall", "exists", "not", "and", "or", "in", "sub", "eq",
@@ -273,39 +273,6 @@ def free_vars(node) -> tuple:
 def is_closed(f: Formula) -> bool:
     iv, pv = free_vars(f)
     return not iv and not pv
-
-
-def _map(node, fn):
-    """``node`` rebuilt from ``fn`` of each of its fields."""
-    return type(node)(*(fn(getattr(node, fl.name)) for fl in fields(node)))
-
-
-def _rename(node, old: str, new: str):
-    """``node`` with the free occurrences of the variable ``old`` renamed ``new``."""
-    if node is None or isinstance(node, str):
-        return new if node == old else node
-    if isinstance(node, QUANTIFIERS) and node.var == old:
-        return replace(node, bound=_rename(node.bound, old, new))
-    return _map(node, lambda x: _rename(x, old, new))
-
-
-def desugar(node):
-    """Expand restricted quantifiers into their guarded forms.
-
-    A bound is read outside its quantifier's scope, so a variable its own
-    bound mentions is renamed (primed, which no parsed name is) first.
-    """
-    if node is None or isinstance(node, str):
-        return node
-    if not isinstance(node, QUANTIFIERS) or node.bound is None:
-        return _map(node, desugar)
-    v, body, bound = node.var, node.body, node.bound
-    if v in frozenset().union(*free_vars(bound)):
-        v = v + "'"
-        body = _rename(body, node.var, v)
-    guard = Member(v, bound) if isinstance(node, INDIVIDUAL) else SubTerm(PVar(v), bound)
-    conn = Implies if isinstance(node, UNIVERSAL) else And
-    return type(node)(v, conn(guard, desugar(body)))
 
 
 # ---------------------------------------------------------------------------

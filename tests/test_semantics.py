@@ -9,13 +9,13 @@ from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
                       gem_f, gem_p, native, parse, semantics)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import CapacityError, induced_fusion
-from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, Implies,
-                             NamedFormula, PVar, desugar, free_vars)
+from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, FusionAtom,
+                             Implies, NamedFormula, PVar, TermEq, free_vars)
 from gemcheck.search import random_structure
 from gemcheck.theory import lemma_suite, pp_axioms
 
-from util import (IVARS, PVARS, all_structures, fusion_pairs, random_formula,
-                  random_pterm)
+from util import (IVARS, PVARS, all_structures, desugar, fusion_pairs,
+                  random_formula, random_pterm)
 
 
 def _nf(text, name="t"):
@@ -156,6 +156,9 @@ def test_context_tables_match_native_tables():
         assert (ctx.down, ctx.ov, ctx.frow) == (t.down, t.ov, t.frow), s
         assert all((ctx.up[x] >> y) & 1 == (ctx.down[y] >> x) & 1
                    for x in range(s.n) for y in range(s.n)), s
+        assert [ctx.fpre(x) for x in range(s.n)] == \
+            [[p for p in range(1 << s.n) if (t.frow[p] >> x) & 1]
+             for x in range(s.n)], s
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,10 +242,17 @@ def _reference_witness(ev, sentence):
     def search(i):
         if i == len(prefix):
             return not fbody(ctx, env)
+        # a prefix may rebind a name; an earlier bound reads the outer value
+        var = prefix[i].var
+        old = env.get(var)
         for val in values(prefix[i]):
-            env[prefix[i].var] = val
+            env[var] = val
             if search(i + 1):
                 return True
+        if old is None:
+            env.pop(var, None)
+        else:
+            env[var] = old
         return False
 
     if not search(0):
@@ -253,15 +263,30 @@ def _reference_witness(ev, sentence):
          for q in prefix if isinstance(q, ForallP)})
 
 
-def _random_block(rng):
+def _plural_guard(rng):
+    """``F(YY, w)`` or ``YY eq T``: a guard a plural quantifier can range over."""
+    var = PVar(rng.choice(PVARS[:3]))
+    if rng.random() < 0.5:
+        return FusionAtom(var, rng.choice(IVARS[:3]))
+    t = random_pterm(rng, 1)
+    return TermEq(var, t) if rng.random() < 0.5 else TermEq(t, var)
+
+
+def _random_block(rng, depth=1):
     """A block of like quantifiers over guards, the shape the planner splits.
 
     Universal: ``forall ... . A1 and ... and Am -> C``; existential:
     ``exists ... . A1 and ... and Am``.  Variables come from small pools
-    so that guards mention them often; some get restricting bounds.
+    so that guards mention them often; some get restricting bounds.  Some
+    guards are plural guards, and the last part may be a nested block,
+    which a bit-parallel variable of this one can reach.
     """
     universal = rng.random() < 0.5
-    parts = [random_formula(rng, rng.randrange(2)) for _ in range(rng.randrange(1, 5))]
+    parts = [_plural_guard(rng) if rng.random() < 0.3
+             else random_formula(rng, rng.randrange(2))
+             for _ in range(rng.randrange(1, 5))]
+    if depth and rng.random() < 0.3:
+        parts[-1] = _random_block(rng, depth - 1)
     guards, body = parts[:-1], parts[-1]
     if universal and guards:
         body = Implies(semantics._conj(guards), body)
@@ -339,6 +364,37 @@ def test_witness_matches_reference_on_random_sentences():
             assert ev.refutes(f, w)
             refuted += 1
     assert refuted > 100
+
+
+_PLURAL_GUARD_SHAPES = [
+    # in a block: fusion and equality guards, with and without a bound
+    "forall z . forall WW sub U(I(z)) . forall YY . F(YY, z) -> YY sub WW or (exists u in YY . PP(u, z))",
+    "forall z . forall XX sub U(I(z)) . forall YY sub U(XX) . F(YY, z) and YY eq XX & U(I(z)) -> F(XX, z)",
+    "forall z . forall XX sub U(I(z)) . forall YY . XX + I(z) eq YY -> F(YY, z) or not F(XX, z)",
+    "forall z . forall XX sub U(I(z)) . exists YY sub XX . F(YY, z) and (exists u . u in YY)",
+    "forall z . forall XX sub U(I(z)) . exists YY sub U(XX) . YY eq XX + I(z)",
+    # inside a bit-parallel mask
+    "forall ZZ . forall x . (exists z in ZZ . exists YY . F(YY, z) and x in YY)",
+    "forall y . forall ZZ . forall x . exists YY sub ZZ . F(YY, y) and x in YY",
+    "forall XX . forall y . forall x . (forall YY . YY eq XX & U(I(y)) -> x in YY or not P(x, y))",
+    "forall XX . forall y . forall x . exists YY sub U(I(y)) . XX eq YY and O(x, y)",
+    # the guard reads the bit-parallel variable, so it is not pushed
+    "forall x . P(x, x) -> (forall YY . F(YY, x) -> (exists z in YY . P(z, x)))",
+    "forall XX . forall x . exists YY . YY eq XX + I(x) and F(YY, x)",
+]
+
+
+@pytest.mark.parametrize("text", _PLURAL_GUARD_SHAPES)
+def test_plural_guard_shapes_match_reference(text):
+    f = parse(text)
+    rng = random.Random(text)
+    k2 = canonical_gem(2)
+    structures = [k2, induced_fusion(k2)]
+    structures += [_random_structure_of_reach(rng) for _ in range(40)]
+    for s in structures:
+        ev = Evaluator(s)
+        assert ev.eval(f) == _reference_eval(ev, f), s
+        assert ev.find_witness(f) == _reference_witness(ev, f), s
 
 
 def test_registry_matches_reference_on_canonical_models():

@@ -7,6 +7,7 @@ expected values they produce are frozen from a third route.
 
 import itertools
 import random
+from dataclasses import fields, replace
 
 from gemcheck import native
 from gemcheck.search import (_allowed_rows, _plan, code_of, relation_bits,
@@ -14,9 +15,10 @@ from gemcheck.search import (_allowed_rows, _plan, code_of, relation_bits,
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import FusionStructure, PartStructure
 from gemcheck.syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI,
-                             ForallP, FusionAtom, Iff, Implies, Member, Not,
-                             Or, OverlapAtom, PartAtom, ProperPartAtom, PVar,
-                             PInter, PUnion, Singleton, SubTerm, TermEq)
+                             ForallP, FusionAtom, Iff, Implies, INDIVIDUAL,
+                             Member, Not, Or, OverlapAtom, PartAtom,
+                             ProperPartAtom, PVar, PInter, PUnion, QUANTIFIERS,
+                             Singleton, SubTerm, TermEq, UNIVERSAL, free_vars)
 
 IVARS = ["x", "y", "z", "u", "v", "w"]
 PVARS = ["XX", "YY", "ZZ", "UU", "VV", "WW"]
@@ -142,6 +144,42 @@ def reference_free_vars(f) -> tuple:
                 iv, pv = iv | ti(bound), pv | tp(bound)
             return iv, pv
     raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
+# guarded expansion, the reference for restricted quantifiers
+
+def _map(node, fn):
+    """``node`` rebuilt from ``fn`` of each of its fields."""
+    return type(node)(*(fn(getattr(node, fl.name)) for fl in fields(node)))
+
+
+def _rename(node, old: str, new: str):
+    """``node`` with the free occurrences of the variable ``old`` renamed ``new``."""
+    if node is None or isinstance(node, str):
+        return new if node == old else node
+    if isinstance(node, QUANTIFIERS) and node.var == old:
+        return replace(node, bound=_rename(node.bound, old, new))
+    return _map(node, lambda x: _rename(x, old, new))
+
+
+def desugar(node):
+    """Expand restricted quantifiers into their guarded forms.
+
+    A bound is read outside its quantifier's scope, so a variable its own
+    bound mentions is renamed (primed, which no parsed name is) first.
+    """
+    if node is None or isinstance(node, str):
+        return node
+    if not isinstance(node, QUANTIFIERS) or node.bound is None:
+        return _map(node, desugar)
+    v, body, bound = node.var, node.body, node.bound
+    if v in frozenset().union(*free_vars(bound)):
+        v = v + "'"
+        body = _rename(body, node.var, v)
+    guard = Member(v, bound) if isinstance(node, INDIVIDUAL) else SubTerm(PVar(v), bound)
+    conn = Implies if isinstance(node, UNIVERSAL) else And
+    return type(node)(v, conn(guard, desugar(body)))
 
 
 # ---------------------------------------------------------------------------
