@@ -23,13 +23,45 @@ runs in full, cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F,
 exists_F, antis_P and as_PP (one checker), trans_P, fun_F, trans_PP,
 dfP_PP, approx_F, wsp_F, comp_F, ext_F (the order affects speed, never
 results).  Workers run only this stage, one task per value of row 0,
-which comes first in either order.  The survivors are sorted by code, so
-the output never depends on the search order or on scheduling.  The
-formula evaluator then decides each obligation once per survivor: a false
-obligation without a native checker rejects the survivor, a false
-natively decided one raises, so the scanning stage is never the final
-authority.  Agreement of the native route with the evaluator is itself
-the subject of the oracle-equivalence tests.
+which comes first in either order, and only when row 0 has two or more
+values and the baked product exceeds 4 096 candidates.  The survivors
+are sorted by code, so the output never depends on the search order or
+on scheduling.  The formula evaluator then decides each obligation once
+per survivor: a false obligation without a native checker rejects the
+survivor, a false natively decided one raises, so the scanning stage is
+never the final authority.  Agreement of the native route with the
+evaluator is itself the subject of the oracle-equivalence tests.
+
+Poset rows.  When ref_P, antis_P and trans_P are all natively decided
+(as for ``gem_p``; ``pp`` reaches reflexivity only through dfP_PP), the
+part rows range over naturally labeled posets, where ``x < y`` whenever
+x is a proper part of y: row k takes ``D | 1 << k`` for every ``D``
+within {0..k-1}, so element k joins as a new maximal element.
+Reflexivity and antisymmetry hold by construction, and the filed trans_P
+clauses reject a ``D`` that is not down-closed, so the search visits
+one natural labeling of a poset per leaf instead of every labeled
+relation.  Every poset has a natural labeling (any linear extension of
+its order), so every isomorphism class is reached.
+
+Top last.  When exists_F (fusion unfolded to the closure conditions on
+P) is natively decided too and n >= 1, the last row is only the full
+mask.  The whole domain has a fusion t, and every member of a plurality
+is part of its fusion, so every element is part of t: t is a top,
+unique by antisymmetry.  In a natural labeling an element above every
+other comes after every other, so t is n-1 and ``down[n-1]`` is full.
+
+Expansion.  The poset survivors are representatives: each is expanded
+into its distinct relabelings (one set, so an orbit two representatives
+share appears once), which are then sorted by code and go through the
+evaluator like any survivor.  This is complete because every obligation
+is a closed sentence, whose native and evaluator verdicts do not change
+under relabeling: a labeled model relabels to a natural labeling, which
+passes every native and so survives the search.
+
+Capacity.  ``DEFAULT_CEILING`` bounds the product of the baked value
+lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
+``gem_p``, past the ceiling at n=9 (2^28); reflexive part rows pass it
+at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
 
 Every verdict that can carry a witness (``check_theory``,
 ``verify_lemmas``, ``find_countermodel``) comes from one helper that runs
@@ -61,6 +93,11 @@ from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
 
 DEFAULT_CEILING = 1 << 26
 
+# value lists longer than this in total are refused before they are built;
+# every stream over more values has a product far past the ceiling
+# (part n >= 13, fusion n >= 9)
+_MAX_VALUES = 1 << 16
+
 # the native checkers, cheap first; the order affects speed, never results
 _PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.exists_f_closure,
                native.antis_p, native.trans_p, native.fun_f, native.fun_f_closure,
@@ -69,6 +106,9 @@ _PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.exists_f_closu
 
 # checkers whose axiom the scan bakes into the per-row value lists
 _ROW_LOCAL = {"part": {native.ref_p}, "fusion": {native.id_f, native.exists_f}}
+
+# with all three natively decided, part rows range over naturally labeled posets
+_ORDER_AXIOMS = frozenset({native.ref_p, native.antis_p, native.trans_p})
 
 
 @dataclass(frozen=True)
@@ -145,6 +185,32 @@ def _allowed_rows(kind: str, n: int, row_local: set) -> list:
             vals = [v for v in vals if v]
         rows.append(vals)
     return rows
+
+
+def _natural_rows(n: int, top_last: bool) -> list:
+    """Per-row values of the naturally labeled posets: row k is ``D | 1 << k``
+    for every ``D`` within {0..k-1}; with ``top_last`` the last row is only
+    the full mask."""
+    rows = [range(1 << k, 2 << k) for k in range(n)]
+    if top_last and n:
+        rows[-1] = [(1 << n) - 1]
+    return rows
+
+
+def _relabelings(n: int, representatives: list) -> list:
+    """The distinct relabelings of the part structures, in no fixed order."""
+    seen = set()
+    for perm in itertools.permutations(range(n)):
+        bit = [1 << x for x in perm]
+        for s in representatives:
+            down = [0] * n
+            for y, d in enumerate(s.down):
+                m = 0
+                for x in iter_bits(d):
+                    m |= bit[x]
+                down[perm[y]] = m
+            seen.add(tuple(down))
+    return [PartStructure(n, down) for down in seen]
 
 
 def _row_order(kind: str, n: int) -> list:
@@ -273,18 +339,27 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
     """Exactly the structures on which every obligation is true, in code order.
 
     Candidates are pre-filtered natively where obligations are recognized
-    registry axioms; the evaluator then decides every other obligation and
-    re-verifies the natively decided ones on each survivor, once each.  A
-    disagreement between the two routes raises rather than silently
-    corrupting the model set.
+    registry axioms, over poset rows when ref_P, antis_P and trans_P all
+    are, whose survivors are expanded into their relabelings; the
+    evaluator then decides every other obligation and re-verifies the
+    natively decided ones on each survivor, once each.  A disagreement
+    between the two routes raises rather than silently corrupting the
+    model set.  ``CapacityError`` if the baked product exceeds
+    ``DEFAULT_CEILING``.
     """
-    total = 1 << relation_bits(kind, n)
-    if total > DEFAULT_CEILING:
-        raise CapacityError(f"{total} candidates exceed the ceiling {DEFAULT_CEILING}")
+    if (n if kind == "part" else 1 << n) << n > _MAX_VALUES:  # at most 2^n per row
+        raise CapacityError(f"value lists at n={n} exceed {_MAX_VALUES} entries")
     row_local, natives, rest = _plan(kind, theory)
-    allowed = _allowed_rows(kind, n, row_local)
+    natural = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
+    if natural:
+        allowed = _natural_rows(n, native.exists_f_closure in natives)
+        natives.remove(native.antis_p)  # holds by construction, like ref_P
+    else:
+        allowed = _allowed_rows(kind, n, row_local)
     pruned = math.prod(map(len, allowed))
-    if workers > 1 and pruned > 4096:
+    if pruned > DEFAULT_CEILING:
+        raise CapacityError(f"{pruned} baked candidates exceed the ceiling {DEFAULT_CEILING}")
+    if workers > 1 and pruned > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row in either search order
         tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
@@ -293,6 +368,8 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
         survivors = [s for part in parts for s in part]
     else:
         survivors = _scan_worker((kind, n, allowed, natives))
+    if natural:
+        survivors = _relabelings(n, survivors)
     survivors.sort(key=code_of)
     decided = [nf for nf in theory if nf not in rest]
     models = []

@@ -83,8 +83,9 @@ class EvalOutcome:
     """Verdict for a closed sentence, with a refuting assignment on failure.
 
     The witness, when present, binds the sentence's outermost block of
-    universal quantifiers to the first values (in enumeration order)
-    under which the remaining body is false.
+    universal quantifiers, up to the first that rebinds a name, to the
+    first values (in enumeration order) under which the remaining body is
+    false.
     """
 
     value: bool
@@ -808,17 +809,18 @@ class Evaluator:
     def find_witness(self, sentence: Formula) -> Optional[Assignment]:
         """First assignment to the leading universal block refuting the rest.
 
-        Returns None when the sentence is true or does not start with a
-        universal quantifier.  The prefix is fixed one variable at a time,
-        in its written order: each takes the first value under which the
-        remaining universal suffix is false, which gives the
+        The block ends before the first quantifier that rebinds one of its
+        names.  Returns None when the sentence is true or does not start
+        with a universal quantifier.  The prefix is fixed one variable at a
+        time, in its written order: each takes the first value under which
+        the remaining universal suffix is false, which gives the
         lexicographically first refuting assignment without backtracking.
         """
         ctx = self.ctx
         env = {}
         prefix = []
         q = sentence
-        while isinstance(q, UNIVERSAL):
+        while isinstance(q, UNIVERSAL) and q.var not in env:
             suffix = compiled(q.body)[0]
             for val in _domain(q)(ctx, env):
                 env[q.var] = val
@@ -839,12 +841,45 @@ class Evaluator:
         return Assignment(individuals, plurals)
 
     def refutes(self, sentence: Formula, witness: Assignment) -> bool:
-        """True iff the witness really falsifies the body under its prefix."""
+        """True iff the witness really falsifies the body under its prefix.
+
+        The prefix is the leading universal block up to the first
+        quantifier the witness does not bind or that rebinds a name, as in
+        ``find_witness``.  Each prefix value must lie in its quantifier's
+        bound, read under the values of the quantifiers outside it.
+        """
+        unused = set(witness.individuals) | set(witness.plurals)  # not yet in the prefix
+        prefix = []
         body = sentence
-        names = set(witness.individuals) | set(witness.plurals)
-        while isinstance(body, UNIVERSAL) and body.var in names:
+        while isinstance(body, UNIVERSAL) and body.var in unused:
+            unused.remove(body.var)
+            prefix.append(body)
             body = body.body
+        if any(q.bound is not None for q in prefix) \
+                and not self._within_bounds(prefix, witness):
+            return False
         return not self.eval(body, witness)
+
+    def _within_bounds(self, prefix: list, witness: Assignment) -> bool:
+        """Whether each value the witness gives a prefix quantifier lies in
+        its bound, read under the values of the quantifiers outside it."""
+        env = _env_of(self.ctx.structure, witness)
+        names = [q.var for q in prefix]
+        for k, q in enumerate(prefix):
+            if q.bound is None:
+                continue
+            outer = {v: val for v, val in env.items() if v not in names[k:]}
+            ft, free = compiled_term(q.bound)
+            _check_bound(free, outer)
+            inside = ft(self.ctx, outer)
+            val = env[q.var]
+            if isinstance(q, ForallI):
+                within = inside >> val & 1
+            else:
+                within = not val & ~inside
+            if not within:
+                return False
+        return True
 
 
 def eval_term(s: Structure, t: PluralTerm, a: Optional[Assignment] = None) -> Plurality:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import random
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import summarize
 
-from util import (all_structures, evaluator_models, oracle_gem_p_model_codes,
-                  part_pairs, product_models)
+from util import (all_structures, evaluator_models, fusion_pairs,
+                  oracle_gem_p_model_codes, part_pairs, product_models)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,10 +41,23 @@ def test_enumeration_order_and_codes():
 
 
 def test_enumeration_capacity():
+    # decided on the baked product: 2^28 poset rows for gem_p at n=9 (2^21 at
+    # n=8), 2^36 unbaked rows for pp at n=6, about 1.4e14 for gem_f at n=4
     with pytest.raises(CapacityError):
-        filter_models("part", 6, gem_p())
+        filter_models("part", 9, gem_p())
+    with pytest.raises(CapacityError):
+        filter_models("part", 6, pp_axioms())
     with pytest.raises(CapacityError):
         filter_models("fusion", 4, gem_f())
+    # long value lists are refused before they are built
+    with pytest.raises(CapacityError, match="baked candidates"):
+        filter_models("part", 12, Theory("none", ()))
+    with pytest.raises(CapacityError, match="value lists"):
+        filter_models("part", 13, Theory("none", ()))
+    with pytest.raises(CapacityError, match="baked candidates"):
+        filter_models("fusion", 8, Theory("none", ()))
+    with pytest.raises(CapacityError, match="value lists"):
+        filter_models("fusion", 9, gem_f())
 
 
 def test_filter_models_part_against_naive_oracle():
@@ -76,16 +90,28 @@ def test_filter_native_and_pure_paths_agree():
             assert fast == slow, (kind, n, t.name)
 
 
+def order_theory():
+    """ref_P, antis_P and trans_P alone: the models are the labeled posets."""
+    return Theory("order", tuple(gem_p().get(name)
+                                 for name in ("ref_P", "antis_P", "trans_P")))
+
+
 DIFFERENTIAL_THEORIES = {
     "gem_f": gem_f, "gem_p": gem_p, "pp": pp_axioms, "lemmas": lemma_suite,
     "gem_f-ext_F": lambda: gem_f().drop("ext_F"),
     "gem_p-antis_P": lambda: gem_p().drop("antis_P"),
     "gem_p-trans_P": lambda: gem_p().drop("trans_P"),
+    # poset rows, without the top-last bake and with it
+    "gem_p-exists_F": lambda: gem_p().drop("exists_F"),
+    "gem_p-fun_F": lambda: gem_p().drop("fun_F"),
+    "order": order_theory,
 }
 # the product stream takes more than a few seconds (or minutes) on these
 SLOW_FOR_THE_PRODUCT = {("gem_f", "part", 4), ("gem_f-ext_F", "part", 4),
                         ("gem_p", "fusion", 3), ("pp", "fusion", 3),
-                        ("gem_p-antis_P", "fusion", 3), ("gem_p-trans_P", "fusion", 3)}
+                        ("gem_p-antis_P", "fusion", 3), ("gem_p-trans_P", "fusion", 3),
+                        ("gem_p-exists_F", "fusion", 3), ("gem_p-fun_F", "fusion", 3),
+                        ("order", "fusion", 3)}
 
 
 @pytest.mark.parametrize("name,kind,n", [
@@ -95,6 +121,99 @@ SLOW_FOR_THE_PRODUCT = {("gem_f", "part", 4), ("gem_f-ext_F", "part", 4),
 def test_row_search_matches_the_product_stream(name, kind, n):
     t = DIFFERENTIAL_THEORIES[name]()
     assert filter_models(kind, n, t) == product_models(kind, n, t)
+
+
+def _reflexive_row_models(n, theory):
+    """``filter_models`` over the reflexive part rows, the stream the poset
+    rows replaced: the same row search and clauses, every labeled relation."""
+    row_local, natives, _ = search._plan("part", theory)
+    allowed = search._allowed_rows("part", n, row_local)
+    survivors = sorted(search._scan_worker(("part", n, allowed, natives)), key=code_of)
+    return [s for s in survivors
+            if all(Evaluator(s).eval(nf.sentence) for nf in theory)]
+
+
+@pytest.mark.parametrize("name", ["gem_p", "gem_p-exists_F", "order"])
+def test_poset_rows_match_the_reflexive_rows_at_5(name):
+    t = DIFFERENTIAL_THEORIES[name]()
+    models = filter_models("part", 5, t)
+    assert models == _reflexive_row_models(5, t)
+    assert bool(models) == (name != "gem_p")
+
+
+def test_poset_rows_count_the_posets():
+    reps, labeled = [], []
+    t = order_theory()
+    row_local, natives, _ = search._plan("part", t)
+    for n in range(6):
+        allowed = search._natural_rows(n, top_last=False)
+        reps.append(len(search._scan_worker(("part", n, allowed, natives))))
+        labeled.append(len(filter_models("part", n, t)))
+    assert reps == [1, 1, 2, 7, 40, 357]  # unlabeled posets, OEIS A006455
+    assert labeled == [1, 1, 3, 19, 219, 4231]  # labeled posets, OEIS A001035
+
+
+@pytest.mark.parametrize("name,max_n", [("gem_p", 6), ("gem_p-fun_F", 5)])
+def test_top_last_keeps_every_survivor(name, max_n):
+    row_local, natives, _ = search._plan("part", DIFFERENTIAL_THEORIES[name]())
+    assert native.exists_f_closure in natives
+    for n in range(max_n + 1):
+        streams = [search._scan_worker(("part", n, search._natural_rows(n, top_last), natives))
+                   for top_last in (False, True)]
+        unpruned, pruned = (sorted(search._relabelings(n, reps), key=code_of)
+                            for reps in streams)
+        assert pruned == unpruned, n
+        assert len(streams[1]) <= len(streams[0])
+
+
+def test_gem_p_models_to_n_7(monkeypatch):
+    assert [count_models("part", gem_p(), n) for n in (5, 6)] == [0, 0]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool for a single task")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # the poset stream has one value in row 0, so two workers start no pool
+    models = filter_models("part", 7, gem_p(), workers=2)
+    base = canonical_gem(3)
+    relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
+                   for p in itertools.permutations(range(7))}
+    assert len(models) == 840 == math.factorial(7) // automorphism_count(base)
+    assert {part_pairs(m) for m in models} == relabelings
+    assert [code_of(m) for m in models] == sorted(map(code_of, models))
+
+
+def _relabeled(s, perm):
+    if isinstance(s, PartStructure):
+        return PartStructure.from_pairs(s.n, ((perm[x], perm[y])
+                                              for (x, y) in part_pairs(s)))
+    return FusionStructure.from_pairs(s.n, ((frozenset(perm[x] for x in zz), perm[x])
+                                            for (zz, x) in fusion_pairs(s)))
+
+
+def test_verdicts_are_invariant_under_relabeling():
+    # the poset stream's expansion is complete only because of this
+    rng = random.Random(17)
+    sentences = {nf.sentence: nf.name for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite())
+                 for nf in t}
+    posets = [m for n in range(5) for m in filter_models("part", n, order_theory())]
+    structures = [canonical_gem(2), induced_fusion(canonical_gem(2))]
+    structures += rng.sample(posets, 30)
+    structures += [random_structure("part", rng.randrange(5), rng) for _ in range(20)]
+    structures += [random_structure("fusion", rng.randrange(4), rng) for _ in range(20)]
+    verdicts = set()
+    for s in structures:
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        image = _relabeled(s, perm)
+        ev, ev_image = Evaluator(s), Evaluator(image)
+        for sentence, name in sentences.items():
+            verdict = ev.eval(sentence)
+            assert ev_image.eval(sentence) == verdict, (name, summarize(s), perm)
+            if native.native_for(sentence) is not None:
+                assert native.check_native(sentence, image) == \
+                    native.check_native(sentence, s) == verdict, (name, summarize(s), perm)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _fires_on_the_way(kind, n, checker, rows):
@@ -274,9 +393,9 @@ def test_equivalence_vacuous_bounds():
 
 
 def test_canonical_k3_relabelings_satisfy_gem_p():
-    # the labeled-count formula value at k=3 is 7!/6 = 840; the space at
-    # n=7 is out of exhaustive reach, so validate the formula's premise:
-    # every distinct relabeling of the canonical model is a model
+    # the labeled-count formula value at k=3 is 7!/6 = 840; validate the
+    # formula's premise apart from the scan: every distinct relabeling of
+    # the canonical model is a model
     base = canonical_gem(3)
     relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
                    for p in itertools.permutations(range(7))}

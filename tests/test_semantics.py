@@ -89,6 +89,30 @@ def test_witness_refutes():
     assert ev.refutes(nf.sentence, w)
 
 
+def test_refutes_checks_each_prefix_value_against_its_bound():
+    s = PartStructure(2, (1, 3))  # P(0, 1) besides reflexivity
+    ev = Evaluator(s)
+    f = parse("forall y . forall z in I(y) . P(y, z) -> z = y")
+    assert ev.eval(f) and ev.find_witness(f) is None
+    # z = 1 lies outside I(0), although the body is false under it
+    assert not ev.refutes(f, Assignment(individuals={"y": 0, "z": 1}))
+    g = parse("forall XX . forall ZZ sub XX . exists z in ZZ . P(z, z)")
+    assert not ev.refutes(g, Assignment(plurals={"XX": frozenset(), "ZZ": frozenset({1})}))
+    assert ev.refutes(g, Assignment(plurals={"XX": frozenset({1}), "ZZ": frozenset()}))
+
+
+def test_witness_prefix_stops_at_a_rebinding():
+    s = PartStructure(2, (1, 3))
+    ev = Evaluator(s)
+    f = parse("forall y . forall z in I(y) . forall y . P(z, y) -> z = y")
+    w = ev.find_witness(f)
+    # z = 0 comes from I(y) with the outer y = 0; the inner y is not reported
+    assert w == Assignment(individuals={"y": 0, "z": 0}) == _reference_witness(ev, f)
+    assert ev.refutes(f, w)
+    # the inner y = 1 does refute the body, but z = 0 lies outside I(1)
+    assert not ev.refutes(f, Assignment(individuals={"y": 1, "z": 0}))
+
+
 def test_empty_plurality_convention():
     s = PartStructure.from_pairs(2, ())
     f = parse("exists x . x in ZZ")
@@ -219,10 +243,11 @@ def _reference_eval(ev, f, a=None):
 
 
 def _reference_witness(ev, sentence):
-    """Backtracking search for the first refuting prefix assignment."""
+    """Backtracking search for the first refuting prefix assignment; the
+    prefix ends before the first quantifier that rebinds one of its names."""
     ctx = ev.ctx
     prefix, body = [], sentence
-    while isinstance(body, (ForallI, ForallP)):
+    while isinstance(body, (ForallI, ForallP)) and body.var not in {q.var for q in prefix}:
         prefix.append(body)
         body = body.body
     if not prefix:
@@ -242,17 +267,12 @@ def _reference_witness(ev, sentence):
     def search(i):
         if i == len(prefix):
             return not fbody(ctx, env)
-        # a prefix may rebind a name; an earlier bound reads the outer value
         var = prefix[i].var
-        old = env.get(var)
         for val in values(prefix[i]):
             env[var] = val
             if search(i + 1):
                 return True
-        if old is None:
-            env.pop(var, None)
-        else:
-            env[var] = old
+        env.pop(var, None)
         return False
 
     if not search(0):

@@ -268,8 +268,9 @@ def evaluator_models(kind, n, theory):
 
 def product_models(kind, n, theory):
     """``filter_models`` over the product of the baked row lists in row
-    index order, the stream the row search replaced: every native on every
-    candidate, then every obligation through the evaluator, in code order."""
+    index order (reflexive part rows, never poset rows), the stream the row
+    search replaced: every native on every candidate, then every obligation
+    through the evaluator, in code order."""
     row_local, natives, _ = _plan(kind, theory)
     if kind == "part":
         tables, build = native.part_tables, PartStructure
