@@ -21,16 +21,17 @@ theory's own obligations are filed, so without them the search visits
 the whole product of the value lists.  At each leaf every native checker
 runs in full, cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F,
 exists_F, antis_P and as_PP (one checker), trans_P, fun_F, trans_PP,
-dfP_PP, approx_F, wsp_F, comp_F, ext_F (the order affects speed, never
+dfP_PP, approx_F, wsp_F, comp_F, ext_F; unfolded to P, fun_F comes before
+exists_F, which rejects poset leaves later (the order affects speed, never
 results).  Workers run only this stage, one task per value of row 0,
 which comes first in either order, and only when row 0 has two or more
-values and the baked product exceeds 4 096 candidates.  The survivors
-are sorted by code, so the output never depends on the search order or
-on scheduling.  The formula evaluator then decides each obligation once
-per survivor: a false obligation without a native checker rejects the
-survivor, a false natively decided one raises, so the scanning stage is
-never the final authority.  Agreement of the native route with the
-evaluator is itself the subject of the oracle-equivalence tests.
+values and the baked product exceeds 4 096 candidates.  Orbits of
+survivors are ordered by code, so the output never depends on the search
+order or on scheduling.  The formula evaluator then decides each
+obligation once per orbit: a false obligation without a native checker
+rejects the orbit, a false natively decided one raises, so the scanning
+stage is never the final authority.  Agreement of the native route with
+the evaluator is itself the subject of the oracle-equivalence tests.
 
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
 (as for ``gem_p``; ``pp`` reaches reflexivity only through dfP_PP), the
@@ -50,13 +51,19 @@ is part of its fusion, so every element is part of t: t is a top,
 unique by antisymmetry.  In a natural labeling an element above every
 other comes after every other, so t is n-1 and ``down[n-1]`` is full.
 
-Expansion.  The poset survivors are representatives: each is expanded
-into its distinct relabelings (one set, so an orbit two representatives
-share appears once), which are then sorted by code and go through the
-evaluator like any survivor.  This is complete because every obligation
-is a closed sentence, whose native and evaluator verdicts do not change
-under relabeling: a labeled model relabels to a natural labeling, which
-passes every native and so survives the search.
+Orbits.  Every obligation is a closed sentence whose evaluator and native
+verdicts do not change under relabeling, and the translations commute
+with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
+relabeled, likewise ``induced_part``).  So the survivors are grouped into
+relabeling orbits, and the evaluator sees only each orbit's first member
+in code order.  On the poset stream an orbit is every relabeling of a
+surviving natural labeling (once, however many of its natural labelings
+survive), which is complete: a labeled model relabels to a natural
+labeling, which passes every native and so survives.  Elsewhere it is a
+survivor's relabelings among the survivors.  The members are expanded
+into the code-ordered result, and what is not invariant still runs on
+each: the round trip, ``def_pf``/``def_uf``, injectivity of the
+translation, and each failing member's own witness.
 
 Capacity.  ``DEFAULT_CEILING`` bounds the product of the baked value
 lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
@@ -75,6 +82,7 @@ included only on request, since they are the one nondeterministic field).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -99,8 +107,8 @@ DEFAULT_CEILING = 1 << 26
 _MAX_VALUES = 1 << 16
 
 # the native checkers, cheap first; the order affects speed, never results
-_PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.exists_f_closure,
-               native.antis_p, native.trans_p, native.fun_f, native.fun_f_closure,
+_PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.fun_f_closure,
+               native.exists_f_closure, native.antis_p, native.trans_p, native.fun_f,
                native.trans_pp, native.dfp_pp, native.approx_f, native.wsp_f,
                native.comp_f, native.ext_f)
 
@@ -197,20 +205,45 @@ def _natural_rows(n: int, top_last: bool) -> list:
     return rows
 
 
-def _relabelings(n: int, representatives: list) -> list:
-    """The distinct relabelings of the part structures, in no fixed order."""
+def _relabeled_rows(s: Structure, perm) -> tuple:
+    """The rows of ``s`` with each element x renamed ``perm[x]``."""
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+
+    def image(mask, rename=perm):
+        return sum(1 << rename[x] for x in iter_bits(mask))
+    if isinstance(s, PartStructure):
+        return tuple(image(s.down[inverse[y]]) for y in range(s.n))
+    return tuple(image(s.rows[image(p, inverse)]) for p in range(1 << s.n))
+
+
+def _orbits(kind: str, n: int, survivors: list, natural: bool) -> list:
+    """The survivors' relabelings (on the poset stream all, elsewhere those
+    among the survivors) as orbits of members in code order, ordered by code."""
+    build, rows_of = ((PartStructure, lambda s: s.down) if kind == "part"
+                      else (FusionStructure, lambda s: s.rows))
+    perms = list(itertools.permutations(range(n)))
+    known = {rows_of(s): s for s in survivors}
     seen = set()
-    for perm in itertools.permutations(range(n)):
-        bit = [1 << x for x in perm]
-        for s in representatives:
-            down = [0] * n
-            for y, d in enumerate(s.down):
-                m = 0
-                for x in iter_bits(d):
-                    m |= bit[x]
-                down[perm[y]] = m
-            seen.add(tuple(down))
-    return [PartStructure(n, down) for down in seen]
+    orbits = []
+    for s in survivors:
+        if rows_of(s) in seen:
+            continue  # an orbit two natural labelings share
+        orbit = {_relabeled_rows(s, perm) for perm in perms}
+        if not natural:
+            orbit &= known.keys()
+        seen |= orbit
+        orbits.append(sorted((known.get(rows) or build(n, rows) for rows in orbit),
+                             key=code_of))
+    return sorted(orbits, key=lambda orbit: code_of(orbit[0]))
+
+
+class Models(list):
+    """Labeled models in code order; ``orbits``: their relabeling orbits by
+    code, tuples of members in code order led by the representative decided."""
+
+    def __init__(self, orbits: tuple):
+        super().__init__(sorted((m for orbit in orbits for m in orbit), key=code_of))
+        self.orbits = orbits
 
 
 def _row_order(kind: str, n: int) -> list:
@@ -242,45 +275,34 @@ def _ext_f_fires(rows, clauses) -> bool:
     return False
 
 
-def _antis_p_clauses(n: int):
-    # x != y, P(x, y) and P(y, x)
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                yield (x, y), (y, x, 1 << x, 1 << y, 0)
-
-
-def _trans_p_clauses(n: int):
-    # P(x, y), P(y, z) and not P(x, z)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                yield (y, z), (y, z, 1 << x, 1 << y, 1 << x)
-
-
-def _trans_pp_clauses(n: int):
-    # PP(x, y), PP(y, z) and not PP(x, z)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if x != y and y != z:
-                    yield (y, z), (y, z, 1 << x, 1 << y, 0 if x == z else 1 << x)
+def _part_clauses(shape):
+    """A part family's instances: ``shape(x, y, z)`` is the clause
+    ``(i, j, bx, by, c)`` of instance (x, y, z), or None; it reads rows i, j."""
+    def instances(n: int):
+        for x, y, z in itertools.product(range(n), repeat=3):
+            clause = shape(x, y, z)
+            if clause is not None:
+                yield clause[:2], clause
+    return instances
 
 
 def _ext_f_clauses(n: int):
-    size = 1 << n
-    for zz in range(size):
-        for yy in range(size):
-            for uu in range(size):
-                a, b = uu | zz, uu | yy
-                yield (zz, yy, a, b), (zz, yy, a, b)
+    for zz, yy, uu in itertools.product(range(1 << n), repeat=3):
+        clause = (zz, yy, uu | zz, uu | yy)
+        yield clause, clause
 
 
-# (kind, checker) -> (the family's test, its instances at size n)
+# (kind, checker) -> (the family's test, its instances at size n); the part
+# shapes: x != y, P(x, y) and P(y, x); P(x, y), P(y, z) and not P(x, z);
+# PP(x, y), PP(y, z) and not PP(x, z) (a repeated antis_P clause is filed once)
 _CLAUSES = {
-    ("part", native.antis_p): (_part_fires, _antis_p_clauses),
-    ("part", native.trans_p): (_part_fires, _trans_p_clauses),
-    ("part", native.trans_pp): (_part_fires, _trans_pp_clauses),
+    ("part", native.antis_p): (_part_fires, _part_clauses(
+        lambda x, y, z: (y, x, 1 << x, 1 << y, 0) if x != y else None)),
+    ("part", native.trans_p): (_part_fires, _part_clauses(
+        lambda x, y, z: (y, z, 1 << x, 1 << y, 1 << x))),
+    ("part", native.trans_pp): (_part_fires, _part_clauses(
+        lambda x, y, z: (y, z, 1 << x, 1 << y, 0 if x == z else 1 << x)
+        if x != y != z else None)),
     ("fusion", native.ext_f): (_ext_f_fires, _ext_f_clauses),
 }
 
@@ -335,18 +357,10 @@ def _scan_worker(args) -> list:
     return found
 
 
-def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
-    """Exactly the structures on which every obligation is true, in code order.
-
-    Candidates are pre-filtered natively where obligations are recognized
-    registry axioms, over poset rows when ref_P, antis_P and trans_P all
-    are, whose survivors are expanded into their relabelings; the
-    evaluator then decides every other obligation and re-verifies the
-    natively decided ones on each survivor, once each.  A disagreement
-    between the two routes raises rather than silently corrupting the
-    model set.  ``CapacityError`` if the baked product exceeds
-    ``DEFAULT_CEILING``.
-    """
+def _stream(kind: str, n: int, theory: Theory):
+    """``(natural, allowed, natives, rest)``: whether the scan is over poset
+    rows, its value lists and natives, and the evaluator-only obligations;
+    ``CapacityError`` past the bounds, which only grow with n."""
     if (n if kind == "part" else 1 << n) << n > _MAX_VALUES:  # at most 2^n per row
         raise CapacityError(f"value lists at n={n} exceed {_MAX_VALUES} entries")
     row_local, natives, rest = _plan(kind, theory)
@@ -359,7 +373,23 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
     pruned = math.prod(map(len, allowed))
     if pruned > DEFAULT_CEILING:
         raise CapacityError(f"{pruned} baked candidates exceed the ceiling {DEFAULT_CEILING}")
-    if workers > 1 and pruned > 4096 and len(allowed[0]) > 1:
+    return natural, allowed, natives, rest
+
+
+def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models:
+    """Exactly the structures on which every obligation is true, in code
+    order, with their orbits.
+
+    Candidates are pre-filtered natively where obligations are recognized
+    registry axioms, over poset rows when ref_P, antis_P and trans_P all
+    are; on each orbit's representative the evaluator then decides every
+    other obligation and re-verifies the natively decided ones.  A
+    disagreement between the two routes raises rather than silently
+    corrupting the model set.  ``CapacityError`` if the baked product
+    exceeds ``DEFAULT_CEILING``.
+    """
+    natural, allowed, natives, rest = _stream(kind, n, theory)
+    if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row in either search order
         tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
@@ -368,22 +398,19 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> list:
         survivors = [s for part in parts for s in part]
     else:
         survivors = _scan_worker((kind, n, allowed, natives))
-    if natural:
-        survivors = _relabelings(n, survivors)
-    survivors.sort(key=code_of)
     decided = [nf for nf in theory if nf not in rest]
-    models = []
-    for s in survivors:
-        ev = Evaluator(s)
+    orbits = []
+    for orbit in _orbits(kind, n, survivors, natural):
+        ev = Evaluator(orbit[0])
         if not all(ev.eval(nf.sentence) for nf in rest):
             continue
         for nf in decided:
             if not ev.eval(nf.sentence):
                 raise RuntimeError(
                     f"native scan and evaluator disagree on {nf.name} "
-                    f"for {summarize(s)}; this is a bug")
-        models.append(s)
-    return models
+                    f"for {summarize(orbit[0])}; this is a bug")
+        orbits.append(tuple(orbit))
+    return Models(tuple(orbits))
 
 
 @dataclass(frozen=True)
@@ -529,10 +556,11 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
     """
     t0 = time.monotonic()
     max_n = bounds.max_n_part if kind == "part" else bounds.max_n_fusion
-    # batches of (candidates they count for, structures to try)
+    # batches of (candidates they count for, structures to try); exhaustive
+    # ones try the representatives, so the first failing is the first model
     if strategy == "exhaustive":
         batches = ((1 << relation_bits(kind, n),
-                    filter_models(kind, n, base, workers=workers))
+                    [orbit[0] for orbit in filter_models(kind, n, base, workers=workers).orbits])
                    for n in range(max_n + 1))
         spent = "exhausted bounds"
     elif strategy == "random":
@@ -628,6 +656,8 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
         ("fusion", bounds.max_n_fusion, gem_f(), induced_part, induced_fusion, gem_p(),
          "part_axioms_pass", "def_uf", _def_uf, "round_trip_b"),
     )
+    for side, max_n, source, *_ in sides:
+        _stream(side, max_n, source)  # capacity, before any size is scanned
     side_rows = {}
     for (side, max_n, source, there, back, target, axioms_key, definition,
          definition_holds, round_trip) in sides:
@@ -639,13 +669,15 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
                    "round_trip_pass": 0, "injective": True}
             if side == "fusion":
                 row["with_empty_plurality"] = sum(fs.rows[0] != 0 for fs in models)
-            images = set()
-            for s in models:
-                image = there(s)
-                images.add(image)
+            images = {s: there(s) for s in models}
+            failing = {}  # target failures once per orbit; there() commutes with relabeling
+            for orbit in models.orbits:
+                ev = Evaluator(images[orbit[0]])
+                failing.update(dict.fromkeys(
+                    orbit, [nf.name for nf in target if not ev.eval(nf.sentence)]))
+            for s, image in images.items():
                 returned = back(image)
-                ev = Evaluator(image)
-                bad = [nf.name for nf in target if not ev.eval(nf.sentence)]
+                bad = failing[s]
                 for key, check, ok, detail in (
                         (axioms_key, f"{target.name} axioms", not bad, bad),
                         (f"{definition}_pass", definition,
@@ -656,7 +688,7 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
                     else:
                         violations.append({"side": side, "n": n, "structure": summarize(s),
                                            "check": check, "detail": detail})
-            if len(images) != len(models):
+            if len(set(images.values())) != len(models):
                 row["injective"] = False
                 violations.append({"side": side, "n": n, "structure": None,
                                    "check": "translation_injective", "detail": None})
@@ -708,30 +740,38 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
     suite = lemma_suite()
     if name is not None:
         suite = Theory("lemmas", (suite.get(name),))
-    evaluators = {}
-    for side in sorted({nf.side for nf in suite}):
-        if side == "gem_p":
-            kind, max_n, suffix = "part", bounds.max_n_part, ""
-        else:
-            kind, max_n, suffix = "fusion", bounds.max_n_fusion, ", fusion side"
-        scope = [(f"all {side} models", m) for n in range(max_n + 1)
-                 for m in filter_models(kind, n, theory_by_name(side), workers=workers)]
+    sides = {side: ("part", bounds.max_n_part, "") if side == "gem_p"
+             else ("fusion", bounds.max_n_fusion, ", fusion side")
+             for side in sorted({nf.side for nf in suite})}
+    for side, (kind, max_n, _) in sides.items():
+        _stream(kind, max_n, theory_by_name(side))  # capacity, before any size is scanned
+    scopes = {}  # side -> (label, structure, its orbit's representative)
+    for side, (kind, max_n, suffix) in sides.items():
+        scope = scopes[side] = []
+        for n in range(max_n + 1):
+            models = filter_models(kind, n, theory_by_name(side), workers=workers)
+            representative = {m: orbit[0] for orbit in models.orbits for m in orbit}
+            scope += [(f"all {side} models", m, representative[m]) for m in models]
         if canonical_k:
             canonical = canonical_gem(canonical_k)
-            scope.append((f"canonical k={canonical_k}{suffix}",
-                          canonical if kind == "part" else induced_fusion(canonical)))
-        evaluators[side] = [(label, Evaluator(m)) for label, m in scope]
+            canonical = canonical if kind == "part" else induced_fusion(canonical)
+            scope.append((f"canonical k={canonical_k}{suffix}", canonical, canonical))
+    evaluator = functools.cache(Evaluator)  # one per structure, built when first asked
     rows = []
     for nf in suite:
         failures = []
-        for label, ev in evaluators[nf.side]:
-            outcome = _verified_check(ev, nf)
+        verdicts = {}  # representative -> its outcome
+        for label, m, rep in scopes[nf.side]:
+            if rep not in verdicts:
+                verdicts[rep] = _verified_check(evaluator(rep), nf)
+            outcome = verdicts[rep]
+            if not outcome.value and m != rep:
+                outcome = _verified_check(evaluator(m), nf)  # each its own witness
             if not outcome.value:
-                failures.append({"structure": summarize(ev.ctx.structure),
-                                 "scope": label,
+                failures.append({"structure": summarize(m), "scope": label,
                                  "witness": _witness_dict(outcome.witness)})
         rows.append({"name": nf.name, "side": nf.side,
-                     "models_checked": len(evaluators[nf.side]),
+                     "models_checked": len(scopes[nf.side]),
                      "passed": not failures, "failures": failures})
     return LemmaReport(bounds.max_n_part, bounds.max_n_fusion, canonical_k,
                        tuple(rows), int((time.monotonic() - t0) * 1000))

@@ -234,6 +234,31 @@ def test_capacity_exit_code():
     assert code == 3 and "capacity" in err
 
 
+@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "4"),
+                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "4")])
+def test_capacity_fails_before_any_scan(monkeypatch, argv):
+    # the largest size is checked first, so nothing is scanned before exit 3
+    def no_scan(args):
+        raise AssertionError("a size was scanned before the capacity check")
+    kind, n, theory = (("part", 9, gemcheck.gem_p()) if "--max-part" in argv
+                       else ("fusion", 4, gemcheck.gem_f()))
+    with pytest.raises(gemcheck.CapacityError) as lazily:
+        gemcheck.filter_models(kind, n, theory)
+    monkeypatch.setattr(search, "_scan_worker", no_scan)
+    code, out, err = run_cli(*argv, "--workers", "1")
+    assert (code, out, err) == (3, "", f"capacity: {lazily.value}\n")
+
+
+def test_equiv_reaches_part_7():
+    code, out, _ = run_cli("equiv", "--max-part", "7", "--max-fusion", "0",
+                           "--format", "json", "--workers", "1")
+    d = json.loads(out)
+    row = d["part_side"][7]
+    assert (row["models"], row["fusion_axioms_pass"], row["def_pf_pass"],
+            row["round_trip_pass"], row["injective"]) == (840, 840, 840, 840, True)
+    assert code == 0 and d["violations"] == []
+
+
 def test_oversized_structure_literal_exit_code(tmp_path):
     # a fusion structure past 16 elements cannot be built; a part literal
     # past the literal limit is refused before any row is allocated

@@ -12,14 +12,14 @@ from gemcheck import (CapacityError, FusionStructure, PartStructure, Theory,
                       count_models, filter_models, find_countermodel, gem_f,
                       gem_p, induced_fusion, induced_part, lemma_suite,
                       list_models, native, pp_axioms, search,
-                      verify_equivalence)
+                      verify_equivalence, verify_lemmas)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import summarize
 
-from util import (all_structures, evaluator_models, fusion_pairs,
-                  oracle_gem_p_model_codes, part_pairs, product_models)
+from util import (all_structures, evaluator_models, labeled_models,
+                  oracle_gem_p_model_codes, part_pairs, product_models, relabeled)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,7 +160,8 @@ def test_top_last_keeps_every_survivor(name, max_n):
     for n in range(max_n + 1):
         streams = [search._scan_worker(("part", n, search._natural_rows(n, top_last), natives))
                    for top_last in (False, True)]
-        unpruned, pruned = (sorted(search._relabelings(n, reps), key=code_of)
+        unpruned, pruned = (sorted((m for orbit in search._orbits("part", n, reps, True)
+                                    for m in orbit), key=code_of)
                             for reps in streams)
         assert pruned == unpruned, n
         assert len(streams[1]) <= len(streams[0])
@@ -175,19 +176,13 @@ def test_gem_p_models_to_n_7(monkeypatch):
     # the poset stream has one value in row 0, so two workers start no pool
     models = filter_models("part", 7, gem_p(), workers=2)
     base = canonical_gem(3)
-    relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
-                   for p in itertools.permutations(range(7))}
     assert len(models) == 840 == math.factorial(7) // automorphism_count(base)
-    assert {part_pairs(m) for m in models} == relabelings
+    # one orbit, decided once: the relabelings of the canonical model
+    [orbit] = models.orbits
+    assert list(orbit) == models
+    assert {part_pairs(m) for m in models} == {
+        part_pairs(relabeled(base, p)) for p in itertools.permutations(range(7))}
     assert [code_of(m) for m in models] == sorted(map(code_of, models))
-
-
-def _relabeled(s, perm):
-    if isinstance(s, PartStructure):
-        return PartStructure.from_pairs(s.n, ((perm[x], perm[y])
-                                              for (x, y) in part_pairs(s)))
-    return FusionStructure.from_pairs(s.n, ((frozenset(perm[x] for x in zz), perm[x])
-                                            for (zz, x) in fusion_pairs(s)))
 
 
 def test_verdicts_are_invariant_under_relabeling():
@@ -204,7 +199,7 @@ def test_verdicts_are_invariant_under_relabeling():
     for s in structures:
         perm = list(range(s.n))
         rng.shuffle(perm)
-        image = _relabeled(s, perm)
+        image = relabeled(s, perm)
         ev, ev_image = Evaluator(s), Evaluator(image)
         for sentence, name in sentences.items():
             verdict = ev.eval(sentence)
@@ -214,6 +209,108 @@ def test_verdicts_are_invariant_under_relabeling():
                     native.check_native(sentence, s) == verdict, (name, summarize(s), perm)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_translations_commute_with_relabeling():
+    # verify_equivalence decides the target once per orbit only because of this
+    rng = random.Random(23)
+    cases = [(m, perm) for n in range(5) for m in filter_models("part", n, gem_p())
+             for perm in itertools.permutations(range(n))]
+    base = canonical_gem(3)
+    seen = set()
+    for perm in itertools.permutations(range(7)):  # one perm per distinct image
+        image = relabeled(base, perm)
+        if image not in seen:
+            seen.add(image)
+            cases.append((base, perm))
+    assert len(seen) == 840
+    for m, perm in cases:
+        assert induced_fusion(relabeled(m, perm)) == relabeled(induced_fusion(m), perm)
+    for _ in range(200):
+        n = rng.randrange(4)
+        f, perm = random_structure("fusion", n, rng), rng.sample(range(n), n)
+        assert induced_part(relabeled(f, perm)) == relabeled(induced_part(f), perm)
+    for n in range(4):
+        for f in filter_models("fusion", n, gem_f()):
+            for perm in itertools.permutations(range(n)):
+                assert induced_part(relabeled(f, perm)) == relabeled(induced_part(f), perm)
+
+
+LABELED_CASES = [(name, "part", n) for name in ("gem_p", "gem_p-exists_F", "gem_p-fun_F", "order")
+                 for n in range(6)]
+LABELED_CASES += [("gem_p-fun_F", "part", 6)] + [("gem_f", "fusion", n) for n in range(4)]
+
+
+@pytest.mark.parametrize("name,kind,n", LABELED_CASES)
+def test_orbits_match_the_labeled_reference(name, kind, n):
+    t = DIFFERENTIAL_THEORIES[name]()
+    models = filter_models(kind, n, t)
+    assert models == labeled_models(kind, n, t)
+    # the orbits partition the models, each in code order and led by its
+    # representative, and hold relabelings of it only
+    assert sorted((m for orbit in models.orbits for m in orbit), key=code_of) == models
+    assert [orbit[0] for orbit in models.orbits] == \
+        sorted((orbit[0] for orbit in models.orbits), key=code_of)
+    for orbit in models.orbits:
+        assert list(orbit) == sorted(orbit, key=code_of)
+        images = {relabeled(orbit[0], perm) for perm in itertools.permutations(range(n))}
+        assert set(orbit) <= images
+
+
+def _labeled_route(monkeypatch):
+    """Make every consumer of filter_models see each labeled model as its own orbit."""
+    monkeypatch.setattr(search, "filter_models",
+                        lambda kind, n, theory, workers=1: labeled_models(kind, n, theory))
+
+
+def test_equivalence_matches_the_labeled_reference(monkeypatch):
+    bounds = SearchBounds(max_n_part=5, max_n_fusion=3)
+    orbit_route = verify_equivalence(bounds).to_dict()
+    # without fun_F the part side has orbits of up to 120 models whose
+    # images fail the target, so every violation shows its labeled structure
+    monkeypatch.setattr(search, "gem_p", lambda: gem_p().drop("fun_F"))
+    weak = verify_equivalence(bounds).to_dict()
+    assert [r["models"] for r in weak["part_side"]] == [1, 1, 2, 9, 72, 890]
+    # only the gem_p models' images satisfy gem_f: n=0, 1 and one orbit at 3
+    assert [r["fusion_axioms_pass"] for r in weak["part_side"]] == [1, 1, 0, 3, 0, 0]
+    _labeled_route(monkeypatch)
+    assert verify_equivalence(bounds).to_dict() == weak
+    monkeypatch.undo()
+    _labeled_route(monkeypatch)
+    assert verify_equivalence(bounds).to_dict() == orbit_route
+
+
+def test_lemmas_and_countermodels_match_the_labeled_reference(monkeypatch):
+    # over weaker theories the lemmas fail on orbits larger than one, so
+    # the witnesses of every failing member are compared
+    weaker = {"gem_p": order_theory, "gem_f": lambda: gem_f().drop("wsp_F")}
+    monkeypatch.setattr(search, "theory_by_name", lambda side: weaker[side]())
+    bounds = SearchBounds(max_n_part=4, max_n_fusion=2)
+    searches = [("part", order_theory(), gem_p().get("fun_F"), bounds),
+                ("part", gem_p().drop("fun_F"), gem_p().get("fun_F"), bounds),
+                ("part", order_theory(), gem_p().get("exists_F"), bounds),
+                ("fusion", gem_f().drop("wsp_F"), gem_f().get("wsp_F"), bounds)]
+
+    def reports():
+        return (report_json(verify_lemmas(bounds, 2).to_dict()),
+                [find_countermodel(*args).to_dict() for args in searches])
+    lemmas, found = reports()
+    assert '"passed": false' in lemmas
+    assert all(r["verdict"] == "found" for r in found)
+    _labeled_route(monkeypatch)
+    assert reports() == (lemmas, found)
+
+
+def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
+    def accept(tables):
+        return True
+    sentence = gem_p().get("fun_F").sentence
+    native.native_for(sentence)  # builds the registry
+    monkeypatch.setitem(native._NATIVE, sentence, accept)
+    monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
+    assert search._stream("part", 3, gem_p())[0]  # still the poset stream
+    with pytest.raises(RuntimeError, match="native scan and evaluator disagree on fun_F"):
+        filter_models("part", 3, gem_p())
 
 
 def _fires_on_the_way(kind, n, checker, rows):

@@ -10,8 +10,8 @@ import random
 from dataclasses import fields, replace
 
 from gemcheck import native
-from gemcheck.search import (_allowed_rows, _plan, code_of, relation_bits,
-                             structure_from_code)
+from gemcheck.search import (Models, _allowed_rows, _plan, _scan_worker, _stream,
+                             code_of, relation_bits, structure_from_code)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import FusionStructure, PartStructure
 from gemcheck.syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI,
@@ -198,6 +198,15 @@ def fusion_pairs(fs):
                      if (row >> x) & 1)
 
 
+def relabeled(s, perm):
+    """``s`` with each element x renamed ``perm[x]``, through its pairs."""
+    if isinstance(s, PartStructure):
+        return PartStructure.from_pairs(s.n, ((perm[x], perm[y])
+                                              for (x, y) in part_pairs(s)))
+    return FusionStructure.from_pairs(s.n, ((frozenset(perm[x] for x in zz), perm[x])
+                                            for (zz, x) in fusion_pairs(s)))
+
+
 def oracle_overlap(n, part, a, b):
     return any((c, a) in part and (c, b) in part for c in range(n))
 
@@ -285,3 +294,20 @@ def product_models(kind, n, theory):
             if all(ev.eval(nf.sentence) for nf in theory):
                 out.append(s)
     return sorted(out, key=code_of)
+
+
+def labeled_models(kind, n, theory):
+    """``filter_models`` with the evaluator on every labeled structure: the
+    scan's survivors (on the poset stream, every relabeling of them), each
+    through every obligation and, if it passes, an orbit of its own."""
+    natural, allowed, natives, _ = _stream(kind, n, theory)
+    survivors = _scan_worker((kind, n, allowed, natives))
+    if natural:
+        survivors = {relabeled(s, perm) for s in survivors
+                     for perm in itertools.permutations(range(n))}
+    models = []
+    for s in sorted(survivors, key=code_of):
+        ev = Evaluator(s)
+        if all(ev.eval(nf.sentence) for nf in theory):
+            models.append((s,))
+    return Models(tuple(models))
