@@ -8,13 +8,14 @@ structure's signature: on a fusion structure P, O and PP are derived from
 F; on a part structure F, O, PP and U are derived from P.  Asking for
 either signature's predicates on either kind of structure is always legal.
 
-Formulas are compiled once into nested Python closures (cached per AST
-node, together with the node's free variables), so repeated evaluation
-over large assignment spaces does not re-traverse the tree.  Plural values
-are bitmasks internally.  The assignment space is never materialized.
-
-Compilation plans each block of like quantifiers (a run of universal, or
-of existential, quantifiers), reading only the formula:
+Each formula is compiled once (cached per AST node, with its free
+variables) into the source of one Python function ``fn(ctx, env)``, run
+through ``compile()`` and kept in ``linecache``.  It reads the free
+variables and the context's tables into locals at entry; bound variables
+are locals, atoms are inline bit expressions, and a decided quantifier
+returns at once.  Plural values are bitmasks.  The assignment space is
+never materialized.  The plan behind the code reads only the formula,
+block by block of like quantifiers (a run of universal, or existential):
 
 * A universal body ``A1 and ... and Am -> C`` (an existential body
   ``A1 and ... and Am``) is split into guards ``Ai``, and each guard is
@@ -22,7 +23,7 @@ of existential, quantifiers), reading only the formula:
 * Inside the block the variables are reordered, which preserves truth:
   variables that close guards are bound first.
 * An individual variable goes innermost and is evaluated bit-parallel:
-  its body compiles to the n-bit mask of the values that satisfy it.
+  its body becomes the n-bit mask of the values that satisfy it.
   Atoms linear in the variable are table lookups (``P(v, y)`` is
   ``down[y]``, ``P(y, v)`` is ``up[y]``, ``F(T, v)`` is ``frow[T]``,
   ``v in T`` is ``T``), connectives are bit operations, and ``forall v``
@@ -43,8 +44,9 @@ time in their written order, individuals ascending and plural values in
 ascending characteristic order, each taking the first value under which
 the rest of the sentence is false.  That is the lexicographically first
 refuting assignment, independent of how evaluation was planned.  The
-naive compiler that loops in written order is kept as
-``_compile_reference``, the reference the planned one is tested against.
+naive closure compiler that loops in written order is kept as
+``_compile_reference``, the oracle the generated functions are tested
+against.
 
 Everything here is pure; contexts cache derived predicates per structure
 and are safe for concurrent readers.
@@ -52,6 +54,8 @@ and are safe for concurrent readers.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,6 +96,20 @@ class EvalOutcome:
     witness: Optional[Assignment] = None
 
 
+_BITS = [()]
+
+
+def _bit_table(n: int) -> list:
+    """The members of every mask below 2^n, shared by all contexts."""
+    global _BITS
+    table = _BITS
+    while len(table) < 1 << n:  # extend a copy: readers keep a whole table
+        k = len(table).bit_length() - 1
+        table = table + [t + (k,) for t in table]
+    _BITS = table
+    return table
+
+
 class EvalContext:
     """Lookup tables for one structure: primitive and derived predicates.
 
@@ -102,12 +120,13 @@ class EvalContext:
     frow[p]  bitmask of the individuals fused by plurality mask p
              (primitive F, or derived from the closure conditions)
     full     bitmask of the whole domain
+    bits[m]  the members of mask m, ascending
 
     ``fpre(x)``, the fusion preimage of x, is built on first use.
     """
 
     __slots__ = ("structure", "n", "kind", "down", "up", "ov", "frow", "full",
-                 "_ucache", "_fpre")
+                 "bits", "_ucache", "_fpre")
 
     def __init__(self, s: Structure):
         if s.n > MAX_PLURAL_DOMAIN:
@@ -125,9 +144,10 @@ class EvalContext:
             down = parts_from_fusion_rows(n, frow)
             ov = overlap_masks(n, down)
         self.down, self.ov, self.frow = down, ov, frow
+        self.bits = bits = _bit_table(n)
         self.up = up = [0] * n
         for y in range(n):
-            for x in iter_bits(down[y]):
+            for x in bits[down[y]]:
                 up[x] |= 1 << y
         self.full = (1 << n) - 1
         self._ucache = {}
@@ -138,12 +158,8 @@ class EvalContext:
         u = self._ucache.get(m)
         if u is None:
             u = 0
-            rest = m
-            down = self.down
-            while rest:
-                low = rest & -rest
-                u |= down[low.bit_length() - 1]
-                rest ^= low
+            for y in self.bits[m]:
+                u |= self.down[y]
             self._ucache[m] = u
         return u
 
@@ -153,7 +169,7 @@ class EvalContext:
         if pre is None:
             pre = [[] for _ in range(self.n)]
             for p, row in enumerate(self.frow):
-                for y in iter_bits(row):
+                for y in self.bits[row]:
                     pre[y].append(p)
             self._fpre = pre
         return pre[x]
@@ -173,12 +189,6 @@ def _compile_term(t: PluralTerm):
         case Singleton(v):
             def run(ctx, env, v=v):
                 return 1 << env[v]
-        case PUnion(PVar(a), PVar(b)):
-            def run(ctx, env, a=a, b=b):
-                return env[a] | env[b]
-        case PInter(PVar(a), PVar(b)):
-            def run(ctx, env, a=a, b=b):
-                return env[a] & env[b]
         case PUnion(a, b):
             fa, fb = _compile_term(a), _compile_term(b)
 
@@ -229,60 +239,33 @@ def _domain(q):
     return lambda ctx, env: iter_bits(ft(ctx, env))
 
 
-def _pushed_guard(q, guards, lifted):
-    """(index, kind, operand) of the guard a plural ``q`` can range over, or None.
+def _guarded_domain(q, guards, lifted=None) -> tuple:
+    """(pushed guard, guards left) of ``q`` when ``guards`` must hold of its value.
 
-    ``YY eq T`` (kind "eq", operand T) is preferred to ``F(YY, w)`` (kind
-    "F", operand w).  T must not read ``YY`` or ``lifted``, and w must not
-    be ``lifted``: the bit-parallel variable has no single value in env.
+    ``guards`` are conjuncts tested on each value of ``q``'s variable; every
+    variable they read is bound by then except ``lifted``, the bit-parallel
+    variable, if any.  For a plural, one guard moves into the domain: for
+    ``YY eq T`` (T reading neither ``YY`` nor ``lifted``) it is ``("eq", T)``,
+    the single value of T; else for ``F(YY, w)`` (``w`` not ``lifted``) it
+    is ``("F", w)``, the fusion preimage ``ctx.fpre(w)``.  The domain is the
+    subsequence of ``_domain(q)`` passing the guard, so truth values and
+    witnesses do not change.  With no such guard, ``guards`` is returned.
     """
+    if isinstance(q, INDIVIDUAL):
+        return None, guards
     me, unread = PVar(q.var), {q.var, lifted}
     found = None
     for i, g in enumerate(guards):
         if isinstance(g, TermEq):
             for a, t in ((g.left, g.right), (g.right, g.left)):
-                if a == me and unread.isdisjoint(compiled_term(t)[1]):
-                    return i, "eq", t
+                if a == me and unread.isdisjoint(_names(t)):
+                    return ("eq", t), guards[:i] + guards[i + 1:]
         elif (found is None and isinstance(g, FusionAtom) and g.term == me
               and g.var != lifted):
-            found = i, "F", g.var
-    return found
-
-
-def _guarded_domain(q, guards, lifted=None):
-    """(domain, guards left) of ``q`` when ``guards`` must hold of its value.
-
-    ``guards`` are conjuncts tested on each value of ``q``'s variable; every
-    variable they read is bound by then except ``lifted``, the bit-parallel
-    variable, if any.  For a plural, one guard moves into the domain (see
-    ``_pushed_guard``) and is dropped: ``YY eq T`` gives the single value
-    of T, ``F(YY, w)`` the fusion preimage ``ctx.fpre(w)``.  A bound
-    ``YY sub B`` filters either lazily, so an existential still stops at
-    its first success.  The domain is the subsequence of ``_domain(q)``
-    that passes the guard, so truth values and witnesses do not change.
-    """
-    push = None if isinstance(q, INDIVIDUAL) else _pushed_guard(q, guards, lifted)
-    if push is None:
-        return _domain(q), guards
-    i, kind, operand = push
-    fb = compiled_term(q.bound)[0] if q.bound is not None else None
-    if kind == "eq":
-        ft = compiled_term(operand)[0]
-        if fb is None:
-            def dom(ctx, env):
-                return (ft(ctx, env),)
-        else:
-            def dom(ctx, env):
-                t = ft(ctx, env)
-                return () if t & ~fb(ctx, env) else (t,)
-    elif fb is None:
-        def dom(ctx, env, w=operand):
-            return ctx.fpre(env[w])
-    else:
-        def dom(ctx, env, w=operand):
-            out = ~fb(ctx, env)
-            return (p for p in ctx.fpre(env[w]) if not p & out)
-    return dom, guards[:i] + guards[i + 1:]
+            found = i
+    if found is None:
+        return None, guards
+    return ("F", guards[found].var), guards[:found] + guards[found + 1:]
 
 
 def _compile_node(f: Formula, sub):
@@ -393,195 +376,7 @@ def _compile_reference(f: Formula):
 
 
 # ---------------------------------------------------------------------------
-# bit-parallel forms: a formula as the mask of the values of one individual
-# variable that satisfy it, restricted to a candidate mask
-
-def _keep(ctx, env, cand):
-    return cand
-
-
-def _drop(ctx, env, cand):
-    return 0
-
-
-def _looped(f: Formula, v: str):
-    """Mask of ``f`` in ``v`` by evaluating it at each candidate."""
-    fn = compiled(f)[0]
-
-    def run(ctx, env, cand):
-        old = env.get(v, _UNSET)
-        out = 0
-        for i in iter_bits(cand):
-            env[v] = i
-            if fn(ctx, env):
-                out |= 1 << i
-        _restore(env, v, old)
-        return out
-    return run
-
-
-def _mask_and(ma, mb):
-    def run(ctx, env, cand):
-        t = ma(ctx, env, cand)
-        return mb(ctx, env, t) if t else 0
-    return run
-
-
-def _mask_or(ma, mb):
-    def run(ctx, env, cand):
-        t = ma(ctx, env, cand)
-        rest = cand & ~t
-        return t | mb(ctx, env, rest) if rest else t
-    return run
-
-
-def _mask_implies(ma, mb):
-    def run(ctx, env, cand):
-        t = ma(ctx, env, cand)
-        return (cand & ~t) | mb(ctx, env, t) if t else cand
-    return run
-
-
-def _mask_iff(ma, mb):
-    def run(ctx, env, cand):
-        return cand & ~(ma(ctx, env, cand) ^ mb(ctx, env, cand))
-    return run
-
-
-_MASK_CONNECTIVES = {And: _mask_and, Or: _mask_or, Implies: _mask_implies,
-                     Iff: _mask_iff}
-
-
-def _mask_quantifier(q, dom, mb):
-    """A quantifier over another variable: AND (or OR) of its body's masks."""
-    w = q.var
-    if isinstance(q, UNIVERSAL):
-        def run(ctx, env, cand):
-            old = env.get(w, _UNSET)
-            for val in dom(ctx, env):
-                if not cand:
-                    break
-                env[w] = val
-                cand = mb(ctx, env, cand)
-            _restore(env, w, old)
-            return cand
-    else:
-        def run(ctx, env, cand):
-            old = env.get(w, _UNSET)
-            out = 0
-            for val in dom(ctx, env):
-                if not cand:
-                    break
-                env[w] = val
-                got = mb(ctx, env, cand)
-                out |= got
-                cand ^= got
-            _restore(env, w, old)
-            return out
-    return run
-
-
-def _lifted(f: Formula, v: str):
-    """Bit-parallel form of ``f`` in the individual variable ``v``, or None.
-
-    The closure maps ``(ctx, env, cand)`` to the members i of the mask
-    ``cand`` for which ``f`` holds with ``v = i``; ``env`` need not bind
-    ``v``.  Atoms linear in ``v`` become table lookups, connectives bit
-    operations.  None means no part of ``f`` lifts, so looping over the
-    values of ``v`` is as good.
-    """
-    if v not in free_vars(f)[0]:
-        fn = compiled(f)[0]
-
-        def run(ctx, env, cand):
-            return cand if cand and fn(ctx, env) else 0
-        return run
-    match f:
-        case Eq(a, b):
-            if a == b:
-                return _keep
-            y = b if a == v else a
-
-            def run(ctx, env, cand):
-                return cand & (1 << env[y])
-        case PartAtom(a, b) if a != b:
-            if a == v:
-                def run(ctx, env, cand):
-                    return cand & ctx.down[env[b]]
-            else:
-                def run(ctx, env, cand):
-                    return cand & ctx.up[env[a]]
-        case ProperPartAtom(a, b):
-            if a == b:
-                return _drop
-            if a == v:
-                def run(ctx, env, cand):
-                    j = env[b]
-                    return cand & ctx.down[j] & ~(1 << j)
-            else:
-                def run(ctx, env, cand):
-                    i = env[a]
-                    return cand & ctx.up[i] & ~(1 << i)
-        case OverlapAtom(a, b) if a != b:
-            y = b if a == v else a
-
-            def run(ctx, env, cand):
-                return cand & ctx.ov[env[y]]
-        case FusionAtom(t, _) if v not in compiled_term(t)[1]:
-            ft = compiled_term(t)[0]
-
-            def run(ctx, env, cand):
-                return cand & ctx.frow[ft(ctx, env)]
-        case Member(_, t) if v not in compiled_term(t)[1]:
-            ft = compiled_term(t)[0]
-
-            def run(ctx, env, cand):
-                return cand & ft(ctx, env)
-        case Not(g):
-            mg = _lifted(g, v)
-            if mg is None:
-                return None
-
-            def run(ctx, env, cand):
-                return cand & ~mg(ctx, env, cand)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            la, lb = _lifted(a, v), _lifted(b, v)
-            if la is None and lb is None:
-                return None
-            return _MASK_CONNECTIVES[type(f)](la or _looped(a, v),
-                                              lb or _looped(b, v))
-        case ForallI() | ExistsI() | ForallP() | ExistsP():
-            if f.bound is not None and v in compiled_term(f.bound)[1]:
-                return None
-            universal = isinstance(f, UNIVERSAL)
-            guards, concl = _guards(f.body, universal)
-            dom, left = _guarded_domain(f, guards, v)
-            body = f.body if left is guards else _guarded(left, concl)
-            mb = _lifted(body, v)
-            if mb is None:
-                return None
-            return _mask_quantifier(f, dom, mb)
-        case _:
-            return None
-    return run
-
-
-def _bitwise(q, mask):
-    """A quantifier over an individual variable as one test of its body's mask."""
-    ft = compiled_term(q.bound)[0] if q.bound is not None else None
-    if isinstance(q, UNIVERSAL):
-        def run(ctx, env):
-            cand = ctx.full if ft is None else ft(ctx, env)
-            return mask(ctx, env, cand) == cand
-    else:
-        def run(ctx, env):
-            cand = ctx.full if ft is None else ft(ctx, env)
-            return mask(ctx, env, cand) != 0
-    return run
-
-
-# ---------------------------------------------------------------------------
-# the planning compiler
+# the planner: what a block of like quantifiers loops over, in which order
 
 def _conjuncts(f: Formula) -> list:
     if isinstance(f, And):
@@ -594,10 +389,6 @@ def _conj(fs: list) -> Formula:
     for g in reversed(fs[:-1]):
         out = And(g, out)
     return out
-
-
-def _true(ctx, env):
-    return True
 
 
 def _guards(body: Formula, universal: bool) -> tuple:
@@ -637,7 +428,7 @@ def _split_block(f: Formula) -> tuple:
     # a variable read by an earlier bound refers to an outer binding, so
     # it ends the block rather than being commuted past that bound
     while isinstance(body, same) and body.var not in seen:
-        read = set(compiled_term(body.bound)[1]) if body.bound is not None else set()
+        read = set(_names(body.bound)) if body.bound is not None else set()
         deps[body.var] = read & {q.var for q in block}
         block.append(body)
         seen |= read | {body.var}
@@ -645,12 +436,43 @@ def _split_block(f: Formula) -> tuple:
     return (block, deps) + _guards(body, same is UNIVERSAL)
 
 
-def _innermost(block, deps, scoped, concl):
-    """(quantifier, mask) for the bit-parallel innermost variable, or (None, None).
+def _lifts(f: Formula, v: str) -> bool:
+    """Whether ``f`` has a bit-parallel form in the individual variable ``v``
+    (see the module docstring).  False means no part of ``f`` lifts, so
+    looping over the values of ``v`` is as good."""
+    if v not in free_vars(f)[0]:
+        return True
+    match f:
+        case Eq() | ProperPartAtom():
+            return True
+        case PartAtom(a, b) | OverlapAtom(a, b):
+            return a != b
+        case FusionAtom(t, _) | Member(_, t):
+            return v not in _names(t)
+        case Not(g):
+            return _lifts(g, v)
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return _lifts(a, v) or _lifts(b, v)
+        case ForallI() | ExistsI() | ForallP() | ExistsP():
+            plan = _lifted_quantifier(f, v)
+            return plan is not None and _lifts(plan[1], v)
+    return False
 
-    It is the last individual variable that no bound reads and whose
-    guards and conclusion lift in it.
-    """
+
+def _lifted_quantifier(q, v: str):
+    """(pushed guard, body left) of ``q`` inside a mask in ``v``, or None
+    when its bound reads ``v``."""
+    if q.bound is not None and v in _names(q.bound):
+        return None
+    guards, concl = _guards(q.body, isinstance(q, UNIVERSAL))
+    push, left = _guarded_domain(q, guards, v)
+    return push, q.body if left is guards else _guarded(left, concl)
+
+
+def _innermost(block, deps, scoped, concl):
+    """(quantifier, the part it decides) for the bit-parallel innermost
+    variable, or (None, concl): the last individual variable that no bound
+    reads and whose guards and conclusion lift in it."""
     needed = set().union(*deps.values())
     for q in reversed(block):
         if not isinstance(q, INDIVIDUAL) or q.var in needed:
@@ -662,11 +484,9 @@ def _innermost(block, deps, scoped, concl):
             tail = _conj(pieces)
         else:
             continue
-        if q.var in compiled(tail)[1]:
-            mask = _lifted(tail, q.var)
-            if mask is not None:
-                return q, mask
-    return None, None
+        if q.var in _names(tail) and _lifts(tail, q.var):
+            return q, tail
+    return None, concl
 
 
 def _binding_order(rest, deps, scoped) -> list:
@@ -693,47 +513,325 @@ def _binding_order(rest, deps, scoped) -> list:
     return order
 
 
-def _compile_block(f: Formula):
-    """Plan a block of like quantifiers, then compile it.
+def _plan_block(f: Formula) -> tuple:
+    """(loops, guards at each loop, guards before them, innermost, its part).
 
     The innermost variable is evaluated bit-parallel; the others loop in
     an order that closes guards early, and each guard is tested as soon
     as its block variables are bound, or becomes the domain of a plural
     it closes (``_guarded_domain``).  The plan reads only the formula.
     """
-    universal = isinstance(f, UNIVERSAL)
     block, deps, guards, concl = _split_block(f)
     names = {q.var for q in block}
-    scoped = [(g, set(compiled(g)[1]) & names) for g in guards]
-    inner, mask = _innermost(block, deps, scoped, concl)
+    scoped = [(g, _names(g) & names) for g in guards]
+    inner, tail = _innermost(block, deps, scoped, concl)
     if inner is not None:
         scoped = [(g, gv) for g, gv in scoped if inner.var not in gv]
     order = _binding_order([q for q in block if q is not inner], deps, scoped)
-
     level = {q.var: i for i, q in enumerate(order)}
     at, pre = [[] for _ in order], []
     for g, gv in scoped:
         (at[max(level[v] for v in gv)] if gv else pre).append(g)
-    if inner is not None:
-        run = _bitwise(inner, mask)
-    else:
-        run = compiled(concl)[0] if universal else _true
-    for q, gs in reversed(list(zip(order, at))):
-        dom, gs = _guarded_domain(q, gs)
-        run = _loop(q.var, dom, run, universal,
-                    compiled(_conj(gs))[0] if gs else None)
-    if pre:
-        guard, inner_run = compiled(_conj(pre))[0], run
+    return order, at, pre, inner, tail
 
-        def run(ctx, env):
-            return inner_run(ctx, env) if guard(ctx, env) else universal
-    return run
+
+# ---------------------------------------------------------------------------
+# code generation: a planned formula as the source of one Python function
+
+_TABLES = ("n", "full", "bits", "down", "up", "ov", "frow", "fpre", "umask")
+_SOURCES = itertools.count()
+
+
+_MASK_CONNECTIVES = {  # A and B narrow {c} to the mask of an operand
+    Not: "{s} = {c}\nA\n{c} = {s} & ~{c}",
+    And: "A\nif {c}:\n    B",
+    Or: "{s} = {c}\nA\n{s} &= ~{c}\nif {s}:\n    {t}, {c} = {c}, {s}\n    B\n    {c} |= {t}",
+    Implies: "{s} = {c}\nA\nif {c}:\n    {s} &= ~{c}\n    B\n    {c} |= {s}\nelse:\n    {c} = {s}",
+    Iff: "{s} = {c}\nA\n{t}, {c} = {c}, {s}\nB\n{c} = {s} & ~({t} ^ {c})",
+}
+_MASK_QUANTIFIERS = (  # AND (or OR) of the body's masks over the values of {w}
+    "for {w} in {dom}:\n    {skip}\n    if not {c}: break\n    BODY",
+    "{o} = 0\nfor {w} in {dom}:\n    {skip}\n    if not {c}: break\n    {s} = {c}\n"
+    "    BODY\n    {o} |= {c}\n    {c} = {s} ^ {c}\n{c} = {o}",
+)
+
+
+class _Source:
+    """The source of one formula's function, emitted line by line.
+
+    Formula variables become locals ``v0``, ``v1``, ...; ``scope`` maps a
+    name to the local of its innermost binding.  A value goes to ``out``:
+    a local, or None to return it.  Where indentation grows deep enough to
+    come near CPython's limit of 20 nested loops, the rest is emitted as a
+    separate function of the locals in scope.
+    """
+
+    def __init__(self):
+        self.defs, self.count = [], 0
+        self.lines, self.depth, self.used = [], 1, set()
+
+    def fresh(self, kind: str) -> str:
+        self.count += 1
+        return f"{kind}{self.count - 1}"
+
+    def define(self, head: str, body, reads=()) -> None:
+        saved = self.lines, self.depth, self.used
+        self.lines, self.depth, self.used = [], 1, set()
+        body()
+        self.defs.append("\n".join(
+            [head] + [f"    {t} = ctx.{t}" for t in _TABLES if t in self.used]
+            + [f"    {v} = env[{name!r}]" for name, v in reads] + self.lines))
+        self.lines, self.depth, self.used = saved
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def emit(self, template: str, **parts) -> None:
+        """Emit ``template`` indented from here.  A line naming a callable
+        part runs it at that indentation; the others are formatted with
+        the parts, and dropped if that leaves them empty."""
+        base = self.depth
+        for text in template.splitlines():
+            body = text.lstrip()
+            self.depth = base + (len(text) - len(body)) // 4
+            if callable(parts.get(body)):
+                parts[body]()
+            elif formatted := body.format_map(parts):
+                self.line(formatted)
+        self.depth = base
+
+    def put(self, out, value) -> None:
+        self.line(f"return {value}" if out is None else f"{out} = {value}")
+
+    def use(self, table: str) -> str:
+        self.used.add(table)
+        return table
+
+    def split(self, args: list, out, body) -> bool:
+        """Whether nesting is deep enough to emit ``body`` as a function of
+        ``args`` instead, called here with its value going to ``out``."""
+        if self.depth < 16:
+            return False
+        call = f"{self.fresh('part')}(ctx, {', '.join(args)})"
+        self.define(f"def {call}:", body)
+        self.put(out, call)
+        return True
+
+    def term(self, t: PluralTerm, scope: dict, prec: int = 0) -> str:
+        """Expression of a plural term; ``prec`` 1 is an operand of ``|``,
+        2 of ``&``, 3 of a shift or ``~``."""
+        match t:
+            case PVar(name):
+                return scope[name]
+            case Singleton(v):
+                s, p = f"1 << {scope[v]}", 2
+            case PUnion(a, b):
+                s, p = f"{self.term(a, scope, 1)} | {self.term(b, scope, 1)}", 1
+            case PInter(a, b):
+                s, p = f"{self.term(a, scope, 2)} & {self.term(b, scope, 2)}", 2
+            case Components(u):
+                return f"{self.use('umask')}({self.term(u, scope)})"
+        return f"({s})" if prec > p else s
+
+    def expr(self, f: Formula, scope: dict) -> str:
+        """Boolean expression of a formula ``_flat`` accepts."""
+        def bit(mask, v):
+            return f"{mask} >> {scope[v]} & 1 == 1"
+        match f:
+            case Eq(a, b):
+                return f"{scope[a]} == {scope[b]}"
+            case PartAtom(a, b):
+                return bit(f"{self.use('down')}[{scope[b]}]", a)
+            case ProperPartAtom(a, b):
+                return f"{scope[a]} != {scope[b]} and " + bit(f"{self.use('down')}[{scope[b]}]", a)
+            case OverlapAtom(a, b):
+                return f"{self.use('down')}[{scope[a]}] & {self.use('down')}[{scope[b]}] != 0"
+            case FusionAtom(t, v):
+                return bit(f"{self.use('frow')}[{self.term(t, scope)}]", v)
+            case Member(v, t):
+                return bit(self.term(t, scope, 3), v)
+            case SubTerm(a, b):
+                return f"{self.term(a, scope, 2)} & ~{self.term(b, scope, 3)} == 0"
+            case TermEq(a, b):
+                return f"{self.term(a, scope)} == {self.term(b, scope)}"
+            case Not(g):
+                return f"not ({self.expr(g, scope)})"
+        a, b = self.expr(f.left, scope), self.expr(f.right, scope)
+        return {And: f"({a}) and ({b})", Or: f"({a}) or ({b})",
+                Implies: f"not ({a}) or ({b})", Iff: f"({a}) == ({b})"}[type(f)]
+
+    def cond(self, f: Formula, scope: dict) -> str:
+        """An operand naming ``f``'s truth value, after any statements it needs."""
+        if _flat(f):
+            return f"({self.expr(f, scope)})"
+        out = self.fresh("t")
+        self.bool(f, scope, out)
+        return out
+
+    def bool(self, f: Formula, scope: dict, out) -> None:
+        """Statements giving ``f``'s truth value to ``out``."""
+        if _flat(f):
+            return self.put(out, self.expr(f, scope))
+        if self.split(sorted(scope.values()), out, lambda: self.bool(f, scope, None)):
+            return
+        match f:
+            case Not(g):
+                self.put(out, f"not {self.cond(g, scope)}")
+            case Iff(a, b):
+                self.put(out, f"{self.cond(a, scope)} == {self.cond(b, scope)}")
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                # the test of a's value that decides f, and f's value then
+                test, value = {And: ("not {}", False), Or: ("{}", True),
+                               Implies: ("not {}", True)}[type(f)]
+                self.emit("if {test}:\n    PUT\nelse:\n    REST",
+                          test=test.format(self.cond(a, scope)),
+                          PUT=lambda: self.put(out, value),
+                          REST=lambda: self.bool(b, scope, out))
+            case _:
+                self.block(f, scope, out)
+
+    def block(self, f: Formula, scope: dict, out) -> None:
+        """A block of like quantifiers, in the loops ``_plan_block`` plans."""
+        universal = isinstance(f, UNIVERSAL)
+        plan = (universal,) + _plan_block(f)
+        order, pre = plan[1], plan[3]
+        if out is not None and (order or pre):
+            self.put(out, universal)
+        # with no loops and no pre-test, the verdict is put at once
+        self.emit("if {test}:\n    LEVELS\n{end}" if pre else "LEVELS\n{end}",
+                  test=pre and self.cond(_conj(pre), scope),
+                  LEVELS=lambda: self.levels(plan, 0, scope, out),
+                  end=f"return {universal}" if out is None and (order or pre) else "")
+
+    def levels(self, plan: tuple, i: int, scope: dict, out) -> None:
+        """The loops of a planned block from the ``i``-th on.  On the
+        block's verdict they set ``out`` and leave, or return it."""
+        universal, order, at, _, inner, tail = plan
+        decide = ("if not {}:\n    " if universal else "if {}:\n    ") + (
+            f"return {not universal}" if out is None else f"{out} = {not universal}; break")
+        if i == len(order):
+            if inner is not None:
+                cand, whole = self.fresh("c"), self.fresh("c")
+                start = self.use("full") if inner.bound is None else self.term(inner.bound, scope)
+                self.line(f"{cand} = {whole} = {start}")
+                self.mask(tail, inner.var, scope, cand)
+                value = f"{cand} == {whole}" if universal else f"{cand} != 0"
+            else:
+                value = self.cond(tail, scope) if universal else "True"
+            if order:
+                self.emit(decide.format(value))
+            else:
+                self.put(out, value)
+            return
+        t = self.fresh("t")
+        if i and self.split(sorted(scope.values()), t, lambda: (
+                self.levels(plan, i, scope, None), self.put(None, universal))):
+            return self.emit(decide.format(t))
+        q = order[i]
+        push, guards = _guarded_domain(q, at[i])
+        v = self.fresh("v")
+        inner_scope = {**scope, q.var: v}
+        self.emit("for {v} in {dom}:\n    {skip}\n    GUARDS\n    LEVELS\n{leave}", v=v,
+                  **self.domain(q, push, scope, v),
+                  GUARDS=lambda: guards and self.line(
+                      f"if not {self.cond(_conj(guards), inner_scope)}: continue"),
+                  LEVELS=lambda: self.levels(plan, i + 1, inner_scope, out),
+                  leave="" if out is None or not i
+                  else f"if not {out}: break" if universal else f"if {out}: break")
+
+    def domain(self, q, push, scope: dict, v: str) -> dict:
+        """``dom``, the values of ``q`` with the guard ``push`` moved in
+        (``_guarded_domain``), and ``skip``, the test of its bound if that
+        must filter them; emits what they need first."""
+        individual = isinstance(q, INDIVIDUAL)
+        bound = None if q.bound is None else self.term(q.bound, scope, 3)
+        if push is None and bound is None:
+            dom = f"range({self.use('n')})" if individual else f"range(1 << {self.use('n')})"
+        elif push is None:
+            dom = f"{self.use('bits')}[{bound}]" if individual else f"submasks({bound})"
+        else:
+            dom = (f"({self.term(push[1], scope)},)" if push[0] == "eq"
+                   else f"{self.use('fpre')}({scope[push[1]]})")
+        if push is None or bound is None:
+            return {"dom": dom, "skip": ""}
+        outside = self.fresh("c")
+        self.line(f"{outside} = ~{bound}")
+        return {"dom": dom, "skip": f"if {v} & {outside}: continue"}
+
+    def mask(self, f: Formula, v: str, scope: dict, cand: str) -> None:
+        """Narrow the local ``cand`` to its members i for which ``f`` holds
+        with ``v = i``; ``f`` lifts in ``v`` (``_lifts``)."""
+        if self.split(sorted(scope.values()) + [cand], cand, lambda: (
+                self.mask(f, v, scope, cand), self.put(None, cand))):
+            return
+        if v not in free_vars(f)[0]:
+            return self.emit("if {c}:\n    TEST", c=cand, TEST=lambda: self.line(
+                f"if not {self.cond(f, scope)}: {cand} = 0"))
+        match f:
+            case Eq(a, b):
+                self.line(f"{cand} &= 1 << {scope[b if a == v else a]}" if a != b else "pass")
+            case PartAtom(a, b):
+                self.line(f"{cand} &= {self.use('down')}[{scope[b]}]" if a == v
+                          else f"{cand} &= {self.use('up')}[{scope[a]}]")
+            case ProperPartAtom(a, b):
+                y, table = (b, "down") if a == v else (a, "up")
+                self.line(f"{cand} = 0" if a == b else
+                          f"{cand} &= {self.use(table)}[{scope[y]}] & ~(1 << {scope[y]})")
+            case OverlapAtom(a, b):
+                self.line(f"{cand} &= {self.use('ov')}[{scope[b if a == v else a]}]")
+            case FusionAtom(t, _):
+                self.line(f"{cand} &= {self.use('frow')}[{self.term(t, scope)}]")
+            case Member(_, t):
+                self.line(f"{cand} &= {self.term(t, scope)}")
+            case Not(a) | And(a, _) | Or(a, _) | Implies(a, _) | Iff(a, _):
+                b = getattr(f, "right", None)
+                self.emit(_MASK_CONNECTIVES[type(f)], c=cand, s=self.fresh("c"),
+                          t=self.fresh("c"), A=lambda: self.side(a, v, scope, cand),
+                          B=lambda: self.side(b, v, scope, cand))
+            case _:
+                push, body = _lifted_quantifier(f, v)
+                w = self.fresh("v")
+                self.emit(_MASK_QUANTIFIERS[not isinstance(f, UNIVERSAL)], w=w, c=cand,
+                          o=self.fresh("c"), s=self.fresh("c"), **self.domain(f, push, scope, w),
+                          BODY=lambda: self.mask(body, v, {**scope, f.var: w}, cand))
+
+    def side(self, f: Formula, v: str, scope: dict, cand: str) -> None:
+        """An operand of a lifted connective: its mask, or a loop over ``cand``."""
+        if _lifts(f, v):
+            return self.mask(f, v, scope, cand)
+        found, w = self.fresh("c"), self.fresh("v")
+        self.emit("{o} = 0\nfor {w} in {bits}[{c}]:\n    TEST\n{c} = {o}", o=found, w=w,
+                  c=cand, bits=self.use("bits"), TEST=lambda: self.line(
+                      f"if {self.cond(f, {**scope, v: w})}: {found} |= 1 << {w}"))
+
+
+def _names(node) -> frozenset:
+    iv, pv = free_vars(node)
+    return iv | pv
+
+
+def _flat(f: Formula, room: int = 24) -> bool:
+    """Whether ``f`` is quantifier-free and shallow enough for one expression."""
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return room > 0 and _flat(f.left, room - 1) and _flat(f.right, room - 1)
+    if isinstance(f, Not):
+        return room > 0 and _flat(f.body, room - 1)
+    return not isinstance(f, QUANTIFIERS)
 
 
 def _compile(f: Formula):
-    if isinstance(f, QUANTIFIERS):
-        return _compile_block(f)
-    return _compile_node(f, lambda g: compiled(g)[0])
+    """The generated function ``fn(ctx, env)`` evaluating ``f``; its source
+    is in ``linecache``, so tracebacks through it show the emitted lines."""
+    src = _Source()
+    scope = {name: src.fresh("v") for name in sorted(_names(f))}
+    src.define("def formula(ctx, env):", lambda: src.bool(f, scope, None),
+               scope.items())
+    text = "\n\n".join(src.defs) + "\n"
+    filename = f"<gemcheck-formula-{next(_SOURCES)}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = {"submasks": _submasks}
+    exec(compile(text, filename, "exec"), namespace)
+    return namespace["formula"]
 
 
 _COMPILED = {}
@@ -741,11 +839,14 @@ _TERM_COMPILED = {}
 
 
 def compiled(f: Formula) -> tuple:
-    """(closure, sorted free variable names) of a formula, built once."""
-    entry = _COMPILED.get(f)
+    """(function, sorted free variable names) of a formula, built once per
+    distinct formula and kept on the node too, which skips hashing it."""
+    entry = f.__dict__.get("_compiled")
     if entry is None:
-        iv, pv = free_vars(f)
-        entry = _COMPILED[f] = (_compile(f), tuple(sorted(iv | pv)))
+        entry = _COMPILED.get(f)
+        if entry is None:
+            entry = _COMPILED[f] = (_compile(f), tuple(sorted(_names(f))))
+        object.__setattr__(f, "_compiled", entry)
     return entry
 
 
@@ -753,8 +854,7 @@ def compiled_term(t: PluralTerm) -> tuple:
     """(closure, sorted free variable names) of a plural term, built once."""
     entry = _TERM_COMPILED.get(t)
     if entry is None:
-        iv, pv = free_vars(t)
-        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(iv | pv)))
+        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(_names(t))))
     return entry
 
 
@@ -796,7 +896,7 @@ class Evaluator:
         return members_of(fn(self.ctx, env))
 
     def eval(self, f: Formula, a: Optional[Assignment] = None) -> bool:
-        env = _env_of(self.ctx.structure, a)
+        env = {} if a is None else _env_of(self.ctx.structure, a)
         fn, names = compiled(f)
         _check_bound(names, env)
         return fn(self.ctx, env)
@@ -848,15 +948,14 @@ class Evaluator:
         ``find_witness``.  Each prefix value must lie in its quantifier's
         bound, read under the values of the quantifiers outside it.
         """
-        unused = set(witness.individuals) | set(witness.plurals)  # not yet in the prefix
-        prefix = []
-        body = sentence
+        unused = witness.individuals.keys() | witness.plurals.keys()  # not yet in the prefix
+        prefix, bounded, body = [], False, sentence
         while isinstance(body, UNIVERSAL) and body.var in unused:
             unused.remove(body.var)
             prefix.append(body)
+            bounded = bounded or body.bound is not None
             body = body.body
-        if any(q.bound is not None for q in prefix) \
-                and not self._within_bounds(prefix, witness):
+        if bounded and not self._within_bounds(prefix, witness):
             return False
         return not self.eval(body, witness)
 

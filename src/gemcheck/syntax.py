@@ -26,6 +26,7 @@ node names an individual.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -53,9 +54,9 @@ def _node(cls):
 
     Formulas key the evaluator's compile caches, and the generated
     ``__hash__`` walks the whole tree on every lookup.  The cached value
-    sits in the instance dict, next to ``free_vars``'s, and a pickle
-    carries neither: string hashes differ between interpreters, so an
-    unpickled node hashes afresh.
+    sits in the instance dict, next to those of ``free_vars`` and
+    ``semantics.compiled``, and a pickle carries none of them: string
+    hashes differ between interpreters, so an unpickled node hashes afresh.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(fl.name for fl in fields(cls))
@@ -278,46 +279,25 @@ def is_closed(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = ("<->", "->", "(", ")", ",", ".", "=", "+", "&")
+_TOKEN = re.compile(r"[^\S\n]*+(?:(\n)|(#[^\n]*)|(\w+|<->|->|[(),.=+&])|(.))")
 
 
 def _tokenize(text: str):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append((word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append((sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(("<eof>", line, col))
+    """(token, line, column) triples, ending with ``<eof>``.  A tab is one
+    column; an ``<eof>`` right after a comment takes the comment's column."""
+    toks, line, start, comment = [], 1, 0, None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        tok = m[kind]
+        col = m.start(kind) - start + 1
+        if kind == 4 or tok[0].isalnum() and not tok[0].isalpha():
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        if kind == 1:
+            line, start = line + 1, m.end()
+        elif kind == 3:
+            toks.append((tok, line, col))
+        comment = col if kind == 2 else None
+    toks.append(("<eof>", line, len(text) - start + 1 if comment is None else comment))
     return toks
 
 

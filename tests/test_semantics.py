@@ -1,4 +1,7 @@
+import linecache
 import random
+import re
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import CapacityError, induced_fusion
 from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, FusionAtom,
-                             Implies, NamedFormula, PVar, TermEq, free_vars)
+                             Implies, NamedFormula, PVar, Singleton, TermEq,
+                             free_vars, print_formula)
 from gemcheck.search import random_structure
 from gemcheck.theory import lemma_suite, pp_axioms
 
@@ -438,3 +442,119 @@ def test_registry_witnesses_match_reference_on_random_structures():
             for nf in t:
                 assert ev.find_witness(nf.sentence) == \
                     _reference_witness(ev, nf.sentence), nf.name
+
+
+# ---------------------------------------------------------------------------
+# hazards for the generated source: names, rebinding, depth, empty domains
+
+_HAZARD_NAMES = [
+    # individuals that are keywords, builtins or generated locals, then plurals
+    dict(zip(IVARS + PVARS, ["if", "lambda", "ctx", "env", "cand", "v0",
+                             "True", "None", "False", "V0", "ÉÉ", "Env"])),
+    dict(zip(IVARS + PVARS, ["é", "part1", "n", "full", "down", "t0",
+                             "X", "C1", "Ctx", "EVAL", "Lambda", "Ü"])),
+]
+
+
+def _renamed(f, names):
+    """``f`` with every variable renamed through ``names``."""
+    pattern = r"\b(" + "|".join(names) + r")\b"
+    return parse(re.sub(pattern, lambda m: names[m.group(1)], print_formula(f)))
+
+
+def _hazard_structures(rng):
+    yield PartStructure.from_pairs(0, ())
+    yield FusionStructure.from_pairs(0, ())
+    for _ in range(12):
+        yield _random_structure_of_reach(rng)
+
+
+def _assert_matches_reference(f, structures, a=None):
+    for s in structures:
+        ev = Evaluator(s)
+        assert ev.eval(f, a) == _reference_eval(ev, f, a), (s, f, a)
+        if a is None:
+            assert ev.find_witness(f) == _reference_witness(ev, f), (s, f)
+
+
+@pytest.mark.parametrize("names", _HAZARD_NAMES)
+def test_hazardous_names_match_reference(names):
+    rng = random.Random(17)
+    for _ in range(150):
+        f = _renamed(_random_formula_or_block(rng), names)
+        a = _random_assignment(rng, 3)
+        a = Assignment({names[v]: i for v, i in a.individuals.items()},
+                       {names[v]: m for v, m in a.plurals.items()})
+        _assert_matches_reference(f, [random_structure(kind, 3, rng)
+                                      for kind in ("part", "fusion")], a)
+        structures = list(_hazard_structures(rng))
+        iv, pv = free_vars(f)
+        if len(iv) + len(pv) <= 3:
+            _assert_matches_reference(_close_universally(rng, f), structures)
+
+
+@pytest.mark.parametrize("text", [
+    "forall if . forall lambda . P(if, lambda) and P(lambda, if) -> if = lambda",
+    "forall ctx . exists env . PP(ctx, env) or (forall cand . P(cand, ctx))",
+    "forall v0 . forall V0 . v0 in V0 -> (exists v1 . F(V0, v1) and P(v0, v1))",
+    "forall None . forall True sub None . exists False . False eq True + None",
+    "forall é . exists ÉÉ . é in ÉÉ and F(ÉÉ, é) and (forall x in ÉÉ . O(x, é))",
+    "forall x . (exists x . P(x, x)) and P(x, x)",
+    "forall x . exists YY sub I(x) . exists x . x in YY and P(x, x)",
+    "forall y . forall ZZ sub U(I(y)) . forall y . F(ZZ, y) -> y in ZZ",
+    "forall XX . forall x in XX . forall XX sub U(I(x)) . F(XX, x) or x in XX",
+])
+def test_hazard_sentences_match_reference(text):
+    f = parse(text)
+    rng = random.Random(text)
+    structures = [canonical_gem(2)] + list(_hazard_structures(rng))
+    _assert_matches_reference(f, structures)
+    # formula text stays out of the source: every local is generated
+    code = semantics.compiled(f)[0].__code__
+    assert all(v in ("ctx", "env") + semantics._TABLES or re.fullmatch(r"[vtc]\d+", v)
+               for v in code.co_varnames), code.co_varnames
+    source = "".join(linecache.getlines(code.co_filename))
+    assert not {"lambda", "é", "ÉÉ"} & set(re.findall(r"\w+", source))
+
+
+def _alternating(depth, chained):
+    """A ``depth``-deep nest alternating ``forall`` and ``exists``.
+
+    Chained, each variable ranges over the singleton of the one before,
+    so the nest is cheap to evaluate on any structure.
+    """
+    body = parse(f"P(x0, x{depth - 1}) or P(x{depth - 1}, x{depth // 2})")
+    for i in reversed(range(depth)):
+        bound = Singleton(f"x{i - 1}") if chained and i else None
+        body = (ForallI if i % 2 == 0 else ExistsI)(f"x{i}", body, bound)
+    return body
+
+
+@pytest.mark.parametrize("chained", [True, False])
+def test_deep_nests_match_reference(chained):
+    f = _alternating(30, chained)
+    rng = random.Random(30)
+    structures = [s for s in _hazard_structures(rng) if chained or s.n <= 1]
+    structures += [PartStructure.from_pairs(1, [(0, 0)]), canonical_gem(2)] if chained else []
+    _assert_matches_reference(f, structures)
+    wide = semantics._conj([_alternating(3, False)] * 40)  # 40 nested ifs
+    _assert_matches_reference(wide, structures)
+    # one block of 24 loops, each over the singleton of the one before
+    block = parse("forall y0 . " + " . ".join(f"forall y{i} in I(y{i - 1})" for i in range(1, 24))
+                  + " . P(y0, y1) and P(y22, y23) -> P(y1, y0) or P(y23, y22)")
+    _assert_matches_reference(block, structures)
+
+
+def test_generated_source_is_registered_for_tracebacks():
+    f = gem_p().get("trans_P").sentence
+    fn = semantics.compiled(f)[0]
+    filename = fn.__code__.co_filename
+    assert re.fullmatch(r"<gemcheck-formula-\d+>", filename)
+    assert linecache.getline(filename, 1) == "def formula(ctx, env):\n"
+    assert "for " in linecache.getline(filename, fn.__code__.co_firstlineno + 5)
+    g = parse("P(x, y) and not (exists z . PP(z, x))")
+    with pytest.raises(KeyError) as err:
+        semantics.compiled(g)[0](Evaluator(canonical_gem(2)).ctx, {"x": 0})
+    frame = traceback.extract_tb(err.value.__traceback__)[-1]
+    assert frame.filename.startswith("<gemcheck-formula-")
+    assert frame.line == "v1 = env['y']"

@@ -13,7 +13,7 @@ from gemcheck import parse, print_formula
 from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
                              ForallI, FusionAtom, Implies, Not, ParseError,
                              PartAtom, PInter, PUnion, Singleton, SortError,
-                             SubTerm, PVar, free_vars)
+                             SubTerm, PVar, _tokenize, free_vars)
 from gemcheck.theory import theory_by_name, theory_names
 
 from util import (random_formula, random_pterm, reference_free_vars,
@@ -150,3 +150,33 @@ def test_free_vars_matches_the_case_by_case_reference():
         t = random_pterm(rng, rng.randrange(5))
         assert free_vars(t) == (reference_term_free_ivars(t),
                                 reference_term_free_pvars(t)), t
+
+
+def test_token_positions():
+    # a tab is one column; a comment does not advance the column, which
+    # shows only at an end of input right after it
+    assert _tokenize("\tforall\tx .\tP(x,\tx)") == [
+        ("forall", 1, 2), ("x", 1, 9), (".", 1, 11), ("P", 1, 13), ("(", 1, 14),
+        ("x", 1, 15), (",", 1, 16), ("x", 1, 18), (")", 1, 19), ("<eof>", 1, 20)]
+    assert _tokenize("P(x, x)  # trailing note")[-2:] == [(")", 1, 7), ("<eof>", 1, 10)]
+    assert _tokenize("# heading\nforall x . # why\n  P(x, x)") == [
+        ("forall", 2, 1), ("x", 2, 8), (".", 2, 10), ("P", 3, 3), ("(", 3, 4),
+        ("x", 3, 5), (",", 3, 6), ("x", 3, 8), (")", 3, 9), ("<eof>", 3, 10)]
+    assert _tokenize("forall éx . P(éx, é²)")[-4:] == [
+        (",", 1, 17), ("é²", 1, 19), (")", 1, 21), ("<eof>", 1, 22)]
+
+
+@pytest.mark.parametrize("text, line, col, char", [
+    ("forall é . P(é, é) $", 1, 20, "$"),
+    ("\t\té?", 1, 4, "?"),
+    ("forall x .\n\tÉÉ sub ÉÉ ; x", 2, 12, ";"),
+    ("x2 = 1y", 1, 6, "1"),
+    ("a ² b", 1, 3, "²"),
+    ("A <- B", 1, 3, "<"),
+    ("x - y", 1, 3, "-"),
+])
+def test_unexpected_character_position(text, line, col, char):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == f"{line}:{col}: unexpected character {char!r}"
