@@ -839,14 +839,10 @@ _TERM_COMPILED = {}
 
 
 def compiled(f: Formula) -> tuple:
-    """(function, sorted free variable names) of a formula, built once per
-    distinct formula and kept on the node too, which skips hashing it."""
-    entry = f.__dict__.get("_compiled")
+    """(function, sorted free variable names) of a formula, built once."""
+    entry = _COMPILED.get(f)
     if entry is None:
-        entry = _COMPILED.get(f)
-        if entry is None:
-            entry = _COMPILED[f] = (_compile(f), tuple(sorted(_names(f))))
-        object.__setattr__(f, "_compiled", entry)
+        entry = _COMPILED[f] = (_compile(f), tuple(sorted(_names(f))))
     return entry
 
 
@@ -896,7 +892,7 @@ class Evaluator:
         return members_of(fn(self.ctx, env))
 
     def eval(self, f: Formula, a: Optional[Assignment] = None) -> bool:
-        env = {} if a is None else _env_of(self.ctx.structure, a)
+        env = _env_of(self.ctx.structure, a)
         fn, names = compiled(f)
         _check_bound(names, env)
         return fn(self.ctx, env)

@@ -54,9 +54,9 @@ def _node(cls):
 
     Formulas key the evaluator's compile caches, and the generated
     ``__hash__`` walks the whole tree on every lookup.  The cached value
-    sits in the instance dict, next to those of ``free_vars`` and
-    ``semantics.compiled``, and a pickle carries none of them: string
-    hashes differ between interpreters, so an unpickled node hashes afresh.
+    sits in the instance dict, next to ``free_vars``'s, and a pickle
+    carries neither: string hashes differ between interpreters, so an
+    unpickled node hashes afresh.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(fl.name for fl in fields(cls))
@@ -279,7 +279,7 @@ def is_closed(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN = re.compile(r"[^\S\n]*+(?:(\n)|(#[^\n]*)|(\w+|<->|->|[(),.=+&])|(.))")
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(#[^\n]*)|(\w+|<->|->|[(),.=+&])|(\S))")
 
 
 def _tokenize(text: str):
