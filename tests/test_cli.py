@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -125,11 +126,14 @@ def test_timings_flag_adds_elapsed(command, k2_file):
         "countermodel": ("countermodel", "--kind", "fusion", "--theory", "gem_f",
                          "--drop", "id_F", "--target", "id_F", "--max-n", "1",
                          "--workers", "1"),
-    }[command] + ("--format", "json")
-    _, out, _ = run_cli(*base)
-    assert "elapsed_ms" not in json.loads(out)
-    _, out, _ = run_cli(*base, "--timings")
-    assert isinstance(json.loads(out)["elapsed_ms"], int)
+    }[command]
+    # elapsed_ms is the only field --timings adds, and only to JSON
+    _, out, _ = run_cli(*base, "--format", "json")
+    _, timed, _ = run_cli(*base, "--format", "json", "--timings")
+    timed = json.loads(timed)
+    assert isinstance(timed.pop("elapsed_ms"), int)
+    assert timed == json.loads(out)
+    assert run_cli(*base, "--timings") == run_cli(*base)
 
 
 def test_lemmas_single_name():
@@ -299,3 +303,33 @@ def test_check_failure_json_matches_golden(tmp_path, kind, literal, theory_name)
     code, out, _ = run_cli("check", str(p), theory_name, "--format", "json")
     assert code == 1
     assert out == (GOLDEN / f"check_{kind}_{theory_name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv,golden,exit_code", [
+    (("check", "k2.structure", "gem_p"), "check_pass.txt", 0),
+    (("check", "antisym.structure", "gem_p"), "check_fail.txt", 1),
+    (("equiv",), "equiv.txt", 0),
+    (("lemmas", "--max-part", "3", "--max-fusion", "2", "--canonical-k", "2"),
+     "lemmas_small.txt", 0),
+    (("models", "--kind", "part", "--n", "3", "--theory", "gem_p"),
+     "models_part3_gem_p.txt", 0),
+    (("countermodel", "--kind", "fusion", "--theory", "gem_f", "--drop", "wsp_F",
+      "--target", "wsp_F", "--max-n", "2"), "countermodel_found.txt", 0),
+    (("countermodel", "--kind", "fusion", "--theory", "gem_f", "--drop", "wsp_F",
+      "--target", "fun_F", "--max-n", "2"), "countermodel_exhausted.txt", 0),
+])
+def test_text_matches_golden(argv, golden, exit_code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k2.structure").write_text(dump_structure(canonical_gem(2)))
+    (tmp_path / "antisym.structure").write_text("n=2\npart: (0,0) (0,1) (1,0)\n")
+    assert run_cli(*argv) == (exit_code, (GOLDEN / golden).read_text(), "")
+
+
+def test_export_all_bytes_match_golden(tmp_path):
+    code, out, err = run_cli("export", "--all", "--out", str(tmp_path))
+    paths = [Path(line) for line in out.splitlines()]
+    assert (code, err, len(paths)) == (0, "", 19)
+    digest = hashlib.sha256()
+    for p in sorted(paths):
+        digest.update(p.name.encode() + b"\n" + p.read_bytes())
+    assert digest.hexdigest() == (GOLDEN / "export_all.sha256").read_text().strip()
