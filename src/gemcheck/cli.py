@@ -39,11 +39,12 @@ def _bounds(args, **fields) -> search.SearchBounds:
                                **fields)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, report, text: str, ok: bool = True) -> int:
+    """Write ``report`` as JSON or ``text`` as it is; the exit code for ``ok``."""
     if args.format == "json":
-        sys.stdout.write(search.report_json(payload))
-    else:
-        sys.stdout.write(text)
+        text = search.report_json(report.to_dict(timings=args.timings))
+    sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_check(args) -> int:
@@ -58,8 +59,7 @@ def cmd_check(args) -> int:
         if r.witness is not None:
             extra = f"  witness {search._witness_dict(r.witness)}"
         lines.append(f"  {r.name:<10} {mark}{extra}")
-    _emit(args, report.to_dict(timings=args.timings), "\n".join(lines) + "\n")
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    return _emit(args, report, "\n".join(lines) + "\n", report.all_passed)
 
 
 def cmd_equiv(args) -> int:
@@ -77,8 +77,7 @@ def cmd_equiv(args) -> int:
             f"round trip {row['round_trip_pass']}, "
             f"empty-plurality models {row['with_empty_plurality']}")
     lines.append(f"violations: {len(rep.violations)}")
-    _emit(args, rep.to_dict(timings=args.timings), "\n".join(lines) + "\n")
-    return EXIT_OK if rep.all_ok else EXIT_FAIL
+    return _emit(args, rep, "\n".join(lines) + "\n", rep.all_ok)
 
 
 def cmd_lemmas(args) -> int:
@@ -87,16 +86,14 @@ def cmd_lemmas(args) -> int:
     lines = [f"{r['name']:<10} [{r['side']}] "
              f"{'pass' if r['passed'] else 'FAIL'} "
              f"({r['models_checked']} models)" for r in rep.rows]
-    _emit(args, rep.to_dict(timings=args.timings), "\n".join(lines) + "\n")
-    return EXIT_OK if rep.all_passed else EXIT_FAIL
+    return _emit(args, rep, "\n".join(lines) + "\n", rep.all_passed)
 
 
 def cmd_models(args) -> int:
     rep = search.list_models(args.kind, args.n, theory.theory_by_name(args.theory),
                              seed=args.seed, workers=args.workers)
     text = "\n".join(rep.structures + (f"{len(rep.structures)} models",)) + "\n"
-    _emit(args, rep.to_dict(timings=args.timings), text)
-    return EXIT_OK
+    return _emit(args, rep, text)
 
 
 def cmd_countermodel(args) -> int:
@@ -114,8 +111,7 @@ def cmd_countermodel(args) -> int:
     text = f"{res.verdict}\n"
     if res.structure is not None:
         text += structures.dump_structure(res.structure)
-    _emit(args, res.to_dict(timings=args.timings), text)
-    return EXIT_OK
+    return _emit(args, res, text)
 
 
 def cmd_export(args) -> int:
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("theory", choices=theory.theory_names())
     _add_common(p, seed=False, workers=False)
-    p.set_defaults(fn=cmd_check, workers=1)
+    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("equiv", help="verify the definitional equivalence")
     _add_size_bounds(p)
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--name")
     p.add_argument("--out", default="obligations")
-    p.set_defaults(fn=cmd_export, workers=1)
+    p.set_defaults(fn=cmd_export)
 
     return ap
 

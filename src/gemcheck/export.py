@@ -207,35 +207,16 @@ def _side_of(theory: Theory) -> str:
 
 
 def _needed_defs(used: set, side: str, with_star: bool):
-    needed = set(used) - {"memb"}
-    needed.add("empty")
-    if with_star:
-        needed.add("zzstar")
-    # primitives of the side never get a defining axiom
-    needed.discard("fuses" if side == "gem_f" else "part")
-    changed = True
-    while changed:
-        changed = False
-        for sym in list(needed):
-            key = (sym, side) if (sym, side) in _DEFS else sym
-            if key not in _DEFS:
-                needed.discard(sym)
-                continue
-            for dep in _DEFS[key][1]:
-                if dep == "memb" or dep in needed:
-                    continue
-                if dep == "fuses" and side == "gem_f":
-                    continue
-                if dep == "part" and side == "gem_p":
-                    continue
-                needed.add(dep)
-                changed = True
-    out = []
-    for sym in _DEF_ORDER:
-        if sym in needed:
-            key = (sym, side) if (sym, side) in _DEFS else sym
-            out.append((f"def_{sym}", _DEFS[key][0]))
-    return out
+    # membership and the side's primitive never get a defining axiom
+    skip = {"memb", "fuses" if side == "gem_f" else "part"}
+    needed = {}  # symbol -> (fof text, symbols it relies on)
+    todo = [*used, "empty"] + (["zzstar"] if with_star else [])
+    while todo:
+        sym = todo.pop()
+        if sym not in skip and sym not in needed:
+            needed[sym] = _DEFS.get((sym, side)) or _DEFS[sym]
+            todo += needed[sym][1]
+    return [(f"def_{sym}", needed[sym][0]) for sym in _DEF_ORDER if sym in needed]
 
 
 def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:

@@ -93,7 +93,7 @@ from typing import Optional
 
 from . import native
 from .semantics import Assignment, EvalOutcome, Evaluator
-from .structures import (CapacityError, FusionStructure, PartStructure,
+from .structures import (MAX_PLURAL_DOMAIN, CapacityError, FusionStructure, PartStructure,
                          Structure, canonical_gem, components, induced_fusion,
                          induced_part, iter_bits, kind_of, members_of, summarize)
 from .syntax import NamedFormula
@@ -153,6 +153,9 @@ def code_of(s: Structure) -> int:
 
 
 def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
+    # the evaluator refuses these sizes; refuse before drawing n*n or n*2^n bits
+    if n > MAX_PLURAL_DOMAIN:
+        raise CapacityError(f"formula evaluation needs 2^{n} pluralities")
     code = rng.getrandbits(relation_bits(kind, n)) if n else 0
     return structure_from_code(kind, n, code)
 
@@ -413,8 +416,19 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     return Models(tuple(orbits))
 
 
+class _Report:
+    """A report whose JSON fields ``_fields`` gives; ``elapsed_ms``, the one
+    nondeterministic field, joins them only when ``timings`` asks for it."""
+
+    def to_dict(self, timings: bool = False) -> dict:
+        d = self._fields()
+        if timings:
+            d["elapsed_ms"] = self.elapsed_ms
+        return d
+
+
 @dataclass(frozen=True)
-class ModelsReport:
+class ModelsReport(_Report):
     """The models of one theory at one size, in code order."""
 
     theory: str
@@ -424,8 +438,8 @@ class ModelsReport:
     structures: tuple  # summaries
     elapsed_ms: int
 
-    def to_dict(self, timings: bool = False) -> dict:
-        d = {
+    def _fields(self) -> dict:
+        return {
             "theory": self.theory,
             "kind": self.kind,
             "n": self.n,
@@ -435,9 +449,6 @@ class ModelsReport:
             "seed": self.seed,
             "structures": list(self.structures),
         }
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
 
 def list_models(kind: str, n: int, theory: Theory, seed: int = 0,
@@ -472,7 +483,7 @@ class ObligationVerdict:
 
 
 @dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Report):
     """Per-obligation verdicts for one structure against one theory."""
 
     theory: str
@@ -486,8 +497,8 @@ class CheckReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_dict(self, timings: bool = False) -> dict:
-        d = {
+    def _fields(self) -> dict:
+        return {
             "theory": self.theory,
             "kind": self.kind,
             "n": self.n,
@@ -497,9 +508,6 @@ class CheckReport:
             "failures": [{"obligation": r.name, "witness": _witness_dict(r.witness)}
                          for r in self.results if not r.passed],
         }
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
 
 def _verified_check(ev: Evaluator, nf: NamedFormula) -> EvalOutcome:
@@ -524,7 +532,7 @@ def check_theory(s: Structure, theory: Theory) -> CheckReport:
 
 
 @dataclass(frozen=True)
-class CountermodelResult:
+class CountermodelResult(_Report):
     verdict: str  # "found" | "exhausted bounds" | "sample budget spent"
     structure: Optional[Structure]
     witness: Optional[Assignment]
@@ -532,17 +540,14 @@ class CountermodelResult:
     seed: int
     elapsed_ms: int
 
-    def to_dict(self, timings: bool = False) -> dict:
-        d = {
+    def _fields(self) -> dict:
+        return {
             "verdict": self.verdict,
             "structure": None if self.structure is None else summarize(self.structure),
             "witness": _witness_dict(self.witness),
             "candidates": self.candidates,
             "seed": self.seed,
         }
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
 
 def find_countermodel(kind: str, base: Theory, target: NamedFormula,
@@ -590,7 +595,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
 # the equivalence verification
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Report):
     """Tallies for the two definitional translations at every size.
 
     Part side: every parthood model's induced fusion must satisfy the
@@ -613,8 +618,8 @@ class EquivalenceReport:
     def all_ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self, timings: bool = False) -> dict:
-        d = {
+    def _fields(self) -> dict:
+        return {
             "max_n_part": self.max_n_part,
             "max_n_fusion": self.max_n_fusion,
             "seed": self.seed,
@@ -624,9 +629,6 @@ class EquivalenceReport:
                                       for v in self.violations),
             "violations": list(self.violations),
         }
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
 
 def _def_pf(m: PartStructure, fs: FusionStructure, back: PartStructure):
@@ -709,7 +711,7 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
 # the lemma suite
 
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_Report):
     """Per-lemma verdicts on every model of the lemma's theory up to the
     bounds, plus the canonical model of ``canonical_k`` atoms (or its
     induced fusion structure) unless ``canonical_k`` is 0."""
@@ -724,12 +726,9 @@ class LemmaReport:
     def all_passed(self) -> bool:
         return all(row["passed"] for row in self.rows)
 
-    def to_dict(self, timings: bool = False) -> dict:
-        d = {"max_n_part": self.max_n_part, "max_n_fusion": self.max_n_fusion,
-             "canonical_k": self.canonical_k, "rows": list(self.rows)}
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
+    def _fields(self) -> dict:
+        return {"max_n_part": self.max_n_part, "max_n_fusion": self.max_n_fusion,
+                "canonical_k": self.canonical_k, "rows": list(self.rows)}
 
 
 def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = None,

@@ -125,8 +125,8 @@ class EvalContext:
     ``fpre(x)``, the fusion preimage of x, is built on first use.
     """
 
-    __slots__ = ("structure", "n", "kind", "down", "up", "ov", "frow", "full",
-                 "bits", "_ucache", "_fpre")
+    __slots__ = ("structure", "n", "down", "up", "ov", "frow", "full", "bits",
+                 "_ucache", "_fpre")
 
     def __init__(self, s: Structure):
         if s.n > MAX_PLURAL_DOMAIN:
@@ -134,12 +134,10 @@ class EvalContext:
         self.structure = s
         self.n = n = s.n
         if isinstance(s, PartStructure):
-            self.kind = "part"
             down = s.down
             ov = overlap_masks(n, down)
             frow = fusion_rows_from_parts(n, down, ov)
         else:
-            self.kind = "fusion"
             frow = s.rows
             down = parts_from_fusion_rows(n, frow)
             ov = overlap_masks(n, down)
@@ -478,12 +476,9 @@ def _innermost(block, deps, scoped, concl):
         if not isinstance(q, INDIVIDUAL) or q.var in needed:
             continue
         pieces = [g for g, gv in scoped if q.var in gv]
-        if concl is not None:
-            tail = Implies(_conj(pieces), concl) if pieces else concl
-        elif pieces:
-            tail = _conj(pieces)
-        else:
+        if concl is None and not pieces:
             continue
+        tail = _guarded(pieces, concl)
         if q.var in _names(tail) and _lifts(tail, q.var):
             return q, tail
     return None, concl

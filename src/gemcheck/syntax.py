@@ -368,13 +368,17 @@ class _Parser:
             return (ForallI if kw == "forall" else ExistsI)(var, body, bound)
         return (ForallP if kw == "forall" else ExistsP)(var, body, bound)
 
+    def _chain(self, op: str, cls, operand):
+        """``operand {op operand}``, grouped to the left into ``cls`` nodes."""
+        f = operand()
+        while self.peek() == op:
+            self.next()
+            f = cls(f, operand())
+        return f
+
     # iff := imp {"<->" imp}
     def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "<->":
-            self.next()
-            f = Iff(f, self.imp())
-        return f
+        return self._chain("<->", Iff, self.imp)
 
     # imp := or ["->" imp]   (right associative)
     def imp(self) -> Formula:
@@ -385,18 +389,10 @@ class _Parser:
         return f
 
     def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek() == "or":
-            self.next()
-            f = Or(f, self.and_())
-        return f
+        return self._chain("or", Or, self.and_)
 
     def and_(self) -> Formula:
-        f = self.not_()
-        while self.peek() == "and":
-            self.next()
-            f = And(f, self.not_())
-        return f
+        return self._chain("and", And, self.not_)
 
     def not_(self) -> Formula:
         if self.peek() == "not":
@@ -480,18 +476,10 @@ class _Parser:
 
     # pterm := pint {"+" pint} ; pint := patom {"&" patom}
     def pterm(self) -> PluralTerm:
-        t = self.pint()
-        while self.peek() == "+":
-            self.next()
-            t = PUnion(t, self.pint())
-        return t
+        return self._chain("+", PUnion, self.pint)
 
     def pint(self) -> PluralTerm:
-        t = self.patom()
-        while self.peek() == "&":
-            self.next()
-            t = PInter(t, self.patom())
-        return t
+        return self._chain("&", PInter, self.patom)
 
     def patom(self) -> PluralTerm:
         w = self.peek()
@@ -532,6 +520,10 @@ def parse(text: str) -> Formula:
 
 _IFF, _IMP, _OR, _AND, _NOT = 1, 2, 3, 4, 5
 
+# connective: (word, precedence, right associative)
+_BINARY = {And: ("and", _AND, False), Or: ("or", _OR, False),
+           Implies: ("->", _IMP, True), Iff: ("<->", _IFF, False)}
+
 
 def _pt(t: PluralTerm, prec: int) -> str:
     match t:
@@ -571,18 +563,10 @@ def _pr(f: Formula, prec: int) -> str:
         case Not(g):
             s = f"not {_pr(g, _NOT)}"
             return f"({s})" if prec > _NOT else s
-        case And(a, b):
-            s = f"{_pr(a, _AND)} and {_pr(b, _AND + 1)}"
-            return f"({s})" if prec > _AND else s
-        case Or(a, b):
-            s = f"{_pr(a, _OR)} or {_pr(b, _OR + 1)}"
-            return f"({s})" if prec > _OR else s
-        case Implies(a, b):
-            s = f"{_pr(a, _IMP + 1)} -> {_pr(b, _IMP)}"
-            return f"({s})" if prec > _IMP else s
-        case Iff(a, b):
-            s = f"{_pr(a, _IFF)} <-> {_pr(b, _IFF + 1)}"
-            return f"({s})" if prec > _IFF else s
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            word, p, right = _BINARY[type(f)]
+            s = f"{_pr(a, p + right)} {word} {_pr(b, p + (not right))}"
+            return f"({s})" if prec > p else s
         case ForallI(v, body, bound) | ExistsI(v, body, bound) | \
                 ForallP(v, body, bound) | ExistsP(v, body, bound):
             kw = "forall" if isinstance(f, UNIVERSAL) else "exists"

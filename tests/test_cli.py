@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -261,6 +262,20 @@ def test_equiv_reaches_part_7():
     assert (row["models"], row["fusion_axioms_pass"], row["def_pf_pass"],
             row["round_trip_pass"], row["injective"]) == (840, 840, 840, 840, True)
     assert code == 0 and d["violations"] == []
+
+
+@pytest.mark.parametrize("kind,theory_name,target,max_n", [
+    ("part", "gem_p", "ref_P", 1000), ("fusion", "gem_f", "id_F", 17)])
+def test_random_countermodel_past_the_evaluator_exits_3(kind, theory_name, target, max_n):
+    # refused before any bits are drawn: n*n or n*2^n of them would take
+    # minutes or exhaust memory
+    argv = ("countermodel", "--kind", kind, "--theory", theory_name, "--target", target,
+            "--strategy", "random", "--max-n", str(max_n))
+    t0 = time.monotonic()
+    code, out, err = run_cli(*argv)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (3, "") and err.startswith("capacity:")
+    assert run_cli(*argv, "--samples", "0") == (0, "sample budget spent\n", "")
 
 
 def test_oversized_structure_literal_exit_code(tmp_path):
