@@ -117,21 +117,16 @@ def cmd_countermodel(args) -> int:
 def cmd_export(args) -> int:
     if args.all:
         paths = export_mod.emit_all(args.out)
-        sys.stdout.write("".join(f"{p}\n" for p in paths))
-        return EXIT_OK
-    if args.name is None:
+    elif args.name is None:
         sys.stderr.write("export needs --all or --name\n")
         return EXIT_USAGE
-    nf = theory.lemma_suite().get(args.name)
-    text = export_mod.emit_obligation(nf.name, theory.theory_by_name(nf.side), nf)
-    if args.out:
-        from pathlib import Path
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{nf.name}.p").write_text(text)
-        sys.stdout.write(f"{out / (nf.name + '.p')}\n")
-    else:
-        sys.stdout.write(text)
+    elif args.out:
+        paths = [export_mod._write(args.out, theory.lemma_suite().get(args.name))]
+    else:  # --name with --out '': the problem itself, on stdout
+        nf = theory.lemma_suite().get(args.name)
+        sys.stdout.write(export_mod.emit_obligation(nf.name, theory.theory_by_name(nf.side), nf))
+        return EXIT_OK
+    sys.stdout.write("".join(f"{p}\n" for p in paths))
     return EXIT_OK
 
 
@@ -197,9 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_countermodel)
 
     p = sub.add_parser("export", help="write TPTP problem files")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--name")
-    p.add_argument("--out", default="obligations")
+    p.add_argument("--all", action="store_true",
+                   help="write one file per lemma to --out and print their paths")
+    p.add_argument("--name", help="write one lemma's file to --out and print its path")
+    p.add_argument("--out", default="obligations",
+                   help="directory to write to; with --name, '' prints the problem instead")
     p.set_defaults(fn=cmd_export)
 
     return ap

@@ -238,14 +238,15 @@ def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:
     return ob.render(conjecture.anchor, theory.name)
 
 
-def emit_all(out_dir) -> list:
-    """One problem file per lemma obligation; returns the written paths."""
+def _write(out_dir, nf: NamedFormula) -> Path:
+    """Write lemma ``nf``'s problem to ``out_dir``/NAME.p (mkdir -p); returns the path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for nf in lemma_suite():
-        text = emit_obligation(nf.name, theory_by_name(nf.side), nf)
-        path = out / f"{nf.name}.p"
-        path.write_text(text)
-        paths.append(path)
-    return paths
+    path = out / f"{nf.name}.p"
+    path.write_text(emit_obligation(nf.name, theory_by_name(nf.side), nf))
+    return path
+
+
+def emit_all(out_dir) -> list:
+    """One problem file per lemma obligation; returns the written paths."""
+    return [_write(out_dir, nf) for nf in lemma_suite()]

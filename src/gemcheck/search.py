@@ -82,7 +82,6 @@ included only on request, since they are the one nondeterministic field).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -755,17 +754,16 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
             canonical = canonical_gem(canonical_k)
             canonical = canonical if kind == "part" else induced_fusion(canonical)
             scope.append((f"canonical k={canonical_k}{suffix}", canonical, canonical))
-    evaluator = functools.cache(Evaluator)  # one per structure, built when first asked
     rows = []
     for nf in suite:
         failures = []
         verdicts = {}  # representative -> its outcome
         for label, m, rep in scopes[nf.side]:
             if rep not in verdicts:
-                verdicts[rep] = _verified_check(evaluator(rep), nf)
+                verdicts[rep] = _verified_check(Evaluator(rep), nf)
             outcome = verdicts[rep]
             if not outcome.value and m != rep:
-                outcome = _verified_check(evaluator(m), nf)  # each its own witness
+                outcome = _verified_check(Evaluator(m), nf)  # each its own witness
             if not outcome.value:
                 failures.append({"structure": summarize(m), "scope": label,
                                  "witness": _witness_dict(outcome.witness)})

@@ -48,8 +48,8 @@ naive closure compiler that loops in written order is kept as
 ``_compile_reference``, the oracle the generated functions are tested
 against.
 
-Everything here is pure; contexts cache derived predicates per structure
-and are safe for concurrent readers.
+Everything here is pure; a context caches derived predicates for one
+structure, is kept on it and is safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -831,6 +831,7 @@ def _compile(f: Formula):
 
 _COMPILED = {}
 _TERM_COMPILED = {}
+_WITNESS_PLANS = {}
 
 
 def compiled(f: Formula) -> tuple:
@@ -839,6 +840,19 @@ def compiled(f: Formula) -> tuple:
     if entry is None:
         entry = _COMPILED[f] = (_compile(f), tuple(sorted(_names(f))))
     return entry
+
+
+def _witness_plan(sentence: Formula) -> tuple:
+    """``find_witness``'s prefix, built once: (variable, whether individual, domain,
+    compiled suffix) per leading universal up to the first that rebinds a name."""
+    plan = _WITNESS_PLANS.get(sentence)
+    if plan is None:
+        plan, q = [], sentence
+        while isinstance(q, UNIVERSAL) and q.var not in {step[0] for step in plan}:
+            plan.append((q.var, isinstance(q, ForallI), _domain(q), compiled(q.body)[0]))
+            q = q.body
+        plan = _WITNESS_PLANS[sentence] = tuple(plan)
+    return plan
 
 
 def compiled_term(t: PluralTerm) -> tuple:
@@ -878,7 +892,7 @@ class Evaluator:
     """Evaluation bound to one structure, sharing its lookup tables."""
 
     def __init__(self, s: Structure):
-        self.ctx = EvalContext(s)
+        self.ctx = s._derived("_context", EvalContext)  # one per structure instance
 
     def term(self, t: PluralTerm, a: Optional[Assignment] = None) -> Plurality:
         env = _env_of(self.ctx.structure, a)
@@ -907,28 +921,23 @@ class Evaluator:
         the remaining universal suffix is false, which gives the
         lexicographically first refuting assignment without backtracking.
         """
-        ctx = self.ctx
-        env = {}
-        prefix = []
-        q = sentence
-        while isinstance(q, UNIVERSAL) and q.var not in env:
-            suffix = compiled(q.body)[0]
-            for val in _domain(q)(ctx, env):
-                env[q.var] = val
+        plan = _witness_plan(sentence)
+        if not plan:
+            return None
+        ctx, env = self.ctx, {}
+        for var, _, domain, suffix in plan:
+            for val in domain(ctx, env):
+                env[var] = val
                 if not suffix(ctx, env):
                     break
             else:
                 return None
-            prefix.append(q)
-            q = q.body
-        if not prefix:
-            return None
         individuals, plurals = {}, {}
-        for q in prefix:
-            if isinstance(q, ForallI):
-                individuals[q.var] = env[q.var]
+        for var, individual, _, _ in plan:
+            if individual:
+                individuals[var] = env[var]
             else:
-                plurals[q.var] = members_of(env[q.var])
+                plurals[var] = members_of(env[var])
         return Assignment(individuals, plurals)
 
     def refutes(self, sentence: Formula, witness: Assignment) -> bool:

@@ -20,13 +20,13 @@ the empty set), the definitional translations between the two signatures,
 and the structure literal file format used by the CLI and golden tests.
 
 All structures are immutable after construction and safe to share across
-threads.
+threads.  Its summary and evaluation context are built once and kept on it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Union
 
 Plurality = frozenset  # frozenset[int]; the denotation of a second-sort term
@@ -79,8 +79,23 @@ def _check_masks(n: int, masks: tuple, count: int) -> None:
         raise ValueError(f"expected a tuple of {count} masks over 0..{n - 1}")
 
 
+class _Derived:
+    """Keeps values derived from the fields in the instance dict, where
+    ``==``, ``hash``, ``repr`` and pickles (so pool workers) do not see them."""
+
+    def _derived(self, key: str, build):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, key, value)
+        return value
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class PartStructure:
+class PartStructure(_Derived):
     """Domain {0..n-1} with a primitive parthood relation:
     ``down[y]`` is the bitmask of {x : P(x, y)}."""
 
@@ -104,7 +119,7 @@ class PartStructure:
 
 
 @dataclass(frozen=True)
-class FusionStructure:
+class FusionStructure(_Derived):
     """Domain {0..n-1}, n <= ``MAX_PLURAL_DOMAIN``, with a primitive fusion
     relation: ``rows[p]`` is the bitmask of {x : F(p, x)}."""
 
@@ -300,8 +315,8 @@ def dump_structure(s: Structure) -> str:
 
 
 def summarize(s: Structure) -> str:
-    """One-line rendering in the literal format."""
-    return dump_structure(s).strip().replace("\n", " ")
+    """One-line rendering in the literal format, built once per instance."""
+    return s._derived("_summary", lambda s: dump_structure(s).strip().replace("\n", " "))
 
 
 def load_structure(text: str) -> Structure:

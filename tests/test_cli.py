@@ -228,6 +228,20 @@ def test_export_single(tmp_path):
     assert (tmp_path / "one" / "FUIx.p").exists()
 
 
+def test_export_name_to_stdout_matches_the_written_file(tmp_path):
+    # --name with --out '' prints the problem instead of writing it; the
+    # bytes are those of the file --out DIR writes, and of --all's file
+    code, _, _ = run_cli("export", "--all", "--out", str(tmp_path / "all"))
+    assert code == 0
+    for name in ("FUIx", "fun_F", "comp_F"):
+        code, printed, _ = run_cli("export", "--name", name, "--out", "")
+        assert code == 0
+        code, out, _ = run_cli("export", "--name", name, "--out", str(tmp_path / "one"))
+        path = tmp_path / "one" / f"{name}.p"
+        assert code == 0 and out == f"{path}\n"
+        assert printed.encode() == path.read_bytes() == (tmp_path / "all" / f"{name}.p").read_bytes()
+
+
 def test_export_needs_selection():
     code, _, _ = run_cli("export")
     assert code == 2

@@ -16,7 +16,7 @@ from gemcheck import (CapacityError, FusionStructure, PartStructure, Theory,
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
-from gemcheck.structures import summarize
+from gemcheck.structures import dump_structure, load_structure, summarize
 
 from util import (all_structures, evaluator_models, labeled_models,
                   oracle_gem_p_model_codes, part_pairs, product_models, relabeled)
@@ -344,7 +344,7 @@ def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
     assert verdicts == {True, False}
 
 
-def test_filter_workers_match_serial():
+def test_filter_workers_match_serial(monkeypatch):
     t = pp_axioms()  # no row-local pruning, so the pool path is exercised
     serial = filter_models("part", 4, t, workers=1)
     pooled = filter_models("part", 4, t, workers=2)
@@ -357,9 +357,19 @@ def test_filter_workers_match_serial():
     # every candidate is a model, so a pool task losing any candidate shows
     codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
     assert codes == list(range(1 << 16))
-    # ext_F clauses prune inside each task; 19 208 baked candidates start the pool
+    # ext_F clauses prune inside each task; 19 208 baked candidates start the
+    # pool.  The serial representatives carry their evaluation contexts by
+    # then; the pooled models come back through pickles and must still
+    # compare and print alike
     t = gem_f()
-    assert filter_models("fusion", 3, t, workers=2) == filter_models("fusion", 3, t)
+    serial = filter_models("fusion", 3, t)
+    assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda *a, _pool=multiprocessing.Pool: pools.append(a) or _pool(*a))
+    pooled = filter_models("fusion", 3, t, workers=2)
+    assert pools == [(2,)]
+    assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
 
 
 def test_native_and_evaluator_disagreement_raises(monkeypatch):
@@ -386,6 +396,27 @@ def test_check_theory_reports():
     assert "elapsed_ms" not in d and "elapsed_ms" in rep.to_dict(timings=True)
     rep = check_theory(PartStructure(0, ()), gem_p())
     assert rep.all_passed
+
+
+def test_a_shared_context_leaks_nothing_between_theories():
+    # one structure instance keeps one evaluation context and one summary
+    # for every theory checked on it; in any order, each report must equal
+    # the one a freshly loaded copy of the same literal gives
+    rng = random.Random(41)
+    theories = (gem_f(), gem_p(), pp_axioms())
+    literals = [dump_structure(random_structure(kind, n, rng))
+                for kind, top in (("part", 4), ("fusion", 3))
+                for n in range(top + 1) for _ in range(3)]
+    for literal in literals:
+        fresh = {t.name: check_theory(load_structure(literal), t).to_dict()
+                 for t in theories}
+        shared = load_structure(literal)
+        assert Evaluator(shared).ctx is Evaluator(shared).ctx
+        for order in itertools.permutations(theories):
+            one = load_structure(literal)
+            for t in order:
+                assert check_theory(one, t).to_dict() == fresh[t.name], (literal, t.name)
+                assert check_theory(shared, t).to_dict() == fresh[t.name], (literal, t.name)
 
 
 def test_countermodel_target_in_base():

@@ -444,6 +444,38 @@ def test_registry_witnesses_match_reference_on_random_structures():
                     _reference_witness(ev, nf.sentence), nf.name
 
 
+_REBINDING_PREFIXES = [
+    "forall y . forall z in I(y) . forall y . P(z, y) -> z = y",
+    "forall XX . forall y in XX . forall XX sub U(I(y)) . y in XX -> F(XX, y)",
+    "forall x . forall YY sub U(I(x)) . forall x . x in YY or O(x, x)",
+]
+
+
+def test_one_witness_plan_serves_every_structure():
+    # each sentence's plan is built once, from the sentence alone, and then
+    # only read: on structures of every size and both kinds, in either
+    # order, its witnesses must be the written-order reference ones
+    rng = random.Random(14)
+    sentences = [nf.sentence for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite())
+                 for nf in t]
+    sentences += [parse(text) for text in _REBINDING_PREFIXES]
+    structures = [random_structure(kind, n, rng) for n in range(5)
+                  for kind in ("part", "fusion") for _ in range(2)]
+    for order in (structures, structures[::-1]):
+        for f in sentences:
+            semantics._WITNESS_PLANS.pop(f, None)
+        plans = {f: semantics._witness_plan(f) for f in sentences}
+        refuted = 0
+        for s in order:
+            ev = Evaluator(s)
+            for f in sentences:
+                w = ev.find_witness(f)
+                assert w == _reference_witness(ev, f), (s, print_formula(f))
+                refuted += w is not None
+        assert all(semantics._witness_plan(f) is plan for f, plan in plans.items())
+        assert refuted > 200
+
+
 # ---------------------------------------------------------------------------
 # hazards for the generated source: names, rebinding, depth, empty domains
 

@@ -1,11 +1,16 @@
+import pickle
+import random
+from dataclasses import fields
+
 import pytest
 
 from gemcheck import (CapacityError, FusionStructure, PartStructure,
-                      StructureFormatError, canonical_gem, components,
+                      StructureFormatError, canonical_gem, check_theory, components,
                       dump_structure, gem_f, gem_p, induced_fusion,
                       induced_part, load_structure, mub, overlap, proper_part)
 from gemcheck.semantics import Evaluator
-from gemcheck.search import code_of, filter_models, structure_from_code
+from gemcheck.search import code_of, filter_models, random_structure, structure_from_code
+from gemcheck.structures import summarize
 
 from util import all_structures, fusion_pairs, oracle_fuses, part_pairs
 
@@ -189,3 +194,20 @@ def test_file_format_errors():
         load_structure("n=2\npart: (0,2)(1)")
     with pytest.raises(StructureFormatError):
         load_structure("n=1\nfusion: ({2},0)")
+
+
+def test_derived_values_stay_out_of_equality_hash_repr_and_pickles():
+    # the evaluation context and the summary are kept on the instance but
+    # outside its fields: nothing compares, hashes, prints or pickles them
+    rng = random.Random(3)
+    for kind, n in (("part", 3), ("part", 4), ("fusion", 2), ("fusion", 3)):
+        s = random_structure(kind, n, rng)
+        check_theory(s, gem_p() if kind == "part" else gem_f())
+        summarize(s)
+        assert {"_context", "_summary"} <= vars(s).keys()
+        copy = load_structure(dump_structure(s))
+        assert s == copy and hash(s) == hash(copy) and repr(s) == repr(copy)
+        back = pickle.loads(pickle.dumps(s))
+        assert vars(back) == {f.name: getattr(s, f.name) for f in fields(s)}
+        assert back == s and repr(back) == repr(s)
+
