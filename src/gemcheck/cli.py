@@ -123,8 +123,7 @@ def cmd_export(args) -> int:
     elif args.out:
         paths = [export_mod._write(args.out, theory.lemma_suite().get(args.name))]
     else:  # --name with --out '': the problem itself, on stdout
-        nf = theory.lemma_suite().get(args.name)
-        sys.stdout.write(export_mod.emit_obligation(nf.name, theory.theory_by_name(nf.side), nf))
+        sys.stdout.write(export_mod._lemma_problem(theory.lemma_suite().get(args.name)))
         return EXIT_OK
     sys.stdout.write("".join(f"{p}\n" for p in paths))
     return EXIT_OK

@@ -17,7 +17,6 @@ computed by dependency closure, so repeated emission is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
@@ -26,8 +25,6 @@ from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
                      TermEq, UNIVERSAL)
 from .theory import Theory, lemma_suite, theory_by_name
-
-COMPREHENSION_INSTANCES = ("I", "union", "intersection", "U_F", "U_P", "zzstar")
 
 
 def _iv(name: str) -> str:
@@ -173,35 +170,6 @@ _INSTANCE_LABEL = {"sing": "I", "un": "union", "int": "intersection",
                    "zzstar": "zzstar"}
 
 
-@dataclass(frozen=True)
-class Obligation:
-    """One encoded problem: axioms, conjecture, and comprehension instances."""
-
-    name: str
-    axioms: tuple  # tuple[(label, fof text), ...]
-    conjecture: str
-    instances: tuple
-
-    def render(self, anchor: str, theory_name: str) -> str:
-        lines = [
-            f"% Problem  : {self.name}",
-            f"% Source   : {anchor}",
-            f"% Axioms   : {theory_name}",
-            "% Encoding : two-sorted plural logic relativized to first-order",
-            "%            logic; comprehension only via the named instances "
-            f"({', '.join(self.instances) or 'none'}),",
-            "%            so provability here is sufficient, not necessary.",
-            "",
-        ]
-        for label, text in self.axioms:
-            lines.append(f"fof({label}, axiom,")
-            lines.append(f"    {text}).")
-            lines.append("")
-        lines.append(f"fof({self.name.lower()}, conjecture,")
-        lines.append(f"    {self.conjecture}).")
-        return "\n".join(lines) + "\n"
-
-
 def _side_of(theory: Theory) -> str:
     return "gem_p" if theory.name.startswith("gem_p") else "gem_f"
 
@@ -223,19 +191,35 @@ def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:
     """Complete problem text: theory axioms, needed instances, conjecture."""
     side = _side_of(theory)
     enc = _Encoder()
-    axioms = []
-    for nf in theory.obligations:
-        axioms.append((f"ax_{nf.name.lower()}", enc.formula(nf.sentence)))
+    axioms = [(f"ax_{nf.name.lower()}", enc.formula(nf.sentence))
+              for nf in theory.obligations]
     conj = enc.formula(conjecture.sentence)
     with_star = side == "gem_p" and conjecture.name == "comp_F"
     defs = _needed_defs(enc.used, side, with_star)
-    instances = tuple(
-        _INSTANCE_LABEL[sym] for sym in ("sing", "un", "int", "zzstar")
-        if f"def_{sym}" in {label for label, _ in defs})
-    if any(label == "def_u" for label, _ in defs):
-        instances += ("U_F",) if side == "gem_f" else ("U_P",)
-    ob = Obligation(name, tuple(defs) + tuple(axioms), conj, instances)
-    return ob.render(conjecture.anchor, theory.name)
+    labels = {label for label, _ in defs}
+    instances = [_INSTANCE_LABEL[sym] for sym in ("sing", "un", "int", "zzstar")
+                 if f"def_{sym}" in labels]
+    if "def_u" in labels:
+        instances.append("U_F" if side == "gem_f" else "U_P")
+    lines = [
+        f"% Problem  : {name}",
+        f"% Source   : {conjecture.anchor}",
+        f"% Axioms   : {theory.name}",
+        "% Encoding : two-sorted plural logic relativized to first-order",
+        "%            logic; comprehension only via the named instances "
+        f"({', '.join(instances) or 'none'}),",
+        "%            so provability here is sufficient, not necessary.",
+        "",
+    ]
+    for label, text in defs + axioms:
+        lines += [f"fof({label}, axiom,", f"    {text}).", ""]
+    lines += [f"fof({name.lower()}, conjecture,", f"    {conj})."]
+    return "\n".join(lines) + "\n"
+
+
+def _lemma_problem(nf: NamedFormula) -> str:
+    """Lemma ``nf``'s problem over the theory of its side."""
+    return emit_obligation(nf.name, theory_by_name(nf.side), nf)
 
 
 def _write(out_dir, nf: NamedFormula) -> Path:
@@ -243,7 +227,7 @@ def _write(out_dir, nf: NamedFormula) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{nf.name}.p"
-    path.write_text(emit_obligation(nf.name, theory_by_name(nf.side), nf))
+    path.write_text(_lemma_problem(nf))
     return path
 
 

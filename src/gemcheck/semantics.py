@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -816,7 +817,7 @@ def _flat(f: Formula, room: int = 24) -> bool:
 
 def _compile(f: Formula):
     """The generated function ``fn(ctx, env)`` evaluating ``f``; its source
-    is in ``linecache``, so tracebacks through it show the emitted lines."""
+    is in ``linecache`` while it lives, so tracebacks show the emitted lines."""
     src = _Source()
     scope = {name: src.fresh("v") for name in sorted(_names(f))}
     src.define("def formula(ctx, env):", lambda: src.bool(f, scope, None),
@@ -826,41 +827,30 @@ def _compile(f: Formula):
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {"submasks": _submasks}
     exec(compile(text, filename, "exec"), namespace)
+    weakref.finalize(namespace["formula"], linecache.cache.pop, filename, None)
     return namespace["formula"]
 
 
-_COMPILED = {}
-_TERM_COMPILED = {}
-_WITNESS_PLANS = {}
-
-
 def compiled(f: Formula) -> tuple:
-    """(function, sorted free variable names) of a formula, built once."""
-    entry = _COMPILED.get(f)
-    if entry is None:
-        entry = _COMPILED[f] = (_compile(f), tuple(sorted(_names(f))))
-    return entry
+    """(function, sorted free variable names) of a formula, built once per node."""
+    return f._derived("_compiled", lambda f: (_compile(f), tuple(sorted(_names(f)))))
 
 
 def _witness_plan(sentence: Formula) -> tuple:
     """``find_witness``'s prefix, built once: (variable, whether individual, domain,
     compiled suffix) per leading universal up to the first that rebinds a name."""
-    plan = _WITNESS_PLANS.get(sentence)
-    if plan is None:
-        plan, q = [], sentence
+    def build(q):
+        plan = []
         while isinstance(q, UNIVERSAL) and q.var not in {step[0] for step in plan}:
             plan.append((q.var, isinstance(q, ForallI), _domain(q), compiled(q.body)[0]))
             q = q.body
-        plan = _WITNESS_PLANS[sentence] = tuple(plan)
-    return plan
+        return tuple(plan)
+    return sentence._derived("_witness_plan", build)
 
 
 def compiled_term(t: PluralTerm) -> tuple:
-    """(closure, sorted free variable names) of a plural term, built once."""
-    entry = _TERM_COMPILED.get(t)
-    if entry is None:
-        entry = _TERM_COMPILED[t] = (_compile_term(t), tuple(sorted(_names(t))))
-    return entry
+    """(closure, sorted free variable names) of a plural term, built once per node."""
+    return t._derived("_compiled", lambda t: (_compile_term(t), tuple(sorted(_names(t)))))
 
 
 # ---------------------------------------------------------------------------

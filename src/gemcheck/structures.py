@@ -81,7 +81,9 @@ def _check_masks(n: int, masks: tuple, count: int) -> None:
 
 class _Derived:
     """Keeps values derived from the fields in the instance dict, where
-    ``==``, ``hash``, ``repr`` and pickles (so pool workers) do not see them."""
+    ``==``, ``hash``, ``repr`` and pickles (so pool workers) do not see them.
+    Structures and syntax nodes share it, so each derived value (a context,
+    a hash, compiled code) lives and dies with its object."""
 
     def _derived(self, key: str, build):
         value = self.__dict__.get(key)

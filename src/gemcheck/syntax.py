@@ -30,6 +30,8 @@ import re
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
+from .structures import _Derived
+
 RESERVED = {"forall", "exists", "not", "and", "or", "in", "sub", "eq",
             "F", "P", "PP", "O", "I", "U"}
 
@@ -52,54 +54,46 @@ class SortError(ParseError):
 def _node(cls):
     """A frozen dataclass whose hash is computed once per instance.
 
-    Formulas key the evaluator's compile caches, and the generated
-    ``__hash__`` walks the whole tree on every lookup.  The cached value
-    sits in the instance dict, next to ``free_vars``'s, and a pickle
-    carries neither: string hashes differ between interpreters, so an
-    unpickled node hashes afresh.
+    Sentences key ``native.native_for``'s registry, and the generated
+    ``__hash__`` walks the whole tree on every lookup.  The hash is kept
+    like the node's other derived values, through the ``_Derived`` helper
+    nodes share with structures, so no pickle carries it: string hashes
+    differ between interpreters, so an unpickled node hashes afresh.
     """
     cls = dataclass(frozen=True)(cls)
     names = tuple(fl.name for fl in fields(cls))
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(tuple(getattr(self, name) for name in names))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def build(self):
+        return hash(tuple(getattr(self, name) for name in names))
 
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in names}
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
+    cls.__hash__ = lambda self: self._derived("_hash", build)
     return cls
 
 
 @_node
-class PVar:
+class PVar(_Derived):
     name: str
 
 
 @_node
-class Singleton:
+class Singleton(_Derived):
     var: str  # I(x)
 
 
 @_node
-class PUnion:
+class PUnion(_Derived):
     left: "PluralTerm"
     right: "PluralTerm"
 
 
 @_node
-class PInter:
+class PInter(_Derived):
     left: "PluralTerm"
     right: "PluralTerm"
 
 
 @_node
-class Components:
+class Components(_Derived):
     term: "PluralTerm"  # U(T)
 
 
@@ -107,105 +101,105 @@ PluralTerm = Union[PVar, Singleton, PUnion, PInter, Components]
 
 
 @_node
-class Eq:
+class Eq(_Derived):
     left: str
     right: str
 
 
 @_node
-class Member:
+class Member(_Derived):
     var: str
     term: PluralTerm
 
 
 @_node
-class SubTerm:
+class SubTerm(_Derived):
     left: PluralTerm
     right: PluralTerm
 
 
 @_node
-class TermEq:
+class TermEq(_Derived):
     left: PluralTerm
     right: PluralTerm
 
 
 @_node
-class FusionAtom:
+class FusionAtom(_Derived):
     term: PluralTerm
     var: str
 
 
 @_node
-class PartAtom:
+class PartAtom(_Derived):
     left: str
     right: str
 
 
 @_node
-class ProperPartAtom:
+class ProperPartAtom(_Derived):
     left: str
     right: str
 
 
 @_node
-class OverlapAtom:
+class OverlapAtom(_Derived):
     left: str
     right: str
 
 
 @_node
-class Not:
+class Not(_Derived):
     body: "Formula"
 
 
 @_node
-class And:
+class And(_Derived):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Or:
+class Or(_Derived):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Implies:
+class Implies(_Derived):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Iff:
+class Iff(_Derived):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class ForallI:
+class ForallI(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall x in bound
 
 
 @_node
-class ExistsI:
+class ExistsI(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None
 
 
 @_node
-class ForallP:
+class ForallP(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall XX sub bound
 
 
 @_node
-class ExistsP:
+class ExistsP(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None
@@ -242,12 +236,13 @@ def free_vars(node) -> tuple:
     plural term, computed once per node, with sorts read as the module
     docstring says.  A quantifier's bound lies outside its scope.
     """
-    fv = node.__dict__.get("_free")
-    if fv is not None:
-        return fv
+    return node._derived("_free", _free_vars)
+
+
+def _free_vars(node) -> tuple:
     if isinstance(node, PVar):
-        fv = frozenset(), frozenset([node.name])
-    elif isinstance(node, QUANTIFIERS):
+        return frozenset(), frozenset([node.name])
+    if isinstance(node, QUANTIFIERS):
         iv, pv = free_vars(node.body)
         if isinstance(node, INDIVIDUAL):
             iv = iv - {node.var}
@@ -256,19 +251,16 @@ def free_vars(node) -> tuple:
         if node.bound is not None:
             bi, bp = free_vars(node.bound)
             iv, pv = iv | bi, pv | bp
-        fv = iv, pv
-    else:
-        iv = pv = frozenset()
-        for fl in fields(node):
-            x = getattr(node, fl.name)
-            if isinstance(x, str):
-                iv |= {x}
-            else:
-                xi, xp = free_vars(x)
-                iv, pv = iv | xi, pv | xp
-        fv = iv, pv
-    object.__setattr__(node, "_free", fv)
-    return fv
+        return iv, pv
+    iv = pv = frozenset()
+    for fl in fields(node):
+        x = getattr(node, fl.name)
+        if isinstance(x, str):
+            iv |= {x}
+        else:
+            xi, xp = free_vars(x)
+            iv, pv = iv | xi, pv | xp
+    return iv, pv
 
 
 def is_closed(f: Formula) -> bool:

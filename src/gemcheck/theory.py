@@ -150,9 +150,15 @@ def parse_theory_text(name: str, text: str, anchor: str = "file") -> Theory:
         if ":" not in line:
             raise ValueError(f"{name}:{lineno}: expected 'name : formula [; anchor]'")
         key, _, body = line.partition(":")
-        obligations.append(NamedFormula(key.strip(), parse(body),
+        obligations.append(NamedFormula(key.strip(), _sentence(body.strip()),
                                         tag.strip() or anchor, side))
     return Theory(name, tuple(obligations))
+
+
+@lru_cache(maxsize=None)
+def _sentence(text: str):
+    """One object per sentence text: a restated axiom shares its compiled code."""
+    return parse(text)
 
 
 def builtin_theory_text(name: str) -> str:

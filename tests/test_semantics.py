@@ -1,7 +1,9 @@
+import gc
 import linecache
 import random
 import re
 import traceback
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -463,7 +465,7 @@ def test_one_witness_plan_serves_every_structure():
                   for kind in ("part", "fusion") for _ in range(2)]
     for order in (structures, structures[::-1]):
         for f in sentences:
-            semantics._WITNESS_PLANS.pop(f, None)
+            vars(f).pop("_witness_plan", None)
         plans = {f: semantics._witness_plan(f) for f in sentences}
         refuted = 0
         for s in order:
@@ -590,3 +592,24 @@ def test_generated_source_is_registered_for_tracebacks():
     frame = traceback.extract_tb(err.value.__traceback__)[-1]
     assert frame.filename.startswith("<gemcheck-formula-")
     assert frame.line == "v1 = env['y']"
+
+
+def _compile_and_drop(text):
+    """Compile, evaluate and witness a freshly parsed sentence; return a weak
+    reference to it and the ``linecache`` entries its compiling added."""
+    before = set(linecache.cache)
+    f = parse(text)
+    ev = Evaluator(canonical_gem(2))
+    assert not ev.eval(f) and ev.find_witness(f) is not None
+    return weakref.ref(f), set(linecache.cache) - before
+
+
+def test_compiled_code_and_its_source_go_with_the_formula():
+    # the compiled function lives on the formula, and its source in
+    # linecache only as long as the function: nothing keeps either alive
+    ref, sources = _compile_and_drop(
+        "forall x . forall YY sub U(I(x)) . exists y in YY . not P(x, y) or x = y")
+    assert sources and all(re.fullmatch(r"<gemcheck-formula-\d+>", s) for s in sources)
+    gc.collect()
+    assert ref() is None
+    assert sources.isdisjoint(linecache.cache)

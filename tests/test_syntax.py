@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gemcheck
-from gemcheck import parse, print_formula
+from gemcheck import parse, print_formula, semantics
 from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
                              ForallI, FusionAtom, Implies, Not, ParseError,
                              PartAtom, PInter, PUnion, Singleton, SortError,
@@ -106,10 +106,13 @@ def test_random_round_trip():
 def test_cached_hash_does_not_cross_a_pickle():
     # string hashes are randomized per interpreter, so a node unpickled
     # under another hash seed must hash as that interpreter's own parse does;
-    # it carries no cached free variables either, only its fields
+    # it carries no cached free variables or compiled code either (a
+    # generated function cannot be pickled), only its fields
     text = "forall ZZ . ((exists x . x in ZZ) -> (exists y . F(ZZ + I(x), y)))"
     f = parse(text)
     hash(f), free_vars(f)  # fill the caches before pickling
+    semantics.compiled(f), semantics._witness_plan(f)
+    assert {"_hash", "_free", "_compiled", "_witness_plan"} <= vars(f).keys()
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     script = ("import pickle, sys\n"
               "from dataclasses import fields\n"

@@ -24,6 +24,18 @@ def test_axiom_counts():
     assert len(pp_axioms().obligations) == 3
 
 
+def test_each_registry_sentence_text_is_parsed_once():
+    # a lemma restating an axiom word for word shares the axiom's object
+    # (and so its compiled code); every distinct sentence is one object
+    axioms = {nf.name: nf.sentence for t in (gem_f(), gem_p()) for nf in t}
+    restated = ["ref_P", "antis_P", "trans_P", "id_F", "ext_F", "comp_F", "wsp_F",
+                "approx_F"]
+    assert all(lemma_suite().get(name).sentence is axioms[name] for name in restated)
+    sentences = [nf.sentence for name in theory_names() for nf in theory_by_name(name)]
+    assert len(sentences) == 33
+    assert len({id(f) for f in sentences}) == len({print_formula(f) for f in sentences}) == 25
+
+
 def test_anchors_nonempty():
     for name in theory_names():
         for nf in theory_by_name(name):
