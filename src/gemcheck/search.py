@@ -10,21 +10,20 @@ Filtering is a two-stage pipeline.  A scanning stage is one depth-first
 search over the rows (``down[y]`` on the part side, ``rows[p]`` on the
 fusion side), each ranging over a value list into which row-local axioms
 are baked (reflexivity on the part side, fusion existence and singleton
-collapse on the fusion side).  Part rows are assigned in index order,
-fusion rows in ascending popcount with ties by mask.  Some native
-checkers are also split into clauses, one per instance of the checker's
-own loop, each filed under the last row it reads and tested as soon as
-that row is assigned: ext_F instances (ZZ, YY, UU) on the fusion side,
-antis_P (which also decides as_PP) instances (x, y), and trans_P and
-trans_PP instances (x, y, z) on the part side.  Only the checkers of the
-theory's own obligations are filed, so without them the search visits
-the whole product of the value lists.  At each leaf every native checker
-runs in full, cheap first in the order of ``_PLAN_ORDER``: ref_P, id_F,
-exists_F, antis_P and as_PP (one checker), trans_P, fun_F, trans_PP,
-dfP_PP, approx_F, wsp_F, comp_F, ext_F; unfolded to P, fun_F comes before
-exists_F, which rejects poset leaves later (the order affects speed, never
-results).  Workers run only this stage, one task per value of row 0,
-which comes first in either order, and only when row 0 has two or more
+collapse on the fusion side).  Rows are assigned in index order on both
+sides.  Some native checkers are also split into clauses, one per
+instance of the checker's own loop, each filed under the largest row it
+reads and tested as soon as that row is assigned: ext_F instances (ZZ,
+YY, UU) on the fusion side, antis_P (which also decides as_PP) instances
+(x, y), and trans_P and trans_PP instances (x, y, z) on the part side.
+Only the checkers of the theory's own obligations are filed, so without
+them the search visits the whole product of the value lists.  At each
+leaf every native checker runs in full, cheap first in the order of
+``_PLAN_ORDER``: ref_P, id_F, exists_F, antis_P and as_PP (one checker),
+trans_P, fun_F, trans_PP, dfP_PP, approx_F, wsp_F, comp_F, ext_F;
+unfolded to P, fun_F comes before exists_F, which rejects poset leaves
+later (the order affects speed, never results).  Workers run only this
+stage, one task per value of row 0, and only when row 0 has two or more
 values and the baked product exceeds 4 096 candidates.  Orbits of
 survivors are ordered by code, so the output never depends on the search
 order or on scheduling.  The formula evaluator then decides each
@@ -248,14 +247,6 @@ class Models(list):
         self.orbits = orbits
 
 
-def _row_order(kind: str, n: int) -> list:
-    """Row indices in search order: part rows by index, fusion rows by
-    ascending popcount, ties by mask."""
-    if kind == "part":
-        return list(range(n))
-    return sorted(range(1 << n), key=lambda p: (p.bit_count(), p))
-
-
 # Instance-triggered clauses.  A clause is one instance of a native
 # checker's own loop.  A family yields each as (rows it reads, clause), and
 # its test says whether any of a list of clauses rejects the rows.
@@ -309,18 +300,17 @@ _CLAUSES = {
 }
 
 
-def _filed_clauses(kind: str, n: int, natives, order: list) -> list:
-    """Per search position, ``(test, clauses)`` pairs: the clauses of the
-    natives in ``natives`` whose last row read is assigned there."""
-    position = {r: k for k, r in enumerate(order)}
-    filed = [{} for _ in order]
+def _filed_clauses(kind: str, n: int, natives) -> list:
+    """Per row, ``(test, clauses)`` pairs: the clauses of the natives in
+    ``natives`` whose largest row read is that row."""
+    filed = [{} for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
         if family is None:
             continue
         fires, instances = family
         for reads, clause in instances(n):
-            at = filed[max(map(position.__getitem__, reads))]
+            at = filed[max(reads)]
             at.setdefault(fires, {})[clause] = None  # once per distinct clause
     return [[(fires, tuple(clauses)) for fires, clauses in at.items()] for at in filed]
 
@@ -328,7 +318,7 @@ def _filed_clauses(kind: str, n: int, natives, order: list) -> list:
 def _scan_worker(args) -> list:
     """Structures of the row search over ``allowed`` passing every native.
 
-    Rows are assigned depth first in ``_row_order``; after each row the
+    Rows are assigned depth first in index order; after each row the
     clauses filed there are tested, and a leaf runs every native in full.
     """
     kind, n, allowed, natives = args
@@ -336,24 +326,23 @@ def _scan_worker(args) -> list:
         tables, build = native.part_tables, PartStructure
     else:
         tables, build = native.fusion_tables, FusionStructure.from_rows
-    order = _row_order(kind, n)
-    filed = _filed_clauses(kind, n, natives, order)
+    filed = _filed_clauses(kind, n, natives)
     rows = [0] * len(allowed)
     found = []
 
-    def assign(k):
-        if k == len(order):
+    def assign(r):
+        if r == len(rows):
             if natives:
                 t = tables(n, rows)
                 if not all(fn(t) for fn in natives):
                     return
             found.append(build(n, tuple(rows)))
             return
-        r, checks = order[k], filed[k]
+        checks = filed[r]
         for v in allowed[r]:
             rows[r] = v
             if not any(fires(rows, clauses) for fires, clauses in checks):
-                assign(k + 1)
+                assign(r + 1)
 
     assign(0)
     return found
@@ -393,7 +382,7 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     natural, allowed, natives, rest = _stream(kind, n, theory)
     if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
-        # one task per value of row 0, the first row in either search order
+        # one task per value of row 0, the first row searched
         tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
@@ -563,6 +552,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
     # batches of (candidates they count for, structures to try); exhaustive
     # ones try the representatives, so the first failing is the first model
     if strategy == "exhaustive":
+        _stream(kind, max_n, base)  # capacity, before any size is scanned
         batches = ((1 << relation_bits(kind, n),
                     [orbit[0] for orbit in filter_models(kind, n, base, workers=workers).orbits])
                    for n in range(max_n + 1))

@@ -333,32 +333,19 @@ def _compile_node(f: Formula, sub):
     return run
 
 
-def _loop(var, dom, body, universal, guard=None):
-    """A quantifier over ``var`` stepping through ``dom`` in order.
-
-    Values failing ``guard`` are skipped; the loop stops at the first
-    value where ``body`` is false (universal) or true (existential).
-    """
-    if guard is None:
-        def run(ctx, env):
-            old = env.get(var, _UNSET)
-            for val in dom(ctx, env):
-                env[var] = val
-                if body(ctx, env) != universal:
-                    _restore(env, var, old)
-                    return not universal
-            _restore(env, var, old)
-            return universal
-    else:
-        def run(ctx, env):
-            old = env.get(var, _UNSET)
-            for val in dom(ctx, env):
-                env[var] = val
-                if guard(ctx, env) and body(ctx, env) != universal:
-                    _restore(env, var, old)
-                    return not universal
-            _restore(env, var, old)
-            return universal
+def _loop(var, dom, body, universal):
+    """A quantifier over ``var`` stepping through ``dom`` in order; it stops
+    at the first value where ``body`` is false (universal) or true
+    (existential)."""
+    def run(ctx, env):
+        old = env.get(var, _UNSET)
+        for val in dom(ctx, env):
+            env[var] = val
+            if body(ctx, env) != universal:
+                _restore(env, var, old)
+                return not universal
+        _restore(env, var, old)
+        return universal
     return run
 
 

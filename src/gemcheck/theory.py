@@ -39,6 +39,9 @@ from .syntax import NamedFormula, is_closed, parse
 class UnknownNameError(KeyError):
     """A theory or obligation name that the registry does not have."""
 
+    def __str__(self):  # the message itself; KeyError's would quote it
+        return self.args[0]
+
 
 @dataclass(frozen=True)
 class Theory:

@@ -145,8 +145,8 @@ def test_lemmas_single_name():
 
 
 def test_lemmas_unknown_name():
-    code, _, err = run_cli("lemmas", "--name", "nope", "--workers", "1")
-    assert code == 2 and "nope" in err
+    assert run_cli("lemmas", "--name", "nope", "--workers", "1") == (
+        2, "", "error: no obligation named 'nope' in theory lemmas\n")
 
 
 def test_lemmas_small_bounds_json():
@@ -186,9 +186,11 @@ def test_countermodel_cli():
 
 
 def test_countermodel_unknown_target():
-    code, _, err = run_cli("countermodel", "--kind", "part", "--theory",
-                           "gem_p", "--target", "nope", "--workers", "1")
-    assert code == 2
+    base = ("countermodel", "--kind", "part", "--theory", "gem_p", "--workers", "1")
+    assert run_cli(*base, "--target", "nope") == (
+        2, "", "error: no registry formula named 'nope'\n")
+    assert run_cli(*base, "--drop", "nope", "--target", "ref_P") == (
+        2, "", "error: no obligation named 'nope' in theory gem_p\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,7 +256,9 @@ def test_capacity_exit_code():
 
 
 @pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "4"),
-                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "4")])
+                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "4"),
+                                  ("countermodel", "--kind", "fusion", "--theory", "gem_f",
+                                   "--target", "id_F", "--max-n", "4")])
 def test_capacity_fails_before_any_scan(monkeypatch, argv):
     # the largest size is checked first, so nothing is scanned before exit 3
     def no_scan(args):

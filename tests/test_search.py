@@ -60,6 +60,14 @@ def test_enumeration_capacity():
         filter_models("fusion", 9, gem_f())
 
 
+def test_fusion_4_row_search_past_the_ceiling(monkeypatch):
+    # the ceiling, not the search, keeps fusion n=4 out of reach: with it
+    # lifted, the search files ext_F clauses over all 16 rows and finds no
+    # model (GEM models exist only at sizes 2^k - 1)
+    monkeypatch.setattr(search, "DEFAULT_CEILING", math.inf)
+    assert filter_models("fusion", 4, gem_f()) == []
+
+
 def test_filter_models_part_against_naive_oracle():
     for n in range(4):
         expected = oracle_gem_p_model_codes(n)
@@ -316,12 +324,11 @@ def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
 def _fires_on_the_way(kind, n, checker, rows):
     """Whether a clause of ``checker`` fires while the search assigns
     ``rows``, each tested where it is filed with later rows still unset."""
-    order = search._row_order(kind, n)
-    filed = search._filed_clauses(kind, n, [checker], order)
+    filed = search._filed_clauses(kind, n, [checker])
     partial = [None] * len(rows)
-    for k, r in enumerate(order):
+    for r in range(len(rows)):
         partial[r] = rows[r]
-        if any(fires(partial, clauses) for fires, clauses in filed[k]):
+        if any(fires(partial, clauses) for fires, clauses in filed[r]):
             return True
     return False
 
