@@ -29,11 +29,10 @@ class NativeTables:
     ordering checkers never touch them.
     """
 
-    __slots__ = ("n", "kind", "down", "ov", "_frow")
+    __slots__ = ("n", "down", "ov", "_frow")
 
-    def __init__(self, n, kind, down, ov, frow=None):
+    def __init__(self, n, down, ov, frow=None):
         self.n = n
-        self.kind = kind
         self.down = down
         self.ov = ov
         self._frow = frow
@@ -91,12 +90,12 @@ def _derived_down(n, frow):
 
 
 def part_tables(n: int, down: list) -> NativeTables:
-    return NativeTables(n, "part", down, _overlap_masks(n, down))
+    return NativeTables(n, down, _overlap_masks(n, down))
 
 
 def fusion_tables(n: int, rows: list) -> NativeTables:
     down = _derived_down(n, rows)
-    return NativeTables(n, "fusion", down, _overlap_masks(n, down), rows)
+    return NativeTables(n, down, _overlap_masks(n, down), rows)
 
 
 def tables_for(s: Structure) -> NativeTables:
@@ -106,20 +105,12 @@ def tables_for(s: Structure) -> NativeTables:
 
 
 def _components(t: NativeTables, m: int) -> int:
-    # the U former, unfolded per signature
+    # U(m): the parts of the members of m; on fusion tables down already
+    # unfolds dfP_F, so this is dfU_F unfolded too
     u = 0
-    if t.kind == "fusion":
-        for z in range(t.n):
-            if (m >> z) & 1:
-                for p in range(1 << t.n):
-                    if (t.frow[p] >> z) & 1:
-                        u |= p
-    else:
-        for x in range(t.n):
-            for y in range(t.n):
-                if (m >> y) & 1 and (t.down[y] >> x) & 1:
-                    u |= 1 << x
-                    break
+    for y in range(t.n):
+        if (m >> y) & 1:
+            u |= t.down[y]
     return u
 
 
@@ -197,16 +188,16 @@ def comp_f(t: NativeTables) -> bool:
 def wsp_f(t: NativeTables) -> bool:
     frow = t.frow
     for x in range(t.n):
-        ux = _components(t, 1 << x)
+        ux = t.down[x]
         for y in range(t.n):
             if x == y or not (frow[(1 << x) | (1 << y)] >> y) & 1:
                 continue
-            uy = _components(t, 1 << y)
+            uy = t.down[y]
             ok = False
             for z in range(t.n):
                 if not (uy >> z) & 1:
                     continue
-                m = ux & _components(t, 1 << z)
+                m = ux & t.down[z]
                 if frow[m] == 0:
                     ok = True
                     break
@@ -280,16 +271,6 @@ def trans_pp(t: NativeTables) -> bool:
     return True
 
 
-def dfp_pp(t: NativeTables) -> bool:
-    for x in range(t.n):
-        for y in range(t.n):
-            p = (t.down[y] >> x) & 1 == 1
-            pp = p and x != y
-            if p != (pp or x == y):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # registry keyed by sentence
 
@@ -315,7 +296,7 @@ def _registry():
         p["fun_F"]: fun_f_closure,
         pp["as_PP"]: antis_p,  # asymmetry of PP is antisymmetry of P
         pp["trans_PP"]: trans_pp,
-        pp["dfP_PP"]: dfp_pp,
+        pp["dfP_PP"]: ref_p,  # PP is defined from P, so "P is PP or =" is reflexivity
     }
 
 

@@ -19,21 +19,21 @@ YY, UU) on the fusion side, antis_P (which also decides as_PP) instances
 Only the checkers of the theory's own obligations are filed, so without
 them the search visits the whole product of the value lists.  At each
 leaf every native checker runs in full, cheap first in the order of
-``_PLAN_ORDER``: ref_P, id_F, exists_F, antis_P and as_PP (one checker),
-trans_P, fun_F, trans_PP, dfP_PP, approx_F, wsp_F, comp_F, ext_F;
-unfolded to P, fun_F comes before exists_F, which rejects poset leaves
-later (the order affects speed, never results).  Workers run only this
-stage, one task per value of row 0, and only when row 0 has two or more
-values and the baked product exceeds 4 096 candidates.  Orbits of
-survivors are ordered by code, so the output never depends on the search
-order or on scheduling.  The formula evaluator then decides each
+``_PLAN_ORDER``: id_F, exists_F, antis_P and as_PP (one checker), ref_P
+and dfP_PP (one checker), trans_P, fun_F, trans_PP, approx_F, wsp_F,
+comp_F, ext_F; unfolded to P, fun_F comes before exists_F, which rejects
+poset leaves later (the order affects speed, never results).  Workers
+run only this stage, one task per value of row 0, and only when row 0
+has two or more values and the baked product exceeds 4 096 candidates.
+Orbits of survivors are ordered by code, so the output never depends on
+the search order or on scheduling.  The formula evaluator then decides each
 obligation once per orbit: a false obligation without a native checker
 rejects the orbit, a false natively decided one raises, so the scanning
 stage is never the final authority.  Agreement of the native route with
 the evaluator is itself the subject of the oracle-equivalence tests.
 
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
-(as for ``gem_p``; ``pp`` reaches reflexivity only through dfP_PP), the
+(as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the
 part rows range over naturally labeled posets, where ``x < y`` whenever
 x is a proper part of y: row k takes ``D | 1 << k`` for every ``D``
 within {0..k-1}, so element k joins as a new maximal element.
@@ -70,9 +70,10 @@ lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
 at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
 
 Every verdict that can carry a witness (``check_theory``,
-``verify_lemmas``, ``find_countermodel``) comes from one helper that runs
-``Evaluator.check`` and raises unless ``Evaluator.refutes`` confirms the
-witness, so no unconfirmed witness is ever emitted.
+``verify_lemmas``, ``find_countermodel``) comes from ``Evaluator.check``,
+the one place a witness is audited: it raises unless
+``Evaluator.refutes`` confirms the witness, so no unconfirmed witness is
+ever emitted.
 
 Two runs with the same bounds, seed, and any worker counts produce
 identical reports; JSON serializations are byte-stable (timings are
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import native
-from .semantics import Assignment, EvalOutcome, Evaluator
+from .semantics import Assignment, EvalContext, Evaluator
 from .structures import (MAX_PLURAL_DOMAIN, CapacityError, FusionStructure, PartStructure,
                          Structure, canonical_gem, components, induced_fusion,
                          induced_part, iter_bits, kind_of, members_of, summarize)
@@ -104,11 +105,12 @@ DEFAULT_CEILING = 1 << 26
 # (part n >= 13, fusion n >= 9)
 _MAX_VALUES = 1 << 16
 
-# the native checkers, cheap first; the order affects speed, never results
-_PLAN_ORDER = (native.ref_p, native.id_f, native.exists_f, native.fun_f_closure,
-               native.exists_f_closure, native.antis_p, native.trans_p, native.fun_f,
-               native.trans_pp, native.dfp_pp, native.approx_f, native.wsp_f,
-               native.comp_f, native.ext_f)
+# the native checkers, cheap first; the order affects speed, never results.
+# ref_P runs only at fusion leaves (part rows bake it), where derived
+# parthood is mostly reflexive but rarely antisymmetric, so antis_P leads it
+_PLAN_ORDER = (native.id_f, native.exists_f, native.fun_f_closure, native.exists_f_closure,
+               native.antis_p, native.ref_p, native.trans_p, native.fun_f, native.trans_pp,
+               native.approx_f, native.wsp_f, native.comp_f, native.ext_f)
 
 # checkers whose axiom the scan bakes into the per-row value lists
 _ROW_LOCAL = {"part": {native.ref_p}, "fusion": {native.id_f, native.exists_f}}
@@ -498,22 +500,13 @@ class CheckReport(_Report):
         }
 
 
-def _verified_check(ev: Evaluator, nf: NamedFormula) -> EvalOutcome:
-    """``ev.check(nf)``, raising if a failure witness does not refute the sentence."""
-    outcome = ev.check(nf)
-    if not outcome.value and outcome.witness is not None \
-            and not ev.refutes(nf.sentence, outcome.witness):
-        raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
-    return outcome
-
-
 def check_theory(s: Structure, theory: Theory) -> CheckReport:
     """Evaluate every obligation; failure witnesses are re-verified before emission."""
     t0 = time.monotonic()
     ev = Evaluator(s)
     results = []
     for nf in theory.obligations:
-        outcome = _verified_check(ev, nf)
+        outcome = ev.check(nf)
         results.append(ObligationVerdict(nf.name, outcome.value, outcome.witness))
     return CheckReport(theory.name, kind_of(s), s.n, summarize(s),
                        tuple(results), int((time.monotonic() - t0) * 1000))
@@ -572,7 +565,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
             # exhaustive candidates come from filter_models, already models of base
             if strategy == "random" and not all(ev.eval(nf.sentence) for nf in base):
                 continue
-            outcome = _verified_check(ev, target)
+            outcome = ev.check(target)
             if not outcome.value:
                 return CountermodelResult("found", s, outcome.witness, checked, bounds.seed,
                                           int((time.monotonic() - t0) * 1000))
@@ -733,6 +726,13 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
              for side in sorted({nf.side for nf in suite})}
     for side, (kind, max_n, _) in sides.items():
         _stream(kind, max_n, theory_by_name(side))  # capacity, before any size is scanned
+    canonical = {}  # side -> its canonical model, built (or refused) before any scan too
+    if canonical_k:
+        gem = canonical_gem(canonical_k)
+        for side, (kind, _, _) in sides.items():
+            model = canonical[side] = gem if kind == "part" else induced_fusion(gem)
+            # the context every Evaluator(model) below shares; it refuses too large a model
+            model._derived("_context", EvalContext)
     scopes = {}  # side -> (label, structure, its orbit's representative)
     for side, (kind, max_n, suffix) in sides.items():
         scope = scopes[side] = []
@@ -740,20 +740,18 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
             models = filter_models(kind, n, theory_by_name(side), workers=workers)
             representative = {m: orbit[0] for orbit in models.orbits for m in orbit}
             scope += [(f"all {side} models", m, representative[m]) for m in models]
-        if canonical_k:
-            canonical = canonical_gem(canonical_k)
-            canonical = canonical if kind == "part" else induced_fusion(canonical)
-            scope.append((f"canonical k={canonical_k}{suffix}", canonical, canonical))
+        if side in canonical:
+            scope.append((f"canonical k={canonical_k}{suffix}", canonical[side], canonical[side]))
     rows = []
     for nf in suite:
         failures = []
         verdicts = {}  # representative -> its outcome
         for label, m, rep in scopes[nf.side]:
             if rep not in verdicts:
-                verdicts[rep] = _verified_check(Evaluator(rep), nf)
+                verdicts[rep] = Evaluator(rep).check(nf)
             outcome = verdicts[rep]
             if not outcome.value and m != rep:
-                outcome = _verified_check(Evaluator(m), nf)  # each its own witness
+                outcome = Evaluator(m).check(nf)  # each its own witness
             if not outcome.value:
                 failures.append({"structure": summarize(m), "scope": label,
                                  "witness": _witness_dict(outcome.witness)})

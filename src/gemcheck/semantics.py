@@ -884,9 +884,14 @@ class Evaluator:
         return fn(self.ctx, env)
 
     def check(self, nf: NamedFormula) -> EvalOutcome:
+        """The verdict on ``nf``, raising if a failure witness does not
+        refute the sentence, so no unconfirmed witness is ever returned."""
         if self.eval(nf.sentence):
             return EvalOutcome(True, None)
-        return EvalOutcome(False, self.find_witness(nf.sentence))
+        witness = self.find_witness(nf.sentence)
+        if witness is not None and not self.refutes(nf.sentence, witness):
+            raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
+        return EvalOutcome(False, witness)
 
     def find_witness(self, sentence: Formula) -> Optional[Assignment]:
         """First assignment to the leading universal block refuting the rest.

@@ -312,10 +312,6 @@ class _Parser:
     def peek(self):
         return self.toks[self.pos][0]
 
-    def here(self):
-        _, line, col = self.toks[self.pos]
-        return line, col
-
     def next(self):
         t = self.toks[self.pos]
         self.pos += 1

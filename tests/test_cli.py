@@ -272,6 +272,16 @@ def test_capacity_fails_before_any_scan(monkeypatch, argv):
     assert (code, out, err) == (3, "", f"capacity: {lazily.value}\n")
 
 
+def test_canonical_capacity_fails_before_any_scan(monkeypatch):
+    # the canonical model on 31 elements is refused before part n=0..8 is scanned
+    def no_scan(args):
+        raise AssertionError("a size was scanned before the capacity check")
+    monkeypatch.setattr(search, "_scan_worker", no_scan)
+    assert run_cli("lemmas", "--name", "WSP", "--canonical-k", "5", "--max-part", "8",
+                   "--max-fusion", "0", "--workers", "1") == \
+        (3, "", "capacity: formula evaluation needs 2^31 pluralities\n")
+
+
 def test_equiv_reaches_part_7():
     code, out, _ = run_cli("equiv", "--max-part", "7", "--max-fusion", "0",
                            "--format", "json", "--workers", "1")

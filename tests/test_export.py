@@ -28,6 +28,7 @@ def test_encode_restricted_quantifiers():
         "exists XX . F(XX, y)": "(? [Wxx] : (plur(Wxx) & fuses(Wxx,Vy)))",
         "exists VV sub U(ZZ) . F(VV, x)":
             "(? [Wvv] : (plur(Wvv) & are(Wvv,u(Wzz)) & fuses(Wvv,Vx)))",
+        "XX sub YY + I(y)": "are(Wxx,un(Wyy,sing(Vy)))",  # a sub atom, unquantified
     }
     for text, want in cases.items():
         assert encode(parse(text)) == want, text

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from gemcheck import gem_f, gem_p, pp_axioms
+from gemcheck import gem_f, gem_p, native, pp_axioms, search
 from gemcheck.native import check_native, native_for
 from gemcheck.semantics import Evaluator
 from gemcheck.search import random_structure
@@ -50,6 +50,13 @@ def test_sampled_agreement_fusion_n3():
 def test_every_axiom_has_a_native():
     for nf in ALL_AXIOMS:
         assert native_for(nf.sentence) is not None, nf.name
+
+
+def test_dfp_pp_is_decided_by_reflexivity():
+    # with PP defined from P, "P is PP or identity" says only that each x
+    # is part of itself, so the scan bakes it into pp's part rows
+    assert native_for(pp_axioms().get("dfP_PP").sentence) is native.ref_p
+    assert search._plan("part", pp_axioms())[0] == {native.ref_p}
 
 
 def test_unknown_sentence_has_no_native():

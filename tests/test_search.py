@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gemcheck import (CapacityError, FusionStructure, PartStructure, Theory,
-                      automorphism_count, canonical_gem, check_theory,
+from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure, Theory,
+                      automorphism_count, canonical_gem, check_sentence, check_theory,
                       count_models, filter_models, find_countermodel, gem_f,
                       gem_p, induced_fusion, induced_part, lemma_suite,
                       list_models, native, pp_axioms, search,
@@ -17,6 +17,7 @@ from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import dump_structure, load_structure, summarize
+from gemcheck.syntax import NamedFormula, parse
 
 from util import (all_structures, evaluator_models, labeled_models,
                   oracle_gem_p_model_codes, part_pairs, product_models, relabeled)
@@ -42,7 +43,7 @@ def test_enumeration_order_and_codes():
 
 def test_enumeration_capacity():
     # decided on the baked product: 2^28 poset rows for gem_p at n=9 (2^21 at
-    # n=8), 2^36 unbaked rows for pp at n=6, about 1.4e14 for gem_f at n=4
+    # n=8), 2^30 reflexive rows for pp at n=6, about 1.4e14 for gem_f at n=4
     with pytest.raises(CapacityError):
         filter_models("part", 9, gem_p())
     with pytest.raises(CapacityError):
@@ -352,11 +353,16 @@ def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
 
 
 def test_filter_workers_match_serial(monkeypatch):
-    t = pp_axioms()  # no row-local pruning, so the pool path is exercised
-    serial = filter_models("part", 4, t, workers=1)
-    pooled = filter_models("part", 4, t, workers=2)
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda *a, _pool=multiprocessing.Pool: pools.append(a) or _pool(*a))
+    # reflexive rows, not posets: 2^20 baked candidates start the pool
+    t = pp_axioms()
+    serial = filter_models("part", 5, t, workers=1)
+    pooled = filter_models("part", 5, t, workers=2)
+    assert pools == [(2,)]
     assert serial == pooled
-    assert len(serial) == 219  # labeled posets on four points
+    assert len(serial) == 4231  # labeled posets on five points
     # natives plus evaluator-only lemmas; without ref_P, which would be baked
     # into the rows and leave too few candidates for the pool
     t = lemma_suite().drop("ref_P")
@@ -371,12 +377,18 @@ def test_filter_workers_match_serial(monkeypatch):
     t = gem_f()
     serial = filter_models("fusion", 3, t)
     assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
-    pools = []
-    monkeypatch.setattr(multiprocessing, "Pool",
-                        lambda *a, _pool=multiprocessing.Pool: pools.append(a) or _pool(*a))
+    pools.clear()
     pooled = filter_models("fusion", 3, t, workers=2)
     assert pools == [(2,)]
     assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
+
+
+def test_pp_models_are_the_partial_orders():
+    # criterion 4's identity at n=5: pp scans reflexive rows, the order
+    # axioms scan posets, and both list the same labeled models
+    order = Theory("order", tuple(gem_p().get(name) for name in ("ref_P", "antis_P", "trans_P")))
+    models = filter_models("part", 5, pp_axioms())
+    assert len(models) == 4231 and models == filter_models("part", 5, order)
 
 
 def test_native_and_evaluator_disagreement_raises(monkeypatch):
@@ -388,6 +400,19 @@ def test_native_and_evaluator_disagreement_raises(monkeypatch):
     monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
     with pytest.raises(RuntimeError, match="native scan and evaluator disagree on trans_PP"):
         filter_models("part", 3, pp_axioms())
+
+
+def test_unconfirmed_witness_raises(monkeypatch):
+    # false on canonical_gem(2), where {a} is a proper part of {a, b}; the
+    # planted witness x = y = {a} does not refute it
+    nf = NamedFormula("no_PP", parse("forall x . forall y . (P(x, y) -> x = y)"), "", "gem_p")
+    monkeypatch.setattr(Evaluator, "find_witness", lambda ev, f: Assignment({"x": 0, "y": 0}, {}))
+    monkeypatch.setattr(search, "lemma_suite", lambda: Theory("lemmas", (nf,)))
+    for check in (lambda: check_sentence(canonical_gem(2), nf),
+                  lambda: check_theory(canonical_gem(2), Theory("t", (nf,))),
+                  lambda: verify_lemmas(SearchBounds(0, 0), 2)):
+        with pytest.raises(RuntimeError, match="^unsound witness for no_PP; this is a bug$"):
+            check()
 
 
 def test_check_theory_reports():

@@ -196,6 +196,16 @@ def test_file_format_errors():
         load_structure("n=1\nfusion: ({2},0)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=x\npart: (0,0)", "bad domain size 'x'"),
+    ("n=1\nfusion: (0,0)", "bad fusion pair '(0,0)'"),
+])
+def test_file_format_error_messages(text, message):
+    with pytest.raises(StructureFormatError) as e:
+        load_structure(text)
+    assert str(e.value) == message
+
+
 def test_derived_values_stay_out_of_equality_hash_repr_and_pickles():
     # the evaluation context and the summary are kept on the instance but
     # outside its fields: nothing compares, hashes, prints or pickles them

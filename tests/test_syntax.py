@@ -53,6 +53,22 @@ def test_parse_error_position():
     assert not isinstance(e.value, SortError)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("forall x P(x, x)", "1:10: expected '.', got 'P'"),
+    ("forall . P(x, x)", "1:8: expected a variable after quantifier"),
+    ("x y", "1:3: expected '=' or 'in' after individual variable 'x'"),
+    ("x = y and )", "1:11: cannot start an atom with ')'"),
+    ("XX sub )", "1:8: plural term expected, got ')'"),
+    ("x = y z", "1:7: trailing input 'z'"),
+    # both readings of "(" fail; the formula reading's error is the one raised
+    ("(x = )", "1:6: individual variable expected, got ')'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message and not isinstance(e.value, SortError)
+
+
 def test_reserved_names_rejected():
     with pytest.raises(ParseError):
         parse("forall F . P(F, F)")
@@ -76,6 +92,7 @@ def test_quantifier_scope_extends_right():
     assert isinstance(f, ForallI) and isinstance(f.body, And)
     g = parse("(forall x . P(x,x)) and O(y,y)")
     assert isinstance(g, And)
+    assert parse("not forall x . x = x") == Not(ForallI("x", Eq("x", "x")))
 
 
 def test_restricted_sugar_preserved():
