@@ -44,9 +44,9 @@ time in their written order, individuals ascending and plural values in
 ascending characteristic order, each taking the first value under which
 the rest of the sentence is false.  That is the lexicographically first
 refuting assignment, independent of how evaluation was planned.  The
-naive closure compiler that loops in written order is kept as
-``_compile_reference``, the oracle the generated functions are tested
-against.
+naive closure compiler ``_compile_reference`` loops in written order and
+binds each quantifier's variable in a fresh scope; it is the oracle the
+generated functions are tested against.
 
 Everything here is pure; a context caches derived predicates for one
 structure, is kept on it and is safe for concurrent readers.
@@ -177,42 +177,23 @@ class EvalContext:
 # ---------------------------------------------------------------------------
 # shared pieces: terms, atoms, connectives, quantifier domains
 
-_UNSET = object()
-
-
 def _compile_term(t: PluralTerm):
     match t:
         case PVar(name):
-            def run(ctx, env, name=name):
-                return env[name]
+            return lambda ctx, env: env[name]
         case Singleton(v):
-            def run(ctx, env, v=v):
-                return 1 << env[v]
+            return lambda ctx, env: 1 << env[v]
         case PUnion(a, b):
             fa, fb = _compile_term(a), _compile_term(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) | fb(ctx, env)
+            return lambda ctx, env: fa(ctx, env) | fb(ctx, env)
         case PInter(a, b):
             fa, fb = _compile_term(a), _compile_term(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) & fb(ctx, env)
+            return lambda ctx, env: fa(ctx, env) & fb(ctx, env)
         case Components(s):
             fs = _compile_term(s)
-
-            def run(ctx, env, fs=fs):
-                return ctx.umask(fs(ctx, env))
+            return lambda ctx, env: ctx.umask(fs(ctx, env))
         case _:
             raise TypeError(t)
-    return run
-
-
-def _restore(env, var, old):
-    if old is _UNSET:
-        env.pop(var, None)
-    else:
-        env[var] = old
 
 
 def _submasks(t: int):
@@ -267,98 +248,54 @@ def _guarded_domain(q, guards, lifted=None) -> tuple:
     return ("F", guards[found].var), guards[:found] + guards[found + 1:]
 
 
-def _compile_node(f: Formula, sub):
-    """Closure for an atom or connective; ``sub`` compiles the operands."""
+def _compile_reference(f: Formula):
+    """The naive compiler: every quantifier loops in its written order and
+    binds its variable in a fresh scope.  Not used for evaluation; it is the
+    reference the planned compiler is tested against.
+    """
     match f:
         case Eq(a, b):
-            def run(ctx, env, a=a, b=b):
-                return env[a] == env[b]
+            return lambda ctx, env: env[a] == env[b]
         case PartAtom(a, b):
-            def run(ctx, env, a=a, b=b):
-                return (ctx.down[env[b]] >> env[a]) & 1 == 1
+            return lambda ctx, env: (ctx.down[env[b]] >> env[a]) & 1 == 1
         case ProperPartAtom(a, b):
-            def run(ctx, env, a=a, b=b):
-                i, j = env[a], env[b]
-                return i != j and (ctx.down[j] >> i) & 1 == 1
+            return lambda ctx, env: env[a] != env[b] and (ctx.down[env[b]] >> env[a]) & 1 == 1
         case OverlapAtom(a, b):
-            def run(ctx, env, a=a, b=b):
-                return ctx.down[env[a]] & ctx.down[env[b]] != 0
+            return lambda ctx, env: ctx.down[env[a]] & ctx.down[env[b]] != 0
         case FusionAtom(t, v):
             ft = compiled_term(t)[0]
-
-            def run(ctx, env, ft=ft, v=v):
-                return (ctx.frow[ft(ctx, env)] >> env[v]) & 1 == 1
+            return lambda ctx, env: (ctx.frow[ft(ctx, env)] >> env[v]) & 1 == 1
         case Member(v, t):
             ft = compiled_term(t)[0]
-
-            def run(ctx, env, ft=ft, v=v):
-                return (ft(ctx, env) >> env[v]) & 1 == 1
+            return lambda ctx, env: (ft(ctx, env) >> env[v]) & 1 == 1
         case SubTerm(a, b):
             fa, fb = compiled_term(a)[0], compiled_term(b)[0]
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) & ~fb(ctx, env) == 0
+            return lambda ctx, env: fa(ctx, env) & ~fb(ctx, env) == 0
         case TermEq(a, b):
             fa, fb = compiled_term(a)[0], compiled_term(b)[0]
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) == fb(ctx, env)
+            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
         case Not(g):
-            fg = sub(g)
-
-            def run(ctx, env, fg=fg):
-                return not fg(ctx, env)
+            fg = _compile_reference(g)
+            return lambda ctx, env: not fg(ctx, env)
         case And(a, b):
-            fa, fb = sub(a), sub(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) and fb(ctx, env)
+            fa, fb = _compile_reference(a), _compile_reference(b)
+            return lambda ctx, env: fa(ctx, env) and fb(ctx, env)
         case Or(a, b):
-            fa, fb = sub(a), sub(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) or fb(ctx, env)
+            fa, fb = _compile_reference(a), _compile_reference(b)
+            return lambda ctx, env: fa(ctx, env) or fb(ctx, env)
         case Implies(a, b):
-            fa, fb = sub(a), sub(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return not fa(ctx, env) or fb(ctx, env)
+            fa, fb = _compile_reference(a), _compile_reference(b)
+            return lambda ctx, env: not fa(ctx, env) or fb(ctx, env)
         case Iff(a, b):
-            fa, fb = sub(a), sub(b)
-
-            def run(ctx, env, fa=fa, fb=fb):
-                return fa(ctx, env) == fb(ctx, env)
+            fa, fb = _compile_reference(a), _compile_reference(b)
+            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
+        case ForallI() | ForallP() | ExistsI() | ExistsP():
+            dom, body, var = _domain(f), _compile_reference(f.body), f.var
+            decide = all if isinstance(f, UNIVERSAL) else any  # stops at the deciding value
+            return lambda ctx, env: decide(body(ctx, {**env, var: val})
+                                           for val in dom(ctx, env))
         case _:
             raise TypeError(f)
-    return run
-
-
-def _loop(var, dom, body, universal):
-    """A quantifier over ``var`` stepping through ``dom`` in order; it stops
-    at the first value where ``body`` is false (universal) or true
-    (existential)."""
-    def run(ctx, env):
-        old = env.get(var, _UNSET)
-        for val in dom(ctx, env):
-            env[var] = val
-            if body(ctx, env) != universal:
-                _restore(env, var, old)
-                return not universal
-        _restore(env, var, old)
-        return universal
-    return run
-
-
-def _compile_reference(f: Formula):
-    """The naive compiler: every quantifier loops in its written order.
-
-    Not used for evaluation; it is the reference the planned compiler is
-    tested against.
-    """
-    if isinstance(f, QUANTIFIERS):
-        return _loop(f.var, _domain(f), _compile_reference(f.body),
-                     isinstance(f, UNIVERSAL))
-    return _compile_node(f, _compile_reference)
 
 
 # ---------------------------------------------------------------------------

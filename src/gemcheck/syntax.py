@@ -400,22 +400,14 @@ class _Parser:
         w = self.peek()
         if w == "(":
             # "(" opens either a subformula or a plural term heading an
-            # atom like "(XX + YY) & ZZ sub XX"; try the formula reading
-            # and back off when term syntax follows
-            save = self.pos
-            try:
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                if self.peek() in ("sub", "eq", "+", "&"):
-                    self.fail("term context")
-                return f
-            except ParseError as formula_err:
-                self.pos = save
-                try:
-                    return self._pterm_atom()
-                except ParseError:
-                    raise formula_err from None
+            # atom like "(XX + YY) & ZZ sub XX"; the token after the
+            # matching ")" tells which
+            if self._after_group() in ("sub", "eq", "+", "&"):
+                return self._pterm_atom()
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
         if w in ("forall", "exists"):
             return self.quant()
         if w in ("F", "P", "PP", "O"):
@@ -448,6 +440,16 @@ class _Parser:
         if _is_pvar(w) or w in ("I", "U"):
             return self._pterm_atom()
         self.fail(f"cannot start an atom with {w!r}")
+
+    def _after_group(self) -> str:
+        """The token after the ")" matching the "(" at the current position."""
+        depth = 0
+        for i in range(self.pos, len(self.toks)):
+            tok = self.toks[i][0]
+            depth += (tok == "(") - (tok == ")")
+            if depth == 0:
+                return self.toks[i + 1][0]
+        return "<eof>"
 
     def _pterm_atom(self) -> Formula:
         t = self.pterm()

@@ -352,6 +352,15 @@ def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ext_f_files_only_clauses_that_can_fire(n):
+    # (ZZ, YY, UU) with UU + ZZ = UU + YY never fires; 7^n - 5^n clauses remain
+    filed = search._filed_clauses("fusion", n, [native.ext_f])
+    clauses = [c for row in filed for _, cs in row for c in cs]
+    assert all(a != b for _, _, a, b in clauses)
+    assert len(clauses) == 7 ** n - 5 ** n
+
+
 def test_filter_workers_match_serial(monkeypatch):
     pools = []
     monkeypatch.setattr(multiprocessing, "Pool",
@@ -456,6 +465,13 @@ def test_countermodel_target_in_base():
                             SearchBounds(max_n_part=3))
     assert res.verdict == "exhausted bounds"
     assert res.structure is None
+
+
+def test_bad_bounds_and_strategy_raise():
+    with pytest.raises(ValueError, match="bounds must be >= 0"):
+        SearchBounds(max_n_part=-1)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        find_countermodel("part", gem_p(), gem_p().get("ref_P"), SearchBounds(), strategy="nope")
 
 
 def test_countermodel_golden_drop_id_f():

@@ -160,6 +160,12 @@ def test_unbound_variable_error():
                      Assignment(individuals={"x": 5}))
 
 
+def test_plural_binding_outside_the_domain_error():
+    ev = Evaluator(PartStructure(2, (1, 2)))
+    with pytest.raises(EvalError, match="plural binding XX has members outside the domain"):
+        ev.eval(parse("XX sub XX"), Assignment(plurals={"XX": frozenset({5})}))
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         Evaluator(PartStructure.from_pairs(17, ()))

@@ -41,6 +41,11 @@ def test_canonical_capacity():
         canonical_gem(4, limit=10)
 
 
+def test_canonical_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        canonical_gem(-1)
+
+
 def test_structure_validation():
     with pytest.raises(ValueError, match=r"pair \(0,2\) out of domain 0..1"):
         PartStructure.from_pairs(2, {(0, 2)})

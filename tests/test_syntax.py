@@ -69,6 +69,17 @@ def test_parse_error_messages(text, message):
     assert str(e.value) == message and not isinstance(e.value, SortError)
 
 
+@pytest.mark.parametrize("text, message, sort", [
+    # a parenthesized formula heading a term atom is read as a plural term
+    ("(x = y) sub XX", "1:2: plural term expected, got individual 'x'", True),
+    ("(P(x,y)) + XX sub YY", "1:2: plural term expected, got 'P'", False),
+])
+def test_a_group_before_term_syntax_is_read_as_a_term(text, message, sort):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message and isinstance(e.value, SortError) == sort
+
+
 def test_reserved_names_rejected():
     with pytest.raises(ParseError):
         parse("forall F . P(F, F)")
