@@ -7,9 +7,8 @@ When a universal sentence fails, the checker reports the first refuting
 binding of its leading quantifier block.
 """
 
-from gemcheck import (Assignment, PartStructure, canonical_gem,
-                      check_sentence, eval_formula, eval_term, parse,
-                      print_formula)
+from gemcheck import (Assignment, Evaluator, PartStructure, canonical_gem,
+                      parse, print_formula)
 from gemcheck.syntax import NamedFormula
 
 wsp = parse("forall x . forall y . (PP(x, y) -> "
@@ -17,12 +16,12 @@ wsp = parse("forall x . forall y . (PP(x, y) -> "
 print("weak supplementation, reprinted from its syntax tree:")
 print(" ", print_formula(wsp))
 
-model = canonical_gem(2)
-print("\nholds on the canonical 2-atom model:", eval_formula(model, wsp))
+model = Evaluator(canonical_gem(2))
+print("\nholds on the canonical 2-atom model:", model.eval(wsp))
 
 top = Assignment(individuals={"x": 2})
 print("components of the whole:",
-      set(eval_term(model, parse("x in U(I(x))").term, top)))
+      set(model.term(parse("x in U(I(x))").term, top)))
 
 # a parthood relation with a symmetric cycle is not antisymmetric;
 # the witness is the first offending pair in enumeration order
@@ -31,6 +30,6 @@ antisymmetry = NamedFormula(
     "antisymmetry",
     parse("forall x . forall y . (P(x, y) and P(y, x) -> x = y)"),
     "demo")
-outcome = check_sentence(cyclic, antisymmetry)
+outcome = Evaluator(cyclic).check(antisymmetry)
 print("\nantisymmetry on a 2-cycle:", outcome.value)
 print("refuting binding:", outcome.witness)

@@ -9,16 +9,16 @@ labeled relabelings n!/|Aut| of the canonical models.
 
 import math
 
-from gemcheck import (automorphism_count, canonical_gem, count_models,
-                      dump_structure, filter_models, gem_f, gem_p)
+from gemcheck import (automorphism_count, canonical_gem, dump_structure,
+                      filter_models, gem_f, gem_p)
 
 print("models of the parthood axiomatization:")
 for n in range(5):
-    print(f"  n={n}: {count_models('part', gem_p(), n):>2} of 2^{n * n} relations")
+    print(f"  n={n}: {len(filter_models('part', n, gem_p())):>2} of 2^{n * n} relations")
 
 print("models of the fusion axiomatization:")
 for n in range(4):
-    print(f"  n={n}: {count_models('fusion', gem_f(), n):>2} "
+    print(f"  n={n}: {len(filter_models('fusion', n, gem_f())):>2} "
           f"of 2^{n * (1 << n)} relations")
 
 print("\nthe three parthood models at n=3 (relabelings of one lattice):")

@@ -309,10 +309,3 @@ def native_for(sentence):
     if _NATIVE is None:
         _NATIVE = _registry()
     return _NATIVE.get(sentence)
-
-
-def check_native(sentence, s: Structure):
-    fn = native_for(sentence)
-    if fn is None:
-        raise KeyError("no native checker for this sentence")
-    return fn(tables_for(s))

@@ -55,15 +55,17 @@ Orbits.  Every obligation is a closed sentence whose evaluator and native
 verdicts do not change under relabeling, and the translations commute
 with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
 relabeled, likewise ``induced_part``).  So the survivors are grouped into
-relabeling orbits, and the evaluator sees only each orbit's first member
-in code order.  On the poset stream an orbit is every relabeling of a
-surviving natural labeling (once, however many of its natural labelings
-survive), which is complete: a labeled model relabels to a natural
-labeling, which passes every native and so survives.  Elsewhere it is a
-survivor's relabelings among the survivors.  The members are expanded
-into the code-ordered result, and what is not invariant still runs on
-each: the round trip, ``def_pf``/``def_uf``, injectivity of the
-translation, and each failing member's own witness.
+relabeling orbits, each every relabeling of a survivor, and the evaluator
+sees only each orbit's first member in code order.  Outside the poset
+stream the baked value lists are invariant too, and a filed clause
+rejects only what its native rejects, so the survivors already are whole
+orbits.  On the poset stream an orbit is counted once, however many of
+its natural labelings survive, and it is complete: a labeled model
+relabels to a natural labeling, which passes every native and so
+survives.  The members are expanded into the code-ordered result, and
+what is not invariant still runs on each: the round trip,
+``def_pf``/``def_uf``, injectivity of the translation, and each failing
+member's own witness.
 
 Capacity.  ``DEFAULT_CEILING`` bounds the product of the baked value
 lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
@@ -222,9 +224,9 @@ def _relabeled_rows(s: Structure, perm) -> tuple:
     return tuple(image(s.rows[image(p, inverse)]) for p in range(1 << s.n))
 
 
-def _orbits(kind: str, n: int, survivors: list, natural: bool) -> list:
-    """The survivors' relabelings (on the poset stream all, elsewhere those
-    among the survivors) as orbits of members in code order, ordered by code."""
+def _orbits(kind: str, n: int, survivors: list) -> list:
+    """The survivors' relabelings as orbits of members in code order,
+    ordered by code."""
     build, rows_of = ((PartStructure, lambda s: s.down) if kind == "part"
                       else (FusionStructure, lambda s: s.rows))
     perms = list(itertools.permutations(range(n)))
@@ -233,10 +235,8 @@ def _orbits(kind: str, n: int, survivors: list, natural: bool) -> list:
     orbits = []
     for s in survivors:
         if rows_of(s) in seen:
-            continue  # an orbit two natural labelings share
+            continue  # a member of an orbit already built
         orbit = {_relabeled_rows(s, perm) for perm in perms}
-        if not natural:
-            orbit &= known.keys()
         seen |= orbit
         orbits.append(sorted((known.get(rows) or build(n, rows) for rows in orbit),
                              key=code_of))
@@ -355,14 +355,14 @@ def _scan_worker(args) -> list:
 
 
 def _stream(kind: str, n: int, theory: Theory):
-    """``(natural, allowed, natives, rest)``: whether the scan is over poset
-    rows, its value lists and natives, and the evaluator-only obligations;
-    ``CapacityError`` past the bounds, which only grow with n."""
+    """``(allowed, natives, rest)``: the scan's value lists (poset rows when
+    ref_P, antis_P and trans_P are all decided) and natives, and the
+    evaluator-only obligations; ``CapacityError`` past the bounds, which only
+    grow with n."""
     if (n if kind == "part" else 1 << n) << n > _MAX_VALUES:  # at most 2^n per row
         raise CapacityError(f"value lists at n={n} exceed {_MAX_VALUES} entries")
     row_local, natives, rest = _plan(kind, theory)
-    natural = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
-    if natural:
+    if kind == "part" and _ORDER_AXIOMS <= row_local.union(natives):
         allowed = _natural_rows(n, native.exists_f_closure in natives)
         natives.remove(native.antis_p)  # holds by construction, like ref_P
     else:
@@ -370,7 +370,7 @@ def _stream(kind: str, n: int, theory: Theory):
     pruned = math.prod(map(len, allowed))
     if pruned > DEFAULT_CEILING:
         raise CapacityError(f"{pruned} baked candidates exceed the ceiling {DEFAULT_CEILING}")
-    return natural, allowed, natives, rest
+    return allowed, natives, rest
 
 
 def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models:
@@ -385,7 +385,7 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     corrupting the model set.  ``CapacityError`` if the baked product
     exceeds ``DEFAULT_CEILING``.
     """
-    natural, allowed, natives, rest = _stream(kind, n, theory)
+    allowed, natives, rest = _stream(kind, n, theory)
     if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row searched
@@ -397,7 +397,7 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
         survivors = _scan_worker((kind, n, allowed, natives))
     decided = [nf for nf in theory if nf not in rest]
     orbits = []
-    for orbit in _orbits(kind, n, survivors, natural):
+    for orbit in _orbits(kind, n, survivors):
         ev = Evaluator(orbit[0])
         if not all(ev.eval(nf.sentence) for nf in rest):
             continue
@@ -453,10 +453,6 @@ def list_models(kind: str, n: int, theory: Theory, seed: int = 0,
     return ModelsReport(theory.name, kind, n, seed,
                         tuple(summarize(m) for m in models),
                         int((time.monotonic() - t0) * 1000))
-
-
-def count_models(kind: str, theory: Theory, n: int, workers: int = 1) -> int:
-    return len(filter_models(kind, n, theory, workers=workers))
 
 
 # ---------------------------------------------------------------------------

@@ -898,15 +898,3 @@ class Evaluator:
             if not within:
                 return False
         return True
-
-
-def eval_term(s: Structure, t: PluralTerm, a: Optional[Assignment] = None) -> Plurality:
-    return Evaluator(s).term(t, a)
-
-
-def eval_formula(s: Structure, f: Formula, a: Optional[Assignment] = None) -> bool:
-    return Evaluator(s).eval(f, a)
-
-
-def check_sentence(s: Structure, nf: NamedFormula) -> EvalOutcome:
-    return Evaluator(s).check(nf)

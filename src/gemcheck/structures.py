@@ -159,7 +159,7 @@ def kind_of(s: Structure) -> str:
 # canonical models
 
 
-def canonical_gem(k: int, limit: int = DEFAULT_DOMAIN_LIMIT) -> PartStructure:
+def canonical_gem(k: int) -> PartStructure:
     """The nonempty subsets of {1..k} ordered by inclusion.
 
     Domain indices follow a fixed deterministic order: subsets sorted by
@@ -169,8 +169,9 @@ def canonical_gem(k: int, limit: int = DEFAULT_DOMAIN_LIMIT) -> PartStructure:
     if k < 0:
         raise ValueError("k must be >= 0")
     n = (1 << k) - 1
-    if n > limit:
-        raise CapacityError(f"canonical model on 2^{k}-1 = {n} elements exceeds limit {limit}")
+    if n > DEFAULT_DOMAIN_LIMIT:
+        raise CapacityError(f"canonical model on 2^{k}-1 = {n} elements exceeds limit "
+                            f"{DEFAULT_DOMAIN_LIMIT}")
     subsets = sorted(range(1, 1 << k), key=lambda m: (bin(m).count("1"), m))
     return PartStructure(n, tuple(mask_of(i for i, a in enumerate(subsets) if a & ~b == 0)
                                   for b in subsets))
@@ -178,15 +179,6 @@ def canonical_gem(k: int, limit: int = DEFAULT_DOMAIN_LIMIT) -> PartStructure:
 
 # ---------------------------------------------------------------------------
 # derived predicates on part structures
-
-
-def overlap(ps: PartStructure, x: int, y: int) -> bool:
-    """Common-part overlap: some z is part of both x and y."""
-    return ps.down[x] & ps.down[y] != 0
-
-
-def proper_part(ps: PartStructure, x: int, y: int) -> bool:
-    return x != y and (ps.down[y] >> x) & 1 == 1
 
 
 def mub(ps: PartStructure, zz: Iterable[int]) -> frozenset:
@@ -296,8 +288,8 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
 #   n=<int>
 #   part: (x,y) (x,y) ...          or          fusion: ({a,b},x) ({},x) ...
 
-_PART_PAIR = re.compile(r"\((\d+),(\d+)\)$")
-_FUSION_PAIR = re.compile(r"\(\{([\d,]*)\},(\d+)\)$")
+_PART_PAIR = re.compile(r"\(([0-9]+),([0-9]+)\)$")
+_FUSION_PAIR = re.compile(r"\(\{([0-9,]*)\},([0-9]+)\)$")
 
 
 def dump_structure(s: Structure) -> str:
@@ -325,10 +317,9 @@ def load_structure(text: str) -> Structure:
     toks = text.split()
     if not toks or not toks[0].startswith("n="):
         raise StructureFormatError("expected header n=<int>")
-    try:
-        n = int(toks[0][2:])
-    except ValueError:
-        raise StructureFormatError(f"bad domain size {toks[0][2:]!r}") from None
+    if not re.fullmatch("[0-9]+", toks[0][2:]):  # ASCII digits, as dump_structure writes
+        raise StructureFormatError(f"bad domain size {toks[0][2:]!r}")
+    n = int(toks[0][2:])
     if n > DEFAULT_DOMAIN_LIMIT:  # before from_pairs allocates a row per element
         raise CapacityError(f"a {n}-element structure exceeds the limit {DEFAULT_DOMAIN_LIMIT}")
     if len(toks) < 2 or toks[1] not in ("part:", "fusion:"):

@@ -135,8 +135,8 @@ def find_named(name: str, side: str) -> NamedFormula:
 # "[gem_f]" / "[gem_p]" lines setting the side of the entries after them,
 # '#' comments
 
-def parse_theory_text(name: str, text: str, anchor: str = "file") -> Theory:
-    """A theory from ``.thy`` text; entries without an anchor get ``anchor``,
+def parse_theory_text(name: str, text: str) -> Theory:
+    """A theory from ``.thy`` text; entries without an anchor get ``"file"``,
     entries before any side line get side None."""
     obligations = []
     side = None
@@ -154,7 +154,7 @@ def parse_theory_text(name: str, text: str, anchor: str = "file") -> Theory:
             raise ValueError(f"{name}:{lineno}: expected 'name : formula [; anchor]'")
         key, _, body = line.partition(":")
         obligations.append(NamedFormula(key.strip(), _sentence(body.strip()),
-                                        tag.strip() or anchor, side))
+                                        tag.strip() or "file", side))
     return Theory(name, tuple(obligations))
 
 

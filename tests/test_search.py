@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure, Theory,
-                      automorphism_count, canonical_gem, check_sentence, check_theory,
-                      count_models, filter_models, find_countermodel, gem_f,
-                      gem_p, induced_fusion, induced_part, lemma_suite,
+                      automorphism_count, canonical_gem, check_theory,
+                      filter_models, find_countermodel, gem_f, gem_p,
+                      induced_fusion, induced_part, lemma_suite,
                       list_models, native, pp_axioms, search,
                       verify_equivalence, verify_lemmas)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
@@ -77,8 +77,8 @@ def test_filter_models_part_against_naive_oracle():
 
 
 def test_model_counts_frozen():
-    assert [count_models("part", gem_p(), n) for n in range(5)] == [1, 1, 0, 3, 0]
-    assert [count_models("fusion", gem_f(), n) for n in range(4)] == [1, 1, 0, 3]
+    assert [len(filter_models("part", n, gem_p())) for n in range(5)] == [1, 1, 0, 3, 0]
+    assert [len(filter_models("fusion", n, gem_f())) for n in range(4)] == [1, 1, 0, 3]
 
 
 def test_gem_p_models_at_3_are_canonical_relabelings():
@@ -169,7 +169,7 @@ def test_top_last_keeps_every_survivor(name, max_n):
     for n in range(max_n + 1):
         streams = [search._scan_worker(("part", n, search._natural_rows(n, top_last), natives))
                    for top_last in (False, True)]
-        unpruned, pruned = (sorted((m for orbit in search._orbits("part", n, reps, True)
+        unpruned, pruned = (sorted((m for orbit in search._orbits("part", n, reps)
                                     for m in orbit), key=code_of)
                             for reps in streams)
         assert pruned == unpruned, n
@@ -177,7 +177,7 @@ def test_top_last_keeps_every_survivor(name, max_n):
 
 
 def test_gem_p_models_to_n_7(monkeypatch):
-    assert [count_models("part", gem_p(), n) for n in (5, 6)] == [0, 0]
+    assert [len(filter_models("part", n, gem_p())) for n in (5, 6)] == [0, 0]
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool for a single task")
@@ -213,9 +213,10 @@ def test_verdicts_are_invariant_under_relabeling():
         for sentence, name in sentences.items():
             verdict = ev.eval(sentence)
             assert ev_image.eval(sentence) == verdict, (name, summarize(s), perm)
-            if native.native_for(sentence) is not None:
-                assert native.check_native(sentence, image) == \
-                    native.check_native(sentence, s) == verdict, (name, summarize(s), perm)
+            fn = native.native_for(sentence)
+            if fn is not None:
+                assert fn(native.tables_for(image)) == fn(native.tables_for(s)) == verdict, \
+                    (name, summarize(s), perm)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -317,7 +318,7 @@ def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
     native.native_for(sentence)  # builds the registry
     monkeypatch.setitem(native._NATIVE, sentence, accept)
     monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
-    assert search._stream("part", 3, gem_p())[0]  # still the poset stream
+    assert search._stream("part", 3, gem_p())[0] == search._natural_rows(3, True)
     with pytest.raises(RuntimeError, match="native scan and evaluator disagree on fun_F"):
         filter_models("part", 3, gem_p())
 
@@ -417,7 +418,7 @@ def test_unconfirmed_witness_raises(monkeypatch):
     nf = NamedFormula("no_PP", parse("forall x . forall y . (P(x, y) -> x = y)"), "", "gem_p")
     monkeypatch.setattr(Evaluator, "find_witness", lambda ev, f: Assignment({"x": 0, "y": 0}, {}))
     monkeypatch.setattr(search, "lemma_suite", lambda: Theory("lemmas", (nf,)))
-    for check in (lambda: check_sentence(canonical_gem(2), nf),
+    for check in (lambda: Evaluator(canonical_gem(2)).check(nf),
                   lambda: check_theory(canonical_gem(2), Theory("t", (nf,))),
                   lambda: verify_lemmas(SearchBounds(0, 0), 2)):
         with pytest.raises(RuntimeError, match="^unsound witness for no_PP; this is a bug$"):
@@ -520,7 +521,7 @@ def test_labeled_count_formula():
     for k in (1, 2):
         n = (1 << k) - 1
         aut = automorphism_count(canonical_gem(k))
-        assert math.factorial(n) // aut == count_models("part", gem_p(), n)
+        assert math.factorial(n) // aut == len(filter_models("part", n, gem_p()))
 
 
 def test_witness_soundness_on_random_structures():
@@ -543,6 +544,22 @@ def test_equivalence_report_shape():
     assert [r["models"] for r in d["part_side"]] == [1, 1, 0]
     assert d["model_counts_match"]
     assert json.loads(report_json(d)) == d
+
+
+def test_a_translation_that_merges_models_is_not_injective(monkeypatch):
+    # every part model at n=3 is sent to the first one's image
+    translate, first = search.induced_fusion, {}
+
+    def merge(m):
+        return translate(first.setdefault(m.n, m) if m.n == 3 else m)
+    monkeypatch.setattr(search, "induced_fusion", merge)
+    rep = verify_equivalence(SearchBounds(max_n_part=3, max_n_fusion=0))
+    assert rep.part_rows[3]["models"] == 3
+    assert rep.part_rows[3]["injective"] is False
+    assert [r["injective"] for r in rep.part_rows[:3]] == [True] * 3
+    assert {"side": "part", "n": 3, "structure": None, "check": "translation_injective",
+            "detail": None} in rep.violations
+    assert not rep.all_ok
 
 
 def test_def_pf_is_independent_of_the_round_trip():
@@ -576,11 +593,10 @@ def test_canonical_k3_relabelings_satisfy_gem_p():
     relabelings = {frozenset((p[x], p[y]) for (x, y) in part_pairs(base))
                    for p in itertools.permutations(range(7))}
     assert len(relabelings) == math.factorial(7) // 6 == 840
-    from gemcheck.native import check_native
     sample = random.Random(4).sample(sorted(relabelings, key=sorted), 25)
     for pairs in sample:
         s = PartStructure.from_pairs(7, pairs)
         for nf in gem_p():
-            assert check_native(nf.sentence, s), nf.name
+            assert native.native_for(nf.sentence)(native.tables_for(s)), nf.name
     ev = Evaluator(PartStructure.from_pairs(7, sample[0]))
     assert all(ev.eval(nf.sentence) for nf in gem_p())

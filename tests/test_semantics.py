@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
-                      canonical_gem, check_sentence, eval_formula, eval_term,
-                      gem_f, gem_p, native, parse, semantics)
+                      canonical_gem, gem_f, gem_p, native, parse, semantics)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import CapacityError, induced_fusion
 from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, FusionAtom,
@@ -35,47 +34,47 @@ def __term(text):
 
 def test_eval_term_singleton():
     s = PartStructure.from_pairs(4, ((i, i) for i in range(4)))
-    assert eval_term(s, __term("I(x)"), Assignment(individuals={"x": 3})) == {3}
+    assert Evaluator(s).term(__term("I(x)"), Assignment(individuals={"x": 3})) == {3}
 
 
 def test_eval_term_set_algebra():
     s = PartStructure.from_pairs(3, ())
     a = Assignment(plurals={"XX": frozenset({0}), "YY": frozenset({1}),
                             "ZZ": frozenset({1, 2})})
-    assert eval_term(s, __term("(XX + YY) & ZZ"), a) == {1}
+    assert Evaluator(s).term(__term("(XX + YY) & ZZ"), a) == {1}
 
 
 def test_eval_term_components_canonical():
     k2 = canonical_gem(2)
     a = Assignment(individuals={"x": 2})
-    assert eval_term(k2, __term("U(I(x))"), a) == {0, 1, 2}
+    assert Evaluator(k2).term(__term("U(I(x))"), a) == {0, 1, 2}
 
 
 def test_eval_term_unbound():
     s = PartStructure.from_pairs(2, ())
     with pytest.raises(EvalError):
-        eval_term(s, __term("XX + YY"), Assignment(plurals={"XX": frozenset()}))
+        Evaluator(s).term(__term("XX + YY"), Assignment(plurals={"XX": frozenset()}))
 
 
 def test_eval_examples():
     k2 = canonical_gem(2)
-    assert eval_formula(k2, gem_p().get("ref_P").sentence)
+    assert Evaluator(k2).eval(gem_p().get("ref_P").sentence)
     sym = PartStructure.from_pairs(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
-    out = check_sentence(sym, gem_p().get("antis_P"))
+    out = Evaluator(sym).check(gem_p().get("antis_P"))
     assert not out.value
     assert out.witness == Assignment(individuals={"x": 0, "y": 1})
     fs = FusionStructure.from_pairs(2, [({0}, 0), ({1}, 1)])
-    assert eval_formula(fs, gem_f().get("id_F").sentence)
+    assert Evaluator(fs).eval(gem_f().get("id_F").sentence)
 
 
 def test_check_sentence_examples():
-    out = check_sentence(FusionStructure.from_pairs(1, ()), gem_f().get("exists_F"))
+    out = Evaluator(FusionStructure.from_pairs(1, ())).check(gem_f().get("exists_F"))
     assert not out.value
     assert out.witness == Assignment(plurals={"ZZ": frozenset({0})})
     empty = PartStructure.from_pairs(0, ())
     for t in (gem_f(), gem_p()):
         for nf in t:
-            assert check_sentence(empty, nf).value, nf.name
+            assert Evaluator(empty).check(nf).value, nf.name
 
 
 def test_witness_is_first_in_enumeration_order():
@@ -83,7 +82,7 @@ def test_witness_is_first_in_enumeration_order():
     # lexicographically first pair
     s = PartStructure.from_pairs(4, [(0, 0), (1, 1), (2, 2), (3, 3),
                                      (2, 3), (3, 2), (0, 1), (1, 0)])
-    out = check_sentence(s, gem_p().get("antis_P"))
+    out = Evaluator(s).check(gem_p().get("antis_P"))
     assert out.witness == Assignment(individuals={"x": 0, "y": 1})
 
 
@@ -122,23 +121,22 @@ def test_witness_prefix_stops_at_a_rebinding():
 def test_empty_plurality_convention():
     s = PartStructure.from_pairs(2, ())
     f = parse("exists x . x in ZZ")
-    assert not eval_formula(s, f, Assignment(plurals={"ZZ": frozenset()}))
+    assert not Evaluator(s).eval(f, Assignment(plurals={"ZZ": frozenset()}))
 
 
 def test_plural_quantifier_includes_empty():
     s = PartStructure.from_pairs(1, ())
-    assert not eval_formula(s, parse("forall ZZ . exists x . x in ZZ"))
+    assert not Evaluator(s).eval(parse("forall ZZ . exists x . x in ZZ"))
 
 
 def test_derived_dispatch_is_total():
     # parthood on a fusion structure and fusion on a part structure both
     # answer through the definitional translations
     fs = FusionStructure.from_pairs(2, [({0, 1}, 1), ({1}, 1), ({0}, 0)])
-    assert eval_formula(fs, parse("P(x, y)"),
-                        Assignment(individuals={"x": 0, "y": 1}))
+    assert Evaluator(fs).eval(parse("P(x, y)"), Assignment(individuals={"x": 0, "y": 1}))
     k2 = canonical_gem(2)
-    assert eval_formula(k2, parse("F(I(x) + I(y), y)"),
-                        Assignment(individuals={"x": 0, "y": 2}))
+    assert Evaluator(k2).eval(parse("F(I(x) + I(y), y)"),
+                              Assignment(individuals={"x": 0, "y": 2}))
 
 
 def test_monotonicity_of_derived_parthood():
@@ -154,10 +152,10 @@ def test_monotonicity_of_derived_parthood():
 
 def test_unbound_variable_error():
     with pytest.raises(EvalError):
-        eval_formula(PartStructure.from_pairs(1, ()), parse("P(x, y)"))
+        Evaluator(PartStructure.from_pairs(1, ())).eval(parse("P(x, y)"))
     with pytest.raises(EvalError):
-        eval_formula(PartStructure.from_pairs(2, ()), parse("P(x, x)"),
-                     Assignment(individuals={"x": 5}))
+        Evaluator(PartStructure.from_pairs(2, ())).eval(parse("P(x, x)"),
+                                                        Assignment(individuals={"x": 5}))
 
 
 def test_plural_binding_outside_the_domain_error():
@@ -208,7 +206,7 @@ def test_desugar_preserves_semantics(seed, n, fusion_kind):
         a = Assignment(individuals={}, plurals=a.plurals)
         if any(v in "xyzuvw" for v in __free_ivars(f)):
             return
-    assert eval_formula(s, f, a) == eval_formula(s, desugar(f), a)
+    assert Evaluator(s).eval(f, a) == Evaluator(s).eval(desugar(f), a)
 
 
 @pytest.mark.parametrize("text", ["exists YY sub YY . exists x . x in YY",
@@ -219,8 +217,8 @@ def test_desugar_reads_a_bound_outside_its_quantifier(text):
     f = parse(text)
     a = Assignment(individuals={"x": 0, "y": 0}, plurals={"YY": frozenset()})
     s = PartStructure.from_pairs(2, [(0, 0), (1, 1)])
-    assert eval_formula(s, f, a) is False
-    assert eval_formula(s, desugar(f), a) is False
+    assert Evaluator(s).eval(f, a) is False
+    assert Evaluator(s).eval(desugar(f), a) is False
 
 
 def _random_assignment(rng, n):
@@ -241,8 +239,8 @@ def test_desugar_on_registry():
             s = random_structure(kind, rng.randrange(4), rng)
             for t in (gem_f(), gem_p()):
                 for nf in t:
-                    assert (eval_formula(s, nf.sentence)
-                            == eval_formula(s, desugar(nf.sentence))), nf.name
+                    assert (Evaluator(s).eval(nf.sentence)
+                            == Evaluator(s).eval(desugar(nf.sentence))), nf.name
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ from dataclasses import fields
 
 import pytest
 
-from gemcheck import (CapacityError, FusionStructure, PartStructure,
+from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       StructureFormatError, canonical_gem, check_theory, components,
                       dump_structure, gem_f, gem_p, induced_fusion,
-                      induced_part, load_structure, mub, overlap, proper_part)
+                      induced_part, load_structure, mub, parse)
 from gemcheck.semantics import Evaluator
 from gemcheck.search import code_of, filter_models, random_structure, structure_from_code
 from gemcheck.structures import summarize
@@ -38,7 +38,7 @@ def test_canonical_k3_satisfies_gem_p():
 
 def test_canonical_capacity():
     with pytest.raises(CapacityError):
-        canonical_gem(4, limit=10)
+        canonical_gem(11)  # 2047 elements
 
 
 def test_canonical_negative_k():
@@ -124,13 +124,16 @@ def test_induced_fusion_empty_plurality_needs_partless_element():
 
 
 def test_overlap_and_proper_part():
-    k2 = canonical_gem(2)
-    assert not overlap(k2, 0, 1)
-    assert overlap(k2, 0, 2)
-    assert all(overlap(k2, x, x) for x in range(3))
-    assert proper_part(k2, 0, 2)
-    assert not proper_part(k2, 2, 2)
-    assert not proper_part(k2, 0, 1)
+    ev = Evaluator(canonical_gem(2))
+
+    def holds(atom, x, y):
+        return ev.eval(parse(f"{atom}(x, y)"), Assignment(individuals={"x": x, "y": y}))
+    assert not holds("O", 0, 1)
+    assert holds("O", 0, 2)
+    assert all(holds("O", x, x) for x in range(3))
+    assert holds("PP", 0, 2)
+    assert not holds("PP", 2, 2)
+    assert not holds("PP", 0, 1)
 
 
 def test_components_examples():
@@ -204,6 +207,12 @@ def test_file_format_errors():
 @pytest.mark.parametrize("text, message", [
     ("n=x\npart: (0,0)", "bad domain size 'x'"),
     ("n=1\nfusion: (0,0)", "bad fusion pair '(0,0)'"),
+    # ASCII digits only, as dump_structure writes them
+    ("n=1_0\npart: (0,0)", "bad domain size '1_0'"),
+    ("n=+2\npart: (0,0)", "bad domain size '+2'"),
+    ("n=\u0663\npart: (0,0)", "bad domain size '\u0663'"),
+    ("n=2\npart: (\u0660,\u0661)", "bad part pair '(\u0660,\u0661)'"),
+    ("n=-1\npart:", "bad domain size '-1'"),
 ])
 def test_file_format_error_messages(text, message):
     with pytest.raises(StructureFormatError) as e:

@@ -62,6 +62,8 @@ def test_parse_error_position():
     ("x = y z", "1:7: trailing input 'z'"),
     # both readings of "(" fail; the formula reading's error is the one raised
     ("(x = )", "1:6: individual variable expected, got ')'"),
+    ("(x = y", "1:7: expected ')', got '<eof>'"),  # an unclosed group
+    ("XX", "1:3: expected 'sub' or 'eq' after a plural term"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as e:

@@ -192,10 +192,9 @@ def test_every_shipped_thy_file_is_a_registry():
 
 def test_thy_text_without_sides_or_anchors():
     t = theory.parse_theory_text("user", "# a comment\n\nrefl : forall x . P(x, x)\n"
-                                         "sym : forall x . forall y . P(x, y) -> P(y, x)\n",
-                                 anchor="user.thy")
+                                         "sym : forall x . forall y . P(x, y) -> P(y, x)\n")
     assert t.names() == ["refl", "sym"]
-    assert [(nf.side, nf.anchor) for nf in t] == [(None, "user.thy")] * 2
+    assert [(nf.side, nf.anchor) for nf in t] == [(None, "file")] * 2
     assert t.get("refl").sentence == parse("forall x . P(x, x)")
 
 

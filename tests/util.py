@@ -297,14 +297,12 @@ def product_models(kind, n, theory):
 
 
 def labeled_models(kind, n, theory):
-    """``filter_models`` with the evaluator on every labeled structure: the
-    scan's survivors (on the poset stream, every relabeling of them), each
-    through every obligation and, if it passes, an orbit of its own."""
-    natural, allowed, natives, _ = _stream(kind, n, theory)
-    survivors = _scan_worker((kind, n, allowed, natives))
-    if natural:
-        survivors = {relabeled(s, perm) for s in survivors
-                     for perm in itertools.permutations(range(n))}
+    """``filter_models`` with the evaluator on every labeled structure: every
+    relabeling of the scan's survivors, each through every obligation and,
+    if it passes, an orbit of its own."""
+    allowed, natives, _ = _stream(kind, n, theory)
+    survivors = {relabeled(s, perm) for s in _scan_worker((kind, n, allowed, natives))
+                 for perm in itertools.permutations(range(n))}
     models = []
     for s in sorted(survivors, key=code_of):
         ev = Evaluator(s)
