@@ -72,11 +72,10 @@ lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
 ``gem_p``, past the ceiling at n=9 (2^28); reflexive part rows pass it
 at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
 
-Every verdict that can carry a witness (``check_theory``,
-``verify_lemmas``, ``find_countermodel``) comes from ``Evaluator.check``,
-the one place a witness is audited: it raises unless
-``Evaluator.refutes`` confirms the witness, so no unconfirmed witness is
-ever emitted.
+Every witness (of ``check_theory``, ``verify_lemmas``,
+``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
+place a witness is audited: it raises unless ``Evaluator.refutes``
+confirms the witness, so no unconfirmed witness is ever emitted.
 
 Two runs with the same bounds, seed, and any worker counts produce
 identical reports; JSON serializations are byte-stable (timings are
@@ -93,7 +92,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import native
+from . import native, semantics
 from .semantics import Assignment, EvalContext, Evaluator
 from .structures import (MAX_PLURAL_DOMAIN, CapacityError, FusionStructure, PartStructure,
                          Structure, canonical_gem, components, induced_fusion,
@@ -395,14 +394,16 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
         survivors = [s for part in parts for s in part]
     else:
         survivors = _scan_worker((kind, n, allowed, natives))
-    decided = [nf for nf in theory if nf not in rest]
+    route = list(zip(theory, _route(theory)))
+    own = [fn for nf, (fn, _) in route if nf in rest]
+    decided = [(nf, fn) for nf, (fn, _) in route if nf not in rest]
     orbits = []
     for orbit in _orbits(kind, n, survivors):
-        ev = Evaluator(orbit[0])
-        if not all(ev.eval(nf.sentence) for nf in rest):
+        ctx = Evaluator(orbit[0]).ctx
+        if not all(fn(ctx, {}) for fn in own):
             continue
-        for nf in decided:
-            if not ev.eval(nf.sentence):
+        for nf, fn in decided:
+            if not fn(ctx, {}):
                 raise RuntimeError(
                     f"native scan and evaluator disagree on {nf.name} "
                     f"for {summarize(orbit[0])}; this is a bug")
@@ -500,14 +501,22 @@ class CheckReport(_Report):
         }
 
 
+def _route(theory: Theory) -> tuple:
+    """(compiled sentence, shared passing verdict) per obligation, built once
+    per theory and kept on it: the route by which ``check_theory``,
+    ``filter_models`` and ``verify_equivalence`` read theory-wide verdicts."""
+    return theory._derived("_route", lambda t: tuple(
+        (semantics.compiled(nf.sentence)[0], ObligationVerdict(nf.name, True)) for nf in t))
+
+
 def check_theory(s: Structure, theory: Theory) -> CheckReport:
     """Evaluate every obligation; failure witnesses are re-verified before emission."""
     t0 = time.monotonic()
     ev = Evaluator(s)
-    results = []
-    for nf in theory.obligations:
-        outcome = ev.check(nf)
-        results.append(ObligationVerdict(nf.name, outcome.value, outcome.witness))
+    ctx = ev.ctx
+    results = [passed if fn(ctx, {})
+               else ObligationVerdict(nf.name, False, ev._audited_witness(nf))
+               for nf, (fn, passed) in zip(theory.obligations, _route(theory))]
     return CheckReport(theory.name, kind_of(s), s.n, summarize(s),
                        tuple(results), int((time.monotonic() - t0) * 1000))
 
@@ -563,7 +572,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
         for s in candidates:
             ev = Evaluator(s)
             # exhaustive candidates come from filter_models, already models of base
-            if strategy == "random" and not all(ev.eval(nf.sentence) for nf in base):
+            if strategy == "random" and not all(fn(ev.ctx, {}) for fn, _ in _route(base)):
                 continue
             outcome = ev.check(target)
             if not outcome.value:
@@ -656,9 +665,9 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
             images = {s: there(s) for s in models}
             failing = {}  # target failures once per orbit; there() commutes with relabeling
             for orbit in models.orbits:
-                ev = Evaluator(images[orbit[0]])
+                ctx = Evaluator(images[orbit[0]]).ctx
                 failing.update(dict.fromkeys(
-                    orbit, [nf.name for nf in target if not ev.eval(nf.sentence)]))
+                    orbit, [v.name for fn, v in _route(target) if not fn(ctx, {})]))
             for s, image in images.items():
                 returned = back(image)
                 bad = failing[s]

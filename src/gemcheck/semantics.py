@@ -44,6 +44,9 @@ time in their written order, individuals ascending and plural values in
 ascending characteristic order, each taking the first value under which
 the rest of the sentence is false.  That is the lexicographically first
 refuting assignment, independent of how evaluation was planned.  The
+search is one generated function per sentence, built on its first false
+verdict: a loop per prefix variable over its unguarded domain, the rest
+of the sentence inlined (as planned above) and breaking when false.  The
 naive closure compiler ``_compile_reference`` loops in written order and
 binds each quantifier's variable in a fresh scope; it is the oracle the
 generated functions are tested against.
@@ -724,6 +727,22 @@ class _Source:
                   c=cand, bits=self.use("bits"), TEST=lambda: self.line(
                       f"if {self.cond(f, {**scope, v: w})}: {found} |= 1 << {w}"))
 
+    def witness(self, f: Formula, scope: dict) -> None:
+        """Return what ``Evaluator.find_witness`` gives for the sentence ``f``."""
+        found = {}  # prefix variable -> (whether individual, its local)
+        while isinstance(f, UNIVERSAL) and f.var not in found:
+            v, out, outer = self.fresh("v"), self.fresh("t"), scope
+            scope = {**scope, f.var: v}
+            found[f.var] = isinstance(f, INDIVIDUAL), v
+            self.emit("for {v} in {dom}:\n    SUFFIX\n    if not {t}: break\n"
+                      "else:\n    return None", v=v, t=out,
+                      dom=self.domain(f, None, outer, v)["dom"],
+                      SUFFIX=lambda: self.bool(f.body, scope, out))
+            f = f.body
+        individuals = ", ".join(f"{k!r}: {v}" for k, (i, v) in found.items() if i)
+        plurals = ", ".join(f"{k!r}: members_of({v})" for k, (i, v) in found.items() if not i)
+        self.line(f"return Assignment({{{individuals}}}, {{{plurals}}})")
+
 
 def _names(node) -> frozenset:
     iv, pv = free_vars(node)
@@ -739,37 +758,33 @@ def _flat(f: Formula, room: int = 24) -> bool:
     return not isinstance(f, QUANTIFIERS)
 
 
-def _compile(f: Formula):
-    """The generated function ``fn(ctx, env)`` evaluating ``f``; its source
-    is in ``linecache`` while it lives, so tracebacks show the emitted lines."""
+def _generate(f: Formula, name: str, emit):
+    """The generated function ``name(ctx, env)`` whose body ``emit(src, scope)``
+    writes, with ``f``'s free variables read from ``env``; its source is in
+    ``linecache`` while it lives, so tracebacks show the emitted lines."""
     src = _Source()
-    scope = {name: src.fresh("v") for name in sorted(_names(f))}
-    src.define("def formula(ctx, env):", lambda: src.bool(f, scope, None),
-               scope.items())
+    scope = {v: src.fresh("v") for v in sorted(_names(f))}
+    src.define(f"def {name}(ctx, env):", lambda: emit(src, scope), scope.items())
     text = "\n\n".join(src.defs) + "\n"
-    filename = f"<gemcheck-formula-{next(_SOURCES)}>"
+    filename = f"<gemcheck-{name}-{next(_SOURCES)}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    namespace = {"submasks": _submasks}
+    namespace = {"submasks": _submasks, "members_of": members_of, "Assignment": Assignment}
     exec(compile(text, filename, "exec"), namespace)
-    weakref.finalize(namespace["formula"], linecache.cache.pop, filename, None)
-    return namespace["formula"]
+    weakref.finalize(namespace[name], linecache.cache.pop, filename, None)
+    return namespace[name]
 
 
 def compiled(f: Formula) -> tuple:
     """(function, sorted free variable names) of a formula, built once per node."""
-    return f._derived("_compiled", lambda f: (_compile(f), tuple(sorted(_names(f)))))
+    return f._derived("_compiled", lambda f: (_generate(
+        f, "formula", lambda src, scope: src.bool(f, scope, None)), tuple(sorted(_names(f)))))
 
 
-def _witness_plan(sentence: Formula) -> tuple:
-    """``find_witness``'s prefix, built once: (variable, whether individual, domain,
-    compiled suffix) per leading universal up to the first that rebinds a name."""
-    def build(q):
-        plan = []
-        while isinstance(q, UNIVERSAL) and q.var not in {step[0] for step in plan}:
-            plan.append((q.var, isinstance(q, ForallI), _domain(q), compiled(q.body)[0]))
-            q = q.body
-        return tuple(plan)
-    return sentence._derived("_witness_plan", build)
+def _witness_search(sentence: Formula):
+    """The generated function ``fn(ctx, env)`` behind ``find_witness``, built
+    once per sentence."""
+    return sentence._derived("_witness", lambda f: _generate(
+        f, "witness", lambda src, scope: src.witness(f, scope)))
 
 
 def compiled_term(t: PluralTerm) -> tuple:
@@ -821,14 +836,18 @@ class Evaluator:
         return fn(self.ctx, env)
 
     def check(self, nf: NamedFormula) -> EvalOutcome:
-        """The verdict on ``nf``, raising if a failure witness does not
-        refute the sentence, so no unconfirmed witness is ever returned."""
+        """The verdict on ``nf``, with its audited witness when false."""
         if self.eval(nf.sentence):
             return EvalOutcome(True, None)
+        return EvalOutcome(False, self._audited_witness(nf))
+
+    def _audited_witness(self, nf: NamedFormula) -> Optional[Assignment]:
+        """The witness of ``nf``, known false here, raising if it does not
+        refute the sentence, so no unconfirmed witness is ever returned."""
         witness = self.find_witness(nf.sentence)
         if witness is not None and not self.refutes(nf.sentence, witness):
             raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
-        return EvalOutcome(False, witness)
+        return witness
 
     def find_witness(self, sentence: Formula) -> Optional[Assignment]:
         """First assignment to the leading universal block refuting the rest.
@@ -840,24 +859,9 @@ class Evaluator:
         the remaining universal suffix is false, which gives the
         lexicographically first refuting assignment without backtracking.
         """
-        plan = _witness_plan(sentence)
-        if not plan:
+        if not isinstance(sentence, UNIVERSAL):
             return None
-        ctx, env = self.ctx, {}
-        for var, _, domain, suffix in plan:
-            for val in domain(ctx, env):
-                env[var] = val
-                if not suffix(ctx, env):
-                    break
-            else:
-                return None
-        individuals, plurals = {}, {}
-        for var, individual, _, _ in plan:
-            if individual:
-                individuals[var] = env[var]
-            else:
-                plurals[var] = members_of(env[var])
-        return Assignment(individuals, plurals)
+        return _witness_search(sentence)(self.ctx, {})
 
     def refutes(self, sentence: Formula, witness: Assignment) -> bool:
         """True iff the witness really falsifies the body under its prefix.

@@ -82,8 +82,9 @@ def _check_masks(n: int, masks: tuple, count: int) -> None:
 class _Derived:
     """Keeps values derived from the fields in the instance dict, where
     ``==``, ``hash``, ``repr`` and pickles (so pool workers) do not see them.
-    Structures and syntax nodes share it, so each derived value (a context,
-    a hash, compiled code) lives and dies with its object."""
+    Structures, syntax nodes and theories share it, so each derived value (a
+    context, a hash, compiled code, a verdict route) lives and dies with its
+    object."""
 
     def _derived(self, key: str, build):
         value = self.__dict__.get(key)
@@ -288,8 +289,10 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
 #   n=<int>
 #   part: (x,y) (x,y) ...          or          fusion: ({a,b},x) ({},x) ...
 
-_PART_PAIR = re.compile(r"\(([0-9]+),([0-9]+)\)$")
-_FUSION_PAIR = re.compile(r"\(\{([0-9,]*)\},([0-9]+)\)$")
+# ASCII digits without leading zeros, as dump_structure writes them
+_INDEX = "(?:0|[1-9][0-9]*)"
+_PART_PAIR = re.compile(rf"\(({_INDEX}),({_INDEX})\)$")
+_FUSION_PAIR = re.compile(rf"\(\{{({_INDEX}(?:,{_INDEX})*)?\}},({_INDEX})\)$")
 
 
 def dump_structure(s: Structure) -> str:
@@ -317,7 +320,7 @@ def load_structure(text: str) -> Structure:
     toks = text.split()
     if not toks or not toks[0].startswith("n="):
         raise StructureFormatError("expected header n=<int>")
-    if not re.fullmatch("[0-9]+", toks[0][2:]):  # ASCII digits, as dump_structure writes
+    if not re.fullmatch(_INDEX, toks[0][2:]):
         raise StructureFormatError(f"bad domain size {toks[0][2:]!r}")
     n = int(toks[0][2:])
     if n > DEFAULT_DOMAIN_LIMIT:  # before from_pairs allocates a row per element

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .structures import _Derived
 from .syntax import NamedFormula, is_closed, parse
 
 
@@ -44,7 +45,7 @@ class UnknownNameError(KeyError):
 
 
 @dataclass(frozen=True)
-class Theory:
+class Theory(_Derived):
     name: str
     obligations: tuple  # tuple[NamedFormula, ...]
 

@@ -11,7 +11,7 @@ from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       automorphism_count, canonical_gem, check_theory,
                       filter_models, find_countermodel, gem_f, gem_p,
                       induced_fusion, induced_part, lemma_suite,
-                      list_models, native, pp_axioms, search,
+                      list_models, native, pp_axioms, search, semantics,
                       verify_equivalence, verify_lemmas)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
@@ -423,6 +423,33 @@ def test_unconfirmed_witness_raises(monkeypatch):
                   lambda: verify_lemmas(SearchBounds(0, 0), 2)):
         with pytest.raises(RuntimeError, match="^unsound witness for no_PP; this is a bug$"):
             check()
+
+
+def test_check_theory_route_matches_the_evaluator_and_the_reference():
+    # every verdict of the per-theory route is the evaluator's and the naive
+    # reference compiler's on that structure, and a structure checked right
+    # after a model of the theory reports as a freshly loaded copy of it does
+    rng = random.Random(20)
+    theories = (gem_f(), gem_p(), pp_axioms(), lemma_suite())
+    k2 = canonical_gem(2)
+    structures = [random_structure(kind, n, rng) for _ in range(6)
+                  for kind, top in (("part", 4), ("fusion", 3)) for n in range(top + 1)]
+    failed = 0
+    for s in structures:
+        model = k2 if isinstance(s, PartStructure) else induced_fusion(k2)
+        for t in theories:
+            assert check_theory(model, t).all_passed
+            rep = check_theory(s, t)
+            ev = Evaluator(s)
+            outcomes = [ev.check(nf) for nf in t]
+            assert [(r.name, r.passed, r.witness) for r in rep.results] == \
+                [(nf.name, o.value, o.witness) for nf, o in zip(t, outcomes)]
+            for nf, o in zip(t, outcomes):
+                assert o.value == semantics._compile_reference(nf.sentence)(ev.ctx, {}), nf.name
+            copy = load_structure(dump_structure(s))
+            assert rep.to_dict() == check_theory(copy, t).to_dict()
+            failed += not rep.all_passed
+    assert failed > len(structures)
 
 
 def test_check_theory_reports():

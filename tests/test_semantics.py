@@ -359,15 +359,19 @@ def test_planned_matches_reference_on_random_formulas():
     assert compared > 1000
 
 
-def _close_universally(rng, f):
+def _close_universally(rng, f, rebind=False):
     """``f`` under a leading universal block binding its free variables.
 
     The block's order is random, and some variables get a bound built
-    from the variables bound before them.
+    from the variables bound before them.  With ``rebind`` one variable is
+    bound once more further in, so a witness prefix stops there.
     """
     iv, pv = free_vars(f)
     names = sorted(iv | pv)
     rng.shuffle(names)
+    if rebind and names:
+        k = rng.randrange(len(names))
+        names.insert(rng.randrange(k + 1, len(names) + 1), names[k])
     for i, v in reversed(list(enumerate(names))):
         earlier = [w for w in names[:i] if w.isupper()]
         bound = None
@@ -394,6 +398,25 @@ def test_witness_matches_reference_on_random_sentences():
             assert ev.refutes(f, w)
             refuted += 1
     assert refuted > 100
+
+
+def test_witness_matches_reference_on_random_rebinding_prefixes():
+    rng = random.Random(41)
+    refuted = 0
+    for _ in range(600):
+        s = _random_structure_of_reach(rng)
+        ev = Evaluator(s)
+        f = _random_formula_or_block(rng)
+        iv, pv = free_vars(f)
+        if max(s.n, 1) ** (len(iv) + 1) * 2 ** (s.n * (len(pv) + 1)) > 4096:
+            continue
+        f = _close_universally(rng, f, rebind=True)
+        w = ev.find_witness(f)
+        assert w == _reference_witness(ev, f), (s, print_formula(f))
+        if w is not None:
+            assert ev.refutes(f, w)
+            refuted += 1
+    assert refuted > 50
 
 
 _PLURAL_GUARD_SHAPES = [
@@ -458,9 +481,9 @@ _REBINDING_PREFIXES = [
 
 
 def test_one_witness_plan_serves_every_structure():
-    # each sentence's plan is built once, from the sentence alone, and then
-    # only read: on structures of every size and both kinds, in either
-    # order, its witnesses must be the written-order reference ones
+    # each sentence's witness search is generated once, from the sentence
+    # alone, and then only run: on structures of every size and both kinds,
+    # in either order, its witnesses must be the written-order reference ones
     rng = random.Random(14)
     sentences = [nf.sentence for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite())
                  for nf in t]
@@ -469,8 +492,8 @@ def test_one_witness_plan_serves_every_structure():
                   for kind in ("part", "fusion") for _ in range(2)]
     for order in (structures, structures[::-1]):
         for f in sentences:
-            vars(f).pop("_witness_plan", None)
-        plans = {f: semantics._witness_plan(f) for f in sentences}
+            vars(f).pop("_witness", None)
+        plans = {f: semantics._witness_search(f) for f in sentences}
         refuted = 0
         for s in order:
             ev = Evaluator(s)
@@ -478,7 +501,7 @@ def test_one_witness_plan_serves_every_structure():
                 w = ev.find_witness(f)
                 assert w == _reference_witness(ev, f), (s, print_formula(f))
                 refuted += w is not None
-        assert all(semantics._witness_plan(f) is plan for f, plan in plans.items())
+        assert all(semantics._witness_search(f) is plan for f, plan in plans.items())
         assert refuted > 200
 
 
@@ -613,7 +636,10 @@ def test_compiled_code_and_its_source_go_with_the_formula():
     # linecache only as long as the function: nothing keeps either alive
     ref, sources = _compile_and_drop(
         "forall x . forall YY sub U(I(x)) . exists y in YY . not P(x, y) or x = y")
-    assert sources and all(re.fullmatch(r"<gemcheck-formula-\d+>", s) for s in sources)
+    assert sources and all(re.fullmatch(r"<gemcheck-(formula|witness)-\d+>", s)
+                           for s in sources)
+    # the witness search is generated and kept the same way
+    assert any(s.startswith("<gemcheck-witness-") for s in sources)
     gc.collect()
     assert ref() is None
     assert sources.isdisjoint(linecache.cache)

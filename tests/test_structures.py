@@ -213,6 +213,12 @@ def test_file_format_errors():
     ("n=\u0663\npart: (0,0)", "bad domain size '\u0663'"),
     ("n=2\npart: (\u0660,\u0661)", "bad part pair '(\u0660,\u0661)'"),
     ("n=-1\npart:", "bad domain size '-1'"),
+    # an empty member and leading zeros name the token, not int()'s text
+    ("n=2\nfusion: ({0,,1},0)", "bad fusion pair '({0,,1},0)'"),
+    ("n=2\nfusion: ({,},0)", "bad fusion pair '({,},0)'"),
+    ("n=00\npart:", "bad domain size '00'"),
+    ("n=2\npart: (01,0)", "bad part pair '(01,0)'"),
+    ("n=2\nfusion: ({01},0)", "bad fusion pair '({01},0)'"),
 ])
 def test_file_format_error_messages(text, message):
     with pytest.raises(StructureFormatError) as e:

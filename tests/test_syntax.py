@@ -141,8 +141,8 @@ def test_cached_hash_does_not_cross_a_pickle():
     text = "forall ZZ . ((exists x . x in ZZ) -> (exists y . F(ZZ + I(x), y)))"
     f = parse(text)
     hash(f), free_vars(f)  # fill the caches before pickling
-    semantics.compiled(f), semantics._witness_plan(f)
-    assert {"_hash", "_free", "_compiled", "_witness_plan"} <= vars(f).keys()
+    semantics.compiled(f), semantics._witness_search(f)
+    assert {"_hash", "_free", "_compiled", "_witness"} <= vars(f).keys()
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     script = ("import pickle, sys\n"
               "from dataclasses import fields\n"
