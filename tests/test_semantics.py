@@ -381,42 +381,32 @@ def _close_universally(rng, f, rebind=False):
     return f
 
 
-def test_witness_matches_reference_on_random_sentences():
-    rng = random.Random(99)
+def _random_witnesses_match_reference(rng, trials, rebind=False):
+    """Check random sentences under ``_close_universally``'s prefix against
+    the reference; return how many of them were refuted."""
     refuted = 0
-    for _ in range(1000):
+    for _ in range(trials):
         s = _random_structure_of_reach(rng)
         ev = Evaluator(s)
         f = _random_formula_or_block(rng)
         iv, pv = free_vars(f)
-        if max(s.n, 1) ** len(iv) * 2 ** (s.n * len(pv)) > 4096:
+        if max(s.n, 1) ** (len(iv) + rebind) * 2 ** (s.n * (len(pv) + rebind)) > 4096:
             continue
-        f = _close_universally(rng, f)
-        w = ev.find_witness(f)
-        assert w == _reference_witness(ev, f), (s, f)
-        if w is not None:
-            assert ev.refutes(f, w)
-            refuted += 1
-    assert refuted > 100
-
-
-def test_witness_matches_reference_on_random_rebinding_prefixes():
-    rng = random.Random(41)
-    refuted = 0
-    for _ in range(600):
-        s = _random_structure_of_reach(rng)
-        ev = Evaluator(s)
-        f = _random_formula_or_block(rng)
-        iv, pv = free_vars(f)
-        if max(s.n, 1) ** (len(iv) + 1) * 2 ** (s.n * (len(pv) + 1)) > 4096:
-            continue
-        f = _close_universally(rng, f, rebind=True)
+        f = _close_universally(rng, f, rebind)
         w = ev.find_witness(f)
         assert w == _reference_witness(ev, f), (s, print_formula(f))
         if w is not None:
             assert ev.refutes(f, w)
             refuted += 1
-    assert refuted > 50
+    return refuted
+
+
+def test_witness_matches_reference_on_random_sentences():
+    assert _random_witnesses_match_reference(random.Random(99), 1000) > 100
+
+
+def test_witness_matches_reference_on_random_rebinding_prefixes():
+    assert _random_witnesses_match_reference(random.Random(41), 600, rebind=True) > 50
 
 
 _PLURAL_GUARD_SHAPES = [
