@@ -31,5 +31,5 @@ antisymmetry = NamedFormula(
     parse("forall x . forall y . (P(x, y) and P(y, x) -> x = y)"),
     "demo")
 outcome = Evaluator(cyclic).check(antisymmetry)
-print("\nantisymmetry on a 2-cycle:", outcome.value)
+print("\nantisymmetry on a 2-cycle:", outcome.passed)
 print("refuting binding:", outcome.witness)

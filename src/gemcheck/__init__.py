@@ -8,7 +8,7 @@ definitional translations are mutually inverse bijections between the
 model classes at small domain sizes.
 """
 
-from .semantics import Assignment, EvalError, EvalOutcome, Evaluator
+from .semantics import Assignment, EvalError, Evaluator, ObligationVerdict
 from .structures import (CapacityError, FusionStructure, PartStructure,
                          Plurality, Structure, StructureFormatError,
                          canonical_gem, components, dump_structure,
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "CapacityError", "CheckReport", "CountermodelResult",
-    "EquivalenceReport", "EvalError", "EvalOutcome", "Evaluator", "Formula",
-    "FusionStructure", "NamedFormula", "ParseError", "PartStructure",
+    "EquivalenceReport", "EvalError", "Evaluator", "Formula",
+    "FusionStructure", "NamedFormula", "ObligationVerdict", "ParseError", "PartStructure",
     "Plurality", "PluralTerm", "SearchBounds", "SortError", "Structure",
     "StructureFormatError", "Theory", "automorphism_count", "canonical_gem",
     "check_theory", "components", "dump_structure", "filter_models",

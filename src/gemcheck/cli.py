@@ -121,9 +121,9 @@ def cmd_export(args) -> int:
         sys.stderr.write("export needs --all or --name\n")
         return EXIT_USAGE
     elif args.out:
-        paths = [export_mod._write(args.out, theory.lemma_suite().get(args.name))]
+        paths = [export_mod.write_obligation(args.out, theory.lemma_suite().get(args.name))]
     else:  # --name with --out '': the problem itself, on stdout
-        sys.stdout.write(export_mod._lemma_problem(theory.lemma_suite().get(args.name)))
+        sys.stdout.write(export_mod.emit_obligation(theory.lemma_suite().get(args.name)))
         return EXIT_OK
     sys.stdout.write("".join(f"{p}\n" for p in paths))
     return EXIT_OK

@@ -24,7 +24,7 @@ from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
                      ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
                      TermEq, UNIVERSAL)
-from .theory import Theory, lemma_suite, theory_by_name
+from .theory import lemma_suite, theory_by_name
 
 
 def _iv(name: str) -> str:
@@ -170,10 +170,6 @@ _INSTANCE_LABEL = {"sing": "I", "un": "union", "int": "intersection",
                    "zzstar": "zzstar"}
 
 
-def _side_of(theory: Theory) -> str:
-    return "gem_p" if theory.name.startswith("gem_p") else "gem_f"
-
-
 def _needed_defs(used: set, side: str, with_star: bool):
     # membership and the side's primitive never get a defining axiom
     skip = {"memb", "fuses" if side == "gem_f" else "part"}
@@ -187,14 +183,16 @@ def _needed_defs(used: set, side: str, with_star: bool):
     return [(f"def_{sym}", needed[sym][0]) for sym in _DEF_ORDER if sym in needed]
 
 
-def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:
-    """Complete problem text: theory axioms, needed instances, conjecture."""
-    side = _side_of(theory)
+def emit_obligation(nf: NamedFormula) -> str:
+    """Lemma ``nf``'s complete problem text: the axioms of the theory of its
+    side, the instances they and ``nf`` need, and ``nf`` as the conjecture."""
+    name, side = nf.name, nf.side
+    theory = theory_by_name(side)
     enc = _Encoder()
-    axioms = [(f"ax_{nf.name.lower()}", enc.formula(nf.sentence))
-              for nf in theory.obligations]
-    conj = enc.formula(conjecture.sentence)
-    with_star = side == "gem_p" and conjecture.name == "comp_F"
+    axioms = [(f"ax_{ax.name.lower()}", enc.formula(ax.sentence))
+              for ax in theory.obligations]
+    conj = enc.formula(nf.sentence)
+    with_star = side == "gem_p" and name == "comp_F"
     defs = _needed_defs(enc.used, side, with_star)
     labels = {label for label, _ in defs}
     instances = [_INSTANCE_LABEL[sym] for sym in ("sing", "un", "int", "zzstar")
@@ -203,7 +201,7 @@ def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:
         instances.append("U_F" if side == "gem_f" else "U_P")
     lines = [
         f"% Problem  : {name}",
-        f"% Source   : {conjecture.anchor}",
+        f"% Source   : {nf.anchor}",
         f"% Axioms   : {theory.name}",
         "% Encoding : two-sorted plural logic relativized to first-order",
         "%            logic; comprehension only via the named instances "
@@ -217,20 +215,15 @@ def emit_obligation(name: str, theory: Theory, conjecture: NamedFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lemma_problem(nf: NamedFormula) -> str:
-    """Lemma ``nf``'s problem over the theory of its side."""
-    return emit_obligation(nf.name, theory_by_name(nf.side), nf)
-
-
-def _write(out_dir, nf: NamedFormula) -> Path:
+def write_obligation(out_dir, nf: NamedFormula) -> Path:
     """Write lemma ``nf``'s problem to ``out_dir``/NAME.p (mkdir -p); returns the path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{nf.name}.p"
-    path.write_text(_lemma_problem(nf))
+    path.write_text(emit_obligation(nf))
     return path
 
 
 def emit_all(out_dir) -> list:
     """One problem file per lemma obligation; returns the written paths."""
-    return [_write(out_dir, nf) for nf in lemma_suite()]
+    return [write_obligation(out_dir, nf) for nf in lemma_suite()]

@@ -67,10 +67,11 @@ what is not invariant still runs on each: the round trip,
 ``def_pf``/``def_uf``, injectivity of the translation, and each failing
 member's own witness.
 
-Capacity.  ``DEFAULT_CEILING`` bounds the product of the baked value
-lists, not the nominal space: 2^15 at part n=7 and 2^21 at n=8 for
-``gem_p``, past the ceiling at n=9 (2^28); reflexive part rows pass it
-at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
+Capacity.  A size the evaluator refuses is refused before any value list
+is built.  ``DEFAULT_CEILING`` bounds the product of the baked value lists
+(refused as soon as it passes), not the nominal space: 2^15 at part n=7
+and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28); reflexive
+part rows pass it at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
 
 Every witness (of ``check_theory``, ``verify_lemmas``,
 ``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
@@ -93,19 +94,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import native, semantics
-from .semantics import Assignment, EvalContext, Evaluator
-from .structures import (MAX_PLURAL_DOMAIN, CapacityError, FusionStructure, PartStructure,
-                         Structure, canonical_gem, components, induced_fusion,
+from .semantics import Assignment, Evaluator, ObligationVerdict
+from .structures import (CapacityError, FusionStructure, PartStructure, Structure,
+                         _check_size, canonical_gem, components, induced_fusion,
                          induced_part, iter_bits, kind_of, members_of, summarize)
 from .syntax import NamedFormula
 from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
 
 DEFAULT_CEILING = 1 << 26
-
-# value lists longer than this in total are refused before they are built;
-# every stream over more values has a product far past the ceiling
-# (part n >= 13, fusion n >= 9)
-_MAX_VALUES = 1 << 16
 
 # the native checkers, cheap first; the order affects speed, never results.
 # ref_P runs only at fusion leaves (part rows bake it), where derived parthood
@@ -157,9 +153,7 @@ def code_of(s: Structure) -> int:
 
 
 def random_structure(kind: str, n: int, rng: random.Random) -> Structure:
-    # the evaluator refuses these sizes; refuse before drawing n*n or n*2^n bits
-    if n > MAX_PLURAL_DOMAIN:
-        raise CapacityError(f"formula evaluation needs 2^{n} pluralities")
+    _check_size(n)  # the evaluator's refusal, before n*n or n*2^n bits are drawn
     code = rng.getrandbits(relation_bits(kind, n)) if n else 0
     return structure_from_code(kind, n, code)
 
@@ -191,14 +185,14 @@ def _allowed_rows(kind: str, n: int, row_local: set) -> list:
     if kind == "part":
         return [[v for v in full if (v >> y) & 1] if native.ref_p in row_local else full
                 for y in range(n)]
-    rows = []
-    for p in range(1 << n):
-        vals = full
-        if native.id_f in row_local and p and p & (p - 1) == 0:
-            vals = [0, p]  # the singleton {y} fuses to nothing but y
-        if native.exists_f in row_local and p:
-            vals = [v for v in vals if v]
-        rows.append(vals)
+    exists = native.exists_f in row_local  # a nonempty plurality fuses to something
+    nonempty = full[1:] if exists else full  # one list, shared by the rows
+    rows = [full]
+    for p in range(1, 1 << n):
+        if native.id_f in row_local and p & (p - 1) == 0:
+            rows.append([p] if exists else [0, p])  # the singleton {y} fuses to nothing but y
+        else:
+            rows.append(nonempty)
     return rows
 
 
@@ -356,19 +350,21 @@ def _scan_worker(args) -> list:
 def _stream(kind: str, n: int, theory: Theory):
     """``(allowed, natives, rest)``: the scan's value lists (poset rows when
     ref_P, antis_P and trans_P are all decided) and natives, and the
-    evaluator-only obligations; ``CapacityError`` past the bounds, which only
-    grow with n."""
-    if (n if kind == "part" else 1 << n) << n > _MAX_VALUES:  # at most 2^n per row
-        raise CapacityError(f"value lists at n={n} exceed {_MAX_VALUES} entries")
+    evaluator-only obligations; ``CapacityError`` past the evaluator's
+    domain or the ceiling, which a larger n never comes back under."""
+    _check_size(n)  # before any value list is built
     row_local, natives, rest = _plan(kind, theory)
     if kind == "part" and _ORDER_AXIOMS <= row_local.union(natives):
         allowed = _natural_rows(n, native.exists_f_closure in natives)
         natives.remove(native.antis_p)  # holds by construction, like ref_P
     else:
         allowed = _allowed_rows(kind, n, row_local)
-    pruned = math.prod(map(len, allowed))
-    if pruned > DEFAULT_CEILING:
-        raise CapacityError(f"{pruned} baked candidates exceed the ceiling {DEFAULT_CEILING}")
+    pruned = 1
+    for values in allowed:  # stops multiplying once past the ceiling
+        pruned *= len(values)
+        if pruned > DEFAULT_CEILING:
+            raise CapacityError(f"at least {pruned} baked candidates exceed the ceiling "
+                                f"{DEFAULT_CEILING}")
     return allowed, natives, rest
 
 
@@ -464,13 +460,6 @@ def _witness_dict(w: Optional[Assignment]):
         return None
     return {"individuals": dict(sorted(w.individuals.items())),
             "plurals": {k: sorted(v) for k, v in sorted(w.plurals.items())}}
-
-
-@dataclass(frozen=True)
-class ObligationVerdict:
-    name: str
-    passed: bool
-    witness: Optional[Assignment] = None
 
 
 @dataclass(frozen=True)
@@ -575,7 +564,7 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
             if strategy == "random" and not all(fn(ev.ctx, {}) for fn, _ in _route(base)):
                 continue
             outcome = ev.check(target)
-            if not outcome.value:
+            if not outcome.passed:
                 return CountermodelResult("found", s, outcome.witness, checked, bounds.seed,
                                           int((time.monotonic() - t0) * 1000))
     return CountermodelResult(spent, None, None, checked, bounds.seed,
@@ -739,9 +728,7 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
     if canonical_k:
         gem = canonical_gem(canonical_k)
         for side, (kind, _, _) in sides.items():
-            model = canonical[side] = gem if kind == "part" else induced_fusion(gem)
-            # the context every Evaluator(model) below shares; it refuses too large a model
-            model._derived("_context", EvalContext)
+            canonical[side] = gem if kind == "part" else induced_fusion(gem)
     scopes = {}  # side -> (label, structure, its orbit's representative)
     for side, (kind, max_n, suffix) in sides.items():
         scope = scopes[side] = []
@@ -759,9 +746,9 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
             if rep not in verdicts:
                 verdicts[rep] = Evaluator(rep).check(nf)
             outcome = verdicts[rep]
-            if not outcome.value and m != rep:
+            if not outcome.passed and m != rep:
                 outcome = Evaluator(m).check(nf)  # each its own witness
-            if not outcome.value:
+            if not outcome.passed:
                 failures.append({"structure": summarize(m), "scope": label,
                                  "witness": _witness_dict(outcome.witness)})
         rows.append({"name": nf.name, "side": nf.side,

@@ -63,10 +63,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .structures import (MAX_PLURAL_DOMAIN, CapacityError, PartStructure,
-                         Plurality, Structure, fusion_rows_from_parts,
-                         iter_bits, mask_of, members_of, overlap_masks,
-                         parts_from_fusion_rows)
+from .structures import (PartStructure, Plurality, Structure, _check_size,
+                         fusion_rows_from_parts, iter_bits, mask_of, members_of,
+                         overlap_masks, parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
                      NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
@@ -87,8 +86,8 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class EvalOutcome:
-    """Verdict for a closed sentence, with a refuting assignment on failure.
+class ObligationVerdict:
+    """Verdict for a named closed sentence, with a refuting assignment on failure.
 
     The witness, when present, binds the sentence's outermost block of
     universal quantifiers, up to the first that rebinds a name, to the
@@ -96,7 +95,8 @@ class EvalOutcome:
     false.
     """
 
-    value: bool
+    name: str
+    passed: bool
     witness: Optional[Assignment] = None
 
 
@@ -133,8 +133,7 @@ class EvalContext:
                  "_ucache", "_fpre")
 
     def __init__(self, s: Structure):
-        if s.n > MAX_PLURAL_DOMAIN:
-            raise CapacityError(f"formula evaluation needs 2^{s.n} pluralities")
+        _check_size(s.n)
         self.structure = s
         self.n = n = s.n
         if isinstance(s, PartStructure):
@@ -835,11 +834,11 @@ class Evaluator:
         _check_bound(names, env)
         return fn(self.ctx, env)
 
-    def check(self, nf: NamedFormula) -> EvalOutcome:
+    def check(self, nf: NamedFormula) -> ObligationVerdict:
         """The verdict on ``nf``, with its audited witness when false."""
         if self.eval(nf.sentence):
-            return EvalOutcome(True, None)
-        return EvalOutcome(False, self._audited_witness(nf))
+            return ObligationVerdict(nf.name, True)
+        return ObligationVerdict(nf.name, False, self._audited_witness(nf))
 
     def _audited_witness(self, nf: NamedFormula) -> Optional[Assignment]:
         """The witness of ``nf``, known false here, raising if it does not

@@ -31,12 +31,9 @@ from typing import Iterable, Iterator, Union
 
 Plurality = frozenset  # frozenset[int]; the denotation of a second-sort term
 
-#: largest domain size for which we ever materialize or quantify over all
-#: 2^n pluralities
+#: largest domain whose 2^n pluralities formula evaluation quantifies over;
+#: every check of a domain size against it goes through ``_check_size``
 MAX_PLURAL_DOMAIN = 16
-
-#: largest 2^k - 1 domain canonical_gem will build
-DEFAULT_DOMAIN_LIMIT = 1023
 
 
 class CapacityError(Exception):
@@ -66,11 +63,14 @@ def members_of(mask: int) -> Plurality:
     return frozenset(iter_bits(mask))
 
 
-def _check_size(n: int, plural: bool) -> None:
+def _check_size(n: int, plural: bool = True) -> None:
+    """Refuse a negative size and, with ``plural``, one whose 2^n pluralities
+    formula evaluation cannot quantify over.  A caller not yet holding the
+    size checks a lower bound first, so no 2^n-bit number is built or printed."""
     if n < 0:
         raise ValueError("domain size must be >= 0")
     if plural and n > MAX_PLURAL_DOMAIN:
-        raise CapacityError(f"cannot tabulate 2^{n} pluralities")
+        raise CapacityError(f"formula evaluation needs 2^{n} pluralities")
 
 
 def _check_masks(n: int, masks: tuple, count: int) -> None:
@@ -123,19 +123,19 @@ class PartStructure(_Derived):
 
 @dataclass(frozen=True)
 class FusionStructure(_Derived):
-    """Domain {0..n-1}, n <= ``MAX_PLURAL_DOMAIN``, with a primitive fusion
+    """Domain {0..n-1}, of a size ``_check_size`` admits, with a primitive fusion
     relation: ``rows[p]`` is the bitmask of {x : F(p, x)}."""
 
     n: int
     rows: tuple
 
     def __post_init__(self):
-        _check_size(self.n, plural=True)
+        _check_size(self.n)
         _check_masks(self.n, self.rows, 1 << self.n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple]) -> "FusionStructure":
-        _check_size(n, plural=True)
+        _check_size(n)
         rows = [0] * (1 << n)
         for zz, x in pairs:
             zz, x = frozenset(zz), int(x)
@@ -169,10 +169,9 @@ def canonical_gem(k: int) -> PartStructure:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_size(k)  # a lower bound of 2^k - 1, checked before 2^k is built
     n = (1 << k) - 1
-    if n > DEFAULT_DOMAIN_LIMIT:
-        raise CapacityError(f"canonical model on 2^{k}-1 = {n} elements exceeds limit "
-                            f"{DEFAULT_DOMAIN_LIMIT}")
+    _check_size(n)
     subsets = sorted(range(1, 1 << k), key=lambda m: (bin(m).count("1"), m))
     return PartStructure(n, tuple(mask_of(i for i, a in enumerate(subsets) if a & ~b == 0)
                                   for b in subsets))
@@ -277,8 +276,7 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
     fuses to x only when x has no parts at all, which cannot happen on a
     reflexive relation.
     """
-    if ps.n > MAX_PLURAL_DOMAIN:
-        raise CapacityError(f"cannot enumerate 2^{ps.n} pluralities")
+    _check_size(ps.n)
     rows = fusion_rows_from_parts(ps.n, ps.down, overlap_masks(ps.n, ps.down))
     return FusionStructure.from_rows(ps.n, rows)
 
@@ -320,11 +318,12 @@ def load_structure(text: str) -> Structure:
     toks = text.split()
     if not toks or not toks[0].startswith("n="):
         raise StructureFormatError("expected header n=<int>")
-    if not re.fullmatch(_INDEX, toks[0][2:]):
-        raise StructureFormatError(f"bad domain size {toks[0][2:]!r}")
-    n = int(toks[0][2:])
-    if n > DEFAULT_DOMAIN_LIMIT:  # before from_pairs allocates a row per element
-        raise CapacityError(f"a {n}-element structure exceeds the limit {DEFAULT_DOMAIN_LIMIT}")
+    digits = toks[0][2:]
+    if not re.fullmatch(_INDEX, digits):
+        raise StructureFormatError(f"bad domain size {digits!r}")
+    _check_size(len(digits))  # a lower bound of n, checked before int() reads it
+    n = int(digits)
+    _check_size(n)  # every literal is evaluated; refused before a row is allocated
     if len(toks) < 2 or toks[1] not in ("part:", "fusion:"):
         raise StructureFormatError("expected 'part:' or 'fusion:' after header")
     body = toks[2:]

@@ -307,13 +307,29 @@ def test_random_countermodel_past_the_evaluator_exits_3(kind, theory_name, targe
 
 
 def test_oversized_structure_literal_exit_code(tmp_path):
-    # a fusion structure past 16 elements cannot be built; a part literal
-    # past the literal limit is refused before any row is allocated
+    # a literal past 16 elements is refused on loading, before any row is allocated
     for literal in ("n=17\nfusion: ({0},0)\n", f"n={10 ** 12}\npart:\n"):
         p = tmp_path / "big.structure"
         p.write_text(literal)
         code, _, err = run_cli("check", str(p), "gem_f")
         assert code == 3 and "capacity" in err, literal
+
+
+@pytest.mark.parametrize("argv", [("lemmas", "--canonical-k", "20000"),
+                                  ("lemmas", "--canonical-k", "10000000"),
+                                  ("check", "HUGE", "gem_p")],
+                         ids=["canonical-k-20000", "canonical-k-10000000", "header-5000-digits"])
+def test_sizes_too_long_to_print_exit_3(tmp_path, argv):
+    # 2^k - 1 is never built, and a header of 5 000 digits never read as
+    # an int: either would pass Python's limit on int-to-text conversion
+    huge = tmp_path / "huge.structure"
+    huge.write_text("n=" + "9" * 5000 + "\npart:\n")
+    argv = [str(huge) if a == "HUGE" else a for a in argv]
+    t0 = time.monotonic()
+    code, out, err = run_cli(*argv)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_invalid_worker_and_size_flags():

@@ -35,7 +35,7 @@ def test_encode_restricted_quantifiers():
 
 
 def test_fix_problem_contents():
-    text = emit_obligation("FIx", gem_f(), lemma_suite().get("FIx"))
+    text = emit_obligation(lemma_suite().get("FIx"))
     axioms = [l for l in text.splitlines() if l.startswith("fof(") and
               ", axiom," in l]
     # seven definitional axioms (empty, I, union, intersection, are,
@@ -49,30 +49,26 @@ def test_fix_problem_contents():
 
 
 def test_comp_f_includes_zzstar_instance():
-    nf = lemma_suite().get("comp_F")
-    text = emit_obligation("comp_F", gem_p(), nf)
+    text = emit_obligation(lemma_suite().get("comp_F"))
     assert "def_zzstar" in text and "star(Vx,Wzz)" in text
     assert "zzstar" in text.splitlines()[4]
-    fix = emit_obligation("FIx", gem_f(), lemma_suite().get("FIx"))
+    fix = emit_obligation(lemma_suite().get("FIx"))
     assert "zzstar" not in fix.splitlines()[4]
 
 
 def test_p_f2_pulls_part_definition():
-    nf = lemma_suite().get("P_F2")
-    text = emit_obligation("P_F2", gem_f(), nf)
+    text = emit_obligation(lemma_suite().get("P_F2"))
     assert "def_part" in text  # dfP_F is needed on the fusion side
 
 
 def test_gem_p_side_unfolds_fusion():
-    nf = lemma_suite().get("approx_F")
-    text = emit_obligation("approx_F", gem_p(), nf)
+    text = emit_obligation(lemma_suite().get("approx_F"))
     assert "def_fuses" in text and "def_overlap" in text
 
 
 def test_byte_stability():
     nf = lemma_suite().get("sumtocl")
-    assert emit_obligation("sumtocl", gem_f(), nf) == \
-        emit_obligation("sumtocl", gem_f(), nf)
+    assert emit_obligation(nf) == emit_obligation(nf)
 
 
 def test_emit_all(tmp_path):

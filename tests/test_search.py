@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -50,15 +51,29 @@ def test_enumeration_capacity():
         filter_models("part", 6, pp_axioms())
     with pytest.raises(CapacityError):
         filter_models("fusion", 4, gem_f())
-    # long value lists are refused before they are built
+    # the product is refused as soon as it passes the ceiling
     with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("part", 12, Theory("none", ()))
-    with pytest.raises(CapacityError, match="value lists"):
+    with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("part", 13, Theory("none", ()))
     with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("fusion", 8, Theory("none", ()))
-    with pytest.raises(CapacityError, match="value lists"):
+    with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("fusion", 9, gem_f())
+    # a domain the evaluator refuses is refused before any value list is built
+    for kind in ("part", "fusion"):
+        with pytest.raises(CapacityError, match=r"formula evaluation needs 2\^17 pluralities"):
+            filter_models(kind, 17, Theory("none", ()))
+
+
+@pytest.mark.parametrize("kind,theory", [("fusion", Theory("none", ())), ("part", pp_axioms())])
+def test_largest_evaluable_domain_is_refused_at_once(kind, theory):
+    # at n=16 the value lists are built (one list shared by the fusion rows),
+    # and the product stops as soon as it passes the ceiling
+    t0 = time.monotonic()
+    with pytest.raises(CapacityError, match="baked candidates"):
+        filter_models(kind, 16, theory)
+    assert time.monotonic() - t0 < 1
 
 
 def test_fusion_4_row_search_past_the_ceiling(monkeypatch):
@@ -185,7 +200,8 @@ def test_gem_p_models_to_n_7(monkeypatch):
     # the poset stream has one value in row 0, so two workers start no pool
     models = filter_models("part", 7, gem_p(), workers=2)
     base = canonical_gem(3)
-    assert len(models) == 840 == math.factorial(7) // automorphism_count(base)
+    assert len(models) == 840 == math.factorial(7) // automorphism_count(base) \
+        == _labeled_gem_count(7)
     # one orbit, decided once: the relabelings of the canonical model
     [orbit] = models.orbits
     assert list(orbit) == models
@@ -442,10 +458,9 @@ def test_check_theory_route_matches_the_evaluator_and_the_reference():
             rep = check_theory(s, t)
             ev = Evaluator(s)
             outcomes = [ev.check(nf) for nf in t]
-            assert [(r.name, r.passed, r.witness) for r in rep.results] == \
-                [(nf.name, o.value, o.witness) for nf, o in zip(t, outcomes)]
+            assert list(rep.results) == outcomes
             for nf, o in zip(t, outcomes):
-                assert o.value == semantics._compile_reference(nf.sentence)(ev.ctx, {}), nf.name
+                assert o.passed == semantics._compile_reference(nf.sentence)(ev.ctx, {}), nf.name
             copy = load_structure(dump_structure(s))
             assert rep.to_dict() == check_theory(copy, t).to_dict()
             failed += not rep.all_passed
@@ -544,11 +559,26 @@ def test_automorphism_counts():
         automorphism_count(PartStructure(9, (0,) * 9))
 
 
+def _labeled_gem_count(n: int) -> int:
+    """Labeled models of classical mereology on n elements, from the
+    representation theorem: a finite model is a Boolean algebra of k atoms
+    without its bottom, so n = 2^k - 1, and its automorphisms are the k!
+    permutations of the atoms; there is no model at any other size."""
+    k = (n + 1).bit_length() - 1
+    return math.factorial(n) // math.factorial(k) if n == (1 << k) - 1 else 0
+
+
 def test_labeled_count_formula():
     for k in (1, 2):
         n = (1 << k) - 1
         aut = automorphism_count(canonical_gem(k))
         assert math.factorial(n) // aut == len(filter_models("part", n, gem_p()))
+    # the formula is independent of the evaluator, the native checkers and the oracles
+    assert [_labeled_gem_count(n) for n in range(8)] == [1, 1, 0, 3, 0, 0, 0, 840]
+    for n in range(7):
+        assert len(filter_models("part", n, gem_p())) == _labeled_gem_count(n), n
+    for n in range(4):
+        assert len(filter_models("fusion", n, gem_f())) == _labeled_gem_count(n), n
 
 
 def test_witness_soundness_on_random_structures():

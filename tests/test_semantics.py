@@ -61,7 +61,7 @@ def test_eval_examples():
     assert Evaluator(k2).eval(gem_p().get("ref_P").sentence)
     sym = PartStructure.from_pairs(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
     out = Evaluator(sym).check(gem_p().get("antis_P"))
-    assert not out.value
+    assert not out.passed
     assert out.witness == Assignment(individuals={"x": 0, "y": 1})
     fs = FusionStructure.from_pairs(2, [({0}, 0), ({1}, 1)])
     assert Evaluator(fs).eval(gem_f().get("id_F").sentence)
@@ -69,12 +69,12 @@ def test_eval_examples():
 
 def test_check_sentence_examples():
     out = Evaluator(FusionStructure.from_pairs(1, ())).check(gem_f().get("exists_F"))
-    assert not out.value
+    assert not out.passed
     assert out.witness == Assignment(plurals={"ZZ": frozenset({0})})
     empty = PartStructure.from_pairs(0, ())
     for t in (gem_f(), gem_p()):
         for nf in t:
-            assert Evaluator(empty).check(nf).value, nf.name
+            assert Evaluator(empty).check(nf).passed, nf.name
 
 
 def test_witness_is_first_in_enumeration_order():

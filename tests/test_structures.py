@@ -39,6 +39,19 @@ def test_canonical_k3_satisfies_gem_p():
 def test_canonical_capacity():
     with pytest.raises(CapacityError):
         canonical_gem(11)  # 2047 elements
+    # the largest canonical model the evaluator takes has 15 elements
+    assert canonical_gem(4).n == 15
+    with pytest.raises(CapacityError, match=r"^formula evaluation needs 2\^31 pluralities$"):
+        canonical_gem(5)
+
+
+def test_literal_size_limit():
+    # every literal is evaluated, so a size the evaluator refuses is refused
+    # on loading, before any row is allocated
+    for relation in ("part:", "fusion:"):
+        assert load_structure(f"n=16\n{relation}\n").n == 16
+        with pytest.raises(CapacityError, match=r"^formula evaluation needs 2\^17 pluralities$"):
+            load_structure(f"n=17\n{relation}\n")
 
 
 def test_canonical_negative_k():

@@ -174,8 +174,7 @@ def registry_dump() -> str:
                         "sentence": print_formula(nf.sentence)}
                        for nf in theory_by_name(name)]
                 for name in theory_names()}
-    tptp = {nf.name: emit_obligation(nf.name, theory_by_name(nf.side), nf)
-            for nf in lemma_suite()}
+    tptp = {nf.name: emit_obligation(nf) for nf in lemma_suite()}
     return json.dumps({"registry": registry, "tptp": tptp}, indent=2) + "\n"
 
 
