@@ -33,16 +33,39 @@ rejects the orbit, a false natively decided one raises, so the scanning
 stage is never the final authority.  Agreement of the native route with
 the evaluator is itself the subject of the oracle-equivalence tests.
 
+Single-element rows.  When id_F and exists_F are baked and ext_F is
+natively decided, each nonempty plurality's row is one element and row 0
+is empty or one element.  With UU empty and YY = {x}, ext_F says that a
+row holding x equals row {x}, which id_F and exists_F make {x}; so a
+candidate passing ext_F has no other rows.  This is the axioms' own
+clause instance, not a lemma, and single-element lists are unchanged by
+relabeling, so the survivors are still whole orbits.  The ext_F
+instances (ZZ, YY, UU) are filed directly, UU ranging over the submasks
+of the complement of ZZ & YY (its bits inside both change neither
+union), and each with UU + ZZ = UU + YY is skipped: 7^n - 5^n clauses.
+
+Hoisted bounds.  An ext_F clause filed at row r = UU + ZZ or UU + YY
+whose premise rows ZZ and YY and other side come before r says, once
+ZZ and YY share a fusion, that row r lies within the other side (r = UU +
+ZZ) or contains it (r = UU + YY).  Each visit of r folds all of them into
+one bound before the value loop, instead of testing each clause on every
+value: the value must contain ``lo`` and lie within ``hi``.  Clauses filed
+at ZZ or YY stay tests.  The bounds reject exactly what those clauses reject, and
+assume nothing about single-element rows.
+
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
 (as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the
 part rows range over naturally labeled posets, where ``x < y`` whenever
 x is a proper part of y: row k takes ``D | 1 << k`` for every ``D``
-within {0..k-1}, so element k joins as a new maximal element.
-Reflexivity and antisymmetry hold by construction, and the filed trans_P
-clauses reject a ``D`` that is not down-closed, so the search visits
-one natural labeling of a poset per leaf instead of every labeled
-relation.  Every poset has a natural labeling (any linear extension of
-its order), so every isomorphism class is reached.
+within {0..k-1} that is down-closed, holding ``down[x]`` for each x it
+holds, so element k joins as a new maximal element.  The search keeps
+the down-closed sets of the rows assigned so far and extends them by
+each new row.  Reflexivity, antisymmetry and transitivity hold by
+construction, so antis_P and trans_P are neither filed nor run at the
+leaves (the evaluator still re-verifies them on every orbit), and the
+search visits one natural labeling of a poset per leaf instead of every
+labeled relation.  Every poset has a natural labeling (any linear
+extension of its order), so every isomorphism class is reached.
 
 Top last.  When exists_F (fusion unfolded to the closure conditions on
 P) is natively decided too and n >= 1, the last row is only the full
@@ -71,7 +94,9 @@ Capacity.  A size the evaluator refuses is refused before any value list
 is built.  ``DEFAULT_CEILING`` bounds the product of the baked value lists
 (refused as soon as it passes), not the nominal space: 2^15 at part n=7
 and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28); reflexive
-part rows pass it at n=6 (2^30) and fusion rows at n=4 (about 1.4e14).
+part rows pass it at n=6 (2^30).  ``gem_f``'s single-element rows are
+within it at fusion n=4 (5 * 4^11 = 20 971 520) and past it at n=5
+(6 * 5^26); without the bake, fusion rows pass it at n=4 (about 1.4e14).
 
 Every witness (of ``check_theory``, ``verify_lemmas``,
 ``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
@@ -246,8 +271,9 @@ class Models(list):
 
 
 # Instance-triggered clauses.  A clause is one instance of a native
-# checker's own loop.  A family yields each as (rows it reads, clause), and
-# its test says whether any of a list of clauses rejects the rows.
+# checker's own loop.  A family files each of its clauses at size n under
+# the largest row it reads, and its test says whether any of a list of
+# clauses rejects the rows.
 
 
 def _part_fires(rows, clauses) -> bool:
@@ -266,61 +292,95 @@ def _ext_f_fires(rows, clauses) -> bool:
     return False
 
 
-def _part_clauses(shape):
-    """A part family's instances: ``shape(x, y, z)`` is the clause
-    ``(i, j, bx, by, c)`` of instance (x, y, z), or None; it reads rows i, j."""
-    def instances(n: int):
+def _part_family(shape):
+    """A part family: ``shape(x, y, z)`` is the clause ``(i, j, bx, by, c)``
+    of instance (x, y, z), or None; it reads rows i and j."""
+    def file(n: int, filed: list):
         for x, y, z in itertools.product(range(n), repeat=3):
             clause = shape(x, y, z)
             if clause is not None:
-                yield clause[:2], clause
-    return instances
+                filed[max(clause[:2])][0].setdefault(_part_fires, []).append(clause)
+    return file
 
 
-def _ext_f_clauses(n: int):
-    for zz, yy, uu in itertools.product(range(1 << n), repeat=3):
-        if uu | zz != uu | yy:  # with equal unions the clause never fires
-            clause = (zz, yy, uu | zz, uu | yy)
-            yield clause, clause
+def _ext_f_family(n: int, filed: list):
+    # each distinct clause (ZZ, YY, UU + ZZ, UU + YY) once, 7^n - 5^n of them:
+    # the bits of UU inside both ZZ and YY change neither union, so UU ranges
+    # over the rest, and with equal unions the clause never fires
+    full = (1 << n) - 1
+    for zz, yy in itertools.product(range(1 << n), repeat=2):
+        free = full & ~(zz & yy)
+        uu = free
+        while True:
+            a, b = uu | zz, uu | yy
+            if a != b:
+                r = max(a, b)  # a holds ZZ and b holds YY
+                tests, uppers, lowers = filed[r]
+                if r == zz or r == yy:
+                    tests.setdefault(_ext_f_fires, []).append((zz, yy, a, b))
+                elif r == a:
+                    uppers.append((zz, yy, b))
+                else:
+                    lowers.append((zz, yy, a))
+            if not uu:
+                break
+            uu = (uu - 1) & free
 
 
-# (kind, checker) -> (the family's test, its instances at size n); the part
-# shapes: x != y, P(x, y) and P(y, x); P(x, y), P(y, z) and not P(x, z);
-# PP(x, y), PP(y, z) and not PP(x, z) (a repeated antis_P clause is filed once)
+# (kind, checker) -> its family; the part shapes: x < y, P(x, y) and P(y, x)
+# (symmetric in x and y, and reading no z, so each pair once with z = 0);
+# P(x, y), P(y, z) and not P(x, z); PP(x, y), PP(y, z) and not PP(x, z)
 _CLAUSES = {
-    ("part", native.antis_p): (_part_fires, _part_clauses(
-        lambda x, y, z: (y, x, 1 << x, 1 << y, 0) if x != y else None)),
-    ("part", native.trans_p): (_part_fires, _part_clauses(
-        lambda x, y, z: (y, z, 1 << x, 1 << y, 1 << x))),
-    ("part", native.trans_pp): (_part_fires, _part_clauses(
+    ("part", native.antis_p): _part_family(
+        lambda x, y, z: (y, x, 1 << x, 1 << y, 0) if x < y and not z else None),
+    ("part", native.trans_p): _part_family(
+        lambda x, y, z: (y, z, 1 << x, 1 << y, 1 << x)),
+    ("part", native.trans_pp): _part_family(
         lambda x, y, z: (y, z, 1 << x, 1 << y, 0 if x == z else 1 << x)
-        if x != y != z else None)),
-    ("fusion", native.ext_f): (_ext_f_fires, _ext_f_clauses),
+        if x != y != z else None),
+    ("fusion", native.ext_f): _ext_f_family,
 }
 
 
 def _filed_clauses(kind: str, n: int, natives) -> list:
-    """Per row, ``(test, clauses)`` pairs: the clauses of the natives in
-    ``natives`` whose largest row read is that row."""
-    filed = [{} for _ in range(n if kind == "part" else 1 << n)]
+    """Per row, ``(tests, uppers, lowers)``: ``tests`` pairs a family's test
+    with the clauses of the natives in ``natives`` whose largest row read is
+    that row.  An ext_F clause filed at UU + ZZ or UU + YY, with its premise
+    rows ZZ and YY and its other side before it, is hoisted into a bound
+    instead: ``(zz, yy, b)`` in ``uppers`` says the row lies within row b
+    when rows zz and yy share a fusion, ``(zz, yy, a)`` in ``lowers`` that it
+    then contains row a."""
+    filed = [({}, [], []) for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
-        if family is None:
-            continue
-        fires, instances = family
-        for reads, clause in instances(n):
-            at = filed[max(reads)]
-            at.setdefault(fires, {})[clause] = None  # once per distinct clause
-    return [[(fires, tuple(clauses)) for fires, clauses in at.items()] for at in filed]
+        if family is not None:
+            family(n, filed)
+    return [(list(tests.items()), uppers, lowers) for tests, uppers, lowers in filed]
+
+
+def _bounds(rows, uppers, lowers) -> tuple:
+    """``(lo, hi)``: a row's value must contain ``lo`` and lie within ``hi``
+    by its hoisted ext_F clauses, read off the earlier rows."""
+    lo, hi = 0, -1
+    for zz, yy, b in uppers:
+        if rows[zz] & rows[yy]:
+            hi &= rows[b]
+    for zz, yy, a in lowers:
+        if rows[zz] & rows[yy]:
+            lo |= rows[a]
+    return lo, hi
 
 
 def _scan_worker(args) -> list:
     """Structures of the row search over ``allowed`` passing every native.
 
-    Rows are assigned depth first in index order; after each row the
-    clauses filed there are tested, and a leaf runs every native in full.
+    Rows are assigned depth first in index order.  A row tries only the
+    values within its hoisted bounds and, on down-closed rows, those
+    holding the whole down-set of each earlier element they hold; after
+    each value the clauses filed there are tested, and a leaf runs every
+    native in full.
     """
-    kind, n, allowed, natives = args
+    kind, n, allowed, natives, down_closed = args
     if kind == "part":
         tables, build = native.part_tables, PartStructure
     else:
@@ -329,7 +389,8 @@ def _scan_worker(args) -> list:
     rows = [0] * len(allowed)
     found = []
 
-    def assign(r):
+    def assign(r, downsets):
+        # downsets: on down-closed rows, the down-closed sets of rows 0..r-1
         if r == len(rows):
             if natives:
                 t = tables(n, rows)
@@ -337,35 +398,54 @@ def _scan_worker(args) -> list:
                     return
             found.append(build(n, tuple(rows)))
             return
-        checks = filed[r]
-        for v in allowed[r]:
+        tests, uppers, lowers = filed[r]
+        values = allowed[r]
+        bit = 1 << r
+        if down_closed:
+            values = [v for v in values if v ^ bit in downsets]
+        if uppers or lowers:
+            lo, hi = _bounds(rows, uppers, lowers)
+            values = [v for v in values if v & lo == lo and not v & ~hi]
+        for v in values:
             rows[r] = v
-            if not any(fires(rows, clauses) for fires, clauses in checks):
-                assign(r + 1)
+            if not any(fires(rows, clauses) for fires, clauses in tests):
+                if down_closed:  # add r to each down-set that holds all below it
+                    below = v ^ bit
+                    assign(r + 1, downsets.union([d | bit for d in downsets if not below & ~d]))
+                else:
+                    assign(r + 1, None)
 
-    assign(0)
+    assign(0, frozenset([0]))
     return found
 
 
 def _stream(kind: str, n: int, theory: Theory):
-    """``(allowed, natives, rest)``: the scan's value lists (poset rows when
-    ref_P, antis_P and trans_P are all decided) and natives, and the
-    evaluator-only obligations; ``CapacityError`` past the evaluator's
-    domain or the ceiling, which a larger n never comes back under."""
+    """``(allowed, natives, down_closed, rest)``: the scan's value lists
+    and natives, whether its rows are down-closed poset rows (when ref_P,
+    antis_P and trans_P are all decided), and the evaluator-only
+    obligations; ``CapacityError`` past the evaluator's domain or the
+    ceiling, which a larger n never comes back under."""
     _check_size(n)  # before any value list is built
     row_local, natives, rest = _plan(kind, theory)
-    if kind == "part" and _ORDER_AXIOMS <= row_local.union(natives):
+    down_closed = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
+    if down_closed:
         allowed = _natural_rows(n, native.exists_f_closure in natives)
-        natives.remove(native.antis_p)  # holds by construction, like ref_P
+        for fn in (native.antis_p, native.trans_p):  # hold by construction, like ref_P
+            natives.remove(fn)
     else:
         allowed = _allowed_rows(kind, n, row_local)
+        if kind == "fusion" and row_local == _ROW_LOCAL["fusion"] and native.ext_f in natives:
+            # ext_F with UU empty: a row holding x equals row {x}, which is {x}
+            singles = [1 << x for x in range(n)]
+            allowed = [[0] + singles] + [allowed[p] if p & (p - 1) == 0 else singles
+                                         for p in range(1, 1 << n)]
     pruned = 1
     for values in allowed:  # stops multiplying once past the ceiling
         pruned *= len(values)
         if pruned > DEFAULT_CEILING:
             raise CapacityError(f"at least {pruned} baked candidates exceed the ceiling "
                                 f"{DEFAULT_CEILING}")
-    return allowed, natives, rest
+    return allowed, natives, down_closed, rest
 
 
 def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models:
@@ -380,16 +460,16 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     corrupting the model set.  ``CapacityError`` if the baked product
     exceeds ``DEFAULT_CEILING``.
     """
-    allowed, natives, rest = _stream(kind, n, theory)
+    allowed, natives, down_closed, rest = _stream(kind, n, theory)
     if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row searched
-        tasks = [(kind, n, [[v]] + allowed[1:], natives) for v in allowed[0]]
+        tasks = [(kind, n, [[v]] + allowed[1:], natives, down_closed) for v in allowed[0]]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
         survivors = [s for part in parts for s in part]
     else:
-        survivors = _scan_worker((kind, n, allowed, natives))
+        survivors = _scan_worker((kind, n, allowed, natives, down_closed))
     route = list(zip(theory, _route(theory)))
     own = [fn for nf, (fn, _) in route if nf in rest]
     decided = [(nf, fn) for nf, (fn, _) in route if nf not in rest]

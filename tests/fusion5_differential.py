@@ -1,0 +1,53 @@
+"""Fusion n=5 differential check, kept out of tier-1 for its run time.
+
+With the capacity ceiling lifted in this process, the row search with
+single-element rows and hoisted ext_F bounds must list the same models of
+{id_F, exists_F, ext_F} at fusion n=5 as the plain row search over the
+unbaked rows (``util.plain_row_survivors``): 1 445 labeled models in 20
+relabeling orbits on both.  Run from the repository root:
+
+    PYTHONPATH=src python tests/fusion5_differential.py
+
+It prints both tallies and exits 0 when they agree, 1 otherwise.
+"""
+
+import itertools
+import math
+import sys
+
+from gemcheck import Theory, filter_models, gem_f, search
+
+from util import plain_row_survivors, relabeled
+
+EXPECTED_MODELS, EXPECTED_ORBITS = 1445, 20
+
+
+def orbit_count(models: list) -> int:
+    """The relabeling orbits among ``models`` through ``util.relabeled``, or
+    -1 if some relabeling of a model is missing from them."""
+    left = set(models)
+    count = 0
+    while left:
+        m = left.pop()
+        orbit = {relabeled(m, perm) for perm in itertools.permutations(range(m.n))}
+        if not orbit <= left | {m}:
+            return -1
+        left -= orbit
+        count += 1
+    return count
+
+
+def main() -> int:
+    search.DEFAULT_CEILING = math.inf
+    theory = Theory("ext", tuple(gem_f().get(name) for name in ("id_F", "exists_F", "ext_F")))
+    models = filter_models("fusion", 5, theory)
+    plain = plain_row_survivors(5, theory)
+    tallies = (len(models), len(models.orbits)), (len(plain), orbit_count(plain))
+    print(f"fusion n=5, {{id_F, exists_F, ext_F}}: row search {tallies[0]}, "
+          f"plain rows {tallies[1]} (models, orbits)")
+    ok = models == plain and tallies[0] == tallies[1] == (EXPECTED_MODELS, EXPECTED_ORBITS)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

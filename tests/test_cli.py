@@ -250,21 +250,21 @@ def test_export_needs_selection():
 
 
 def test_capacity_exit_code():
-    code, _, err = run_cli("models", "--kind", "fusion", "--n", "4",
+    code, _, err = run_cli("models", "--kind", "fusion", "--n", "5",
                            "--theory", "gem_f", "--workers", "1")
     assert code == 3 and "capacity" in err
 
 
-@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "4"),
-                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "4"),
+@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "5"),
+                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "5"),
                                   ("countermodel", "--kind", "fusion", "--theory", "gem_f",
-                                   "--target", "id_F", "--max-n", "4")])
+                                   "--target", "id_F", "--max-n", "5")])
 def test_capacity_fails_before_any_scan(monkeypatch, argv):
     # the largest size is checked first, so nothing is scanned before exit 3
     def no_scan(args):
         raise AssertionError("a size was scanned before the capacity check")
     kind, n, theory = (("part", 9, gemcheck.gem_p()) if "--max-part" in argv
-                       else ("fusion", 4, gemcheck.gem_f()))
+                       else ("fusion", 5, gemcheck.gem_f()))
     with pytest.raises(gemcheck.CapacityError) as lazily:
         gemcheck.filter_models(kind, n, theory)
     monkeypatch.setattr(search, "_scan_worker", no_scan)

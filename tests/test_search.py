@@ -21,7 +21,8 @@ from gemcheck.structures import dump_structure, load_structure, summarize
 from gemcheck.syntax import NamedFormula, parse
 
 from util import (all_structures, evaluator_models, labeled_models,
-                  oracle_gem_p_model_codes, part_pairs, product_models, relabeled)
+                  oracle_gem_p_model_codes, part_pairs, plain_row_survivors, product_models,
+                  relabeled)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,13 +45,14 @@ def test_enumeration_order_and_codes():
 
 def test_enumeration_capacity():
     # decided on the baked product: 2^28 poset rows for gem_p at n=9 (2^21 at
-    # n=8), 2^30 reflexive rows for pp at n=6, about 1.4e14 for gem_f at n=4
+    # n=8), 2^30 reflexive rows for pp at n=6, 6 * 5^26 single-element rows
+    # for gem_f at n=5 (5 * 4^11 at n=4)
     with pytest.raises(CapacityError):
         filter_models("part", 9, gem_p())
     with pytest.raises(CapacityError):
         filter_models("part", 6, pp_axioms())
     with pytest.raises(CapacityError):
-        filter_models("fusion", 4, gem_f())
+        filter_models("fusion", 5, gem_f())
     # the product is refused as soon as it passes the ceiling
     with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("part", 12, Theory("none", ()))
@@ -76,11 +78,12 @@ def test_largest_evaluable_domain_is_refused_at_once(kind, theory):
     assert time.monotonic() - t0 < 1
 
 
-def test_fusion_4_row_search_past_the_ceiling(monkeypatch):
-    # the ceiling, not the search, keeps fusion n=4 out of reach: with it
-    # lifted, the search files ext_F clauses over all 16 rows and finds no
-    # model (GEM models exist only at sizes 2^k - 1)
-    monkeypatch.setattr(search, "DEFAULT_CEILING", math.inf)
+def test_fusion_4_row_search_under_the_default_ceiling():
+    # single-element rows bring fusion n=4 under the ceiling (5 * 4^11 =
+    # 20 971 520 <= 2^26); the search files ext_F clauses over all 16 rows
+    # and finds no model (GEM models exist only at sizes 2^k - 1)
+    allowed = search._stream("fusion", 4, gem_f())[0]
+    assert math.prod(map(len, allowed)) == 5 * 4 ** 11 <= search.DEFAULT_CEILING
     assert filter_models("fusion", 4, gem_f()) == []
 
 
@@ -93,7 +96,7 @@ def test_filter_models_part_against_naive_oracle():
 
 def test_model_counts_frozen():
     assert [len(filter_models("part", n, gem_p())) for n in range(5)] == [1, 1, 0, 3, 0]
-    assert [len(filter_models("fusion", n, gem_f())) for n in range(4)] == [1, 1, 0, 3]
+    assert [len(filter_models("fusion", n, gem_f())) for n in range(5)] == [1, 1, 0, 3, 0]
 
 
 def test_gem_p_models_at_3_are_canonical_relabelings():
@@ -152,7 +155,7 @@ def _reflexive_row_models(n, theory):
     rows replaced: the same row search and clauses, every labeled relation."""
     row_local, natives, _ = search._plan("part", theory)
     allowed = search._allowed_rows("part", n, row_local)
-    survivors = sorted(search._scan_worker(("part", n, allowed, natives)), key=code_of)
+    survivors = sorted(search._scan_worker(("part", n, allowed, natives, False)), key=code_of)
     return [s for s in survivors
             if all(Evaluator(s).eval(nf.sentence) for nf in theory)]
 
@@ -168,10 +171,9 @@ def test_poset_rows_match_the_reflexive_rows_at_5(name):
 def test_poset_rows_count_the_posets():
     reps, labeled = [], []
     t = order_theory()
-    row_local, natives, _ = search._plan("part", t)
     for n in range(6):
-        allowed = search._natural_rows(n, top_last=False)
-        reps.append(len(search._scan_worker(("part", n, allowed, natives))))
+        allowed, natives, down_closed, _ = search._stream("part", n, t)
+        reps.append(len(search._scan_worker(("part", n, allowed, natives, down_closed))))
         labeled.append(len(filter_models("part", n, t)))
     assert reps == [1, 1, 2, 7, 40, 357]  # unlabeled posets, OEIS A006455
     assert labeled == [1, 1, 3, 19, 219, 4231]  # labeled posets, OEIS A001035
@@ -182,13 +184,26 @@ def test_top_last_keeps_every_survivor(name, max_n):
     row_local, natives, _ = search._plan("part", DIFFERENTIAL_THEORIES[name]())
     assert native.exists_f_closure in natives
     for n in range(max_n + 1):
-        streams = [search._scan_worker(("part", n, search._natural_rows(n, top_last), natives))
-                   for top_last in (False, True)]
+        streams = [search._scan_worker(("part", n, search._natural_rows(n, top_last), natives,
+                                        False)) for top_last in (False, True)]
         unpruned, pruned = (sorted((m for orbit in search._orbits("part", n, reps)
                                     for m in orbit), key=code_of)
                             for reps in streams)
         assert pruned == unpruned, n
         assert len(streams[1]) <= len(streams[0])
+
+
+@pytest.mark.parametrize("name", ["gem_p", "gem_p-exists_F", "gem_p-fun_F", "order"])
+def test_down_closed_rows_match_the_trans_p_clauses(name):
+    # the poset stream holds trans_P by construction; the reference files its
+    # clauses over the same natural rows and checks it at every leaf
+    t = DIFFERENTIAL_THEORIES[name]()
+    row_local, natives, _ = search._plan("part", t)
+    for n in range(7):
+        allowed, stream_natives, down_closed, _ = search._stream("part", n, t)
+        assert down_closed and native.trans_p not in stream_natives
+        reference = search._scan_worker(("part", n, allowed, natives, False))
+        assert search._scan_worker(("part", n, allowed, stream_natives, True)) == reference, n
 
 
 def test_gem_p_models_to_n_7(monkeypatch):
@@ -340,13 +355,16 @@ def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
 
 
 def _fires_on_the_way(kind, n, checker, rows):
-    """Whether a clause of ``checker`` fires while the search assigns
-    ``rows``, each tested where it is filed with later rows still unset."""
+    """Whether a clause of ``checker`` rejects ``rows`` while the search
+    assigns them, each tested, or read off as a bound, where it is filed
+    with later rows still unset."""
     filed = search._filed_clauses(kind, n, [checker])
     partial = [None] * len(rows)
-    for r in range(len(rows)):
+    for r, (tests, uppers, lowers) in enumerate(filed):
+        lo, hi = search._bounds(partial, uppers, lowers)
         partial[r] = rows[r]
-        if any(fires(partial, clauses) for fires, clauses in filed[r]):
+        if rows[r] & lo != lo or rows[r] & ~hi or any(fires(partial, clauses)
+                                                       for fires, clauses in tests):
             return True
     return False
 
@@ -371,11 +389,43 @@ def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ext_f_files_only_clauses_that_can_fire(n):
-    # (ZZ, YY, UU) with UU + ZZ = UU + YY never fires; 7^n - 5^n clauses remain
-    filed = search._filed_clauses("fusion", n, [native.ext_f])
-    clauses = [c for row in filed for _, cs in row for c in cs]
-    assert all(a != b for _, _, a, b in clauses)
-    assert len(clauses) == 7 ** n - 5 ** n
+    # (ZZ, YY, UU) with UU + ZZ = UU + YY never fires; 7^n - 5^n clauses
+    # remain, each filed once, as a test or as a bound
+    size = 1 << n
+    expected = {(zz, yy, uu | zz, uu | yy)
+                for zz, yy, uu in itertools.product(range(size), repeat=3) if uu | zz != uu | yy}
+    clauses = []
+    for r, (tests, uppers, lowers) in enumerate(search._filed_clauses("fusion", n, [native.ext_f])):
+        for _, cs in tests:  # filed at a premise row
+            assert all(max(c) == r and r in c[:2] for c in cs)
+            clauses += cs
+        # hoisted: the premise rows and the other side come first
+        assert all(max(c) < r for c in uppers + lowers)
+        clauses += [(zz, yy, r, b) for zz, yy, b in uppers] + [(zz, yy, a, r) for zz, yy, a in lowers]
+    assert len(clauses) == len(set(clauses)) == 7 ** n - 5 ** n
+    assert set(clauses) == expected
+
+
+def fusion_ext_theory():
+    """id_F, exists_F and ext_F alone: the theory of the single-element rows."""
+    return Theory("ext", tuple(gem_f().get(name) for name in ("id_F", "exists_F", "ext_F")))
+
+
+@pytest.mark.parametrize("theory,counts", [(gem_f, [1, 1, 0, 3, 0]),
+                                           (fusion_ext_theory, [1, 2, 4, 15, 112])],
+                         ids=["gem_f", "ext"])
+def test_single_element_rows_match_the_plain_row_search(theory, counts):
+    # the baked, hoisted stream against the search over the unbaked rows,
+    # every ext_F instance tested once its rows are assigned
+    t = theory()
+    for n, count in enumerate(counts):
+        allowed, natives, down_closed, rest = search._stream("fusion", n, t)
+        # every nonempty plurality's row is exactly one element
+        assert not rest and all(v and not v & (v - 1) for values in allowed[1:] for v in values)
+        plain = plain_row_survivors(n, t)
+        assert sorted(search._scan_worker(("fusion", n, allowed, natives, down_closed)),
+                      key=code_of) == plain
+        assert filter_models("fusion", n, t) == plain and len(plain) == count
 
 
 def test_filter_workers_match_serial(monkeypatch):
@@ -396,17 +446,20 @@ def test_filter_workers_match_serial(monkeypatch):
     # every candidate is a model, so a pool task losing any candidate shows
     codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
     assert codes == list(range(1 << 16))
-    # ext_F clauses prune inside each task; 19 208 baked candidates start the
-    # pool.  The serial representatives carry their evaluation contexts by
-    # then; the pooled models come back through pickles and must still
-    # compare and print alike
-    t = gem_f()
-    serial = filter_models("fusion", 3, t)
-    assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
+    # 324 single-element candidates at fusion n=3 start no pool, 5 * 4^11 at
+    # n=4 do, and ext_F clauses prune inside each task.  The serial
+    # representatives carry their evaluation contexts by then; the pooled
+    # models come back through pickles and must still compare and print alike
     pools.clear()
-    pooled = filter_models("fusion", 3, t, workers=2)
-    assert pools == [(2,)]
-    assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
+    assert len(filter_models("fusion", 3, gem_f(), workers=2)) == 3 and pools == []
+    for t, count in ((gem_f(), 0), (fusion_ext_theory(), 112)):
+        serial = filter_models("fusion", 4, t)
+        assert len(serial) == count
+        assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
+        pools.clear()
+        pooled = filter_models("fusion", 4, t, workers=2)
+        assert pools == [(2,)]
+        assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
 
 
 def test_pp_models_are_the_partial_orders():
@@ -577,7 +630,7 @@ def test_labeled_count_formula():
     assert [_labeled_gem_count(n) for n in range(8)] == [1, 1, 0, 3, 0, 0, 0, 840]
     for n in range(7):
         assert len(filter_models("part", n, gem_p())) == _labeled_gem_count(n), n
-    for n in range(4):
+    for n in range(5):
         assert len(filter_models("fusion", n, gem_f())) == _labeled_gem_count(n), n
 
 

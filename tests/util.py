@@ -296,12 +296,43 @@ def product_models(kind, n, theory):
     return sorted(out, key=code_of)
 
 
+def plain_row_survivors(n, theory):
+    """The fusion row search without forced values, in code order: depth
+    first over the unbaked rows of ``_allowed_rows``, each ext_F instance
+    (ZZ, YY, UU) of all 8^n tested as soon as the rows it reads are
+    assigned, and every native at each leaf."""
+    row_local, natives, _ = _plan("fusion", theory)
+    allowed = _allowed_rows("fusion", n, row_local)
+    size = 1 << n
+    filed = [set() for _ in range(size)]
+    if native.ext_f in natives:
+        for zz, yy, uu in itertools.product(range(size), repeat=3):
+            a, b = uu | zz, uu | yy
+            filed[max(zz, yy, a, b)].add((zz, yy, a, b))
+    rows = [0] * size
+    out = []
+
+    def assign(r):
+        if r == size:
+            t = native.fusion_tables(n, rows)
+            if all(fn(t) for fn in natives):
+                out.append(FusionStructure.from_rows(n, tuple(rows)))
+            return
+        for v in allowed[r]:
+            rows[r] = v
+            if not any(rows[zz] & rows[yy] and rows[a] & ~rows[b]
+                       for zz, yy, a, b in filed[r]):
+                assign(r + 1)
+    assign(0)
+    return sorted(out, key=code_of)
+
+
 def labeled_models(kind, n, theory):
     """``filter_models`` with the evaluator on every labeled structure: every
     relabeling of the scan's survivors, each through every obligation and,
     if it passes, an orbit of its own."""
-    allowed, natives, _ = _stream(kind, n, theory)
-    survivors = {relabeled(s, perm) for s in _scan_worker((kind, n, allowed, natives))
+    allowed, natives, down_closed, _ = _stream(kind, n, theory)
+    survivors = {relabeled(s, perm) for s in _scan_worker((kind, n, allowed, natives, down_closed))
                  for perm in itertools.permutations(range(n))}
     models = []
     for s in sorted(survivors, key=code_of):
