@@ -19,15 +19,11 @@ YY, UU) on the fusion side, antis_P (which also decides as_PP) instances
 Only the checkers of the theory's own obligations are filed, so without
 them the search visits the whole product of the value lists.  At each
 leaf every native checker runs in full, cheap first in the order of
-``_PLAN_ORDER``: id_F, exists_F, antis_P and as_PP (one checker), ref_P
-and dfP_PP (one checker), fun_F and exists_F unfolded to P (fun_F first,
-as exists_F rejects poset leaves later), trans_P, fun_F, trans_PP,
-wsp_F, comp_F, ext_F, and approx_F, which never rejects (the order
-affects speed, never results).  Workers
-run only this stage, one task per value of row 0, and only when row 0
-has two or more values and the baked product exceeds 4 096 candidates.
-Orbits of survivors are ordered by code, so the output never depends on
-the search order or on scheduling.  The formula evaluator then decides each
+``_PLAN_ORDER``.  Workers run only this stage, one task per value of row
+0 and at most one process per task, and only when row 0 has two or more
+values and the baked product exceeds 4 096 candidates.  Orbits of
+survivors are ordered by code, so the output never depends on the search
+order or on scheduling.  The formula evaluator then decides each
 obligation once per orbit: a false obligation without a native checker
 rejects the orbit, a false natively decided one raises, so the scanning
 stage is never the final authority.  Agreement of the native route with
@@ -91,12 +87,14 @@ what is not invariant still runs on each: the round trip,
 member's own witness.
 
 Capacity.  A size the evaluator refuses is refused before any value list
-is built.  ``DEFAULT_CEILING`` bounds the product of the baked value lists
-(refused as soon as it passes), not the nominal space: 2^15 at part n=7
-and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28); reflexive
-part rows pass it at n=6 (2^30).  ``gem_f``'s single-element rows are
-within it at fusion n=4 (5 * 4^11 = 20 971 520) and past it at n=5
-(6 * 5^26); without the bake, fusion rows pass it at n=4 (about 1.4e14).
+is built, and the reports' ``_sweep`` checks its largest size before it
+scans any.  ``DEFAULT_CEILING`` bounds the product of the baked value
+lists (refused as soon as it passes), not the nominal space: 2^15 at
+part n=7 and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28);
+reflexive part rows pass it at n=6 (2^30).  ``gem_f``'s single-element
+rows are within it at fusion n=4 (5 * 4^11 = 20 971 520) and past it at
+n=5 (6 * 5^26); without the bake, fusion rows pass it at n=4 (about
+1.4e14).
 
 Every witness (of ``check_theory``, ``verify_lemmas``,
 ``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
@@ -235,8 +233,13 @@ def _relabeled_rows(s: Structure, perm) -> tuple:
     """The rows of ``s`` with each element x renamed ``perm[x]``."""
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
 
-    def image(mask, rename=perm):
-        return sum(1 << rename[x] for x in iter_bits(mask))
+    def image(mask, rename=perm):  # iter_bits inlined: the orbits' and automorphisms' loop
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << rename[low.bit_length() - 1]
+            mask ^= low
+        return out
     if isinstance(s, PartStructure):
         return tuple(image(s.down[inverse[y]]) for y in range(s.n))
     return tuple(image(s.rows[image(p, inverse)]) for p in range(1 << s.n))
@@ -272,8 +275,8 @@ class Models(list):
 
 # Instance-triggered clauses.  A clause is one instance of a native
 # checker's own loop.  A family files each of its clauses at size n under
-# the largest row it reads, and its test says whether any of a list of
-# clauses rejects the rows.
+# the largest row it reads.  A row holds clauses of one kind only, so one
+# test per kind says whether any of a row's clauses rejects the rows.
 
 
 def _part_fires(rows, clauses) -> bool:
@@ -299,7 +302,7 @@ def _part_family(shape):
         for x, y, z in itertools.product(range(n), repeat=3):
             clause = shape(x, y, z)
             if clause is not None:
-                filed[max(clause[:2])][0].setdefault(_part_fires, []).append(clause)
+                filed[max(clause[:2])][0].append(clause)
     return file
 
 
@@ -317,7 +320,7 @@ def _ext_f_family(n: int, filed: list):
                 r = max(a, b)  # a holds ZZ and b holds YY
                 tests, uppers, lowers = filed[r]
                 if r == zz or r == yy:
-                    tests.setdefault(_ext_f_fires, []).append((zz, yy, a, b))
+                    tests.append((zz, yy, a, b))
                 elif r == a:
                     uppers.append((zz, yy, b))
                 else:
@@ -343,19 +346,19 @@ _CLAUSES = {
 
 
 def _filed_clauses(kind: str, n: int, natives) -> list:
-    """Per row, ``(tests, uppers, lowers)``: ``tests`` pairs a family's test
-    with the clauses of the natives in ``natives`` whose largest row read is
-    that row.  An ext_F clause filed at UU + ZZ or UU + YY, with its premise
-    rows ZZ and YY and its other side before it, is hoisted into a bound
-    instead: ``(zz, yy, b)`` in ``uppers`` says the row lies within row b
-    when rows zz and yy share a fusion, ``(zz, yy, a)`` in ``lowers`` that it
-    then contains row a."""
-    filed = [({}, [], []) for _ in range(n if kind == "part" else 1 << n)]
+    """Per row, ``(tests, uppers, lowers)``: ``tests`` lists the clauses of
+    the natives in ``natives`` whose largest row read is that row, for
+    ``_part_fires`` or ``_ext_f_fires`` by ``kind``.  An ext_F clause filed
+    at UU + ZZ or UU + YY, with its premise rows ZZ and YY and its other
+    side before it, is hoisted into a bound instead: ``(zz, yy, b)`` in
+    ``uppers`` says the row lies within row b when rows zz and yy share a
+    fusion, ``(zz, yy, a)`` in ``lowers`` that it then contains row a."""
+    filed = [([], [], []) for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
         if family is not None:
             family(n, filed)
-    return [(list(tests.items()), uppers, lowers) for tests, uppers, lowers in filed]
+    return filed
 
 
 def _bounds(rows, uppers, lowers) -> tuple:
@@ -382,9 +385,9 @@ def _scan_worker(args) -> list:
     """
     kind, n, allowed, natives, down_closed = args
     if kind == "part":
-        tables, build = native.part_tables, PartStructure
+        tables, build, fires = native.part_tables, PartStructure, _part_fires
     else:
-        tables, build = native.fusion_tables, FusionStructure.from_rows
+        tables, build, fires = native.fusion_tables, FusionStructure.from_rows, _ext_f_fires
     filed = _filed_clauses(kind, n, natives)
     rows = [0] * len(allowed)
     found = []
@@ -408,7 +411,7 @@ def _scan_worker(args) -> list:
             values = [v for v in values if v & lo == lo and not v & ~hi]
         for v in values:
             rows[r] = v
-            if not any(fires(rows, clauses) for fires, clauses in tests):
+            if not (tests and fires(rows, tests)):
                 if down_closed:  # add r to each down-set that holds all below it
                     below = v ^ bit
                     assign(r + 1, downsets.union([d | bit for d in downsets if not below & ~d]))
@@ -463,9 +466,9 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     allowed, natives, down_closed, rest = _stream(kind, n, theory)
     if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
         import multiprocessing  # only pooled runs pay for the import
-        # one task per value of row 0, the first row searched
+        # one task per value of row 0, the first row searched, and no idle process
         tasks = [(kind, n, [[v]] + allowed[1:], natives, down_closed) for v in allowed[0]]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_scan_worker, tasks)
         survivors = [s for part in parts for s in part]
     else:
@@ -485,6 +488,13 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
                     f"for {summarize(orbit[0])}; this is a bug")
         orbits.append(tuple(orbit))
     return Models(tuple(orbits))
+
+
+def _sweep(kind: str, max_n: int, theory: Theory, workers: int):
+    """``filter_models`` at each size 0..max_n, lazily; ``CapacityError`` at
+    once if ``max_n`` is out of reach, before any size is scanned."""
+    _stream(kind, max_n, theory)
+    return (filter_models(kind, n, theory, workers=workers) for n in range(max_n + 1))
 
 
 class _Report:
@@ -623,10 +633,8 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
     # batches of (candidates they count for, structures to try); exhaustive
     # ones try the representatives, so the first failing is the first model
     if strategy == "exhaustive":
-        _stream(kind, max_n, base)  # capacity, before any size is scanned
-        batches = ((1 << relation_bits(kind, n),
-                    [orbit[0] for orbit in filter_models(kind, n, base, workers=workers).orbits])
-                   for n in range(max_n + 1))
+        batches = ((1 << relation_bits(kind, n), [orbit[0] for orbit in models.orbits])
+                   for n, models in enumerate(_sweep(kind, max_n, base, workers)))
         spent = "exhausted bounds"
     elif strategy == "random":
         rng = random.Random(bounds.seed)
@@ -718,14 +726,12 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
         ("fusion", bounds.max_n_fusion, gem_f(), induced_part, induced_fusion, gem_p(),
          "part_axioms_pass", "def_uf", _def_uf, "round_trip_b"),
     )
-    for side, max_n, source, *_ in sides:
-        _stream(side, max_n, source)  # capacity, before any size is scanned
+    sweeps = [_sweep(side, max_n, source, workers) for side, max_n, source, *_ in sides]
     side_rows = {}
-    for (side, max_n, source, there, back, target, axioms_key, definition,
-         definition_holds, round_trip) in sides:
+    for (side, _, _, there, back, target, axioms_key, definition, definition_holds,
+         round_trip), sweep in zip(sides, sweeps):
         rows = side_rows[side] = []
-        for n in range(max_n + 1):
-            models = filter_models(side, n, source, workers=workers)
+        for n, models in enumerate(sweep):
             row = {"n": n, "candidates": 1 << relation_bits(side, n),
                    "models": len(models), axioms_key: 0, f"{definition}_pass": 0,
                    "round_trip_pass": 0, "injective": True}
@@ -802,22 +808,18 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
     sides = {side: ("part", bounds.max_n_part, "") if side == "gem_p"
              else ("fusion", bounds.max_n_fusion, ", fusion side")
              for side in sorted({nf.side for nf in suite})}
-    for side, (kind, max_n, _) in sides.items():
-        _stream(kind, max_n, theory_by_name(side))  # capacity, before any size is scanned
-    canonical = {}  # side -> its canonical model, built (or refused) before any scan too
-    if canonical_k:
-        gem = canonical_gem(canonical_k)
-        for side, (kind, _, _) in sides.items():
-            canonical[side] = gem if kind == "part" else induced_fusion(gem)
+    sweeps = {side: _sweep(kind, max_n, theory_by_name(side), workers)
+              for side, (kind, max_n, _) in sides.items()}
+    gem = canonical_gem(canonical_k) if canonical_k else None  # refused before any scan too
     scopes = {}  # side -> (label, structure, its orbit's representative)
-    for side, (kind, max_n, suffix) in sides.items():
+    for side, (kind, _, suffix) in sides.items():
         scope = scopes[side] = []
-        for n in range(max_n + 1):
-            models = filter_models(kind, n, theory_by_name(side), workers=workers)
+        for models in sweeps[side]:
             representative = {m: orbit[0] for orbit in models.orbits for m in orbit}
             scope += [(f"all {side} models", m, representative[m]) for m in models]
-        if side in canonical:
-            scope.append((f"canonical k={canonical_k}{suffix}", canonical[side], canonical[side]))
+        if gem is not None:
+            canonical = gem if kind == "part" else induced_fusion(gem)
+            scope.append((f"canonical k={canonical_k}{suffix}", canonical, canonical))
     rows = []
     for nf in suite:
         failures = []
@@ -841,17 +843,13 @@ def verify_lemmas(bounds: SearchBounds, canonical_k: int, name: Optional[str] = 
 # ---------------------------------------------------------------------------
 # misc oracles
 
-def automorphism_count(ps: PartStructure) -> int:
-    """Permutations of the domain preserving parthood in both directions."""
-    if ps.n > 8:
+def automorphism_count(s: Structure) -> int:
+    """Permutations of the domain under which ``s``, of either kind, relabels
+    to itself."""
+    if s.n > 8:
         raise CapacityError("automorphism counting is limited to n <= 8")
-    count = 0
-    down = ps.down
-    for perm in itertools.permutations(range(ps.n)):
-        if all((down[perm[y]] >> perm[x]) & 1 == (down[y] >> x) & 1
-               for x in range(ps.n) for y in range(ps.n)):
-            count += 1
-    return count
+    own = s.down if isinstance(s, PartStructure) else s.rows
+    return sum(_relabeled_rows(s, perm) == own for perm in itertools.permutations(range(s.n)))
 
 
 def report_json(d: dict) -> str:

@@ -1,21 +1,25 @@
-"""Fusion n=5 differential check, kept out of tier-1 for its run time.
+"""Fusion n=5 differential and equivalence check, kept out of tier-1 for
+its run time.
 
 With the capacity ceiling lifted in this process, the row search with
 single-element rows and hoisted ext_F bounds must list the same models of
 {id_F, exists_F, ext_F} at fusion n=5 as the plain row search over the
 unbaked rows (``util.plain_row_survivors``): 1 445 labeled models in 20
-relabeling orbits on both.  Run from the repository root:
+relabeling orbits on both.  Then the equivalence verification, sweeping
+both signatures up to n=5 past the ceiling, must pass every check, with no
+model at n=5 on either side.  Run from the repository root:
 
     PYTHONPATH=src python tests/fusion5_differential.py
 
-It prints both tallies and exits 0 when they agree, 1 otherwise.
+It prints the tallies and exits 0 when all of them hold, 1 otherwise.
 """
 
 import itertools
 import math
 import sys
 
-from gemcheck import Theory, filter_models, gem_f, search
+from gemcheck import Theory, filter_models, gem_f, search, verify_equivalence
+from gemcheck.search import SearchBounds
 
 from util import plain_row_survivors, relabeled
 
@@ -46,6 +50,11 @@ def main() -> int:
     print(f"fusion n=5, {{id_F, exists_F, ext_F}}: row search {tallies[0]}, "
           f"plain rows {tallies[1]} (models, orbits)")
     ok = models == plain and tallies[0] == tallies[1] == (EXPECTED_MODELS, EXPECTED_ORBITS)
+    report = verify_equivalence(SearchBounds(max_n_part=5, max_n_fusion=5))
+    fives = report.part_rows[5]["models"], report.fusion_rows[5]["models"]
+    print(f"equivalence to part and fusion n=5: all_ok {report.all_ok}, "
+          f"models at n=5 {fives} (part, fusion)")
+    ok = ok and report.all_ok and fives == (0, 0)
     return 0 if ok else 1
 
 

@@ -359,12 +359,12 @@ def _fires_on_the_way(kind, n, checker, rows):
     assigns them, each tested, or read off as a bound, where it is filed
     with later rows still unset."""
     filed = search._filed_clauses(kind, n, [checker])
+    fires = search._part_fires if kind == "part" else search._ext_f_fires
     partial = [None] * len(rows)
     for r, (tests, uppers, lowers) in enumerate(filed):
         lo, hi = search._bounds(partial, uppers, lowers)
         partial[r] = rows[r]
-        if rows[r] & lo != lo or rows[r] & ~hi or any(fires(partial, clauses)
-                                                       for fires, clauses in tests):
+        if rows[r] & lo != lo or rows[r] & ~hi or fires(partial, tests):
             return True
     return False
 
@@ -396,9 +396,9 @@ def test_ext_f_files_only_clauses_that_can_fire(n):
                 for zz, yy, uu in itertools.product(range(size), repeat=3) if uu | zz != uu | yy}
     clauses = []
     for r, (tests, uppers, lowers) in enumerate(search._filed_clauses("fusion", n, [native.ext_f])):
-        for _, cs in tests:  # filed at a premise row
-            assert all(max(c) == r and r in c[:2] for c in cs)
-            clauses += cs
+        # filed at a premise row
+        assert all(max(c) == r and r in c[:2] for c in tests)
+        clauses += tests
         # hoisted: the premise rows and the other side come first
         assert all(max(c) < r for c in uppers + lowers)
         clauses += [(zz, yy, r, b) for zz, yy, b in uppers] + [(zz, yy, a, r) for zz, yy, a in lowers]
@@ -460,6 +460,38 @@ def test_filter_workers_match_serial(monkeypatch):
         pooled = filter_models("fusion", 4, t, workers=2)
         assert pools == [(2,)]
         assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
+
+
+def test_pool_starts_at_most_one_process_per_task(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the process count asked for and maps in this process, so
+        a wrong count starts no process."""
+
+        def __init__(self, processes=None):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    # one task per value of row 0: 16 on pp's reflexive rows at part n=5
+    serial = filter_models("part", 5, pp_axioms())
+    assert asked == [] and len(serial) == 4231
+    assert filter_models("part", 5, pp_axioms(), workers=10 ** 6) == serial
+    assert asked == [16]
+    # 5 on gem_f's single-element rows at fusion n=4, and fewer workers than tasks stay
+    asked.clear()
+    assert filter_models("fusion", 4, gem_f(), workers=10 ** 6) == []
+    assert filter_models("fusion", 4, gem_f(), workers=3) == []
+    assert asked == [5, 3]
 
 
 def test_pp_models_are_the_partial_orders():
@@ -610,6 +642,33 @@ def test_automorphism_counts():
     assert automorphism_count(canonical_gem(3)) == 6
     with pytest.raises(CapacityError):
         automorphism_count(PartStructure(9, (0,) * 9))
+    # fusion structures through the same relabeling: the canonical image keeps k!
+    for k in range(3):
+        gem = canonical_gem(k)
+        assert automorphism_count(induced_fusion(gem)) == automorphism_count(gem) \
+            == math.factorial(k)
+    with pytest.raises(CapacityError):
+        automorphism_count(FusionStructure(9, (0,) * 512))
+
+
+def test_automorphisms_are_the_relabelings_fixing_the_structure():
+    # the search's one relabeling against util.relabeled, on both signatures
+    rng = random.Random(23)
+    structures = [s for kind, top in (("part", 3), ("fusion", 2))
+                  for n in range(top + 1) for s in all_structures(kind, n)]
+    structures += [random_structure(kind, n, rng)
+                   for kind, n in (("part", 4), ("fusion", 3)) for _ in range(100)]
+    # models have symmetries a random structure rarely has
+    structures += filter_models("part", 4, pp_axioms()) + filter_models("fusion", 3,
+                                                                        fusion_ext_theory())
+    structures += [PartStructure(4, (15,) * 4), FusionStructure(3, (7,) * 8)]
+    counts = set()
+    for s in structures:
+        fixing = sum(relabeled(s, p) == s for p in itertools.permutations(range(s.n)))
+        assert automorphism_count(s) == fixing, summarize(s)
+        counts.add((type(s), fixing))
+    assert {count for kind, count in counts if kind is PartStructure} == {1, 2, 3, 4, 6, 24}
+    assert {count for kind, count in counts if kind is FusionStructure} >= {1, 2, 6}
 
 
 def _labeled_gem_count(n: int) -> int:

@@ -43,6 +43,6 @@ def test_row_search_builds_native_tables_once_per_leaf():
         search.filter_models("part", 4, theory.gem_p())
     finally:
         tracer.uninstall()
-    # the poset rows with the top last and the trans_P clauses leave the 7
-    # naturally labeled posets on three points, each below a top
+    # the down-closed poset rows with the top last leave the 7 naturally
+    # labeled posets on three points, each below a top
     assert tracer.summary()["native.tables"]["calls"] == 7
