@@ -18,7 +18,7 @@ YY, UU) on the fusion side, antis_P (which also decides as_PP) instances
 (x, y), and trans_P and trans_PP instances (x, y, z) on the part side.
 Only the checkers of the theory's own obligations are filed, so without
 them the search visits the whole product of the value lists.  At each
-leaf every native checker runs in full, cheap first in the order of
+leaf every unsplit native checker runs in full, cheap first in the order of
 ``_PLAN_ORDER``.  Workers run only this stage, one task per value of row
 0 and at most one process per task, and only when row 0 has two or more
 values and the baked product exceeds 4 096 candidates.  Orbits of
@@ -129,14 +129,15 @@ DEFAULT_CEILING = 1 << 26
 # the native checkers, cheap first; the order affects speed, never results.
 # ref_P runs only at fusion leaves (part rows bake it), where derived parthood
 # is mostly reflexive but rarely antisymmetric, so antis_P leads it, and both
-# lead the costly closure checkers.  approx_F never rejects (plural
-# coextensiveness is mask equality), so it comes last
+# lead the costly closure checkers
 _PLAN_ORDER = (native.id_f, native.exists_f, native.antis_p, native.ref_p,
                native.fun_f_closure, native.exists_f_closure, native.trans_p, native.fun_f,
-               native.trans_pp, native.wsp_f, native.comp_f, native.ext_f, native.approx_f)
+               native.trans_pp, native.wsp_f, native.comp_f, native.ext_f)
 
-# checkers whose axiom the scan bakes into the per-row value lists
-_ROW_LOCAL = {"part": {native.ref_p}, "fusion": {native.id_f, native.exists_f}}
+# checkers whose axiom the scan bakes into the per-row value lists; approx_F
+# holds on every relation (plural coextensiveness is mask equality)
+_ROW_LOCAL = {"part": {native.ref_p, native.approx_f},
+              "fusion": {native.id_f, native.exists_f, native.approx_f}}
 
 # with all three natively decided, part rows range over naturally labeled posets
 _ORDER_AXIOMS = frozenset({native.ref_p, native.antis_p, native.trans_p})
@@ -381,7 +382,7 @@ def _scan_worker(args) -> list:
     values within its hoisted bounds and, on down-closed rows, those
     holding the whole down-set of each earlier element they hold; after
     each value the clauses filed there are tested, and a leaf runs every
-    native in full.
+    unsplit native in full.
     """
     kind, n, allowed, natives, down_closed = args
     if kind == "part":
@@ -389,15 +390,16 @@ def _scan_worker(args) -> list:
     else:
         tables, build, fires = native.fusion_tables, FusionStructure.from_rows, _ext_f_fires
     filed = _filed_clauses(kind, n, natives)
+    leaf = [fn for fn in natives if (kind, fn) not in _CLAUSES]
     rows = [0] * len(allowed)
     found = []
 
     def assign(r, downsets):
         # downsets: on down-closed rows, the down-closed sets of rows 0..r-1
         if r == len(rows):
-            if natives:
+            if leaf:
                 t = tables(n, rows)
-                if not all(fn(t) for fn in natives):
+                if not all(fn(t) for fn in leaf):
                     return
             found.append(build(n, tuple(rows)))
             return
@@ -437,7 +439,8 @@ def _stream(kind: str, n: int, theory: Theory):
             natives.remove(fn)
     else:
         allowed = _allowed_rows(kind, n, row_local)
-        if kind == "fusion" and row_local == _ROW_LOCAL["fusion"] and native.ext_f in natives:
+        if (kind == "fusion" and {native.id_f, native.exists_f} <= row_local
+                and native.ext_f in natives):
             # ext_F with UU empty: a row holding x equals row {x}, which is {x}
             singles = [1 << x for x in range(n)]
             allowed = [[0] + singles] + [allowed[p] if p & (p - 1) == 0 else singles

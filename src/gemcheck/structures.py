@@ -26,7 +26,6 @@ threads.  Its summary and evaluation context are built once and kept on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Union
 
 Plurality = frozenset  # frozenset[int]; the denotation of a second-sort term
@@ -80,11 +79,37 @@ def _check_masks(n: int, masks: tuple, count: int) -> None:
 
 
 class _Derived:
-    """Keeps values derived from the fields in the instance dict, where
-    ``==``, ``hash``, ``repr`` and pickles (so pool workers) do not see them.
-    Structures, syntax nodes and theories share it, so each derived value (a
-    context, a hash, compiled code, a verdict route) lives and dies with its
-    object."""
+    """The immutable record base of structures, syntax nodes and theories.
+
+    The fields are a subclass's annotations in order, its ``__match_args__``.
+    A record is built positionally (a trailing field with a class default may
+    be left out), checked by its ``__post_init__``, and never changed.  ``==``
+    compares type and fields, ``repr`` prints them as a dataclass would, and a
+    pickle (so a pool worker) carries only them.  ``_derived`` keeps values
+    derived from the fields (a context, compiled code, a verdict route, the
+    fields' hash) in the instance dict, where none of these see them.  The
+    hash is kept because sentences key ``native.native_for`` and hashing walks
+    the tree; string hashes differ between interpreters, so no pickle has it.
+    """
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) < len(names):
+            defaults = type(self).__dict__
+            values += tuple(defaults[name] for name in names[len(values):] if name in defaults)
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        self.__dict__.update(zip(names, values))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
 
     def _derived(self, key: str, build):
         value = self.__dict__.get(key)
@@ -93,11 +118,25 @@ class _Derived:
             object.__setattr__(self, key, value)
         return value
 
+    def __setattr__(self, name, *value):  # and __delattr__
+        raise AttributeError(f"cannot set or delete {name!r}: the record is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return self._derived("_hash", lambda self: hash(self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__getstate__().items())
+        return f"{type(self).__qualname__}({fields})"
+
     def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self.__match_args__, self._values()))
 
 
-@dataclass(frozen=True)
 class PartStructure(_Derived):
     """Domain {0..n-1} with a primitive parthood relation:
     ``down[y]`` is the bitmask of {x : P(x, y)}."""
@@ -121,7 +160,6 @@ class PartStructure(_Derived):
         return cls(n, tuple(down))
 
 
-@dataclass(frozen=True)
 class FusionStructure(_Derived):
     """Domain {0..n-1}, of a size ``_check_size`` admits, with a primitive fusion
     relation: ``rows[p]`` is the bitmask of {x : F(p, x)}."""

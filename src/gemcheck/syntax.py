@@ -27,7 +27,7 @@ node names an individual.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .structures import _Derived
@@ -51,48 +51,24 @@ class SortError(ParseError):
 # AST
 
 
-def _node(cls):
-    """A frozen dataclass whose hash is computed once per instance.
-
-    Sentences key ``native.native_for``'s registry, and the generated
-    ``__hash__`` walks the whole tree on every lookup.  The hash is kept
-    like the node's other derived values, through the ``_Derived`` helper
-    nodes share with structures, so no pickle carries it: string hashes
-    differ between interpreters, so an unpickled node hashes afresh.
-    """
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(fl.name for fl in fields(cls))
-
-    def build(self):
-        return hash(tuple(getattr(self, name) for name in names))
-
-    cls.__hash__ = lambda self: self._derived("_hash", build)
-    return cls
-
-
-@_node
 class PVar(_Derived):
     name: str
 
 
-@_node
 class Singleton(_Derived):
     var: str  # I(x)
 
 
-@_node
 class PUnion(_Derived):
     left: "PluralTerm"
     right: "PluralTerm"
 
 
-@_node
 class PInter(_Derived):
     left: "PluralTerm"
     right: "PluralTerm"
 
 
-@_node
 class Components(_Derived):
     term: "PluralTerm"  # U(T)
 
@@ -100,105 +76,88 @@ class Components(_Derived):
 PluralTerm = Union[PVar, Singleton, PUnion, PInter, Components]
 
 
-@_node
 class Eq(_Derived):
     left: str
     right: str
 
 
-@_node
 class Member(_Derived):
     var: str
     term: PluralTerm
 
 
-@_node
 class SubTerm(_Derived):
     left: PluralTerm
     right: PluralTerm
 
 
-@_node
 class TermEq(_Derived):
     left: PluralTerm
     right: PluralTerm
 
 
-@_node
 class FusionAtom(_Derived):
     term: PluralTerm
     var: str
 
 
-@_node
 class PartAtom(_Derived):
     left: str
     right: str
 
 
-@_node
 class ProperPartAtom(_Derived):
     left: str
     right: str
 
 
-@_node
 class OverlapAtom(_Derived):
     left: str
     right: str
 
 
-@_node
 class Not(_Derived):
     body: "Formula"
 
 
-@_node
 class And(_Derived):
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class Or(_Derived):
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class Implies(_Derived):
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class Iff(_Derived):
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class ForallI(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall x in bound
 
 
-@_node
 class ExistsI(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None
 
 
-@_node
 class ForallP(_Derived):
     var: str
     body: "Formula"
     bound: Optional[PluralTerm] = None  # forall XX sub bound
 
 
-@_node
 class ExistsP(_Derived):
     var: str
     body: "Formula"
@@ -253,8 +212,7 @@ def _free_vars(node) -> tuple:
             iv, pv = iv | bi, pv | bp
         return iv, pv
     iv = pv = frozenset()
-    for fl in fields(node):
-        x = getattr(node, fl.name)
+    for x in node._values():
         if isinstance(x, str):
             iv |= {x}
         else:

@@ -29,7 +29,6 @@ parser round-trip corpus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -44,7 +43,6 @@ class UnknownNameError(KeyError):
         return self.args[0]
 
 
-@dataclass(frozen=True)
 class Theory(_Derived):
     name: str
     obligations: tuple  # tuple[NamedFormula, ...]

@@ -99,6 +99,26 @@ def test_equiv_deterministic_json():
         == run_cli(*args)
 
 
+@pytest.mark.parametrize("argv", [
+    ("equiv", "--max-part", "3", "--max-fusion", "2"),
+    ("lemmas", "--max-part", "3", "--max-fusion", "2", "--canonical-k", "2"),
+    ("countermodel", "--kind", "fusion", "--theory", "gem_f", "--drop", "wsp_F",
+     "--target", "wsp_F", "--max-n", "2"),
+    ("models", "--kind", "fusion", "--n", "3", "--theory", "gem_f"),
+])
+def test_json_bytes_do_not_depend_on_the_hash_seed(argv):
+    # syntax nodes and structures hash through their field values, so string
+    # hashes reach every set and dict keyed by them; no report may show it
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(gemcheck.__file__).parents[1]))
+        outputs.append(subprocess.run([sys.executable, "-m", "gemcheck.cli", *argv,
+                                       "--format", "json"], env=env, timeout=120,
+                                      capture_output=True).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_serial_runs_never_import_multiprocessing():
     # the pool's import is paid only by a run that starts one, and by
     # default no run does

@@ -342,6 +342,23 @@ def test_lemmas_and_countermodels_match_the_labeled_reference(monkeypatch):
     assert reports() == (lemmas, found)
 
 
+def test_leaves_skip_the_checkers_the_search_decides(monkeypatch):
+    # every ext_F clause is filed, so a checker filing them never runs at a
+    # leaf; approx_F holds on masks, so it is baked like a row-local axiom
+    models = filter_models("fusion", 3, gem_f())
+    assert len(models) == 3
+    assert native.approx_f in search._plan("fusion", gem_f())[0]
+
+    def never(tables):
+        raise AssertionError("a checker whose clauses are all filed ran at a leaf")
+    sentence = gem_f().get("ext_F").sentence
+    native.native_for(sentence)  # builds the registry
+    monkeypatch.setitem(native._NATIVE, sentence, never)
+    monkeypatch.setitem(search._CLAUSES, ("fusion", never), search._ext_f_family)
+    monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (never,))
+    assert filter_models("fusion", 3, gem_f()) == models
+
+
 def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
     def accept(tables):
         return True

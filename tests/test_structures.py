@@ -1,16 +1,17 @@
+import copy
 import pickle
 import random
-from dataclasses import fields
 
 import pytest
 
 from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
-                      StructureFormatError, canonical_gem, check_theory, components,
+                      StructureFormatError, Theory, canonical_gem, check_theory, components,
                       dump_structure, gem_f, gem_p, induced_fusion,
                       induced_part, load_structure, mub, parse)
 from gemcheck.semantics import Evaluator
 from gemcheck.search import code_of, filter_models, random_structure, structure_from_code
 from gemcheck.structures import summarize
+from gemcheck.syntax import Eq, ForallI, NamedFormula, PartAtom
 
 from util import all_structures, fusion_pairs, oracle_fuses, part_pairs
 
@@ -251,6 +252,65 @@ def test_derived_values_stay_out_of_equality_hash_repr_and_pickles():
         copy = load_structure(dump_structure(s))
         assert s == copy and hash(s) == hash(copy) and repr(s) == repr(copy)
         back = pickle.loads(pickle.dumps(s))
-        assert vars(back) == {f.name: getattr(s, f.name) for f in fields(s)}
+        assert vars(back) == {name: getattr(s, name) for name in s.__match_args__}
         assert back == s and repr(back) == repr(s)
 
+
+
+# ---------------------------------------------------------------------------
+# the record contract of ``_Derived``, shared by nodes, structures and theories
+
+def test_records_compare_by_type_before_fields():
+    # equal field values hash alike, but records of two classes never compare equal
+    assert hash(Eq("x", "y")) == hash(PartAtom("x", "y"))
+    assert Eq("x", "y") != PartAtom("x", "y")
+    assert Eq("x", "y") == Eq("x", "y") and Eq("x", "y") != Eq("y", "x")
+    assert PartStructure(1, (1,)) != FusionStructure(0, (0,))
+
+
+def test_records_are_built_positionally_from_their_fields():
+    body = PartAtom("x", "x")
+    assert ForallI("x", body).bound is None
+    assert ForallI("x", body) == ForallI("x", body, None)
+    assert ForallI.__match_args__ == ("var", "body", "bound")
+    assert Theory.__match_args__ == ("name", "obligations")
+    for build in (lambda: ForallI("x"), lambda: ForallI("x", body, None, None),
+                  lambda: PartStructure(1), lambda: Eq("x")):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(ValueError):  # the validation still runs
+        PartStructure(1, (2,))
+
+
+def test_records_refuse_setting_and_deleting_fields():
+    for record, name in ((parse("forall x . P(x, x)"), "var"), (PartStructure(1, (1,)), "n"),
+                         (gem_f(), "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
+def test_record_reprs_are_pinned():
+    f = parse("forall x in I(y) . not x = y")
+    assert repr(f) == ("ForallI(var='x', body=Not(body=Eq(left='x', right='y')), "
+                       "bound=Singleton(var='y'))")
+    assert repr(PartStructure(1, (1,))) == "PartStructure(n=1, down=(1,))"
+    assert repr(FusionStructure(1, (0, 1))) == "FusionStructure(n=1, rows=(0, 1))"
+    t = Theory("t", (NamedFormula("ref", parse("forall x . P(x, x)"), "a"),))
+    assert repr(t) == ("Theory(name='t', obligations=(NamedFormula(name='ref', "
+                       "sentence=ForallI(var='x', body=PartAtom(left='x', right='x'), "
+                       "bound=None), anchor='a', side=None),))")
+
+
+def test_records_deep_copy_and_pickle_their_fields_only():
+    t = gem_f()
+    check_theory(load_structure("n=1\nfusion: ({0},0)\n"), t)  # builds its route
+    assert "_route" in vars(t)
+    back = pickle.loads(pickle.dumps(t))
+    assert vars(back).keys() == {"name", "obligations"}
+    assert back == t and repr(back) == repr(t)
+    for record in (t, t.obligations[0].sentence, canonical_gem(2)):
+        assert copy.deepcopy(record) == record

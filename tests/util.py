@@ -7,7 +7,6 @@ expected values they produce are frozen from a third route.
 
 import itertools
 import random
-from dataclasses import fields, replace
 
 from gemcheck import native
 from gemcheck.search import (Models, _allowed_rows, _plan, _scan_worker, _stream,
@@ -151,7 +150,7 @@ def reference_free_vars(f) -> tuple:
 
 def _map(node, fn):
     """``node`` rebuilt from ``fn`` of each of its fields."""
-    return type(node)(*(fn(getattr(node, fl.name)) for fl in fields(node)))
+    return type(node)(*(fn(getattr(node, name)) for name in node.__match_args__))
 
 
 def _rename(node, old: str, new: str):
@@ -159,7 +158,7 @@ def _rename(node, old: str, new: str):
     if node is None or isinstance(node, str):
         return new if node == old else node
     if isinstance(node, QUANTIFIERS) and node.var == old:
-        return replace(node, bound=_rename(node.bound, old, new))
+        return type(node)(node.var, node.body, _rename(node.bound, old, new))
     return _map(node, lambda x: _rename(x, old, new))
 
 
