@@ -74,17 +74,17 @@ Orbits.  Every obligation is a closed sentence whose evaluator and native
 verdicts do not change under relabeling, and the translations commute
 with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
 relabeled, likewise ``induced_part``).  So the survivors are grouped into
-relabeling orbits, each every relabeling of a survivor, and the evaluator
-sees only each orbit's first member in code order.  Outside the poset
-stream the baked value lists are invariant too, and a filed clause
-rejects only what its native rejects, so the survivors already are whole
-orbits.  On the poset stream an orbit is counted once, however many of
-its natural labelings survive, and it is complete: a labeled model
-relabels to a natural labeling, which passes every native and so
-survives.  The members are expanded into the code-ordered result, and
-what is not invariant still runs on each: the round trip,
-``def_pf``/``def_uf``, injectivity of the translation, and each failing
-member's own witness.
+relabeling orbits, each every relabeling of a survivor, and only each
+orbit's first member in code order is evaluated and translated.  Outside
+the poset stream the baked value lists are invariant too, and a filed
+clause rejects only what its native rejects, so the survivors already
+are whole orbits.  On the poset stream an orbit is counted once,
+however many of its natural labelings survive, and it is complete: a
+labeled model relabels to a natural labeling, which passes every native
+and so survives.  The members are expanded into the code-ordered result,
+each member's image is the first member's image relabeled, and what is
+not invariant still runs on each: the round trip, ``def_pf``/``def_uf``,
+injectivity of the translation, and each failing member's own witness.
 
 Capacity.  A size the evaluator refuses is refused before any value list
 is built, and the reports' ``_sweep`` checks its largest size before it
@@ -113,13 +113,12 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import native, semantics
 from .semantics import Assignment, Evaluator, ObligationVerdict
 from .structures import (CapacityError, FusionStructure, PartStructure, Structure,
-                         _check_size, canonical_gem, components, induced_fusion,
+                         _Derived, _check_size, canonical_gem, components, induced_fusion,
                          induced_part, iter_bits, kind_of, members_of, summarize)
 from .syntax import NamedFormula
 from .theory import Theory, gem_f, gem_p, lemma_suite, theory_by_name
@@ -143,8 +142,7 @@ _ROW_LOCAL = {"part": {native.ref_p, native.approx_f},
 _ORDER_AXIOMS = frozenset({native.ref_p, native.antis_p, native.trans_p})
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_Derived):
     max_n_part: int = 4
     max_n_fusion: int = 3
     random_samples: int = 10000
@@ -191,14 +189,9 @@ def _plan(kind: str, theory: Theory):
     the others in ``_PLAN_ORDER``, and the obligations only the evaluator
     decides.
     """
-    natives = set()
-    rest = []
-    for nf in theory:
-        fn = native.native_for(nf.sentence)
-        if fn is None:
-            rest.append(nf)
-        else:
-            natives.add(fn)
+    found = [(nf, native.native_for(nf.sentence)) for nf in theory]
+    natives = {fn for _, fn in found if fn is not None}
+    rest = [nf for nf, fn in found if fn is None]
     row_local = natives & _ROW_LOCAL[kind]
     return row_local, sorted(natives - row_local, key=_PLAN_ORDER.index), rest
 
@@ -211,13 +204,9 @@ def _allowed_rows(kind: str, n: int, row_local: set) -> list:
                 for y in range(n)]
     exists = native.exists_f in row_local  # a nonempty plurality fuses to something
     nonempty = full[1:] if exists else full  # one list, shared by the rows
-    rows = [full]
-    for p in range(1, 1 << n):
-        if native.id_f in row_local and p & (p - 1) == 0:
-            rows.append([p] if exists else [0, p])  # the singleton {y} fuses to nothing but y
-        else:
-            rows.append(nonempty)
-    return rows
+    singles = native.id_f in row_local  # the singleton {y} fuses to nothing but y
+    return [full] + [([p] if exists else [0, p]) if singles and p & (p - 1) == 0 else nonempty
+                     for p in range(1, 1 << n)]
 
 
 def _natural_rows(n: int, top_last: bool) -> list:
@@ -230,39 +219,60 @@ def _natural_rows(n: int, top_last: bool) -> list:
     return rows
 
 
+def _rows(s: Structure) -> tuple:
+    return s.down if isinstance(s, PartStructure) else s.rows
+
+
 def _relabeled_rows(s: Structure, perm) -> tuple:
     """The rows of ``s`` with each element x renamed ``perm[x]``."""
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-
-    def image(mask, rename=perm):  # iter_bits inlined: the orbits' and automorphisms' loop
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << rename[low.bit_length() - 1]
-            mask ^= low
-        return out
-    if isinstance(s, PartStructure):
-        return tuple(image(s.down[inverse[y]]) for y in range(s.n))
-    return tuple(image(s.rows[image(p, inverse)]) for p in range(1 << s.n))
+    if isinstance(s, PartStructure):  # the orbits', translations' and automorphisms' loop
+        rows = [0] * s.n
+        for y, mask in enumerate(s.down):
+            image = 0
+            while mask:  # iter_bits inlined
+                low = mask & -mask
+                image |= 1 << perm[low.bit_length() - 1]
+                mask ^= low
+            rows[perm[y]] = image
+        return tuple(rows)
+    images = [0] * len(s.rows)  # of every mask, from the one without its lowest bit
+    for p in range(1, len(s.rows)):
+        images[p] = images[p & p - 1] | 1 << perm[(p & -p).bit_length() - 1]
+    rows = [0] * len(s.rows)
+    for p, row in enumerate(s.rows):
+        rows[images[p]] = images[row]
+    return tuple(rows)
 
 
 def _orbits(kind: str, n: int, survivors: list) -> list:
     """The survivors' relabelings as orbits of members in code order,
     ordered by code."""
-    build, rows_of = ((PartStructure, lambda s: s.down) if kind == "part"
-                      else (FusionStructure, lambda s: s.rows))
+    build = PartStructure if kind == "part" else FusionStructure
     perms = list(itertools.permutations(range(n)))
-    known = {rows_of(s): s for s in survivors}
+    known = {_rows(s): s for s in survivors}
     seen = set()
     orbits = []
     for s in survivors:
-        if rows_of(s) in seen:
+        if _rows(s) in seen:
             continue  # a member of an orbit already built
         orbit = {_relabeled_rows(s, perm) for perm in perms}
         seen |= orbit
         orbits.append(sorted((known.get(rows) or build(n, rows) for rows in orbit),
                              key=code_of))
     return sorted(orbits, key=lambda orbit: code_of(orbit[0]))
+
+
+def _translated(models: Models, there) -> dict:
+    """``there`` of every model, in code order: each orbit's representative's
+    image, relabeled as each member relabels the representative."""
+    images = {}  # the rows of a member -> its image
+    for orbit in models.orbits:
+        image = there(orbit[0])
+        for perm in itertools.permutations(range(image.n)):
+            rows = _relabeled_rows(orbit[0], perm)
+            if rows not in images:
+                images[rows] = type(image)(image.n, _relabeled_rows(image, perm))
+    return {m: images[_rows(m)] for m in models}
 
 
 class Models(list):
@@ -500,18 +510,14 @@ def _sweep(kind: str, max_n: int, theory: Theory, workers: int):
     return (filter_models(kind, n, theory, workers=workers) for n in range(max_n + 1))
 
 
-class _Report:
+class _Report(_Derived):
     """A report whose JSON fields ``_fields`` gives; ``elapsed_ms``, the one
     nondeterministic field, joins them only when ``timings`` asks for it."""
 
     def to_dict(self, timings: bool = False) -> dict:
-        d = self._fields()
-        if timings:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
+        return {**self._fields(), "elapsed_ms": self.elapsed_ms} if timings else self._fields()
 
 
-@dataclass(frozen=True)
 class ModelsReport(_Report):
     """The models of one theory at one size, in code order."""
 
@@ -555,7 +561,6 @@ def _witness_dict(w: Optional[Assignment]):
             "plurals": {k: sorted(v) for k, v in sorted(w.plurals.items())}}
 
 
-@dataclass(frozen=True)
 class CheckReport(_Report):
     """Per-obligation verdicts for one structure against one theory."""
 
@@ -603,7 +608,6 @@ def check_theory(s: Structure, theory: Theory) -> CheckReport:
                        tuple(results), int((time.monotonic() - t0) * 1000))
 
 
-@dataclass(frozen=True)
 class CountermodelResult(_Report):
     verdict: str  # "found" | "exhausted bounds" | "sample budget spent"
     structure: Optional[Structure]
@@ -665,7 +669,6 @@ def find_countermodel(kind: str, base: Theory, target: NamedFormula,
 # ---------------------------------------------------------------------------
 # the equivalence verification
 
-@dataclass(frozen=True)
 class EquivalenceReport(_Report):
     """Tallies for the two definitional translations at every size.
 
@@ -740,7 +743,7 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
                    "round_trip_pass": 0, "injective": True}
             if side == "fusion":
                 row["with_empty_plurality"] = sum(fs.rows[0] != 0 for fs in models)
-            images = {s: there(s) for s in models}
+            images = _translated(models, there)
             failing = {}  # target failures once per orbit; there() commutes with relabeling
             for orbit in models.orbits:
                 ctx = Evaluator(images[orbit[0]]).ctx
@@ -779,7 +782,6 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
 # ---------------------------------------------------------------------------
 # the lemma suite
 
-@dataclass(frozen=True)
 class LemmaReport(_Report):
     """Per-lemma verdicts on every model of the lemma's theory up to the
     bounds, plus the canonical model of ``canonical_k`` atoms (or its
@@ -851,8 +853,8 @@ def automorphism_count(s: Structure) -> int:
     to itself."""
     if s.n > 8:
         raise CapacityError("automorphism counting is limited to n <= 8")
-    own = s.down if isinstance(s, PartStructure) else s.rows
-    return sum(_relabeled_rows(s, perm) == own for perm in itertools.permutations(range(s.n)))
+    return sum(_relabeled_rows(s, perm) == _rows(s)
+               for perm in itertools.permutations(range(s.n)))
 
 
 def report_json(d: dict) -> str:

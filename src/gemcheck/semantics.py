@@ -60,10 +60,9 @@ from __future__ import annotations
 import itertools
 import linecache
 import weakref
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .structures import (PartStructure, Plurality, Structure, _check_size,
+from .structures import (PartStructure, Plurality, Structure, _Derived, _check_size,
                          fusion_rows_from_parts, iter_bits, mask_of, members_of,
                          overlap_masks, parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
@@ -77,16 +76,18 @@ class EvalError(ValueError):
     """Unbound variable or out-of-range binding."""
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Derived):
     """Bindings for free variables: individuals to indices, plurals to sets."""
 
-    individuals: dict = field(default_factory=dict)
-    plurals: dict = field(default_factory=dict)
+    individuals: dict
+    plurals: dict
+
+    def __init__(self, individuals=None, plurals=None):  # fresh dicts by default
+        object.__setattr__(self, "individuals", {} if individuals is None else individuals)
+        object.__setattr__(self, "plurals", {} if plurals is None else plurals)
 
 
-@dataclass(frozen=True)
-class ObligationVerdict:
+class ObligationVerdict(_Derived):
     """Verdict for a named closed sentence, with a refuting assignment on failure.
 
     The witness, when present, binds the sentence's outermost block of

@@ -78,41 +78,48 @@ def _check_masks(n: int, masks: tuple, count: int) -> None:
         raise ValueError(f"expected a tuple of {count} masks over 0..{n - 1}")
 
 
-class _Derived:
-    """The immutable record base of structures, syntax nodes and theories.
+_RECORD_CODE: dict = {}  # compiled record code by source, shared by equal field lists
 
-    The fields are a subclass's annotations in order, its ``__match_args__``.
-    A record is built positionally (a trailing field with a class default may
-    be left out), checked by its ``__post_init__``, and never changed.  ``==``
-    compares type and fields, ``repr`` prints them as a dataclass would, and a
-    pickle (so a pool worker) carries only them.  ``_derived`` keeps values
-    derived from the fields (a context, compiled code, a verdict route, the
-    fields' hash) in the instance dict, where none of these see them.  The
-    hash is kept because sentences key ``native.native_for`` and hashing walks
-    the tree; string hashes differ between interpreters, so no pickle has it.
+
+class _Derived:
+    """The immutable record base of structures, syntax nodes, theories,
+    verdicts and reports.
+
+    A subclass's fields are its annotations in order, its ``__match_args__``.
+    ``__init_subclass__`` compiles its ``__init__``, ``__eq__`` and
+    ``_values`` from them, unless it writes its own: a record is built by
+    position or keyword (a trailing field with a class default may be left
+    out), checked by the class's ``__post_init__`` if any, and never changed.
+    ``==`` compares type and fields, ``repr`` prints what a dataclass would,
+    and a pickle (so a pool worker) carries only the fields.  Values derived
+    from them stay on the instance, where none of these see them: a context,
+    compiled code or a verdict route (``_derived``), and the fields' hash
+    (``__hash__``), since sentences key ``native.native_for`` and hashing
+    walks the tree.  String hashes differ between interpreters, so no pickle
+    has the hash.
     """
 
     def __init_subclass__(cls):
-        cls.__match_args__ = tuple(cls.__annotations__)
-
-    def __init__(self, *values):
-        names = self.__match_args__
-        if len(values) < len(names):
-            defaults = type(self).__dict__
-            values += tuple(defaults[name] for name in names[len(values):] if name in defaults)
-        if len(values) != len(names):
-            raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        self.__dict__.update(zip(names, values))
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+        names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        own, other = ("".join(f"{x}.{name}, " for name in names) for x in ("self", "other"))
+        source = (f"def _values(self):\n    return ({own})\n"
+                  f"def __eq__(self, other):\n    return ({own}) == ({other}) "
+                  "if other.__class__ is self.__class__ else NotImplemented\n"
+                  f"def __init__(self, {', '.join(names)}):\n    \"Set the fields.\"\n"
+                  + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+                  + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""))
+        namespace = {"_set": object.__setattr__}
+        exec(_RECORD_CODE.get(source)
+             or _RECORD_CODE.setdefault(source, compile(source, "<record>", "exec")), namespace)
+        namespace["__init__"].__defaults__ = tuple(  # of the trailing fields
+            cls.__dict__[name] for name in names if name in cls.__dict__)
+        for name in ("_values", "__eq__", "__init__"):
+            if name not in cls.__dict__:
+                namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, namespace[name])
 
     def _derived(self, key: str, build):
-        value = self.__dict__.get(key)
+        value = getattr(self, key, None)
         if value is None:
             value = build(self)
             object.__setattr__(self, key, value)
@@ -122,12 +129,13 @@ class _Derived:
         raise AttributeError(f"cannot set or delete {name!r}: the record is immutable")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+    _hash = None  # until __hash__ first runs
 
     def __hash__(self):
-        return self._derived("_hash", lambda self: hash(self._values()))
+        if self._hash is None:  # None hashes by address before Python 3.12, so as 0 here
+            object.__setattr__(self, "_hash", hash(
+                tuple(0 if value is None else value for value in self._values())))
+        return self._hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__getstate__().items())

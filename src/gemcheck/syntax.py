@@ -27,7 +27,6 @@ node names an individual.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .structures import _Derived
@@ -173,8 +172,7 @@ UNIVERSAL = (ForallI, ForallP)
 INDIVIDUAL = (ForallI, ExistsI)
 
 
-@dataclass(frozen=True)
-class NamedFormula:
+class NamedFormula(_Derived):
     """A registry entry: a closed sentence with a stable name and citation tag.
 
     ``side`` marks, for lemma obligations, the theory the sentence must

@@ -134,6 +134,19 @@ def test_serial_runs_never_import_multiprocessing():
     assert out.splitlines()[-1] == b"False"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # gemcheck uses neither; measured against a bare interpreter, since
+    # site may load some modules before the first statement runs
+    script = ("import sys\n"
+              "bare = set(sys.modules)\n"
+              "import gemcheck.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gemcheck.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                         capture_output=True, check=True).stdout
+    assert out == b"[]\n"
+
+
 @pytest.mark.parametrize("command", ["check", "equiv", "lemmas", "models",
                                      "countermodel"])
 def test_timings_flag_adds_elapsed(command, k2_file):

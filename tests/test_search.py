@@ -277,6 +277,19 @@ def test_translations_commute_with_relabeling():
                 assert induced_part(relabeled(f, perm)) == relabeled(induced_part(f), perm)
 
 
+@pytest.mark.parametrize("kind,max_n,theory", [
+    ("part", 5, gem_p), ("part", 5, pp_axioms), ("part", 3, lambda: Theory("none", ())),
+    ("fusion", 3, gem_f), ("fusion", 3, lambda: fusion_ext_theory()),
+    ("fusion", 2, lambda: Theory("none", ()))], ids=["gem_p", "pp", "all-part", "gem_f",
+                                                     "ext", "all-fusion"])
+def test_translating_each_orbit_once_matches_translating_every_model(kind, max_n, theory):
+    # verify_equivalence translates each orbit's representative and relabels the image
+    there = induced_fusion if kind == "part" else induced_part
+    for n in range(max_n + 1):
+        models = filter_models(kind, n, theory())
+        assert list(search._translated(models, there).items()) == [(m, there(m)) for m in models]
+
+
 LABELED_CASES = [(name, "part", n) for name in ("gem_p", "gem_p-exists_F", "gem_p-fun_F", "order")
                  for n in range(6)]
 LABELED_CASES += [("gem_p-fun_F", "part", 6)] + [("gem_f", "fusion", n) for n in range(4)]
@@ -733,11 +746,13 @@ def test_equivalence_report_shape():
 
 
 def test_a_translation_that_merges_models_is_not_injective(monkeypatch):
-    # every part model at n=3 is sent to the first one's image
-    translate, first = search.induced_fusion, {}
+    # every part model at n=3 is sent to an image that every relabeling fixes,
+    # so the orbit's members, each given its representative's image relabeled,
+    # share one image
+    translate = search.induced_fusion
 
     def merge(m):
-        return translate(first.setdefault(m.n, m) if m.n == 3 else m)
+        return translate(PartStructure(3, (7, 7, 7)) if m.n == 3 else m)
     monkeypatch.setattr(search, "induced_fusion", merge)
     rep = verify_equivalence(SearchBounds(max_n_part=3, max_n_fusion=0))
     assert rep.part_rows[3]["models"] == 3

@@ -1,15 +1,21 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gemcheck
 from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       StructureFormatError, Theory, canonical_gem, check_theory, components,
                       dump_structure, gem_f, gem_p, induced_fusion,
                       induced_part, load_structure, mub, parse)
-from gemcheck.semantics import Evaluator
-from gemcheck.search import code_of, filter_models, random_structure, structure_from_code
+from gemcheck.semantics import Evaluator, ObligationVerdict
+from gemcheck.search import (CheckReport, SearchBounds, code_of, filter_models, random_structure,
+                             structure_from_code)
 from gemcheck.structures import summarize
 from gemcheck.syntax import Eq, ForallI, NamedFormula, PartAtom
 
@@ -314,3 +320,73 @@ def test_records_deep_copy_and_pickle_their_fields_only():
     assert back == t and repr(back) == repr(t)
     for record in (t, t.obligations[0].sentence, canonical_gem(2)):
         assert copy.deepcopy(record) == record
+
+
+def test_verdict_and_report_reprs_are_pinned():
+    # as the dataclasses these records were printed
+    a = Assignment({"x": 0}, {"XX": frozenset({1})})
+    assert repr(a) == "Assignment(individuals={'x': 0}, plurals={'XX': frozenset({1})})"
+    assert repr(ObligationVerdict("ext_F", False, a)) == (
+        "ObligationVerdict(name='ext_F', passed=False, witness=Assignment("
+        "individuals={'x': 0}, plurals={'XX': frozenset({1})}))")
+    assert repr(SearchBounds(max_n_part=5)) == (
+        "SearchBounds(max_n_part=5, max_n_fusion=3, random_samples=10000, seed=0)")
+    report = CheckReport("gem_p", "part", 1, "n=1 part: (0,0)",
+                         (ObligationVerdict("ref_P", True),), 0)
+    assert repr(report) == ("CheckReport(theory='gem_p', kind='part', n=1, "
+                            "structure='n=1 part: (0,0)', results=(ObligationVerdict("
+                            "name='ref_P', passed=True, witness=None),), elapsed_ms=0)")
+
+
+def test_records_are_built_by_keyword_and_from_class_defaults():
+    assert SearchBounds() == SearchBounds(4, 3, 10000, 0)
+    assert SearchBounds(seed=2, max_n_part=5) == SearchBounds(5, 3, 10000, 2)
+    assert ObligationVerdict(name="a", passed=True) == ObligationVerdict("a", True, None)
+    assert NamedFormula("ref", Eq("x", "x"), anchor="a").side is None
+    assert PartStructure(down=(1,), n=1) == PartStructure(1, (1,))
+    assert ForallI("x", body=Eq("x", "y")) == ForallI("x", Eq("x", "y"), None)
+    assert Assignment(plurals={"XX": frozenset()}) == Assignment({}, {"XX": frozenset()})
+    with pytest.raises(ValueError):  # __post_init__ runs on keyword construction too
+        SearchBounds(seed=0, random_samples=-1)
+
+
+def test_assignments_get_fresh_dicts():
+    a, b = Assignment(), Assignment()
+    assert a == b == Assignment({}, {})
+    assert a.individuals is not b.individuals and a.plurals is not b.plurals
+    a.individuals["x"] = 0
+    assert b.individuals == {} and Assignment().individuals == {}
+
+
+def test_records_refuse_unknown_and_missing_fields():
+    for build in (lambda: SearchBounds(max_n=3), lambda: ObligationVerdict("a"),
+                  lambda: ObligationVerdict("a", passed=True, verdict=None),
+                  lambda: Assignment(bindings={}), lambda: NamedFormula("a", Eq("x", "x")),
+                  lambda: CheckReport("gem_p", "part", 1, "", ()),
+                  lambda: PartStructure(n=1, rows=(1,)), lambda: ForallI(var="x")):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_verdicts_and_reports_refuse_setting_fields():
+    report = CheckReport("gem_p", "part", 1, "", (), 0)
+    for record, name in ((Assignment(), "plurals"), (ObligationVerdict("a", True), "passed"),
+                         (SearchBounds(), "seed"), (report, "elapsed_ms"),
+                         (NamedFormula("a", Eq("x", "x"), "b"), "side")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_node_hashes_are_the_same_in_every_interpreter():
+    # None hashes by its address before Python 3.12, so a field left None
+    # must not reach the hash: under one hash seed, two interpreters agree
+    script = ("from gemcheck.syntax import Eq, ForallI, NamedFormula\n"
+              "f = ForallI('x', Eq('x', 'y'))\n"
+              "print(hash(f), hash(NamedFormula('n', f, 'a')))\n")
+    env = dict(os.environ, PYTHONHASHSEED="7",
+               PYTHONPATH=str(Path(gemcheck.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and len(runs[0].split()) == 2
