@@ -46,10 +46,13 @@ the rest of the sentence is false.  That is the lexicographically first
 refuting assignment, independent of how evaluation was planned.  The
 search is one generated function per sentence, built on its first false
 verdict: a loop per prefix variable over its unguarded domain, the rest
-of the sentence inlined (as planned above) and breaking when false.  The
-naive closure compiler ``_compile_reference`` loops in written order and
-binds each quantifier's variable in a fresh scope; it is the oracle the
-generated functions are tested against.
+of the sentence inlined (as planned above) and breaking when false.
+
+A plural term compiles the same way, into one generated function
+returning its mask; ``Evaluator.term`` and the bound checks of
+``Evaluator.refutes`` run it.  The written-order reference the generated
+functions are tested against, a naive compiler to a tree of closures, is
+``reference_compile`` in ``tests/util.py``.
 
 Everything here is pure; a context caches derived predicates for one
 structure, is kept on it and is safe for concurrent readers.
@@ -63,8 +66,8 @@ import weakref
 from typing import Optional
 
 from .structures import (PartStructure, Plurality, Structure, _Derived, _check_size,
-                         fusion_rows_from_parts, iter_bits, mask_of, members_of,
-                         overlap_masks, parts_from_fusion_rows)
+                         fusion_rows_from_parts, mask_of, members_of, overlap_masks,
+                         parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
                      NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
@@ -178,26 +181,7 @@ class EvalContext:
 
 
 # ---------------------------------------------------------------------------
-# shared pieces: terms, atoms, connectives, quantifier domains
-
-def _compile_term(t: PluralTerm):
-    match t:
-        case PVar(name):
-            return lambda ctx, env: env[name]
-        case Singleton(v):
-            return lambda ctx, env: 1 << env[v]
-        case PUnion(a, b):
-            fa, fb = _compile_term(a), _compile_term(b)
-            return lambda ctx, env: fa(ctx, env) | fb(ctx, env)
-        case PInter(a, b):
-            fa, fb = _compile_term(a), _compile_term(b)
-            return lambda ctx, env: fa(ctx, env) & fb(ctx, env)
-        case Components(s):
-            fs = _compile_term(s)
-            return lambda ctx, env: ctx.umask(fs(ctx, env))
-        case _:
-            raise TypeError(t)
-
+# quantifier domains
 
 def _submasks(t: int):
     """Submasks of t in ascending order, via s -> (s - t) & t."""
@@ -209,19 +193,6 @@ def _submasks(t: int):
         s = (s - t) & t
 
 
-def _domain(q):
-    """Closure giving the values a quantifier's variable ranges over, in order."""
-    plural = not isinstance(q, INDIVIDUAL)
-    if q.bound is None:
-        if plural:
-            return lambda ctx, env: range(1 << ctx.n)
-        return lambda ctx, env: range(ctx.n)
-    ft = compiled_term(q.bound)[0]
-    if plural:
-        return lambda ctx, env: _submasks(ft(ctx, env))
-    return lambda ctx, env: iter_bits(ft(ctx, env))
-
-
 def _guarded_domain(q, guards, lifted=None) -> tuple:
     """(pushed guard, guards left) of ``q`` when ``guards`` must hold of its value.
 
@@ -231,8 +202,9 @@ def _guarded_domain(q, guards, lifted=None) -> tuple:
     ``YY eq T`` (T reading neither ``YY`` nor ``lifted``) it is ``("eq", T)``,
     the single value of T; else for ``F(YY, w)`` (``w`` not ``lifted``) it
     is ``("F", w)``, the fusion preimage ``ctx.fpre(w)``.  The domain is the
-    subsequence of ``_domain(q)`` passing the guard, so truth values and
-    witnesses do not change.  With no such guard, ``guards`` is returned.
+    subsequence of the unguarded one (all values, or the members or
+    submasks of the bound, ascending) passing the guard, so truth values
+    and witnesses do not change.  With no such guard, ``guards`` is returned.
     """
     if isinstance(q, INDIVIDUAL):
         return None, guards
@@ -249,56 +221,6 @@ def _guarded_domain(q, guards, lifted=None) -> tuple:
     if found is None:
         return None, guards
     return ("F", guards[found].var), guards[:found] + guards[found + 1:]
-
-
-def _compile_reference(f: Formula):
-    """The naive compiler: every quantifier loops in its written order and
-    binds its variable in a fresh scope.  Not used for evaluation; it is the
-    reference the planned compiler is tested against.
-    """
-    match f:
-        case Eq(a, b):
-            return lambda ctx, env: env[a] == env[b]
-        case PartAtom(a, b):
-            return lambda ctx, env: (ctx.down[env[b]] >> env[a]) & 1 == 1
-        case ProperPartAtom(a, b):
-            return lambda ctx, env: env[a] != env[b] and (ctx.down[env[b]] >> env[a]) & 1 == 1
-        case OverlapAtom(a, b):
-            return lambda ctx, env: ctx.down[env[a]] & ctx.down[env[b]] != 0
-        case FusionAtom(t, v):
-            ft = compiled_term(t)[0]
-            return lambda ctx, env: (ctx.frow[ft(ctx, env)] >> env[v]) & 1 == 1
-        case Member(v, t):
-            ft = compiled_term(t)[0]
-            return lambda ctx, env: (ft(ctx, env) >> env[v]) & 1 == 1
-        case SubTerm(a, b):
-            fa, fb = compiled_term(a)[0], compiled_term(b)[0]
-            return lambda ctx, env: fa(ctx, env) & ~fb(ctx, env) == 0
-        case TermEq(a, b):
-            fa, fb = compiled_term(a)[0], compiled_term(b)[0]
-            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
-        case Not(g):
-            fg = _compile_reference(g)
-            return lambda ctx, env: not fg(ctx, env)
-        case And(a, b):
-            fa, fb = _compile_reference(a), _compile_reference(b)
-            return lambda ctx, env: fa(ctx, env) and fb(ctx, env)
-        case Or(a, b):
-            fa, fb = _compile_reference(a), _compile_reference(b)
-            return lambda ctx, env: fa(ctx, env) or fb(ctx, env)
-        case Implies(a, b):
-            fa, fb = _compile_reference(a), _compile_reference(b)
-            return lambda ctx, env: not fa(ctx, env) or fb(ctx, env)
-        case Iff(a, b):
-            fa, fb = _compile_reference(a), _compile_reference(b)
-            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
-        case ForallI() | ForallP() | ExistsI() | ExistsP():
-            dom, body, var = _domain(f), _compile_reference(f.body), f.var
-            decide = all if isinstance(f, UNIVERSAL) else any  # stops at the deciding value
-            return lambda ctx, env: decide(body(ctx, {**env, var: val})
-                                           for val in dom(ctx, env))
-        case _:
-            raise TypeError(f)
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +680,13 @@ def _flat(f: Formula, room: int = 24) -> bool:
     return not isinstance(f, QUANTIFIERS)
 
 
-def _generate(f: Formula, name: str, emit):
+def _generate(node, name: str, emit):
     """The generated function ``name(ctx, env)`` whose body ``emit(src, scope)``
-    writes, with ``f``'s free variables read from ``env``; its source is in
-    ``linecache`` while it lives, so tracebacks show the emitted lines."""
+    writes, with the free variables of ``node`` (a formula or a plural term)
+    read from ``env``; its source is in ``linecache`` while it lives, so
+    tracebacks show the emitted lines."""
     src = _Source()
-    scope = {v: src.fresh("v") for v in sorted(_names(f))}
+    scope = {v: src.fresh("v") for v in sorted(_names(node))}
     src.define(f"def {name}(ctx, env):", lambda: emit(src, scope), scope.items())
     text = "\n\n".join(src.defs) + "\n"
     filename = f"<gemcheck-{name}-{next(_SOURCES)}>"
@@ -788,8 +711,9 @@ def _witness_search(sentence: Formula):
 
 
 def compiled_term(t: PluralTerm) -> tuple:
-    """(closure, sorted free variable names) of a plural term, built once per node."""
-    return t._derived("_compiled", lambda t: (_compile_term(t), tuple(sorted(_names(t)))))
+    """(function, sorted free variable names) of a plural term, built once per node."""
+    return t._derived("_compiled", lambda t: (_generate(
+        t, "term", lambda src, scope: src.put(None, src.term(t, scope))), tuple(sorted(_names(t)))))
 
 
 # ---------------------------------------------------------------------------

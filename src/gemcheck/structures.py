@@ -186,7 +186,8 @@ class FusionStructure(_Derived):
         for zz, x in pairs:
             zz, x = frozenset(zz), int(x)
             if not (0 <= x < n) or any(not (0 <= i < n) for i in zz):
-                raise ValueError(f"fusion pair ({set(zz)},{x}) out of domain")
+                members = ",".join(str(i) for i in sorted(zz))
+                raise ValueError(f"fusion pair ({{{members}}},{x}) out of domain")
             rows[mask_of(zz)] |= 1 << x
         return cls(n, tuple(rows))
 
@@ -280,22 +281,25 @@ def overlap_masks(n: int, down: list) -> list:
 def fusion_rows_from_parts(n: int, down: list, ov: list) -> list:
     """rows[p] = bitmask of the x that plurality mask p fuses to by the closure
     conditions: every member of p is part of x, and every part of x
-    overlaps some member of p."""
+    overlaps some member of p.  So p runs over the submasks of down[x] and
+    must meet each distinct ov[z] & down[x], z a part of x; where one of
+    these is empty, nothing fuses to x."""
     rows = [0] * (1 << n)
-    for p in range(1 << n):
-        row = 0
-        for x in range(n):
-            if p & ~down[x]:
-                continue
-            rest = down[x]
-            while rest:
-                low = rest & -rest
-                if not (p & ov[low.bit_length() - 1]):
+    for x in range(n):
+        dx, bit = down[x], 1 << x
+        needs = {ov[z] & dx for z in iter_bits(dx)}
+        if 0 in needs:
+            continue
+        p = 0
+        while True:  # the submasks of dx, ascending
+            for m in needs:
+                if not p & m:
                     break
-                rest ^= low
             else:
-                row |= 1 << x
-        rows[p] = row
+                rows[p] |= bit
+            if p == dx:
+                break
+            p = (p - dx) & dx
     return rows
 
 

@@ -12,7 +12,7 @@ from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       automorphism_count, canonical_gem, check_theory,
                       filter_models, find_countermodel, gem_f, gem_p,
                       induced_fusion, induced_part, lemma_suite,
-                      list_models, native, pp_axioms, search, semantics,
+                      list_models, native, pp_axioms, search,
                       verify_equivalence, verify_lemmas)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
@@ -22,7 +22,7 @@ from gemcheck.syntax import NamedFormula, parse
 
 from util import (all_structures, evaluator_models, labeled_models,
                   oracle_gem_p_model_codes, part_pairs, plain_row_survivors, product_models,
-                  relabeled)
+                  reference_compile, relabeled)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -575,7 +575,7 @@ def test_check_theory_route_matches_the_evaluator_and_the_reference():
             outcomes = [ev.check(nf) for nf in t]
             assert list(rep.results) == outcomes
             for nf, o in zip(t, outcomes):
-                assert o.passed == semantics._compile_reference(nf.sentence)(ev.ctx, {}), nf.name
+                assert o.passed == reference_compile(nf.sentence)(ev.ctx, {}), nf.name
             copy = load_structure(dump_structure(s))
             assert rep.to_dict() == check_theory(copy, t).to_dict()
             failed += not rep.all_passed

@@ -20,7 +20,8 @@ from gemcheck.search import random_structure
 from gemcheck.theory import lemma_suite, pp_axioms
 
 from util import (IVARS, PVARS, all_structures, desugar, fusion_pairs,
-                  random_formula, random_pterm)
+                  random_formula, random_pterm, reference_compile, reference_domain,
+                  reference_term)
 
 
 def _nf(text, name="t"):
@@ -104,6 +105,19 @@ def test_refutes_checks_each_prefix_value_against_its_bound():
     g = parse("forall XX . forall ZZ sub XX . exists z in ZZ . P(z, z)")
     assert not ev.refutes(g, Assignment(plurals={"XX": frozenset(), "ZZ": frozenset({1})}))
     assert ev.refutes(g, Assignment(plurals={"XX": frozenset({1}), "ZZ": frozenset()}))
+
+
+def test_refutes_reads_a_compound_bound_through_generated_term_code():
+    ev = Evaluator(canonical_gem(2))  # 2 has the parts 0, 1 and 2
+    f = parse("forall XX . forall y . forall x in U(XX + I(y)) . x = y")
+    # x = 0 lies in U({} + I(2)) and refutes x = y
+    w = Assignment({"y": 2, "x": 0}, {"XX": frozenset()})
+    assert ev.find_witness(f) == w == _reference_witness(ev, f)
+    assert ev.refutes(f, w)
+    # x = 1 lies outside U({} + I(0)), although the body is false under it
+    assert not ev.refutes(f, Assignment({"y": 0, "x": 1}, {"XX": frozenset()}))
+    fn = semantics.compiled_term(f.body.body.bound)[0]
+    assert re.fullmatch(r"<gemcheck-term-\d+>", fn.__code__.co_filename)
 
 
 def test_witness_prefix_stops_at_a_rebinding():
@@ -247,9 +261,21 @@ def test_desugar_on_registry():
 # the planned compiler against the naive reference compiler
 
 
+def test_generated_terms_match_reference_terms():
+    rng = random.Random(26)
+    for _ in range(3000):
+        s = random_structure(rng.choice(("part", "fusion")), rng.randint(1, 4), rng)
+        t, a = random_pterm(rng, rng.randint(0, 3)), _random_assignment(rng, s.n)
+        ev, env = Evaluator(s), semantics._env_of(s, a)
+        fn = semantics.compiled_term(t)[0]
+        assert fn.__code__.co_filename.startswith("<gemcheck-term-")
+        assert fn(ev.ctx, env) == reference_term(t)(ev.ctx, env), (s, t, a)
+        assert ev.term(t, a) == {i for i in range(s.n) if fn(ev.ctx, env) >> i & 1}
+
+
 def _reference_eval(ev, f, a=None):
     env = semantics._env_of(ev.ctx.structure, a)
-    return semantics._compile_reference(f)(ev.ctx, env)
+    return reference_compile(f)(ev.ctx, env)
 
 
 def _reference_witness(ev, sentence):
@@ -262,23 +288,14 @@ def _reference_witness(ev, sentence):
         body = body.body
     if not prefix:
         return None
-    fbody = semantics._compile_reference(body)
+    fbody = reference_compile(body)
     env = {}
-
-    def values(q):
-        if q.bound is None:
-            top = ctx.n if isinstance(q, ForallI) else 1 << ctx.n
-            return list(range(top))
-        t = semantics._compile_term(q.bound)(ctx, env)
-        if isinstance(q, ForallI):
-            return [i for i in range(ctx.n) if (t >> i) & 1]
-        return [m for m in range(t + 1) if m & ~t == 0]
 
     def search(i):
         if i == len(prefix):
             return not fbody(ctx, env)
         var = prefix[i].var
-        for val in values(prefix[i]):
+        for val in reference_domain(prefix[i])(ctx, env):
             env[var] = val
             if search(i + 1):
                 return True

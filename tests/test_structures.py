@@ -12,11 +12,11 @@ import gemcheck
 from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       StructureFormatError, Theory, canonical_gem, check_theory, components,
                       dump_structure, gem_f, gem_p, induced_fusion,
-                      induced_part, load_structure, mub, parse)
+                      induced_part, load_structure, mub, native, parse)
 from gemcheck.semantics import Evaluator, ObligationVerdict
 from gemcheck.search import (CheckReport, SearchBounds, code_of, filter_models, random_structure,
                              structure_from_code)
-from gemcheck.structures import summarize
+from gemcheck.structures import fusion_rows_from_parts, overlap_masks, summarize
 from gemcheck.syntax import Eq, ForallI, NamedFormula, PartAtom
 
 from util import all_structures, fusion_pairs, oracle_fuses, part_pairs
@@ -71,6 +71,11 @@ def test_structure_validation():
         PartStructure.from_pairs(2, {(0, 2)})
     with pytest.raises(ValueError, match=r"fusion pair \(\{1\},0\) out of domain"):
         FusionStructure.from_pairs(1, {(frozenset({1}), 0)})
+    # the plurality prints in the literal syntax, members ascending
+    with pytest.raises(ValueError, match=r"^fusion pair \(\{\},0\) out of domain$"):
+        FusionStructure.from_pairs(0, {(frozenset(), 0)})
+    with pytest.raises(ValueError, match=r"^fusion pair \(\{0,5\},1\) out of domain$"):
+        FusionStructure.from_pairs(2, {(frozenset({5, 0}), 1)})
     with pytest.raises(ValueError, match="domain size must be >= 0"):
         PartStructure.from_pairs(-1, ())
 
@@ -141,6 +146,21 @@ def test_induced_fusion_empty_plurality_needs_partless_element():
     assert (frozenset(), 0) in fusion_pairs(fs)
     reflexive = PartStructure.from_pairs(1, {(0, 0)})
     assert not any(not zz for (zz, _) in fusion_pairs(induced_fusion(reflexive)))
+
+
+def test_closure_condition_rows_match_the_native_oracle():
+    # the table walks only the submasks of down[x]; native derives it naively
+    rng = random.Random(26)
+    cases = [canonical_gem(k) for k in range(4)]
+    cases += [random_structure("part", rng.randint(0, 5), rng) for _ in range(600)]
+    # sparse and dense relations, where whole rows are empty or full
+    cases += [PartStructure(n, tuple(sum(1 << x for x in range(n) if rng.random() < density)
+                                     for _ in range(n)))
+              for n in range(6) for density in (0.1, 0.3, 0.7, 0.9) for _ in range(30)]
+    for ps in cases:
+        down = list(ps.down)
+        assert (fusion_rows_from_parts(ps.n, down, overlap_masks(ps.n, down))
+                == native.part_tables(ps.n, down).frow), ps
 
 
 def test_overlap_and_proper_part():

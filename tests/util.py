@@ -2,7 +2,10 @@
 
 The oracles here are written in deliberately naive set-comprehension
 style, independent of both the evaluator and the native checkers, so the
-expected values they produce are frozen from a third route.
+expected values they produce are frozen from a third route.  Among them
+is the written-order reference for the evaluator's generated code
+(``reference_compile`` and ``reference_term``): a tree of closures in
+which every quantifier loops in its written order.
 """
 
 import itertools
@@ -179,6 +182,90 @@ def desugar(node):
     guard = Member(v, bound) if isinstance(node, INDIVIDUAL) else SubTerm(PVar(v), bound)
     conn = Implies if isinstance(node, UNIVERSAL) else And
     return type(node)(v, conn(guard, desugar(body)))
+
+
+# ---------------------------------------------------------------------------
+# the written-order compiler, the reference for the planned generated code
+
+def reference_term(t):
+    """A plural term as a closure ``fn(ctx, env)`` giving its mask."""
+    match t:
+        case PVar(name):
+            return lambda ctx, env: env[name]
+        case Singleton(v):
+            return lambda ctx, env: 1 << env[v]
+        case PUnion(a, b):
+            fa, fb = reference_term(a), reference_term(b)
+            return lambda ctx, env: fa(ctx, env) | fb(ctx, env)
+        case PInter(a, b):
+            fa, fb = reference_term(a), reference_term(b)
+            return lambda ctx, env: fa(ctx, env) & fb(ctx, env)
+        case Components(s):
+            fs = reference_term(s)
+            return lambda ctx, env: ctx.umask(fs(ctx, env))
+    raise TypeError(t)
+
+
+def reference_domain(q):
+    """A closure giving the values a quantifier's variable ranges over,
+    ascending: the members (an individual) or the submasks (a plural) of its
+    bound, read when the closure is called, or of the whole domain."""
+    ft = (lambda ctx, env: (1 << ctx.n) - 1) if q.bound is None else reference_term(q.bound)
+    individual = isinstance(q, INDIVIDUAL)
+
+    def values(ctx, env):
+        t = ft(ctx, env)
+        if individual:
+            return (i for i in range(ctx.n) if t >> i & 1)
+        return (m for m in range(t + 1) if m & ~t == 0)
+    return values
+
+
+def reference_compile(f):
+    """The naive compiler: every quantifier loops in its written order and
+    binds its variable in a fresh scope, giving a closure ``fn(ctx, env)``."""
+    match f:
+        case Eq(a, b):
+            return lambda ctx, env: env[a] == env[b]
+        case PartAtom(a, b):
+            return lambda ctx, env: (ctx.down[env[b]] >> env[a]) & 1 == 1
+        case ProperPartAtom(a, b):
+            return lambda ctx, env: env[a] != env[b] and (ctx.down[env[b]] >> env[a]) & 1 == 1
+        case OverlapAtom(a, b):
+            return lambda ctx, env: ctx.down[env[a]] & ctx.down[env[b]] != 0
+        case FusionAtom(t, v):
+            ft = reference_term(t)
+            return lambda ctx, env: (ctx.frow[ft(ctx, env)] >> env[v]) & 1 == 1
+        case Member(v, t):
+            ft = reference_term(t)
+            return lambda ctx, env: (ft(ctx, env) >> env[v]) & 1 == 1
+        case SubTerm(a, b):
+            fa, fb = reference_term(a), reference_term(b)
+            return lambda ctx, env: fa(ctx, env) & ~fb(ctx, env) == 0
+        case TermEq(a, b):
+            fa, fb = reference_term(a), reference_term(b)
+            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
+        case Not(g):
+            fg = reference_compile(g)
+            return lambda ctx, env: not fg(ctx, env)
+        case And(a, b):
+            fa, fb = reference_compile(a), reference_compile(b)
+            return lambda ctx, env: fa(ctx, env) and fb(ctx, env)
+        case Or(a, b):
+            fa, fb = reference_compile(a), reference_compile(b)
+            return lambda ctx, env: fa(ctx, env) or fb(ctx, env)
+        case Implies(a, b):
+            fa, fb = reference_compile(a), reference_compile(b)
+            return lambda ctx, env: not fa(ctx, env) or fb(ctx, env)
+        case Iff(a, b):
+            fa, fb = reference_compile(a), reference_compile(b)
+            return lambda ctx, env: fa(ctx, env) == fb(ctx, env)
+        case ForallI() | ForallP() | ExistsI() | ExistsP():
+            dom, body, var = reference_domain(f), reference_compile(f.body), f.var
+            decide = all if isinstance(f, UNIVERSAL) else any  # stops at the deciding value
+            return lambda ctx, env: decide(body(ctx, {**env, var: val})
+                                           for val in dom(ctx, env))
+    raise TypeError(f)
 
 
 # ---------------------------------------------------------------------------
