@@ -54,13 +54,14 @@ Poset rows.  When ref_P, antis_P and trans_P are all natively decided
 part rows range over naturally labeled posets, where ``x < y`` whenever
 x is a proper part of y: row k takes ``D | 1 << k`` for every ``D``
 within {0..k-1} that is down-closed, holding ``down[x]`` for each x it
-holds, so element k joins as a new maximal element.  The search keeps
-the down-closed sets of the rows assigned so far and extends them by
-each new row.  Reflexivity, antisymmetry and transitivity hold by
-construction, so antis_P and trans_P are neither filed nor run at the
-leaves (the evaluator still re-verifies them on every orbit), and the
-search visits one natural labeling of a poset per leaf instead of every
-labeled relation.  Every poset has a natural labeling (any linear
+holds, so element k joins as a new maximal element.  The search tests
+each value against the rows already assigned: it keeps a value only if
+every earlier element the value holds has its row within it.
+Reflexivity, antisymmetry and transitivity hold by construction, so
+antis_P and trans_P are neither filed nor run at the leaves (the
+evaluator still re-verifies them on every orbit), and the search visits
+one natural labeling of a poset per leaf instead of every labeled
+relation.  Every poset has a natural labeling (any linear
 extension of its order), so every isomorphism class is reached.
 
 Top last.  When exists_F (fusion unfolded to the closure conditions on
@@ -74,17 +75,19 @@ Orbits.  Every obligation is a closed sentence whose evaluator and native
 verdicts do not change under relabeling, and the translations commute
 with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
 relabeled, likewise ``induced_part``).  So the survivors are grouped into
-relabeling orbits, each every relabeling of a survivor, and only each
-orbit's first member in code order is evaluated and translated.  Outside
-the poset stream the baked value lists are invariant too, and a filed
-clause rejects only what its native rejects, so the survivors already
-are whole orbits.  On the poset stream an orbit is counted once,
-however many of its natural labelings survive, and it is complete: a
-labeled model relabels to a natural labeling, which passes every native
-and so survives.  The members are expanded into the code-ordered result,
-each member's image is the first member's image relabeled, and what is
-not invariant still runs on each: the round trip, ``def_pf``/``def_uf``,
-injectivity of the translation, and each failing member's own witness.
+relabeling orbits, each every relabeling of a survivor, and each theory's
+obligations are evaluated only on each orbit's first member in code
+order.  Outside the poset stream the baked value lists are invariant
+too, and a filed clause rejects only what its native rejects, so the
+survivors already are whole orbits.  On the poset stream an orbit is
+counted once, however many of its natural labelings survive, and it is
+complete: a labeled model relabels to a natural labeling, which passes
+every native and so survives.  The members are expanded into the
+code-ordered result and each is translated itself.  The target axioms
+are checked once per orbit, on the first member's image; what is not
+invariant still runs on each member: the round trip,
+``def_pf``/``def_uf``, injectivity of the translation, and each failing
+member's own witness.
 
 Capacity.  A size the evaluator refuses is refused before any value list
 is built, and the reports' ``_sweep`` checks its largest size before it
@@ -262,19 +265,6 @@ def _orbits(kind: str, n: int, survivors: list) -> list:
     return sorted(orbits, key=lambda orbit: code_of(orbit[0]))
 
 
-def _translated(models: Models, there) -> dict:
-    """``there`` of every model, in code order: each orbit's representative's
-    image, relabeled as each member relabels the representative."""
-    images = {}  # the rows of a member -> its image
-    for orbit in models.orbits:
-        image = there(orbit[0])
-        for perm in itertools.permutations(range(image.n)):
-            rows = _relabeled_rows(orbit[0], perm)
-            if rows not in images:
-                images[rows] = type(image)(image.n, _relabeled_rows(image, perm))
-    return {m: images[_rows(m)] for m in models}
-
-
 class Models(list):
     """Labeled models in code order; ``orbits``: their relabeling orbits by
     code, tuples of members in code order led by the representative decided."""
@@ -404,8 +394,7 @@ def _scan_worker(args) -> list:
     rows = [0] * len(allowed)
     found = []
 
-    def assign(r, downsets):
-        # downsets: on down-closed rows, the down-closed sets of rows 0..r-1
+    def assign(r):
         if r == len(rows):
             if leaf:
                 t = tables(n, rows)
@@ -415,22 +404,17 @@ def _scan_worker(args) -> list:
             return
         tests, uppers, lowers = filed[r]
         values = allowed[r]
-        bit = 1 << r
-        if down_closed:
-            values = [v for v in values if v ^ bit in downsets]
+        if down_closed:  # each earlier element the value holds brings its own row
+            values = [v for v in values if not any(rows[x] & ~v for x in iter_bits(v ^ 1 << r))]
         if uppers or lowers:
             lo, hi = _bounds(rows, uppers, lowers)
             values = [v for v in values if v & lo == lo and not v & ~hi]
         for v in values:
             rows[r] = v
             if not (tests and fires(rows, tests)):
-                if down_closed:  # add r to each down-set that holds all below it
-                    below = v ^ bit
-                    assign(r + 1, downsets.union([d | bit for d in downsets if not below & ~d]))
-                else:
-                    assign(r + 1, None)
+                assign(r + 1)
 
-    assign(0, frozenset([0]))
+    assign(0)
     return found
 
 
@@ -705,16 +689,16 @@ class EquivalenceReport(_Report):
         }
 
 
-def _def_pf(m: PartStructure, fs: FusionStructure, back: PartStructure):
+def _def_pf(m: PartStructure, fs: FusionStructure):
     """The fusion-side parthood definition, point by point, through the native
-    oracle's parthood from fusion rows (independent of ``back``, the round trip)."""
+    oracle's parthood from fusion rows."""
     derived = native.fusion_tables(m.n, fs.rows).down
     diff = sorted((x, y) for y, (a, b) in enumerate(zip(derived, m.down))
                   for x in range(m.n) if (a ^ b) >> x & 1)
     return not diff, diff
 
 
-def _def_uf(fs: FusionStructure, m: PartStructure, back: FusionStructure):
+def _def_uf(fs: FusionStructure, m: PartStructure):
     """The components former agrees across the two signatures."""
     return all(components(fs, members_of(p)) == components(m, members_of(p))
                for p in range(1 << fs.n)), None
@@ -743,7 +727,7 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
                    "round_trip_pass": 0, "injective": True}
             if side == "fusion":
                 row["with_empty_plurality"] = sum(fs.rows[0] != 0 for fs in models)
-            images = _translated(models, there)
+            images = {m: there(m) for m in models}
             failing = {}  # target failures once per orbit; there() commutes with relabeling
             for orbit in models.orbits:
                 ctx = Evaluator(images[orbit[0]]).ctx
@@ -755,7 +739,7 @@ def verify_equivalence(bounds: SearchBounds, workers: int = 1) -> EquivalenceRep
                 for key, check, ok, detail in (
                         (axioms_key, f"{target.name} axioms", not bad, bad),
                         (f"{definition}_pass", definition,
-                         *definition_holds(s, image, returned)),
+                         *definition_holds(s, image)),
                         ("round_trip_pass", round_trip, returned == s, None)):
                     if ok:
                         row[key] += 1
