@@ -19,6 +19,8 @@ structure object only for a candidate that passes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .structures import PartStructure, Structure
 
 
@@ -274,6 +276,7 @@ def trans_pp(t: NativeTables) -> bool:
 # ---------------------------------------------------------------------------
 # registry keyed by sentence
 
+@lru_cache(maxsize=None)
 def _registry():
     from . import theory
 
@@ -300,12 +303,6 @@ def _registry():
     }
 
 
-_NATIVE = None
-
-
 def native_for(sentence):
     """The hand-coded checker for a registry sentence, or None."""
-    global _NATIVE
-    if _NATIVE is None:
-        _NATIVE = _registry()
-    return _NATIVE.get(sentence)
+    return _registry().get(sentence)

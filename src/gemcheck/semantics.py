@@ -12,14 +12,17 @@ Each formula is compiled once (cached per AST node, with its free
 variables) into the source of one Python function ``fn(ctx, env)``, run
 through ``compile()`` and kept in ``linecache``.  It reads the free
 variables and the context's tables into locals at entry; bound variables
-are locals, atoms are inline bit expressions, and a decided quantifier
-returns at once.  Plural values are bitmasks.  The assignment space is
-never materialized.  The plan behind the code reads only the formula,
-block by block of like quantifiers (a run of universal, or existential):
+are locals, atoms are inline bit expressions, connectives are if/else
+statements that evaluate only the operands they need, and a decided
+quantifier returns at once.  Plural values are bitmasks.  The assignment
+space is never materialized.  The plan behind the code reads only the
+formula, block by block of like quantifiers (a run of universal, or
+existential):
 
 * A universal body ``A1 and ... and Am -> C`` (an existential body
   ``A1 and ... and Am``) is split into guards ``Ai``, and each guard is
-  tested as soon as the block variables it mentions are bound.
+  tested as soon as the block variables it mentions are bound, by its
+  own ``if not Ai: continue``.
 * Inside the block the variables are reordered, which preserves truth:
   variables that close guards are bound first.
 * An individual variable goes innermost and is evaluated bit-parallel:
@@ -384,6 +387,7 @@ def _plan_block(f: Formula) -> tuple:
 # code generation: a planned formula as the source of one Python function
 
 _TABLES = ("n", "full", "bits", "down", "up", "ov", "frow", "fpre", "umask")
+_COMPOUND = (Not, And, Or, Implies, Iff) + QUANTIFIERS  # every formula but an atom
 _SOURCES = itertools.count()
 
 
@@ -479,7 +483,7 @@ class _Source:
         return f"({s})" if prec > p else s
 
     def expr(self, f: Formula, scope: dict) -> str:
-        """Boolean expression of a formula ``_flat`` accepts."""
+        """Boolean expression of an atom."""
         def bit(mask, v):
             return f"{mask} >> {scope[v]} & 1 == 1"
         match f:
@@ -499,23 +503,20 @@ class _Source:
                 return f"{self.term(a, scope, 2)} & ~{self.term(b, scope, 3)} == 0"
             case TermEq(a, b):
                 return f"{self.term(a, scope)} == {self.term(b, scope)}"
-            case Not(g):
-                return f"not ({self.expr(g, scope)})"
-        a, b = self.expr(f.left, scope), self.expr(f.right, scope)
-        return {And: f"({a}) and ({b})", Or: f"({a}) or ({b})",
-                Implies: f"not ({a}) or ({b})", Iff: f"({a}) == ({b})"}[type(f)]
 
     def cond(self, f: Formula, scope: dict) -> str:
-        """An operand naming ``f``'s truth value, after any statements it needs."""
-        if _flat(f):
+        """An operand naming ``f``'s truth value: an atom's expression, or a
+        local that the statements emitted first set."""
+        if not isinstance(f, _COMPOUND):
             return f"({self.expr(f, scope)})"
         out = self.fresh("t")
         self.bool(f, scope, out)
         return out
 
     def bool(self, f: Formula, scope: dict, out) -> None:
-        """Statements giving ``f``'s truth value to ``out``."""
-        if _flat(f):
+        """Statements giving ``f``'s truth value to ``out``: an atom's
+        expression, a connective's if/else on its operands, or a block's loops."""
+        if not isinstance(f, _COMPOUND):
             return self.put(out, self.expr(f, scope))
         if self.split(sorted(scope.values()), out, lambda: self.bool(f, scope, None)):
             return
@@ -576,10 +577,12 @@ class _Source:
         push, guards = _guarded_domain(q, at[i])
         v = self.fresh("v")
         inner_scope = {**scope, q.var: v}
+
+        def guard_tests():  # one per guard, each after the statements it needs
+            for g in guards:
+                self.line(f"if not {self.cond(g, inner_scope)}: continue")
         self.emit("for {v} in {dom}:\n    {skip}\n    GUARDS\n    LEVELS\n{leave}", v=v,
-                  **self.domain(q, push, scope, v),
-                  GUARDS=lambda: guards and self.line(
-                      f"if not {self.cond(_conj(guards), inner_scope)}: continue"),
+                  **self.domain(q, push, scope, v), GUARDS=guard_tests,
                   LEVELS=lambda: self.levels(plan, i + 1, inner_scope, out),
                   leave="" if out is None or not i
                   else f"if not {out}: break" if universal else f"if {out}: break")
@@ -669,15 +672,6 @@ class _Source:
 def _names(node) -> frozenset:
     iv, pv = free_vars(node)
     return iv | pv
-
-
-def _flat(f: Formula, room: int = 24) -> bool:
-    """Whether ``f`` is quantifier-free and shallow enough for one expression."""
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return room > 0 and _flat(f.left, room - 1) and _flat(f.right, room - 1)
-    if isinstance(f, Not):
-        return room > 0 and _flat(f.body, room - 1)
-    return not isinstance(f, QUANTIFIERS)
 
 
 def _generate(node, name: str, emit):

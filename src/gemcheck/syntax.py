@@ -283,10 +283,8 @@ class _Parser:
         _, line, col = self.toks[self.pos]
         raise (SortError if sort else ParseError)(msg, line, col)
 
-    # formula := quant | iff
+    # formula := iff   (a quantifier is an atom whose body extends rightward)
     def formula(self) -> Formula:
-        if self.peek() in ("forall", "exists"):
-            return self.quant()
         return self.iff()
 
     def quant(self) -> Formula:

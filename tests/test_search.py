@@ -352,8 +352,7 @@ def test_leaves_skip_the_checkers_the_search_decides(monkeypatch):
     def never(tables):
         raise AssertionError("a checker whose clauses are all filed ran at a leaf")
     sentence = gem_f().get("ext_F").sentence
-    native.native_for(sentence)  # builds the registry
-    monkeypatch.setitem(native._NATIVE, sentence, never)
+    monkeypatch.setitem(native._registry(), sentence, never)
     monkeypatch.setitem(search._CLAUSES, ("fusion", never), search._ext_f_family)
     monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (never,))
     assert filter_models("fusion", 3, gem_f()) == models
@@ -363,8 +362,7 @@ def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
     def accept(tables):
         return True
     sentence = gem_p().get("fun_F").sentence
-    native.native_for(sentence)  # builds the registry
-    monkeypatch.setitem(native._NATIVE, sentence, accept)
+    monkeypatch.setitem(native._registry(), sentence, accept)
     monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
     assert search._stream("part", 3, gem_p())[0] == search._natural_rows(3, True)
     with pytest.raises(RuntimeError, match="native scan and evaluator disagree on fun_F"):
@@ -523,8 +521,7 @@ def test_native_and_evaluator_disagreement_raises(monkeypatch):
     def accept(tables):
         return True
     sentence = pp_axioms().get("trans_PP").sentence
-    native.native_for(sentence)  # builds the registry
-    monkeypatch.setitem(native._NATIVE, sentence, accept)
+    monkeypatch.setitem(native._registry(), sentence, accept)
     monkeypatch.setattr(search, "_PLAN_ORDER", search._PLAN_ORDER + (accept,))
     with pytest.raises(RuntimeError, match="native scan and evaluator disagree on trans_PP"):
         filter_models("part", 3, pp_axioms())

@@ -13,9 +13,9 @@ from gemcheck import (Assignment, EvalError, FusionStructure, PartStructure,
                       canonical_gem, gem_f, gem_p, native, parse, semantics)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import CapacityError, induced_fusion
-from gemcheck.syntax import (ExistsI, ExistsP, ForallI, ForallP, FusionAtom,
-                             Implies, NamedFormula, PVar, Singleton, TermEq,
-                             free_vars, print_formula)
+from gemcheck.syntax import (And, ExistsI, ExistsP, ForallI, ForallP, FusionAtom,
+                             Iff, Implies, NamedFormula, Not, Or, PVar, Singleton,
+                             TermEq, free_vars, print_formula)
 from gemcheck.search import random_structure
 from gemcheck.theory import lemma_suite, pp_axioms
 
@@ -611,6 +611,19 @@ def test_deep_nests_match_reference(chained):
     block = parse("forall y0 . " + " . ".join(f"forall y{i} in I(y{i - 1})" for i in range(1, 24))
                   + " . P(y0, y1) and P(y22, y23) -> P(y1, y0) or P(y23, y22)")
     _assert_matches_reference(block, structures)
+    # long quantifier-free bodies, in atoms that do not lift bit-parallel:
+    # 60 connectives of every kind nested both left and right, deep enough
+    # to be split; a left-nested chain of 250 operands of "or"
+    texts = ("P(x, x)", "O(x, x)", "F(I(x), x)", "x in I(x)")
+    mixed = parse(texts[0])
+    for i in range(60):
+        a, cls = parse(texts[i % 4]), (Not, And, Or, Implies, Iff)[i % 5]
+        mixed = Not(mixed) if cls is Not else cls(mixed, a) if i % 2 else cls(a, mixed)
+    _assert_matches_reference(ForallI("x", mixed), structures)
+    _assert_matches_reference(parse("forall x . " + " or ".join((texts * 63)[:250])), structures)
+    # a union of 250 singletons, which only precedence-aware terms keep
+    # below the compiler's limit on nested parentheses
+    _assert_matches_reference(parse("forall x . x in " + " + ".join(["I(x)"] * 250)), structures)
 
 
 def test_generated_source_is_registered_for_tracebacks():
