@@ -35,19 +35,19 @@ is empty or one element.  With UU empty and YY = {x}, ext_F says that a
 row holding x equals row {x}, which id_F and exists_F make {x}; so a
 candidate passing ext_F has no other rows.  This is the axioms' own
 clause instance, not a lemma, and single-element lists are unchanged by
-relabeling, so the survivors are still whole orbits.  The ext_F
-instances (ZZ, YY, UU) are filed directly, UU ranging over the submasks
-of the complement of ZZ & YY (its bits inside both change neither
-union), and each with UU + ZZ = UU + YY is skipped: 7^n - 5^n clauses.
+relabeling, so the survivors are still whole orbits.  As ext_F is
+symmetric in ZZ and YY, each clause is an unordered equality, filed once
+(ZZ < YY): if ZZ and YY share a fusion, row UU + ZZ equals row UU + YY.
+UU ranges over the submasks of the complement of ZZ & YY (its bits in
+both change neither union), skipping equal unions: (7^n - 5^n)/2.
 
-Hoisted bounds.  An ext_F clause filed at row r = UU + ZZ or UU + YY
-whose premise rows ZZ and YY and other side come before r says, once
-ZZ and YY share a fusion, that row r lies within the other side (r = UU +
-ZZ) or contains it (r = UU + YY).  Each visit of r folds all of them into
-one bound before the value loop, instead of testing each clause on every
-value: the value must contain ``lo`` and lie within ``hi``.  Clauses filed
-at ZZ or YY stay tests.  The bounds reject exactly what those clauses reject, and
-assume nothing about single-element rows.
+Hoisted bounds.  An ext_F clause filed at its larger side r whose premise
+rows ZZ and YY and other side o come before r says, once ZZ and YY share
+a fusion, that row r equals row o.  Each visit of r folds all of them
+into one bound before the value loop, instead of testing each clause on
+every value: the value must contain ``lo`` and lie within ``hi``.  Clauses
+filed at YY stay tests.  The bounds reject exactly what those clauses
+reject, and assume nothing about single-element rows.
 
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
 (as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the
@@ -289,9 +289,9 @@ def _part_fires(rows, clauses) -> bool:
 
 
 def _ext_f_fires(rows, clauses) -> bool:
-    # ZZ and YY share a fusion, but UU + ZZ fuses to something UU + YY does not
-    for zz, yy, a, b in clauses:
-        if rows[zz] & rows[yy] and rows[a] & ~rows[b]:
+    # ZZ and YY share a fusion, but row YY, the larger side, and row o differ
+    for zz, yy, o in clauses:
+        if rows[zz] & rows[yy] and rows[yy] != rows[o]:
             return True
     return False
 
@@ -308,24 +308,19 @@ def _part_family(shape):
 
 
 def _ext_f_family(n: int, filed: list):
-    # each distinct clause (ZZ, YY, UU + ZZ, UU + YY) once, 7^n - 5^n of them:
+    # each clause ({ZZ, YY}, {UU + ZZ, UU + YY}) once, (7^n - 5^n)/2 of them:
     # the bits of UU inside both ZZ and YY change neither union, so UU ranges
     # over the rest, and with equal unions the clause never fires
     full = (1 << n) - 1
-    for zz, yy in itertools.product(range(1 << n), repeat=2):
+    for zz, yy in itertools.combinations(range(1 << n), 2):
         free = full & ~(zz & yy)
         uu = free
         while True:
             a, b = uu | zz, uu | yy
             if a != b:
-                r = max(a, b)  # a holds ZZ and b holds YY
-                tests, uppers, lowers = filed[r]
-                if r == zz or r == yy:
-                    tests.append((zz, yy, a, b))
-                elif r == a:
-                    uppers.append((zz, yy, b))
-                else:
-                    lowers.append((zz, yy, a))
+                r = max(a, b)
+                tests, equals = filed[r]  # a test where r is YY, as yy > zz
+                (tests if r == yy else equals).append((zz, yy, min(a, b)))
             if not uu:
                 break
             uu = (uu - 1) & free
@@ -347,14 +342,14 @@ _CLAUSES = {
 
 
 def _filed_clauses(kind: str, n: int, natives) -> list:
-    """Per row, ``(tests, uppers, lowers)``: ``tests`` lists the clauses of
-    the natives in ``natives`` whose largest row read is that row, for
-    ``_part_fires`` or ``_ext_f_fires`` by ``kind``.  An ext_F clause filed
-    at UU + ZZ or UU + YY, with its premise rows ZZ and YY and its other
-    side before it, is hoisted into a bound instead: ``(zz, yy, b)`` in
-    ``uppers`` says the row lies within row b when rows zz and yy share a
-    fusion, ``(zz, yy, a)`` in ``lowers`` that it then contains row a."""
-    filed = [([], [], []) for _ in range(n if kind == "part" else 1 << n)]
+    """Per row, ``(tests, equals)``: ``tests`` lists the clauses of the
+    natives in ``natives`` whose largest row read is that row, for
+    ``_part_fires`` or ``_ext_f_fires`` by ``kind``.  An ext_F clause
+    ``(zz, yy, o)`` is filed at its larger side r: row r equals row o when
+    rows zz and yy share a fusion.  It is a test where r is yy, and else,
+    with its premise rows and o before r, hoisted into a bound in
+    ``equals``."""
+    filed = [([], []) for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
         if family is not None:
@@ -362,16 +357,14 @@ def _filed_clauses(kind: str, n: int, natives) -> list:
     return filed
 
 
-def _bounds(rows, uppers, lowers) -> tuple:
+def _bounds(rows, equals) -> tuple:
     """``(lo, hi)``: a row's value must contain ``lo`` and lie within ``hi``
     by its hoisted ext_F clauses, read off the earlier rows."""
     lo, hi = 0, -1
-    for zz, yy, b in uppers:
+    for zz, yy, o in equals:
         if rows[zz] & rows[yy]:
-            hi &= rows[b]
-    for zz, yy, a in lowers:
-        if rows[zz] & rows[yy]:
-            lo |= rows[a]
+            lo |= rows[o]
+            hi &= rows[o]
     return lo, hi
 
 
@@ -402,12 +395,12 @@ def _scan_worker(args) -> list:
                     return
             found.append(build(n, tuple(rows)))
             return
-        tests, uppers, lowers = filed[r]
+        tests, equals = filed[r]
         values = allowed[r]
         if down_closed:  # each earlier element the value holds brings its own row
             values = [v for v in values if not any(rows[x] & ~v for x in iter_bits(v ^ 1 << r))]
-        if uppers or lowers:
-            lo, hi = _bounds(rows, uppers, lowers)
+        if equals:
+            lo, hi = _bounds(rows, equals)
             values = [v for v in values if v & lo == lo and not v & ~hi]
         for v in values:
             rows[r] = v

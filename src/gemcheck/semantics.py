@@ -391,12 +391,12 @@ _COMPOUND = (Not, And, Or, Implies, Iff) + QUANTIFIERS  # every formula but an a
 _SOURCES = itertools.count()
 
 
-_MASK_CONNECTIVES = {  # A and B narrow {c} to the mask of an operand
-    Not: "{s} = {c}\nA\n{c} = {s} & ~{c}",
-    And: "A\nif {c}:\n    B",
-    Or: "{s} = {c}\nA\n{s} &= ~{c}\nif {s}:\n    {t}, {c} = {c}, {s}\n    B\n    {c} |= {t}",
-    Implies: "{s} = {c}\nA\nif {c}:\n    {s} &= ~{c}\n    B\n    {c} |= {s}\nelse:\n    {c} = {s}",
-    Iff: "{s} = {c}\nA\n{t}, {c} = {c}, {s}\nB\n{c} = {s} & ~({t} ^ {c})",
+_MASK_CONNECTIVES = {  # (head, tail) around narrowing {c} by the first operand; B: the second
+    Not: ("{s} = {c}", "{c} = {s} & ~{c}"),
+    And: ("", "if {c}:\n    B"),
+    Or: ("{s} = {c}", "{s} &= ~{c}\nif {s}:\n    {t}, {c} = {c}, {s}\n    B\n    {c} |= {t}"),
+    Implies: ("{s} = {c}", "if {c}:\n    {s} &= ~{c}\n    B\n    {c} |= {s}\nelse:\n    {c} = {s}"),
+    Iff: ("{s} = {c}", "{t}, {c} = {c}, {s}\nB\n{c} = {s} & ~({t} ^ {c})"),
 }
 _MASK_QUANTIFIERS = (  # AND (or OR) of the body's masks over the values of {w}
     "for {w} in {dom}:\n    {skip}\n    if not {c}: break\n    BODY",
@@ -632,10 +632,17 @@ class _Source:
             case Member(_, t):
                 self.line(f"{cand} &= {self.term(t, scope)}")
             case Not(a) | And(a, _) | Or(a, _) | Implies(a, _) | Iff(a, _):
-                b = getattr(f, "right", None)
-                self.emit(_MASK_CONNECTIVES[type(f)], c=cand, s=self.fresh("c"),
-                          t=self.fresh("c"), A=lambda: self.side(a, v, scope, cand),
-                          B=lambda: self.side(b, v, scope, cand))
+                chain = [f]  # f's left-nested chain that side() would mask, without recursion
+                while type(a) is type(f) and v in free_vars(a)[0] and _lifts(a, v):
+                    chain.append(a)
+                    a = a._values()[0]
+                head, tail = _MASK_CONNECTIVES[type(f)]
+                parts = [{"c": cand, "s": self.fresh("c"), "t": self.fresh("c")} for _ in chain]
+                for names in parts:
+                    self.emit(head, **names)
+                self.side(a, v, scope, cand)
+                for g, names in zip(reversed(chain), reversed(parts)):
+                    self.emit(tail, **names, B=lambda g=g: self.side(g.right, v, scope, cand))
             case _:
                 push, body = _lifted_quantifier(f, v)
                 w = self.fresh("v")

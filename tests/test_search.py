@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -376,8 +377,8 @@ def _fires_on_the_way(kind, n, checker, rows):
     filed = search._filed_clauses(kind, n, [checker])
     fires = search._part_fires if kind == "part" else search._ext_f_fires
     partial = [None] * len(rows)
-    for r, (tests, uppers, lowers) in enumerate(filed):
-        lo, hi = search._bounds(partial, uppers, lowers)
+    for r, (tests, equals) in enumerate(filed):
+        lo, hi = search._bounds(partial, equals)
         partial[r] = rows[r]
         if rows[r] & lo != lo or rows[r] & ~hi or fires(partial, tests):
             return True
@@ -404,21 +405,50 @@ def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ext_f_files_only_clauses_that_can_fire(n):
-    # (ZZ, YY, UU) with UU + ZZ = UU + YY never fires; 7^n - 5^n clauses
-    # remain, each filed once, as a test or as a bound
+    # (ZZ, YY, UU) with UU + ZZ = UU + YY never fires; the 7^n - 5^n others
+    # come in mirrored pairs (ZZ and YY swapped), each pair filed once as an
+    # unordered equality, as a test or as a bound
     size = 1 << n
-    expected = {(zz, yy, uu | zz, uu | yy)
+    directed = {(zz, yy, uu | zz, uu | yy)
                 for zz, yy, uu in itertools.product(range(size), repeat=3) if uu | zz != uu | yy}
+    assert len(directed) == 7 ** n - 5 ** n
+
+    def key(zz, yy, a, b):
+        return frozenset((zz, yy)), frozenset((a, b))
     clauses = []
-    for r, (tests, uppers, lowers) in enumerate(search._filed_clauses("fusion", n, [native.ext_f])):
-        # filed at a premise row
-        assert all(max(c) == r and r in c[:2] for c in tests)
-        clauses += tests
+    for r, (tests, equals) in enumerate(search._filed_clauses("fusion", n, [native.ext_f])):
+        # tested at a premise row that is the larger side
+        assert all(yy == r > max(zz, o) for zz, yy, o in tests)
         # hoisted: the premise rows and the other side come first
-        assert all(max(c) < r for c in uppers + lowers)
-        clauses += [(zz, yy, r, b) for zz, yy, b in uppers] + [(zz, yy, a, r) for zz, yy, a in lowers]
-    assert len(clauses) == len(set(clauses)) == 7 ** n - 5 ** n
-    assert set(clauses) == expected
+        assert all(max(c) < r for c in equals)
+        clauses += [key(zz, yy, r, o) for zz, yy, o in tests + equals]
+    assert len(clauses) == len(set(clauses)) == (7 ** n - 5 ** n) // 2
+    # each directed instance is one filed clause, and each clause two instances
+    assert collections.Counter(key(*c) for c in directed) == dict.fromkeys(clauses, 2)
+
+
+def test_hoisted_bounds_match_every_directed_instance():
+    # each ext_F instance (ZZ, YY, UU) filed at r = max(UU + ZZ, UU + YY) but
+    # at neither premise row, when ZZ and YY share a fusion, bounds row r:
+    # within row UU + YY if r = UU + ZZ, else containing row UU + ZZ; with
+    # equal unions it says nothing and is not filed
+    rng = random.Random(29)
+    structures = [s for n in range(3) for s in all_structures("fusion", n)]
+    structures += [random_structure("fusion", 3, rng) for _ in range(300)]
+    filed = [search._filed_clauses("fusion", n, [native.ext_f]) for n in range(4)]
+    for s in structures:
+        rows, size = s.rows, 1 << s.n
+        expected = [[0, -1] for _ in range(size)]
+        for zz, yy, uu in itertools.product(range(size), repeat=3):
+            a, b = uu | zz, uu | yy
+            r = max(a, b)
+            if a != b and r not in (zz, yy) and rows[zz] & rows[yy]:
+                if r == a:
+                    expected[r][1] &= rows[b]
+                else:
+                    expected[r][0] |= rows[a]
+        assert [search._bounds(rows, equals) for _, equals in filed[s.n]] == \
+            [tuple(bound) for bound in expected], summarize(s)
 
 
 def fusion_ext_theory():

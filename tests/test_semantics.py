@@ -621,6 +621,12 @@ def test_deep_nests_match_reference(chained):
         mixed = Not(mixed) if cls is Not else cls(mixed, a) if i % 2 else cls(a, mixed)
     _assert_matches_reference(ForallI("x", mixed), structures)
     _assert_matches_reference(parse("forall x . " + " or ".join((texts * 63)[:250])), structures)
+    # left-nested chains of 250 operands of "or" and of "and" that lift
+    # bit-parallel in y, narrowing one mask operand by operand
+    lifted = ("P(x, y)", "O(y, x)", "PP(y, x)", "x = y", "F(I(x), y)")
+    for op in (" or ", " and "):
+        _assert_matches_reference(parse("forall x . forall y . " + op.join((lifted * 50)[:250])),
+                                  structures)
     # a union of 250 singletons, which only precedence-aware terms keep
     # below the compiler's limit on nested parentheses
     _assert_matches_reference(parse("forall x . x in " + " + ".join(["I(x)"] * 250)), structures)
