@@ -303,7 +303,11 @@ def _lifts(f: Formula, v: str) -> bool:
         case Not(g):
             return _lifts(g, v)
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return _lifts(a, v) or _lifts(b, v)
+            while not _lifts(b, v):  # down f's left-nested chain, without recursion
+                if type(a) is not type(f):
+                    return _lifts(a, v)
+                a, b = a._values()
+            return True
         case ForallI() | ExistsI() | ForallP() | ExistsP():
             plan = _lifted_quantifier(f, v)
             return plan is not None and _lifts(plan[1], v)

@@ -186,8 +186,7 @@ class FusionStructure(_Derived):
         for zz, x in pairs:
             zz, x = frozenset(zz), int(x)
             if not (0 <= x < n) or any(not (0 <= i < n) for i in zz):
-                members = ",".join(str(i) for i in sorted(zz))
-                raise ValueError(f"fusion pair ({{{members}}},{x}) out of domain")
+                raise ValueError(f"fusion pair {_fusion_pair(sorted(zz), x)} out of domain")
             rows[mask_of(zz)] |= 1 << x
         return cls(n, tuple(rows))
 
@@ -336,27 +335,28 @@ def induced_fusion(ps: PartStructure) -> FusionStructure:
 #
 #   n=<int>
 #   part: (x,y) (x,y) ...          or          fusion: ({a,b},x) ({},x) ...
+#
+# Pairs are written in ascending (x, y) or (p, x) order, p a plurality's
+# mask: the columns x of ``down``, or the rows p of ``rows``, in index order.
 
 # ASCII digits without leading zeros, as dump_structure writes them
 _INDEX = "(?:0|[1-9][0-9]*)"
-_PART_PAIR = re.compile(rf"\(({_INDEX}),({_INDEX})\)$")
-_FUSION_PAIR = re.compile(rf"\(\{{({_INDEX}(?:,{_INDEX})*)?\}},({_INDEX})\)$")
+_PAIRS = {  # header: a pair's pattern, the reader of its first group, the constructor
+    "part:": (re.compile(rf"\(({_INDEX}),({_INDEX})\)$"), int, PartStructure),
+    "fusion:": (re.compile(rf"\(\{{({_INDEX}(?:,{_INDEX})*)?\}},({_INDEX})\)$"),
+                lambda inner: [int(i) for i in inner.split(",")] if inner else [], FusionStructure)}
+
+
+def _fusion_pair(members: Iterable[int], x: int) -> str:
+    return f"({{{','.join(map(str, members))}}},{x})"
 
 
 def dump_structure(s: Structure) -> str:
-    lines = [f"n={s.n}"]
     if isinstance(s, PartStructure):
-        pairs = sorted((x, y) for y, d in enumerate(s.down) for x in iter_bits(d))
-        body = " ".join(f"({x},{y})" for (x, y) in pairs)
-        lines.append(f"part: {body}".rstrip())
+        pairs = [f"({x},{y})" for x in range(s.n) for y, d in enumerate(s.down) if d >> x & 1]
     else:
-        pairs = sorted((p, x) for p, row in enumerate(s.rows) for x in iter_bits(row))
-        toks = []
-        for (p, x) in pairs:
-            inner = ",".join(str(i) for i in iter_bits(p))
-            toks.append(f"({{{inner}}},{x})")
-        lines.append(("fusion: " + " ".join(toks)).rstrip())
-    return "\n".join(lines) + "\n"
+        pairs = [_fusion_pair(iter_bits(p), x) for p, r in enumerate(s.rows) for x in iter_bits(r)]
+    return " ".join([f"n={s.n}\n{kind_of(s)}:", *pairs]) + "\n"
 
 
 def summarize(s: Structure) -> str:
@@ -374,26 +374,16 @@ def load_structure(text: str) -> Structure:
     _check_size(len(digits))  # a lower bound of n, checked before int() reads it
     n = int(digits)
     _check_size(n)  # every literal is evaluated; refused before a row is allocated
-    if len(toks) < 2 or toks[1] not in ("part:", "fusion:"):
+    if len(toks) < 2 or toks[1] not in _PAIRS:
         raise StructureFormatError("expected 'part:' or 'fusion:' after header")
-    body = toks[2:]
+    pattern, first, cls = _PAIRS[toks[1]]
     try:
-        if toks[1] == "part:":
-            pairs = []
-            for t in body:
-                m = _PART_PAIR.match(t)
-                if not m:
-                    raise StructureFormatError(f"bad part pair {t!r}")
-                pairs.append((int(m.group(1)), int(m.group(2))))
-            return PartStructure.from_pairs(n, pairs)
-        pairs = []
-        for t in body:
-            m = _FUSION_PAIR.match(t)
+        pairs = []  # every token read before from_pairs checks a range
+        for t in toks[2:]:
+            m = pattern.match(t)
             if not m:
-                raise StructureFormatError(f"bad fusion pair {t!r}")
-            inner = m.group(1)
-            members = [int(u) for u in inner.split(",")] if inner else []
-            pairs.append((frozenset(members), int(m.group(2))))
-        return FusionStructure.from_pairs(n, pairs)
+                raise StructureFormatError(f"bad {toks[1][:-1]} pair {t!r}")
+            pairs.append((first(m.group(1)), int(m.group(2))))
+        return cls.from_pairs(n, pairs)
     except ValueError as e:
         raise StructureFormatError(str(e)) from None

@@ -196,26 +196,32 @@ def free_vars(node) -> tuple:
     return node._derived("_free", _free_vars)
 
 
-def _free_vars(node) -> tuple:
+def _free_vars(root) -> tuple:
+    """Cache the free variables of root and of every node below it, each node
+    after its children, from a stack: a long chain costs no recursion."""
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:  # its children's are cached
+            node._derived("_free", _own_free)
+        elif getattr(node, "_free", None) is None:
+            stack.append((node, True))
+            stack += [(x, False) for x in node._values() if isinstance(x, _Derived)]
+    return root._free
+
+
+def _own_free(node) -> tuple:
     if isinstance(node, PVar):
         return frozenset(), frozenset([node.name])
-    if isinstance(node, QUANTIFIERS):
+    if isinstance(node, QUANTIFIERS):  # its bound lies outside its scope
         iv, pv = free_vars(node.body)
-        if isinstance(node, INDIVIDUAL):
-            iv = iv - {node.var}
-        else:
-            pv = pv - {node.var}
-        if node.bound is not None:
-            bi, bp = free_vars(node.bound)
-            iv, pv = iv | bi, pv | bp
-        return iv, pv
+        iv, pv = (iv - {node.var}, pv) if isinstance(node, INDIVIDUAL) else (iv, pv - {node.var})
+        bi, bp = (frozenset(),) * 2 if node.bound is None else free_vars(node.bound)
+        return iv | bi, pv | bp
     iv = pv = frozenset()
-    for x in node._values():
-        if isinstance(x, str):
-            iv |= {x}
-        else:
-            xi, xp = free_vars(x)
-            iv, pv = iv | xi, pv | xp
+    for x in node._values():  # individual variables and subterms or subformulas
+        xi, xp = (frozenset([x]), frozenset()) if isinstance(x, str) else free_vars(x)
+        iv, pv = iv | xi, pv | xp
     return iv, pv
 
 

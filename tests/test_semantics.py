@@ -632,6 +632,17 @@ def test_deep_nests_match_reference(chained):
     _assert_matches_reference(parse("forall x . x in " + " + ".join(["I(x)"] * 250)), structures)
 
 
+@pytest.mark.parametrize("operands", [400, 1000])
+def test_long_lifted_chains_match_their_two_operand_form(operands):
+    # repeating the operands of "or" changes nothing; free variables and the
+    # test of what lifts bit-parallel walk the chain without recursion
+    chain, pair = (parse("forall x . forall y . " + " or ".join(["P(x, y)", "O(y, x)"] * k))
+                   for k in (operands // 2, 1))
+    for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
+        ev = Evaluator(s)
+        assert ev.eval(chain) == ev.eval(pair) == (s.n == 1)
+
+
 def test_generated_source_is_registered_for_tracebacks():
     f = gem_p().get("trans_P").sentence
     fn = semantics.compiled(f)[0]

@@ -107,6 +107,28 @@ def test_literal_and_code_round_trips():
                 assert code_of(structure_from_code(kind, n, code)) == code
 
 
+def _sorted_literal(s):
+    """The literal of ``s`` rendered from its pairs sorted here, the order
+    ``dump_structure`` writes without sorting."""
+    if isinstance(s, PartStructure):
+        toks = ["part:"] + [f"({x},{y})" for x, y in sorted(part_pairs(s))]
+    else:
+        pairs = sorted((sum(1 << i for i in zz), x) for zz, x in fusion_pairs(s))
+        toks = ["fusion:"] + ["({%s},%d)" % (",".join(str(i) for i in range(s.n) if p >> i & 1), x)
+                              for p, x in pairs]
+    return f"n={s.n}\n" + " ".join(toks) + "\n"
+
+
+def test_literals_list_pairs_in_sorted_order():
+    cases = [s for kind, top in (("part", 3), ("fusion", 2))
+             for n in range(top + 1) for s in all_structures(kind, n)]
+    rng = random.Random(30)
+    cases += [random_structure(kind, n, rng) for kind, n in (("part", 4), ("part", 5), ("fusion", 3))
+              for _ in range(300)]
+    for s in cases:
+        assert dump_structure(s) == _sorted_literal(s)
+
+
 def test_induced_part_examples():
     fs = FusionStructure.from_pairs(1, [({0}, 0)])
     assert induced_part(fs) == PartStructure.from_pairs(1, {(0, 0)})
@@ -233,6 +255,15 @@ def test_file_format_round_trip():
         assert load_structure(dump_structure(s)) == s
 
 
+@pytest.mark.parametrize("text, literal", [
+    # repeated members and pairs, in any order, read back once
+    ("n=2\nfusion: ({1,1,0},1) ({},0)", "n=2\nfusion: ({},0) ({0,1},1)\n"),
+    ("n=3 part: (2,1) (0,0) (2,1) (1,2)", "n=3\npart: (0,0) (1,2) (2,1)\n"),
+])
+def test_literals_are_written_in_one_order(text, literal):
+    assert dump_structure(load_structure(text)) == literal
+
+
 def test_file_format_errors():
     with pytest.raises(StructureFormatError):
         load_structure("part: (0,0)")
@@ -259,6 +290,9 @@ def test_file_format_errors():
     ("n=00\npart:", "bad domain size '00'"),
     ("n=2\npart: (01,0)", "bad part pair '(01,0)'"),
     ("n=2\nfusion: ({01},0)", "bad fusion pair '({01},0)'"),
+    # every token is read before any pair's range is checked
+    ("n=2\npart: (0,5) (x)", "bad part pair '(x)'"),
+    ("n=2\nfusion: ({7},0) ({0},0", "bad fusion pair '({0},0'"),
 ])
 def test_file_format_error_messages(text, message):
     with pytest.raises(StructureFormatError) as e:
