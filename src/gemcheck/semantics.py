@@ -14,10 +14,11 @@ through ``compile()`` and kept in ``linecache``.  It reads the free
 variables and the context's tables into locals at entry; bound variables
 are locals, atoms are inline bit expressions, connectives are if/else
 statements that evaluate only the operands they need, and a decided
-quantifier returns at once.  Plural values are bitmasks.  The assignment
-space is never materialized.  The plan behind the code reads only the
-formula, block by block of like quantifiers (a run of universal, or
-existential):
+quantifier returns at once.  A chain of one connective nests left, as both
+the parser and the planner build it, and every pass walks it in a loop.
+Plural values are bitmasks.  The assignment space is never materialized.
+The plan behind the code reads only the formula, block by block of like
+quantifiers (a run of universal, or existential):
 
 * A universal body ``A1 and ... and Am -> C`` (an existential body
   ``A1 and ... and Am``) is split into guards ``Ai``, and each guard is
@@ -63,6 +64,7 @@ structure, is kept on it and is safe for concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import linecache
 import weakref
@@ -229,17 +231,19 @@ def _guarded_domain(q, guards, lifted=None) -> tuple:
 # ---------------------------------------------------------------------------
 # the planner: what a block of like quantifiers loops over, in which order
 
-def _conjuncts(f: Formula) -> list:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
+def _operands(f: Formula, kind) -> list:
+    """The operands of the left-nested chain of ``kind`` at ``f`` in written
+    order, ``[a, b, c]`` for ``(a or b) or c``; ``[f]`` if ``f`` is no ``kind``.
+    A negation has no second operand: ``not not a`` gives ``[a, None, None]``."""
+    rights = []
+    while type(f) is kind:
+        rights.append(getattr(f, "right", None))
+        f = f._values()[0]
+    return [f] + rights[::-1]
 
 
 def _conj(fs: list) -> Formula:
-    out = fs[-1]
-    for g in reversed(fs[:-1]):
-        out = And(g, out)
-    return out
+    return functools.reduce(And, fs)  # nested left, as the parser nests
 
 
 def _guards(body: Formula, universal: bool) -> tuple:
@@ -250,10 +254,10 @@ def _guards(body: Formula, universal: bool) -> tuple:
     guards ``Ai`` and no conclusion.
     """
     if not universal:
-        return _conjuncts(body), None
+        return _operands(body, And), None
     guards = []
     while isinstance(body, Implies):
-        guards += _conjuncts(body.left)
+        guards += _operands(body.left, And)
         body = body.right
     return guards, body
 
@@ -300,14 +304,8 @@ def _lifts(f: Formula, v: str) -> bool:
             return a != b
         case FusionAtom(t, _) | Member(_, t):
             return v not in _names(t)
-        case Not(g):
-            return _lifts(g, v)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            while not _lifts(b, v):  # down f's left-nested chain, without recursion
-                if type(a) is not type(f):
-                    return _lifts(a, v)
-                a, b = a._values()
-            return True
+        case Not() | And() | Or() | Implies() | Iff():
+            return any(_lifts(g, v) for g in _operands(f, type(f)) if g is not None)
         case ForallI() | ExistsI() | ForallP() | ExistsP():
             plan = _lifted_quantifier(f, v)
             return plan is not None and _lifts(plan[1], v)
@@ -395,6 +393,7 @@ _COMPOUND = (Not, And, Or, Implies, Iff) + QUANTIFIERS  # every formula but an a
 _SOURCES = itertools.count()
 
 
+_DECIDES = {And: ("not {}", False), Or: ("{}", True), Implies: ("not {}", True)}
 _MASK_CONNECTIVES = {  # (head, tail) around narrowing {c} by the first operand; B: the second
     Not: ("{s} = {c}", "{c} = {s} & ~{c}"),
     And: ("", "if {c}:\n    B"),
@@ -525,18 +524,21 @@ class _Source:
         if self.split(sorted(scope.values()), out, lambda: self.bool(f, scope, None)):
             return
         match f:
-            case Not(g):
-                self.put(out, f"not {self.cond(g, scope)}")
-            case Iff(a, b):
-                self.put(out, f"{self.cond(a, scope)} == {self.cond(b, scope)}")
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                # the test of a's value that decides f, and f's value then
-                test, value = {And: ("not {}", False), Or: ("{}", True),
-                               Implies: ("not {}", True)}[type(f)]
-                self.emit("if {test}:\n    PUT\nelse:\n    REST",
-                          test=test.format(self.cond(a, scope)),
-                          PUT=lambda: self.put(out, value),
-                          REST=lambda: self.bool(b, scope, out))
+            case Not() | And() | Or() | Implies() | Iff():
+                # one level at a time, each to a local the next reads, the last to out
+                first, *rest = _operands(f, type(f))
+                value = self.cond(first, scope)
+                for k, b in enumerate(rest, 1):
+                    to = out if k == len(rest) else self.fresh("t")
+                    if type(f) not in _DECIDES:  # a negation, or an equivalence
+                        self.put(to, f"not {value}" if b is None
+                                 else f"{value} == {self.cond(b, scope)}")
+                    else:  # the test deciding the level from value, and its value then
+                        test, decided = _DECIDES[type(f)]
+                        self.emit("if {test}:\n    PUT\nelse:\n    REST", test=test.format(value),
+                                  PUT=lambda: self.put(to, decided),
+                                  REST=lambda: self.bool(b, scope, to))
+                    value = to
             case _:
                 self.block(f, scope, out)
 
@@ -635,18 +637,16 @@ class _Source:
                 self.line(f"{cand} &= {self.use('frow')}[{self.term(t, scope)}]")
             case Member(_, t):
                 self.line(f"{cand} &= {self.term(t, scope)}")
-            case Not(a) | And(a, _) | Or(a, _) | Implies(a, _) | Iff(a, _):
-                chain = [f]  # f's left-nested chain that side() would mask, without recursion
-                while type(a) is type(f) and v in free_vars(a)[0] and _lifts(a, v):
-                    chain.append(a)
-                    a = a._values()[0]
+            case Not() | And() | Or() | Implies() | Iff():
+                # the heads outermost first, the first operand, the tails innermost first
+                first, *rest = _operands(f, type(f))
                 head, tail = _MASK_CONNECTIVES[type(f)]
-                parts = [{"c": cand, "s": self.fresh("c"), "t": self.fresh("c")} for _ in chain]
+                parts = [{"c": cand, "s": self.fresh("c"), "t": self.fresh("c")} for _ in rest]
                 for names in parts:
                     self.emit(head, **names)
-                self.side(a, v, scope, cand)
-                for g, names in zip(reversed(chain), reversed(parts)):
-                    self.emit(tail, **names, B=lambda g=g: self.side(g.right, v, scope, cand))
+                self.side(first, v, scope, cand)
+                for b, names in zip(rest, reversed(parts)):
+                    self.emit(tail, **names, B=lambda b=b: self.side(b, v, scope, cand))
             case _:
                 push, body = _lifted_quantifier(f, v)
                 w = self.fresh("v")

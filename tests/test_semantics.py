@@ -319,6 +319,14 @@ def _plural_guard(rng):
     return TermEq(var, t) if rng.random() < 0.5 else TermEq(t, var)
 
 
+def _right_conj(fs):
+    """``f1 and (f2 and (... and fm))``, nested right."""
+    out = fs[-1]
+    for g in reversed(fs[:-1]):
+        out = And(g, out)
+    return out
+
+
 def _random_block(rng, depth=1):
     """A block of like quantifiers over guards, the shape the planner splits.
 
@@ -328,17 +336,22 @@ def _random_block(rng, depth=1):
     guards are plural guards, and the last part may be a nested block,
     which a bit-parallel variable of this one can reach.
     """
-    universal = rng.random() < 0.5
+    draw = rng.random()
+    universal = draw < 0.5
     parts = [_plural_guard(rng) if rng.random() < 0.3
              else random_formula(rng, rng.randrange(2))
              for _ in range(rng.randrange(1, 5))]
     if depth and rng.random() < 0.3:
         parts[-1] = _random_block(rng, depth - 1)
     guards, body = parts[:-1], parts[-1]
+    # conjunctions nest left, as parsed, or right, which the planner keeps
+    # as one guard; a second bit of the first draw chooses, so that the
+    # random stream, and every input drawn from it, stays as it was
+    conj = semantics._conj if draw * 4 % 2 < 1 else _right_conj
     if universal and guards:
-        body = Implies(semantics._conj(guards), body)
+        body = Implies(conj(guards), body)
     elif guards:
-        body = semantics._conj(parts)
+        body = conj(parts)
     for _ in range(rng.randrange(1, 5)):
         plural = rng.random() < 0.4
         var = rng.choice(PVARS[:3] if plural else IVARS[:3])
@@ -605,7 +618,7 @@ def test_deep_nests_match_reference(chained):
     structures = [s for s in _hazard_structures(rng) if chained or s.n <= 1]
     structures += [PartStructure.from_pairs(1, [(0, 0)]), canonical_gem(2)] if chained else []
     _assert_matches_reference(f, structures)
-    wide = semantics._conj([_alternating(3, False)] * 40)  # 40 nested ifs
+    wide = _right_conj([_alternating(3, False)] * 40)  # 40 nested ifs
     _assert_matches_reference(wide, structures)
     # one block of 24 loops, each over the singleton of the one before
     block = parse("forall y0 . " + " . ".join(f"forall y{i} in I(y{i - 1})" for i in range(1, 24))
@@ -634,13 +647,38 @@ def test_deep_nests_match_reference(chained):
 
 @pytest.mark.parametrize("operands", [400, 1000])
 def test_long_lifted_chains_match_their_two_operand_form(operands):
-    # repeating the operands of "or" changes nothing; free variables and the
-    # test of what lifts bit-parallel walk the chain without recursion
-    chain, pair = (parse("forall x . forall y . " + " or ".join(["P(x, y)", "O(y, x)"] * k))
-                   for k in (operands // 2, 1))
-    for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
-        ev = Evaluator(s)
-        assert ev.eval(chain) == ev.eval(pair) == (s.n == 1)
+    # repeating the operands of "or", of "and" or of the guards changes
+    # nothing (nor of "<->" here, where both operands are true); every pass
+    # of the compiler walks a chain without recursion, lifted bit-parallel
+    # or not, in evaluation and in the witness search alike
+    shapes = [  # (prefix, connective, operands, conclusion)
+        ("forall x . forall y . ", " or ", ["P(x, x)", "O(x, x)"], ""),
+        ("forall x . forall y . ", " or ", ["P(x, y)", "O(y, x)"], ""),
+        ("forall x . forall y . ", " and ", ["P(x, y)", "O(y, x)"], " -> P(x, x)"),
+        ("exists x . exists y . ", " and ", ["P(x, y)", "O(y, x)"], ""),
+        ("forall x . forall y . ", " <-> ", ["P(x, x)", "O(x, x)"], ""),
+    ]
+    witnesses = []
+    for prefix, op, pair, conclusion in shapes:
+        chain, two = (parse(prefix + op.join(pair * k) + conclusion)
+                      for k in (operands // 2, 1))
+        for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
+            ev = Evaluator(s)
+            assert ev.eval(chain) == ev.eval(two), (op, pair, s)
+            witnesses.append(ev.find_witness(chain))
+            assert witnesses[-1] == ev.find_witness(two), (op, pair, s)
+    # only the lifted "or" chain is false, on the canonical model at x = 0, y = 1
+    assert [w for w in witnesses if w is not None] == [Assignment({"x": 0, "y": 1})]
+    # an even number of negations changes nothing either; built as nodes,
+    # since the parser reads fewer than 1 000
+    for two in (parse("forall x . forall y . P(x, x)"), parse("forall x . forall y . P(x, y)")):
+        body = two.body.body
+        for _ in range(operands):
+            body = Not(body)
+        chain = ForallI("x", ForallI("y", body))
+        for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
+            ev = Evaluator(s)
+            assert (ev.eval(chain), ev.find_witness(chain)) == (ev.eval(two), ev.find_witness(two))
 
 
 def test_generated_source_is_registered_for_tracebacks():
