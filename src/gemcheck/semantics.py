@@ -247,19 +247,18 @@ def _conj(fs: list) -> Formula:
 
 
 def _guards(body: Formula, universal: bool) -> tuple:
-    """(guards, conclusion) of a quantifier body.
-
-    A universal body ``A1 and ... and Am -> C`` gives guards ``Ai`` and
-    conclusion ``C``; an existential body ``A1 and ... and Am`` gives
-    guards ``Ai`` and no conclusion.
-    """
-    if not universal:
-        return _operands(body, And), None
-    guards = []
-    while isinstance(body, Implies):
-        guards += _operands(body.left, And)
-        body = body.right
-    return guards, body
+    """(guards, conclusion) of a quantifier body: a universal body
+    ``A1 and ... and Am -> C`` gives guards ``Ai`` and conclusion ``C``, an
+    existential body ``A1 and ... and Am`` guards ``Ai`` and no conclusion,
+    in written order whether each conjunction nests left or right."""
+    guards, todo = [], [] if universal else [body]
+    while universal and isinstance(body, Implies):
+        todo, body = [body.left] + todo, body.right
+    while todo:  # a popped conjunction's first operand is no conjunction
+        g, *rest = _operands(todo.pop(), And)
+        guards.append(g)
+        todo += rest[::-1]
+    return guards, body if universal else None
 
 
 def _guarded(guards: list, concl) -> Formula:

@@ -655,19 +655,21 @@ def test_long_lifted_chains_match_their_two_operand_form(operands):
         ("forall x . forall y . ", " or ", ["P(x, x)", "O(x, x)"], ""),
         ("forall x . forall y . ", " or ", ["P(x, y)", "O(y, x)"], ""),
         ("forall x . forall y . ", " and ", ["P(x, y)", "O(y, x)"], " -> P(x, x)"),
-        ("exists x . exists y . ", " and ", ["P(x, y)", "O(y, x)"], ""),
+        ("forall z . exists x . exists y . ", " and ", ["P(x, y)", "O(y, x)"], ""),
         ("forall x . forall y . ", " <-> ", ["P(x, x)", "O(x, x)"], ""),
     ]
-    witnesses = []
+    verdicts, witnesses = [], []
     for prefix, op, pair, conclusion in shapes:
         chain, two = (parse(prefix + op.join(pair * k) + conclusion)
                       for k in (operands // 2, 1))
         for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
             ev = Evaluator(s)
-            assert ev.eval(chain) == ev.eval(two), (op, pair, s)
+            verdicts.append(ev.eval(chain))
+            assert verdicts[-1] == ev.eval(two), (op, pair, s)
             witnesses.append(ev.find_witness(chain))
             assert witnesses[-1] == ev.find_witness(two), (op, pair, s)
     # only the lifted "or" chain is false, on the canonical model at x = 0, y = 1
+    assert verdicts == [True, True, False] + [True] * 7
     assert [w for w in witnesses if w is not None] == [Assignment({"x": 0, "y": 1})]
     # an even number of negations changes nothing either; built as nodes,
     # since the parser reads fewer than 1 000
@@ -679,6 +681,27 @@ def test_long_lifted_chains_match_their_two_operand_form(operands):
         for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
             ev = Evaluator(s)
             assert (ev.eval(chain), ev.find_witness(chain)) == (ev.eval(two), ev.find_witness(two))
+
+
+@pytest.mark.parametrize("right, left", [
+    ("forall x . forall y . forall YY . P(x, y) and (F(YY, x) and P(y, x)) -> O(x, y)",
+     "forall x . forall y . forall YY . P(x, y) and F(YY, x) and P(y, x) -> O(x, y)"),
+    ("forall x . forall y . exists YY . P(x, y) and (YY eq I(x) and P(y, x))",
+     "forall x . forall y . exists YY . P(x, y) and YY eq I(x) and P(y, x)"),
+    ("forall x . forall y . forall YY . P(x, y) and (YY eq I(x) and (P(y, x) and O(x, x)))"
+     " -> O(x, y)",
+     "forall x . forall y . forall YY . P(x, y) and YY eq I(x) and P(y, x) and O(x, x) -> O(x, y)"),
+])
+def test_guards_nested_right_are_planned_as_nested_left(right, left):
+    # parentheses hide no guard from the planner: the plural ranges over
+    # fpre(x) or the one value of I(x), never over all 2^n masks
+    sources = []
+    for f in (parse(right), parse(left)):
+        code = semantics.compiled(f)[0].__code__
+        sources.append("".join(linecache.getlines(code.co_filename)))
+    assert sources[0] == sources[1]
+    assert "range(1 << n)" not in sources[0]
+    _assert_matches_reference(parse(right), [canonical_gem(2), canonical_gem(3)])
 
 
 def test_generated_source_is_registered_for_tracebacks():
