@@ -9,11 +9,14 @@ convention, which is ambiguous to tokenize).  Concrete syntax is ASCII:
     exists VV sub U(ZZ) . (F(VV, x) and (exists z . z in VV))
 
 Plural terms are built from plural variables, singletons ``I(x)``, unions
-``+``, intersections ``&``, and the components former ``U(T)``.  Atoms are
-``F(T, x)``, ``P(x, y)``, ``PP(x, y)``, ``O(x, y)``, ``x = y``, ``x in T``,
-``T sub S`` and ``T eq S``.  Connective precedence, loosest to tightest:
-``<->``, ``->`` (right associative), ``or``, ``and``, ``not``; quantifier
-bodies extend as far right as possible.  Restricted quantifiers
+``+``, intersections ``&`` (tighter than ``+``), and the components former
+``U(T)``.  Atoms are ``F(T, x)``, ``P(x, y)``, ``PP(x, y)``, ``O(x, y)``,
+``x = y``, ``x in T``, ``T sub S`` and ``T eq S``.  Connective precedence,
+loosest to tightest: ``<->``, ``->`` (right associative; every other
+operator groups to the left), ``or``, ``and``, ``not``; quantifier bodies
+extend as far right as possible.  The parser and the printer read these
+precedences, and the words of the operators and one-word atoms, from one
+table per sort of operator and one for the atoms.  Restricted quantifiers
 (``forall x in T``, ``exists XX sub T``) are kept as sugar nodes in the
 AST; the evaluator treats them as their guarded expansions.
 
@@ -38,8 +41,7 @@ RESERVED = {"forall", "exists", "not", "and", "or", "in", "sub", "eq",
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
-        self.line = line
-        self.col = col
+        self.msg, self.line, self.col = msg, line, col
 
 
 class SortError(ParseError):
@@ -264,7 +266,24 @@ def _is_pvar(word: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parser (recursive descent following the module grammar)
+# the words of operators and one-word atoms, read by the parser and the printer
+
+# binary operators of each sort: word -> (node class, precedence, right
+# associative); a higher precedence binds tighter
+_FORMULA_OPS = {"<->": (Iff, 1, False), "->": (Implies, 2, True),
+                "or": (Or, 3, False), "and": (And, 4, False)}
+_TERM_OPS = {"+": (PUnion, 1, False), "&": (PInter, 2, False)}
+_NOT = 5  # "not" binds tighter than every binary connective
+
+# one-word atoms: word -> node class; the relations stand between two
+# plural terms, the others go before two individuals in parentheses
+_ATOMS = {"P": PartAtom, "PP": ProperPartAtom, "O": OverlapAtom,
+          "sub": SubTerm, "eq": TermEq}
+_RELATIONS = (SubTerm, TermEq)
+
+
+# ---------------------------------------------------------------------------
+# parser: recursive descent, binary operators by precedence climbing
 
 class _Parser:
     def __init__(self, text: str):
@@ -289,9 +308,18 @@ class _Parser:
         _, line, col = self.toks[self.pos]
         raise (SortError if sort else ParseError)(msg, line, col)
 
-    # formula := iff   (a quantifier is an atom whose body extends rightward)
+    # a quantifier is an atom whose body extends rightward
     def formula(self) -> Formula:
-        return self.iff()
+        return self.binary(_FORMULA_OPS, self.not_)
+
+    def binary(self, ops: dict, operand, min_prec: int = 1):
+        """Operands joined by the words of ``ops`` that bind at ``min_prec``
+        or tighter, grouped by their precedence and associativity."""
+        f = operand()
+        while (op := ops.get(self.peek())) and op[1] >= min_prec:
+            self.next()
+            f = op[0](f, self.binary(ops, operand, op[1] + (not op[2])))
+        return f
 
     def quant(self) -> Formula:
         kw = self.next()
@@ -316,32 +344,6 @@ class _Parser:
             return (ForallI if kw == "forall" else ExistsI)(var, body, bound)
         return (ForallP if kw == "forall" else ExistsP)(var, body, bound)
 
-    def _chain(self, op: str, cls, operand):
-        """``operand {op operand}``, grouped to the left into ``cls`` nodes."""
-        f = operand()
-        while self.peek() == op:
-            self.next()
-            f = cls(f, operand())
-        return f
-
-    # iff := imp {"<->" imp}
-    def iff(self) -> Formula:
-        return self._chain("<->", Iff, self.imp)
-
-    # imp := or ["->" imp]   (right associative)
-    def imp(self) -> Formula:
-        f = self.or_()
-        if self.peek() == "->":
-            self.next()
-            return Implies(f, self.imp())
-        return f
-
-    def or_(self) -> Formula:
-        return self._chain("or", Or, self.and_)
-
-    def and_(self) -> Formula:
-        return self._chain("and", And, self.not_)
-
     def not_(self) -> Formula:
         if self.peek() == "not":
             self.next()
@@ -362,7 +364,8 @@ class _Parser:
             # "(" opens either a subformula or a plural term heading an
             # atom like "(XX + YY) & ZZ sub XX"; the token after the
             # matching ")" tells which
-            if self._after_group() in ("sub", "eq", "+", "&"):
+            after = self._after_group()
+            if after in _TERM_OPS or _ATOMS.get(after) in _RELATIONS:
                 return self._pterm_atom()
             self.next()
             f = self.formula()
@@ -370,10 +373,11 @@ class _Parser:
             return f
         if w in ("forall", "exists"):
             return self.quant()
-        if w in ("F", "P", "PP", "O"):
-            pred = self.next()
+        cls = _ATOMS.get(w)
+        if w == "F" or cls and cls not in _RELATIONS:
+            self.next()
             self.expect("(")
-            if pred == "F":
+            if w == "F":
                 t = self.pterm()
                 self.expect(",")
                 v = self.ivar()
@@ -383,7 +387,6 @@ class _Parser:
             self.expect(",")
             b = self.ivar()
             self.expect(")")
-            cls = {"P": PartAtom, "PP": ProperPartAtom, "O": OverlapAtom}[pred]
             return cls(a, b)
         if _is_ivar(w):
             v = self.next()
@@ -394,7 +397,7 @@ class _Parser:
             if op == "in":
                 self.next()
                 return Member(v, self.pterm())
-            if op in ("sub", "eq"):
+            if _ATOMS.get(op) in _RELATIONS:
                 self.fail(f"{op!r} relates plural terms; {v!r} is individual", sort=True)
             self.fail(f"expected '=' or 'in' after individual variable {v!r}")
         if _is_pvar(w) or w in ("I", "U"):
@@ -414,22 +417,15 @@ class _Parser:
     def _pterm_atom(self) -> Formula:
         t = self.pterm()
         op = self.peek()
-        if op == "sub":
+        if _ATOMS.get(op) in _RELATIONS:
             self.next()
-            return SubTerm(t, self.pterm())
-        if op == "eq":
-            self.next()
-            return TermEq(t, self.pterm())
+            return _ATOMS[op](t, self.pterm())
         if op in ("=", "in"):
             self.fail(f"{op!r} applies to individuals; left side is a plural term", sort=True)
         self.fail("expected 'sub' or 'eq' after a plural term")
 
-    # pterm := pint {"+" pint} ; pint := patom {"&" patom}
     def pterm(self) -> PluralTerm:
-        return self._chain("+", PUnion, self.pint)
-
-    def pint(self) -> PluralTerm:
-        return self._chain("&", PInter, self.patom)
+        return self.binary(_TERM_OPS, self.patom)
 
     def patom(self) -> PluralTerm:
         w = self.peek()
@@ -459,7 +455,11 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:  # at the token reached
+        _, line, col = p.toks[p.pos]
+        raise ParseError("formula nested too deeply", line, col) from None
     if p.peek() != "<eof>":
         p.fail(f"trailing input {p.peek()!r}")
     return f
@@ -468,52 +468,34 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # printer; parse(print(f)) is structurally f, parentheses only where needed
 
-_IFF, _IMP, _OR, _AND, _NOT = 1, 2, 3, 4, 5
+# the word tables looked up by node class
+_WORD = {cls: word for word, cls in _ATOMS.items()}
+_BINARY = {cls: (word, prec, right)
+           for word, (cls, prec, right) in (_FORMULA_OPS | _TERM_OPS).items()}
 
-# connective: (word, precedence, right associative)
-_BINARY = {And: ("and", _AND, False), Or: ("or", _OR, False),
-           Implies: ("->", _IMP, True), Iff: ("<->", _IFF, False)}
 
-
-def _pt(t: PluralTerm, prec: int) -> str:
-    match t:
+def _pr(f, prec: int) -> str:
+    """A formula or plural term, in parentheses if it binds looser than prec."""
+    match f:
         case PVar(name):
             return name
         case Singleton(v):
             return f"I({v})"
         case Components(s):
-            return f"U({_pt(s, 0)})"
-        case PUnion(a, b):
-            s = f"{_pt(a, 1)} + {_pt(b, 2)}"
-            return f"({s})" if prec > 1 else s
-        case PInter(a, b):
-            s = f"{_pt(a, 2)} & {_pt(b, 3)}"
-            return f"({s})" if prec > 2 else s
-    raise TypeError(t)
-
-
-def _pr(f: Formula, prec: int) -> str:
-    match f:
+            return f"U({_pr(s, 0)})"
         case Eq(a, b):
             return f"{a} = {b}"
         case Member(v, t):
-            return f"{v} in {_pt(t, 0)}"
-        case SubTerm(a, b):
-            return f"{_pt(a, 0)} sub {_pt(b, 0)}"
-        case TermEq(a, b):
-            return f"{_pt(a, 0)} eq {_pt(b, 0)}"
+            return f"{v} in {_pr(t, 0)}"
         case FusionAtom(t, v):
-            return f"F({_pt(t, 0)}, {v})"
-        case PartAtom(a, b):
-            return f"P({a}, {b})"
-        case ProperPartAtom(a, b):
-            return f"PP({a}, {b})"
-        case OverlapAtom(a, b):
-            return f"O({a}, {b})"
-        case Not(g):
-            s = f"not {_pr(g, _NOT)}"
-            return f"({s})" if prec > _NOT else s
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return f"F({_pr(t, 0)}, {v})"
+        case PartAtom(a, b) | ProperPartAtom(a, b) | OverlapAtom(a, b):
+            return f"{_WORD[type(f)]}({a}, {b})"
+        case SubTerm(a, b) | TermEq(a, b):
+            return f"{_pr(a, 0)} {_WORD[type(f)]} {_pr(b, 0)}"
+        case Not(g):  # nothing binds tighter, so never in parentheses
+            return f"not {_pr(g, _NOT)}"
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | PUnion(a, b) | PInter(a, b):
             word, p, right = _BINARY[type(f)]
             s = f"{_pr(a, p + right)} {word} {_pr(b, p + (not right))}"
             return f"({s})" if prec > p else s
@@ -523,7 +505,7 @@ def _pr(f: Formula, prec: int) -> str:
             restr = ""
             if bound is not None:
                 rel = "in" if isinstance(f, INDIVIDUAL) else "sub"
-                restr = f" {rel} {_pt(bound, 0)}"
+                restr = f" {rel} {_pr(bound, 0)}"
             s = f"{kw} {v}{restr} . {_pr(body, 0)}"
             return f"({s})" if prec > 0 else s
     raise TypeError(f)

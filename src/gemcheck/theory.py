@@ -33,7 +33,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .structures import _Derived
-from .syntax import NamedFormula, is_closed, parse
+from .syntax import NamedFormula, ParseError, is_closed, parse
 
 
 class UnknownNameError(KeyError):
@@ -152,8 +152,14 @@ def parse_theory_text(name: str, text: str) -> Theory:
         if ":" not in line:
             raise ValueError(f"{name}:{lineno}: expected 'name : formula [; anchor]'")
         key, _, body = line.partition(":")
-        obligations.append(NamedFormula(key.strip(), _sentence(body.strip()),
-                                        tag.strip() or "file", side))
+        try:
+            sentence = _sentence(body.strip())
+        except ParseError as e:  # at its place in the file: past the ':' and its spaces
+            col = raw.index(":") + 1 + len(body) - len(body.lstrip()) + e.col
+            err = type(e)(e.msg, lineno, col)
+            err.args = (f"{name}:{err}",)
+            raise err from None
+        obligations.append(NamedFormula(key.strip(), sentence, tag.strip() or "file", side))
     return Theory(name, tuple(obligations))
 
 

@@ -464,21 +464,26 @@ def fusion_ext_theory():
     return Theory("ext", tuple(gem_f().get(name) for name in ("id_F", "exists_F", "ext_F")))
 
 
-@pytest.mark.parametrize("theory,counts", [(gem_f, [1, 1, 0, 3, 0]),
-                                           (fusion_ext_theory, [1, 2, 4, 15, 112])],
+# the orbits of {id_F, exists_F, ext_F} at fusion n >= 1 number L(n+1) + L(n),
+# L(m) counting the unlabeled lattices on m elements: 1, 1, 1, 2, 5 for
+# m = 1..5 (OEIS A006966; Heitzig & Reinhold 2002)
+@pytest.mark.parametrize("theory,counts,orbits", [(gem_f, [1, 1, 0, 3, 0], [1, 1, 0, 1, 0]),
+                                                  (fusion_ext_theory, [1, 2, 4, 15, 112],
+                                                   [1, 2, 2, 3, 7])],
                          ids=["gem_f", "ext"])
-def test_single_element_rows_match_the_plain_row_search(theory, counts):
+def test_single_element_rows_match_the_plain_row_search(theory, counts, orbits):
     # the baked, hoisted stream against the search over the unbaked rows,
     # every ext_F instance tested once its rows are assigned
     t = theory()
-    for n, count in enumerate(counts):
+    for n, (count, orbit_count) in enumerate(zip(counts, orbits)):
         allowed, natives, down_closed, rest = search._stream("fusion", n, t)
         # every nonempty plurality's row is exactly one element
         assert not rest and all(v and not v & (v - 1) for values in allowed[1:] for v in values)
         plain = plain_row_survivors(n, t)
         assert sorted(search._scan_worker(("fusion", n, allowed, natives, down_closed)),
                       key=code_of) == plain
-        assert filter_models("fusion", n, t) == plain and len(plain) == count
+        models = filter_models("fusion", n, t)
+        assert models == plain and len(plain) == count and len(models.orbits) == orbit_count
 
 
 def test_filter_workers_match_serial(monkeypatch):

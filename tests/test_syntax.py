@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import random
@@ -10,9 +11,10 @@ import pytest
 import gemcheck
 from gemcheck import parse, print_formula, semantics
 from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
-                             ForallI, FusionAtom, Implies, Not, ParseError,
-                             PartAtom, PInter, PUnion, Singleton, SortError,
-                             SubTerm, PVar, _tokenize, free_vars)
+                             ForallI, FusionAtom, Iff, Implies, Not, Or,
+                             OverlapAtom, ParseError, PartAtom, PInter, PUnion,
+                             Singleton, SortError, SubTerm, PVar, _tokenize,
+                             free_vars)
 from gemcheck.theory import theory_by_name, theory_names
 
 from util import (random_formula, random_pterm, reference_free_vars,
@@ -97,6 +99,50 @@ def test_precedence():
     h = parse("XX + YY & ZZ sub XX")
     assert h == SubTerm(PUnion(PVar("XX"), PInter(PVar("YY"), PVar("ZZ"))),
                         PVar("XX"))
+
+
+# the module docstring's precedence lists, loosest to tightest, with each
+# word's node; only "->" groups to the right
+CONNECTIVES = [("<->", Iff), ("->", Implies), ("or", Or), ("and", And)]
+TERM_OPERATORS = [("+", PUnion), ("&", PInter)]
+RIGHT_ASSOCIATIVE = {"->"}
+# (text, tree) of three operands, and how a term becomes a formula
+SORTS = {"connectives": (CONNECTIVES, [("P(x, y)", PartAtom("x", "y")),
+                                       ("O(y, z)", OverlapAtom("y", "z")),
+                                       ("x = z", Eq("x", "z"))], "", lambda f: f),
+         "terms": (TERM_OPERATORS, [("XX", PVar("XX")), ("YY", PVar("YY")),
+                                    ("I(x)", Singleton("x"))],
+                   " sub WW", lambda t: SubTerm(t, PVar("WW")))}
+
+
+@pytest.mark.parametrize("sort, op1, op2", [
+    pytest.param(sort, op1, op2, id=f"{op1} {op2}")
+    for sort, (levels, *_) in SORTS.items()
+    for (op1, _), (op2, _) in itertools.product(levels, repeat=2)])
+def test_every_operator_pair_groups_as_documented(sort, op1, op2):
+    levels, operands, suffix, wrap = SORTS[sort]
+    (a, fa), (b, fb), (c, fc) = operands
+    words, node = [w for w, _ in levels], dict(levels)
+    first = node[op1](fa, node[op2](fb, fc))  # a op1 (b op2 c)
+    last = node[op2](node[op1](fa, fb), fc)  # (a op1 b) op2 c
+    tighter = words.index(op2) > words.index(op1)
+    documented = first if tighter or op1 == op2 and op1 in RIGHT_ASSOCIATIVE else last
+    text = f"{a} {op1} {b} {op2} {c}{suffix}"
+    assert parse(text) == wrap(documented)
+    assert print_formula(wrap(documented)) == text  # no parentheses added
+    for tree in (first, last):
+        assert parse(print_formula(wrap(tree))) == wrap(tree)
+    if sort == "connectives":  # not binds tighter than every connective
+        assert parse(f"not {a} {op1} {b}") == node[op1](Not(fa), fb)
+
+
+@pytest.mark.parametrize("prefix", ["(", "P(x, x) and ("])
+def test_deep_nesting_parses_and_too_deep_is_a_parse_error(prefix):
+    text = prefix * 150 + "x = y" + ")" * 150
+    f = parse(text)
+    assert parse(print_formula(f)) == f
+    with pytest.raises(ParseError, match="formula nested too deeply"):
+        parse(prefix * 3000 + "x = y" + ")" * 3000)
 
 
 def test_quantifier_scope_extends_right():

@@ -10,7 +10,7 @@ from gemcheck import (FusionStructure, PartStructure, canonical_gem, gem_f,
 from gemcheck import theory
 from gemcheck.export import emit_obligation
 from gemcheck.semantics import Evaluator
-from gemcheck.syntax import NamedFormula, parse, print_formula
+from gemcheck.syntax import NamedFormula, ParseError, SortError, parse, print_formula
 from gemcheck.theory import (COVERAGE, Theory, UnknownNameError, find_named,
                              theory_names)
 
@@ -207,3 +207,14 @@ def test_thy_sides_and_anchors():
         theory.parse_theory_text("user", "[gem_x]\n")
     with pytest.raises(ValueError, match="user:2"):
         theory.parse_theory_text("user", "\nno formula ; anchor\n")
+
+
+def test_thy_formula_errors_are_placed_in_the_file():
+    # the formula's error at its file line and column, under the theory's name
+    text = "# header\nok : forall x . P(x, x)\nbad : forall x . P(x,, x) ; anchor\n"
+    with pytest.raises(ParseError) as e:
+        theory.parse_theory_text("demo", text)
+    assert str(e.value) == "demo:3:22: individual variable expected, got ','"
+    assert (e.value.line, e.value.col) == (3, 22) and not isinstance(e.value, SortError)
+    with pytest.raises(SortError, match=r"^user:1:13: individual variable expected, got plural"):
+        theory.parse_theory_text("user", "\ta :\t  P(x, YY)\n")
