@@ -34,12 +34,21 @@ natively decided, each nonempty plurality's row is one element and row 0
 is empty or one element.  With UU empty and YY = {x}, ext_F says that a
 row holding x equals row {x}, which id_F and exists_F make {x}; so a
 candidate passing ext_F has no other rows.  This is the axioms' own
-clause instance, not a lemma, and single-element lists are unchanged by
-relabeling, so the survivors are still whole orbits.  As ext_F is
-symmetric in ZZ and YY, each clause is an unordered equality, filed once
-(ZZ < YY): if ZZ and YY share a fusion, row UU + ZZ equals row UU + YY.
-UU ranges over the submasks of the complement of ZZ & YY (its bits in
-both change neither union), skipping equal unions: (7^n - 5^n)/2.
+clause instance, not a lemma.  The rows also range over natural labelings
+only, as the poset rows below do: row 0 is empty or 0, and a row p of two
+or more members is one element x with ``x >= p.bit_length() - 1``, so the
+full row is n-1.  Every orbit of models has a member on these lists.  A
+candidate passing ext_F is a join-semilattice under derived parthood,
+F({x, y}, y), and f(p) lies above every member x of p (ext_F with UU =
+{x}, ZZ = p and YY = {f(p)}).  So in any linear extension of derived
+parthood f(p) gets a label of at least p's top bit, and f(full), the top,
+comes last.  Row 0 = {b} makes b a bottom (ext_F with ZZ empty, YY = {b}
+and UU = {y} gives F({y, b}, y) for every y), and a bottom is labeled 0 in
+every linear extension.  As ext_F is symmetric in ZZ and YY, each clause
+is an unordered equality, filed once (ZZ < YY): if ZZ and YY share a
+fusion, row UU + ZZ equals row UU + YY.  UU ranges over the submasks of
+the complement of ZZ & YY (its bits in both change neither union),
+skipping equal unions: (7^n - 5^n)/2.
 
 Hoisted bounds.  An ext_F clause filed at its larger side r whose premise
 rows ZZ and YY and other side o come before r says, once ZZ and YY share
@@ -77,15 +86,15 @@ with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
 relabeled, likewise ``induced_part``).  So the survivors are grouped into
 relabeling orbits, each every relabeling of a survivor, and each theory's
 obligations are evaluated only on each orbit's first member in code
-order.  Outside the poset stream the baked value lists are invariant
-too, and a filed clause rejects only what its native rejects, so the
-survivors already are whole orbits.  On the poset stream an orbit is
-counted once, however many of its natural labelings survive, and it is
-complete: a labeled model relabels to a natural labeling, which passes
-every native and so survives.  The members are expanded into the
-code-ordered result and each is translated itself.  The target axioms
-are checked once per orbit, on the first member's image; what is not
-invariant still runs on each member: the round trip,
+order.  On the natural-labeling streams (poset rows, single-element
+rows) an orbit is counted once, however many of its natural labelings
+survive, and it is complete: a labeled model relabels to a natural
+labeling, which passes every native and so survives.  Elsewhere the baked
+value lists are invariant too, and a filed clause rejects only what its
+native rejects, so the survivors already are whole orbits.  The members
+are expanded into the code-ordered result and each is translated itself.
+The target axioms are checked once per orbit, on the first member's
+image; what is not invariant still runs on each member: the round trip,
 ``def_pf``/``def_uf``, injectivity of the translation, and each failing
 member's own witness.
 
@@ -94,10 +103,10 @@ is built, and the reports' ``_sweep`` checks its largest size before it
 scans any.  ``DEFAULT_CEILING`` bounds the product of the baked value
 lists (refused as soon as it passes), not the nominal space: 2^15 at
 part n=7 and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28);
-reflexive part rows pass it at n=6 (2^30).  ``gem_f``'s single-element
-rows are within it at fusion n=4 (5 * 4^11 = 20 971 520) and past it at
-n=5 (6 * 5^26); without the bake, fusion rows pass it at n=4 (about
-1.4e14).
+reflexive part rows pass it at n=6 (2^30).  ``gem_f``'s naturally
+labeled single-element rows are within it at fusion n=5 (27 648) and past
+it at n=6 (about 4.6e10); without the bake, fusion rows pass it at n=4
+(about 1.4e14).
 
 Every witness (of ``check_theory``, ``verify_lemmas``,
 ``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
@@ -428,10 +437,13 @@ def _stream(kind: str, n: int, theory: Theory):
         allowed = _allowed_rows(kind, n, row_local)
         if (kind == "fusion" and {native.id_f, native.exists_f} <= row_local
                 and native.ext_f in natives):
-            # ext_F with UU empty: a row holding x equals row {x}, which is {x}
-            singles = [1 << x for x in range(n)]
-            allowed = [[0] + singles] + [allowed[p] if p & (p - 1) == 0 else singles
-                                         for p in range(1, 1 << n)]
+            # single-element rows of natural labelings: row 0 is empty or the
+            # bottom 0, and a row of two or more members is one element no
+            # lower than its top member (so the full row is the top, n-1)
+            above = [[1 << x for x in range(k, n)] for k in range(n)]
+            allowed = [[0, 1] if n else [0]] + [
+                allowed[p] if p & (p - 1) == 0 else above[p.bit_length() - 1]
+                for p in range(1, 1 << n)]
     pruned = 1
     for values in allowed:  # stops multiplying once past the ceiling
         pruned *= len(values)
@@ -446,11 +458,12 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     order, with their orbits.
 
     Candidates are pre-filtered natively where obligations are recognized
-    registry axioms, over poset rows when ref_P, antis_P and trans_P all
-    are; on each orbit's representative the evaluator then decides every
-    other obligation and re-verifies the natively decided ones.  A
-    disagreement between the two routes raises rather than silently
-    corrupting the model set.  ``CapacityError`` if the baked product
+    registry axioms, over natural labelings when ref_P, antis_P and trans_P
+    all are (poset rows) or id_F, exists_F and ext_F are (single-element
+    fusion rows); on each orbit's representative the evaluator then
+    decides every other obligation and re-verifies the natively decided
+    ones.  A disagreement between the two routes raises rather than
+    silently corrupting the model set.  ``CapacityError`` if the baked product
     exceeds ``DEFAULT_CEILING``.
     """
     allowed, natives, down_closed, rest = _stream(kind, n, theory)

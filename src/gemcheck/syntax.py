@@ -43,6 +43,11 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {msg}")
         self.msg, self.line, self.col = msg, line, col
 
+    def __reduce__(self):
+        # rebuilt from its fields; args, the message, may be a theory file's
+        # placed one (``theory.parse_theory_text``), so it travels as state
+        return type(self), (self.msg, self.line, self.col), {**vars(self), "args": self.args}
+
 
 class SortError(ParseError):
     """An individual appeared where a plurality was expected, or vice versa."""

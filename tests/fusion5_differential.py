@@ -1,13 +1,16 @@
-"""Fusion n=5 differential and equivalence check, kept out of tier-1 for
-its run time.
+"""Fusion n=5 and n=6 differential and equivalence check, kept out of
+tier-1 for its run time.
 
 With the capacity ceiling lifted in this process, the row search with
-single-element rows and hoisted ext_F bounds must list the same models of
-{id_F, exists_F, ext_F} at fusion n=5 as the plain row search over the
-unbaked rows (``util.plain_row_survivors``): 1 445 labeled models in 20
-relabeling orbits on both.  Then the equivalence verification, sweeping
-both signatures up to n=5 past the ceiling, must pass every check, with no
-model at n=5 on either side.  Run from the repository root:
+naturally labeled single-element rows and hoisted ext_F bounds must list
+the same models of {id_F, exists_F, ext_F} at fusion n=5 as the plain row
+search over the unbaked rows (``util.plain_row_survivors``): 1 445 labeled
+models in 20 relabeling orbits on both.  At n=6, where the plain search is
+out of reach, it must list 28 956 labeled models in 68 orbits, L(7) + L(6)
+= 53 + 15 (lattice numbers, OEIS A006966), and ``gem_f`` must have no
+model.  Then the equivalence verification, sweeping both signatures up to
+n=5, must pass every check, with no model at n=5 on either side.  Run from
+the repository root:
 
     PYTHONPATH=src python tests/fusion5_differential.py
 
@@ -23,7 +26,7 @@ from gemcheck.search import SearchBounds
 
 from util import plain_row_survivors, relabeled
 
-EXPECTED_MODELS, EXPECTED_ORBITS = 1445, 20
+EXPECTED = {5: (1445, 20), 6: (28956, 68)}  # (models, orbits) of {id_F, exists_F, ext_F}
 
 
 def orbit_count(models: list) -> int:
@@ -49,7 +52,14 @@ def main() -> int:
     tallies = (len(models), len(models.orbits)), (len(plain), orbit_count(plain))
     print(f"fusion n=5, {{id_F, exists_F, ext_F}}: row search {tallies[0]}, "
           f"plain rows {tallies[1]} (models, orbits)")
-    ok = models == plain and tallies[0] == tallies[1] == (EXPECTED_MODELS, EXPECTED_ORBITS)
+    ok = models == plain and tallies[0] == tallies[1] == EXPECTED[5]
+    # the search's own orbits: orbit_count would relabel each model 720 times
+    models = filter_models("fusion", 6, theory)
+    tally = len(models), len(models.orbits)
+    gem_f_models = len(filter_models("fusion", 6, gem_f()))
+    print(f"fusion n=6: {{id_F, exists_F, ext_F}} {tally} (models, orbits), "
+          f"gem_f {gem_f_models} models")
+    ok = ok and tally == EXPECTED[6] and gem_f_models == 0
     report = verify_equivalence(SearchBounds(max_n_part=5, max_n_fusion=5))
     fives = report.part_rows[5]["models"], report.fusion_rows[5]["models"]
     print(f"equivalence to part and fusion n=5: all_ok {report.all_ok}, "

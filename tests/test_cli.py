@@ -283,21 +283,21 @@ def test_export_needs_selection():
 
 
 def test_capacity_exit_code():
-    code, _, err = run_cli("models", "--kind", "fusion", "--n", "5",
+    code, _, err = run_cli("models", "--kind", "fusion", "--n", "6",
                            "--theory", "gem_f", "--workers", "1")
     assert code == 3 and "capacity" in err
 
 
-@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "5"),
-                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "5"),
+@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "6"),
+                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "6"),
                                   ("countermodel", "--kind", "fusion", "--theory", "gem_f",
-                                   "--target", "id_F", "--max-n", "5")])
+                                   "--target", "id_F", "--max-n", "6")])
 def test_capacity_fails_before_any_scan(monkeypatch, argv):
     # the largest size is checked first, so nothing is scanned before exit 3
     def no_scan(args):
         raise AssertionError("a size was scanned before the capacity check")
     kind, n, theory = (("part", 9, gemcheck.gem_p()) if "--max-part" in argv
-                       else ("fusion", 5, gemcheck.gem_f()))
+                       else ("fusion", 6, gemcheck.gem_f()))
     with pytest.raises(gemcheck.CapacityError) as lazily:
         gemcheck.filter_models(kind, n, theory)
     monkeypatch.setattr(search, "_scan_worker", no_scan)
@@ -313,6 +313,18 @@ def test_canonical_capacity_fails_before_any_scan(monkeypatch):
     assert run_cli("lemmas", "--name", "WSP", "--canonical-k", "5", "--max-part", "8",
                    "--max-fusion", "0", "--workers", "1") == \
         (3, "", "capacity: formula evaluation needs 2^31 pluralities\n")
+
+
+def test_equiv_reaches_fusion_5():
+    # natural labelings bring fusion n=5 under the ceiling (27 648 baked
+    # candidates); the report is exhaustive there and has no model at n=5,
+    # and a worker count changes no byte (the scan starts a pool at n=5)
+    code, out, _ = run_cli("equiv", "--max-fusion", "5", "--format", "json", "--workers", "1")
+    d = json.loads(out)
+    assert code == 0 and d["violations"] == []
+    assert [row["models"] for row in d["fusion_side"]] == [1, 1, 0, 3, 0, 0]
+    assert run_cli("equiv", "--max-fusion", "5", "--format", "json", "--workers", "2") == \
+        (0, out, "")
 
 
 def test_equiv_reaches_part_7():

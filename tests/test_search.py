@@ -46,14 +46,14 @@ def test_enumeration_order_and_codes():
 
 def test_enumeration_capacity():
     # decided on the baked product: 2^28 poset rows for gem_p at n=9 (2^21 at
-    # n=8), 2^30 reflexive rows for pp at n=6, 6 * 5^26 single-element rows
-    # for gem_f at n=5 (5 * 4^11 at n=4)
+    # n=8), 2^30 reflexive rows for pp at n=6, about 4.6e10 naturally labeled
+    # single-element rows for gem_f at n=6 (27 648 at n=5)
     with pytest.raises(CapacityError):
         filter_models("part", 9, gem_p())
     with pytest.raises(CapacityError):
         filter_models("part", 6, pp_axioms())
     with pytest.raises(CapacityError):
-        filter_models("fusion", 5, gem_f())
+        filter_models("fusion", 6, gem_f())
     # the product is refused as soon as it passes the ceiling
     with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("part", 12, Theory("none", ()))
@@ -80,11 +80,15 @@ def test_largest_evaluable_domain_is_refused_at_once(kind, theory):
 
 
 def test_fusion_4_row_search_under_the_default_ceiling():
-    # single-element rows bring fusion n=4 under the ceiling (5 * 4^11 =
-    # 20 971 520 <= 2^26); the search files ext_F clauses over all 16 rows
-    # and finds no model (GEM models exist only at sizes 2^k - 1)
+    # naturally labeled single-element rows leave 48 candidates at fusion
+    # n=4: row 0 takes two values (empty or 0), and a row of two or more
+    # members one per element from its top member up: three for {0, 1}, two
+    # with top member 2, one with top member 3 (the full row among them).
+    # The search files ext_F clauses over all 16 rows and finds no model
+    # (GEM models exist only at sizes 2^k - 1)
     allowed = search._stream("fusion", 4, gem_f())[0]
-    assert math.prod(map(len, allowed)) == 5 * 4 ** 11 <= search.DEFAULT_CEILING
+    assert [len(values) for values in allowed] == [2, 1, 1, 3, 1, 2, 2, 2] + [1] * 8
+    assert math.prod(map(len, allowed)) == 48 <= search.DEFAULT_CEILING
     assert filter_models("fusion", 4, gem_f()) == []
 
 
@@ -472,18 +476,28 @@ def fusion_ext_theory():
                                                    [1, 2, 2, 3, 7])],
                          ids=["gem_f", "ext"])
 def test_single_element_rows_match_the_plain_row_search(theory, counts, orbits):
-    # the baked, hoisted stream against the search over the unbaked rows,
-    # every ext_F instance tested once its rows are assigned
+    # the baked, hoisted stream over natural labelings against the search
+    # over the unbaked rows, every ext_F instance tested once its rows are
+    # assigned
     t = theory()
     for n, (count, orbit_count) in enumerate(zip(counts, orbits)):
         allowed, natives, down_closed, rest = search._stream("fusion", n, t)
         # every nonempty plurality's row is exactly one element
         assert not rest and all(v and not v & (v - 1) for values in allowed[1:] for v in values)
-        plain = plain_row_survivors(n, t)
-        assert sorted(search._scan_worker(("fusion", n, allowed, natives, down_closed)),
-                      key=code_of) == plain
+        raw = search._scan_worker(("fusion", n, allowed, natives, down_closed))
+        # each raw survivor is a natural labeling: row 0 is empty or the
+        # bottom 0, every row is one element no lower than its top member,
+        # and the full row is the top n-1
+        for s in raw:
+            assert s.rows[0] in (0, 1), summarize(s)
+            assert all(s.rows[p] >> (p.bit_length() - 1) for p in range(1, 1 << n)), summarize(s)
+            assert not n or s.rows[-1] == 1 << (n - 1), summarize(s)
         models = filter_models("fusion", n, t)
-        assert models == plain and len(plain) == count and len(models.orbits) == orbit_count
+        assert models == plain_row_survivors(n, t)
+        assert len(models) == count and len(models.orbits) == orbit_count
+        # every orbit holds a survivor, and the survivors are models
+        assert all(set(orbit) & set(raw) for orbit in models.orbits)
+        assert set(raw) <= set(models)
 
 
 def test_filter_workers_match_serial(monkeypatch):
@@ -504,20 +518,22 @@ def test_filter_workers_match_serial(monkeypatch):
     # every candidate is a model, so a pool task losing any candidate shows
     codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
     assert codes == list(range(1 << 16))
-    # 324 single-element candidates at fusion n=3 start no pool, 5 * 4^11 at
-    # n=4 do, and ext_F clauses prune inside each task.  The serial
-    # representatives carry their evaluation contexts by then; the pooled
-    # models come back through pickles and must still compare and print alike
+    # naturally labeled single-element rows start no pool: 4 candidates at
+    # fusion n=3, 48 at n=4.  Without ext_F the rows are not single-element,
+    # and at n=3 row 0 keeps 8 values and 19 208 candidates start the pool.
+    # The serial representatives carry their evaluation contexts by then; the
+    # pooled models come back through pickles and must still compare and
+    # print alike
     pools.clear()
-    assert len(filter_models("fusion", 3, gem_f(), workers=2)) == 3 and pools == []
-    for t, count in ((gem_f(), 0), (fusion_ext_theory(), 112)):
-        serial = filter_models("fusion", 4, t)
-        assert len(serial) == count
-        assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
-        pools.clear()
-        pooled = filter_models("fusion", 4, t, workers=2)
-        assert pools == [(2,)]
-        assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
+    assert len(filter_models("fusion", 3, gem_f(), workers=2)) == 3
+    assert filter_models("fusion", 4, gem_f(), workers=2) == [] and pools == []
+    t = gem_f().drop("ext_F")
+    serial = filter_models("fusion", 3, t)
+    assert (len(serial), len(serial.orbits)) == (10, 4)
+    assert all("_context" in vars(orbit[0]) for orbit in serial.orbits)
+    pooled = filter_models("fusion", 3, t, workers=2)
+    assert pools == [(2,)]
+    assert pooled == serial and [repr(m) for m in pooled] == [repr(m) for m in serial]
 
 
 def test_pool_starts_at_most_one_process_per_task(monkeypatch):
@@ -545,11 +561,14 @@ def test_pool_starts_at_most_one_process_per_task(monkeypatch):
     assert asked == [] and len(serial) == 4231
     assert filter_models("part", 5, pp_axioms(), workers=10 ** 6) == serial
     assert asked == [16]
-    # 5 on gem_f's single-element rows at fusion n=4, and fewer workers than tasks stay
+    # 8 on gem_f's rows without ext_F at fusion n=3, where row 0 is not
+    # baked, and fewer workers than tasks stay
     asked.clear()
-    assert filter_models("fusion", 4, gem_f(), workers=10 ** 6) == []
-    assert filter_models("fusion", 4, gem_f(), workers=3) == []
-    assert asked == [5, 3]
+    t = gem_f().drop("ext_F")
+    models = filter_models("fusion", 3, t)
+    assert filter_models("fusion", 3, t, workers=10 ** 6) == models
+    assert filter_models("fusion", 3, t, workers=3) == models
+    assert asked == [8, 3]
 
 
 def test_pp_models_are_the_partial_orders():

@@ -15,7 +15,7 @@ from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
                              OverlapAtom, ParseError, PartAtom, PInter, PUnion,
                              Singleton, SortError, SubTerm, PVar, _tokenize,
                              free_vars)
-from gemcheck.theory import theory_by_name, theory_names
+from gemcheck.theory import parse_theory_text, theory_by_name, theory_names
 
 from util import (random_formula, random_pterm, reference_free_vars,
                   reference_term_free_ivars, reference_term_free_pvars)
@@ -81,6 +81,21 @@ def test_a_group_before_term_syntax_is_read_as_a_term(text, message, sort):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert str(e.value) == message and isinstance(e.value, SortError) == sort
+
+
+def test_parse_errors_survive_a_pickle():
+    # as a pool worker would hand them back: same type, message and place,
+    # also for a theory file's error placed under the theory's name
+    errors = [ParseError("m", 1, 2), SortError("plural term expected", 3, 4)]
+    for text in ("bad : forall x . P(x,, x)\n", "a : P(x, YY)\n"):
+        with pytest.raises(ParseError) as e:
+            parse_theory_text("demo", text)
+        errors.append(e.value)
+    for e in errors:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e)
+        assert (str(back), back.msg, back.line, back.col) == (str(e), e.msg, e.line, e.col)
+    assert str(errors[-1]).startswith("demo:1:") and type(errors[-1]) is SortError
 
 
 def test_reserved_names_rejected():
