@@ -20,8 +20,8 @@ Only the checkers of the theory's own obligations are filed, so without
 them the search visits the whole product of the value lists.  At each
 leaf every unsplit native checker runs in full, cheap first in the order of
 ``_PLAN_ORDER``.  Workers run only this stage, one task per value of row
-0 and at most one process per task, and only when row 0 has two or more
-values and the baked product exceeds 4 096 candidates.  Orbits of
+0 and at most one process per task, and only when the rows are no
+natural labelings and the baked product exceeds 4 096 candidates.  Orbits of
 survivors are ordered by code, so the output never depends on the search
 order or on scheduling.  The formula evaluator then decides each
 obligation once per orbit: a false obligation without a native checker
@@ -381,12 +381,13 @@ def _scan_worker(args) -> list:
     """Structures of the row search over ``allowed`` passing every native.
 
     Rows are assigned depth first in index order.  A row tries only the
-    values within its hoisted bounds and, on down-closed rows, those
-    holding the whole down-set of each earlier element they hold; after
-    each value the clauses filed there are tested, and a leaf runs every
-    unsplit native in full.
+    values within its hoisted bounds and, on natural part rows (poset
+    rows, down-closed), those holding the whole down-set of each earlier
+    element they hold; after each value the clauses filed there are
+    tested, and a leaf runs every unsplit native in full.
     """
-    kind, n, allowed, natives, down_closed = args
+    kind, n, allowed, natives, natural = args
+    down_closed = natural and kind == "part"
     if kind == "part":
         tables, build, fires = native.part_tables, PartStructure, _part_fires
     else:
@@ -421,22 +422,24 @@ def _scan_worker(args) -> list:
 
 
 def _stream(kind: str, n: int, theory: Theory):
-    """``(allowed, natives, down_closed, rest)``: the scan's value lists
-    and natives, whether its rows are down-closed poset rows (when ref_P,
-    antis_P and trans_P are all decided), and the evaluator-only
+    """``(allowed, natives, natural, rest)``: the scan's value lists and
+    natives, whether its rows are natural labelings (down-closed poset
+    rows when ref_P, antis_P and trans_P are all decided, single-element
+    fusion rows when id_F, exists_F and ext_F are), and the evaluator-only
     obligations; ``CapacityError`` past the evaluator's domain or the
     ceiling, which a larger n never comes back under."""
     _check_size(n)  # before any value list is built
     row_local, natives, rest = _plan(kind, theory)
-    down_closed = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
-    if down_closed:
+    natural = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
+    if natural:
         allowed = _natural_rows(n, native.exists_f_closure in natives)
         for fn in (native.antis_p, native.trans_p):  # hold by construction, like ref_P
             natives.remove(fn)
     else:
         allowed = _allowed_rows(kind, n, row_local)
-        if (kind == "fusion" and {native.id_f, native.exists_f} <= row_local
-                and native.ext_f in natives):
+        natural = (kind == "fusion" and {native.id_f, native.exists_f} <= row_local
+                   and native.ext_f in natives)
+        if natural:
             # single-element rows of natural labelings: row 0 is empty or the
             # bottom 0, and a row of two or more members is one element no
             # lower than its top member (so the full row is the top, n-1)
@@ -450,7 +453,7 @@ def _stream(kind: str, n: int, theory: Theory):
         if pruned > DEFAULT_CEILING:
             raise CapacityError(f"at least {pruned} baked candidates exceed the ceiling "
                                 f"{DEFAULT_CEILING}")
-    return allowed, natives, down_closed, rest
+    return allowed, natives, natural, rest
 
 
 def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models:
@@ -466,16 +469,16 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
     silently corrupting the model set.  ``CapacityError`` if the baked product
     exceeds ``DEFAULT_CEILING``.
     """
-    allowed, natives, down_closed, rest = _stream(kind, n, theory)
-    if workers > 1 and math.prod(map(len, allowed)) > 4096 and len(allowed[0]) > 1:
+    allowed, natives, natural, rest = _stream(kind, n, theory)
+    if workers > 1 and not natural and math.prod(map(len, allowed)) > 4096:
         import multiprocessing  # only pooled runs pay for the import
         # one task per value of row 0, the first row searched, and no idle process
-        tasks = [(kind, n, [[v]] + allowed[1:], natives, down_closed) for v in allowed[0]]
+        tasks = [(kind, n, [[v]] + allowed[1:], natives, natural) for v in allowed[0]]
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
             parts = pool.map(_scan_worker, tasks)
         survivors = [s for part in parts for s in part]
     else:
-        survivors = _scan_worker((kind, n, allowed, natives, down_closed))
+        survivors = _scan_worker((kind, n, allowed, natives, natural))
     route = list(zip(theory, _route(theory)))
     own = [fn for nf, (fn, _) in route if nf in rest]
     decided = [(nf, fn) for nf, (fn, _) in route if nf not in rest]
@@ -580,20 +583,24 @@ class CheckReport(_Report):
 
 def _route(theory: Theory) -> tuple:
     """(compiled sentence, shared passing verdict) per obligation, built once
-    per theory and kept on it: the route by which ``check_theory``,
-    ``filter_models`` and ``verify_equivalence`` read theory-wide verdicts."""
+    per theory and kept on it: the route by which ``filter_models``,
+    ``verify_equivalence`` and ``find_countermodel`` read theory-wide verdicts."""
     return theory._derived("_route", lambda t: tuple(
         (semantics.compiled(nf.sentence)[0], ObligationVerdict(nf.name, True)) for nf in t))
 
 
 def check_theory(s: Structure, theory: Theory) -> CheckReport:
-    """Evaluate every obligation; failure witnesses are re-verified before emission."""
+    """Evaluate every obligation, each by the one pass ``Evaluator.check``
+    runs (``semantics._decider``), kept on the theory with a shared passing
+    verdict; failure witnesses are re-verified before emission."""
     t0 = time.monotonic()
     ev = Evaluator(s)
     ctx = ev.ctx
-    results = [passed if fn(ctx, {})
-               else ObligationVerdict(nf.name, False, ev._audited_witness(nf))
-               for nf, (fn, passed) in zip(theory.obligations, _route(theory))]
+    route = theory._derived("_deciders", lambda t: tuple(
+        (semantics._decider(nf.sentence), ObligationVerdict(nf.name, True)) for nf in t))
+    results = [passed if (found := fn(ctx, {})) is None or found is True
+               else ObligationVerdict(nf.name, False, ev._audited_witness(nf, found))
+               for nf, (fn, passed) in zip(theory.obligations, route)]
     return CheckReport(theory.name, kind_of(s), s.n, summarize(s),
                        tuple(results), int((time.monotonic() - t0) * 1000))
 

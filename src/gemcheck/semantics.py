@@ -43,14 +43,16 @@ quantifiers (a run of universal, or existential):
   ascending list of all masks with the values failing the guard removed.
 
 Order still matters where it is observable: failure witnesses.
-``Evaluator.find_witness`` fixes the leading universal variables one at a
-time in their written order, individuals ascending and plural values in
-ascending characteristic order, each taking the first value under which
-the rest of the sentence is false.  That is the lexicographically first
-refuting assignment, independent of how evaluation was planned.  The
-search is one generated function per sentence, built on its first false
-verdict: a loop per prefix variable over its unguarded domain, the rest
-of the sentence inlined (as planned above) and breaking when false.
+``Evaluator.find_witness`` returns the lexicographically first refuting
+assignment to the leading universal variables in their written order,
+individuals ascending and plural values in ascending characteristic
+order, from one generated function per sentence.  While the plan reorders
+the rest of the block, it fixes the next variable greedily: a loop over
+its unguarded domain, the rest of the sentence inlined, breaking when
+false.  Once the plan keeps written order, the bit-parallel variable
+last, the planned loops themselves return the first refuting values they
+reach (guards and pushed domains skip only values that cannot refute).
+A sentence whose whole block keeps written order is decided by its search.
 
 A plural term compiles the same way, into one generated function
 returning its mask; ``Evaluator.term`` and the bound checks of
@@ -234,7 +236,10 @@ def _guarded_domain(q, guards, lifted=None) -> tuple:
 def _operands(f: Formula, kind) -> list:
     """The operands of the left-nested chain of ``kind`` at ``f`` in written
     order, ``[a, b, c]`` for ``(a or b) or c``; ``[f]`` if ``f`` is no ``kind``.
-    A negation has no second operand: ``not not a`` gives ``[a, None, None]``."""
+    A negation has no second operand: ``not not a`` gives ``[a, None, None]``.
+    An implication nested right, ``a -> b -> c``, is read as ``a and b -> c``."""
+    if kind is Implies and type(f.right) is Implies:
+        f = _guarded(*_guards(f, True))
     rights = []
     while type(f) is kind:
         rights.append(getattr(f, "right", None))
@@ -363,13 +368,20 @@ def _binding_order(rest, deps, scoped) -> list:
 
 
 def _plan_block(f: Formula) -> tuple:
-    """(loops, guards at each loop, guards before them, innermost, its part).
+    """(loops, guards at each loop, guards before them, innermost, its part,
+    the block's names if the loops and then the innermost keep its written
+    order, else None).
 
     The innermost variable is evaluated bit-parallel; the others loop in
     an order that closes guards early, and each guard is tested as soon
     as its block variables are bound, or becomes the domain of a plural
-    it closes (``_guarded_domain``).  The plan reads only the formula.
+    it closes (``_guarded_domain``).  The plan reads only the formula and
+    is kept on it.
     """
+    return f._derived("_plan", _planned)
+
+
+def _planned(f: Formula) -> tuple:
     block, deps, guards, concl = _split_block(f)
     names = {q.var for q in block}
     scoped = [(g, _names(g) & names) for g in guards]
@@ -381,7 +393,8 @@ def _plan_block(f: Formula) -> tuple:
     at, pre = [[] for _ in order], []
     for g, gv in scoped:
         (at[max(level[v] for v in gv)] if gv else pre).append(g)
-    return order, at, pre, inner, tail
+    written = names if order + [inner] * (inner is not None) == block else None
+    return order, at, pre, inner, tail, written
 
 
 # ---------------------------------------------------------------------------
@@ -541,23 +554,26 @@ class _Source:
             case _:
                 self.block(f, scope, out)
 
-    def block(self, f: Formula, scope: dict, out) -> None:
-        """A block of like quantifiers, in the loops ``_plan_block`` plans."""
+    def block(self, f: Formula, scope: dict, out, found=None) -> None:
+        """A block of like quantifiers, in the loops ``_plan_block`` plans;
+        with ``found``, the prefix ``witness`` fixed before it, they return
+        the first refuting assignment, or None after them."""
         universal = isinstance(f, UNIVERSAL)
-        plan = (universal,) + _plan_block(f)
-        order, pre = plan[1], plan[3]
+        plan = (universal, found) + _plan_block(f)
+        order, pre = plan[2], plan[4]
         if out is not None and (order or pre):
             self.put(out, universal)
         # with no loops and no pre-test, the verdict is put at once
         self.emit("if {test}:\n    LEVELS\n{end}" if pre else "LEVELS\n{end}",
                   test=pre and self.cond(_conj(pre), scope),
                   LEVELS=lambda: self.levels(plan, 0, scope, out),
-                  end=f"return {universal}" if out is None and (order or pre) else "")
+                  end="return None" if found is not None else
+                  f"return {universal}" if out is None and (order or pre) else "")
 
     def levels(self, plan: tuple, i: int, scope: dict, out) -> None:
         """The loops of a planned block from the ``i``-th on.  On the
         block's verdict they set ``out`` and leave, or return it."""
-        universal, order, at, _, inner, tail = plan
+        universal, found, order, at, _, inner, tail, _ = plan
         decide = ("if not {}:\n    " if universal else "if {}:\n    ") + (
             f"return {not universal}" if out is None else f"{out} = {not universal}; break")
         if i == len(order):
@@ -569,15 +585,24 @@ class _Source:
                 value = f"{cand} == {whole}" if universal else f"{cand} != 0"
             else:
                 value = self.cond(tail, scope) if universal else "True"
-            if order:
+            if found is not None:  # the loops' values, and the lowest refuting bit-parallel one
+                fixed = {**found, **{q.var: (isinstance(q, INDIVIDUAL), scope[q.var])
+                                     for q in order}}
+                if inner is not None:
+                    low = f"{whole} ^ {cand}"
+                    fixed[inner.var] = True, f"(({low}) & -({low})).bit_length() - 1"
+                self.line(f"if not {value}: return {_assignment(fixed)}")
+            elif order:
                 self.emit(decide.format(value))
             else:
                 self.put(out, value)
             return
         t = self.fresh("t")
         if i and self.split(sorted(scope.values()), t, lambda: (
-                self.levels(plan, i, scope, None), self.put(None, universal))):
-            return self.emit(decide.format(t))
+                self.levels(plan, i, scope, None),
+                self.put(None, universal if found is None else None))):
+            return self.line(f"if {t} is not None: return {t}") if found is not None \
+                else self.emit(decide.format(t))
         q = order[i]
         push, guards = _guarded_domain(q, at[i])
         v = self.fresh("v")
@@ -666,6 +691,9 @@ class _Source:
         """Return what ``Evaluator.find_witness`` gives for the sentence ``f``."""
         found = {}  # prefix variable -> (whether individual, its local)
         while isinstance(f, UNIVERSAL) and f.var not in found:
+            written = _plan_block(f)[5]  # the rest of the prefix, if it rebinds no name
+            if written is not None and written.isdisjoint(found):
+                return self.block(f, scope, None, found)
             v, out, outer = self.fresh("v"), self.fresh("t"), scope
             scope = {**scope, f.var: v}
             found[f.var] = isinstance(f, INDIVIDUAL), v
@@ -674,9 +702,14 @@ class _Source:
                       dom=self.domain(f, None, outer, v)["dom"],
                       SUFFIX=lambda: self.bool(f.body, scope, out))
             f = f.body
-        individuals = ", ".join(f"{k!r}: {v}" for k, (i, v) in found.items() if i)
-        plurals = ", ".join(f"{k!r}: members_of({v})" for k, (i, v) in found.items() if not i)
-        self.line(f"return Assignment({{{individuals}}}, {{{plurals}}})")
+        self.line(f"return {_assignment(found)}")
+
+
+def _assignment(found: dict) -> str:
+    """The ``Assignment`` of ``found``, name -> (whether individual, value)."""
+    individuals = ", ".join(f"{k!r}: {v}" for k, (i, v) in found.items() if i)
+    plurals = ", ".join(f"{k!r}: members_of({v})" for k, (i, v) in found.items() if not i)
+    return f"Assignment({{{individuals}}}, {{{plurals}}})"
 
 
 def _names(node) -> frozenset:
@@ -712,6 +745,30 @@ def _witness_search(sentence: Formula):
     once per sentence."""
     return sentence._derived("_witness", lambda f: _generate(
         f, "witness", lambda src, scope: src.witness(f, scope)))
+
+
+def _decider(sentence: Formula):
+    """The one function ``Evaluator.check`` runs on ``sentence``, kept on it:
+    the witness search (None if true) where it is one planned pass over
+    the whole leading block, else the verdict (True if true)."""
+    return sentence._derived("_decider", lambda f: _witness_search(f) if isinstance(
+        f, UNIVERSAL) and _plan_block(f)[5] is not None else compiled(f)[0])
+
+
+def _prefix(sentence: Formula) -> tuple:
+    """The witness prefix of ``sentence``, kept on it: its names; per bound
+    the index, whether individual, and ``compiled_term``; the body after
+    each prefix length, and its ``compiled`` once ``refutes`` reads it."""
+    def split(f):
+        names, bounds, bodies = [], [], [f]
+        while isinstance(f, UNIVERSAL) and f.var not in names:
+            if f.bound is not None:
+                bounds.append((len(names), isinstance(f, INDIVIDUAL), compiled_term(f.bound)))
+            names.append(f.var)
+            f = f.body
+            bodies.append(f)
+        return tuple(names), tuple(bounds), bodies, [None] * len(bodies)
+    return sentence._derived("_prefix", split)
 
 
 def compiled_term(t: PluralTerm) -> tuple:
@@ -765,14 +822,16 @@ class Evaluator:
 
     def check(self, nf: NamedFormula) -> ObligationVerdict:
         """The verdict on ``nf``, with its audited witness when false."""
-        if self.eval(nf.sentence):
+        _check_bound(sorted(_names(nf.sentence)), {})
+        found = _decider(nf.sentence)(self.ctx, {})
+        if found is None or found is True:
             return ObligationVerdict(nf.name, True)
-        return ObligationVerdict(nf.name, False, self._audited_witness(nf))
+        return ObligationVerdict(nf.name, False, self._audited_witness(nf, found))
 
-    def _audited_witness(self, nf: NamedFormula) -> Optional[Assignment]:
-        """The witness of ``nf``, known false here, raising if it does not
-        refute the sentence, so no unconfirmed witness is ever returned."""
-        witness = self.find_witness(nf.sentence)
+    def _audited_witness(self, nf: NamedFormula, found) -> Optional[Assignment]:
+        """The witness ``_decider`` found for ``nf``, or searched if it gave
+        False; raises unless it refutes, so none unconfirmed is returned."""
+        witness = self.find_witness(nf.sentence) if found is False else found
         if witness is not None and not self.refutes(nf.sentence, witness):
             raise RuntimeError(f"unsound witness for {nf.name}; this is a bug")
         return witness
@@ -782,10 +841,8 @@ class Evaluator:
 
         The block ends before the first quantifier that rebinds one of its
         names.  Returns None when the sentence is true or does not start
-        with a universal quantifier.  The prefix is fixed one variable at a
-        time, in its written order: each takes the first value under which
-        the remaining universal suffix is false, which gives the
-        lexicographically first refuting assignment without backtracking.
+        with a universal quantifier.  It is the lexicographically first in
+        written order, found without backtracking (see the module docstring).
         """
         if not isinstance(sentence, UNIVERSAL):
             return None
@@ -799,34 +856,20 @@ class Evaluator:
         ``find_witness``.  Each prefix value must lie in its quantifier's
         bound, read under the values of the quantifiers outside it.
         """
-        unused = witness.individuals.keys() | witness.plurals.keys()  # not yet in the prefix
-        prefix, bounded, body = [], False, sentence
-        while isinstance(body, UNIVERSAL) and body.var in unused:
-            unused.remove(body.var)
-            prefix.append(body)
-            bounded = bounded or body.bound is not None
-            body = body.body
-        if bounded and not self._within_bounds(prefix, witness):
-            return False
-        return not self.eval(body, witness)
-
-    def _within_bounds(self, prefix: list, witness: Assignment) -> bool:
-        """Whether each value the witness gives a prefix quantifier lies in
-        its bound, read under the values of the quantifiers outside it."""
+        names, bounds, bodies, fns = _prefix(sentence)
         env = _env_of(self.ctx.structure, witness)
-        names = [q.var for q in prefix]
-        for k, q in enumerate(prefix):
-            if q.bound is None:
-                continue
-            outer = {v: val for v, val in env.items() if v not in names[k:]}
-            ft, free = compiled_term(q.bound)
-            _check_bound(free, outer)
-            inside = ft(self.ctx, outer)
-            val = env[q.var]
-            if isinstance(q, ForallI):
-                within = inside >> val & 1
-            else:
-                within = not val & ~inside
-            if not within:
-                return False
-        return True
+        k = 0
+        while k < len(names) and names[k] in env:
+            k += 1
+        for j, individual, (fn, reads) in bounds:
+            if j < k:  # read under the values of the quantifiers outside
+                outer = {v: x for v, x in env.items() if v not in names[j:k]}
+                _check_bound(reads, outer)
+                inside, x = fn(self.ctx, outer), env[names[j]]
+                if not (inside >> x & 1 if individual else not x & ~inside):
+                    return False
+        if fns[k] is None:
+            fns[k] = compiled(bodies[k])
+        fn, free = fns[k]
+        _check_bound(free, env)
+        return not fn(self.ctx, env)

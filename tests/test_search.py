@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import math
@@ -13,17 +14,18 @@ from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
                       automorphism_count, canonical_gem, check_theory,
                       filter_models, find_countermodel, gem_f, gem_p,
                       induced_fusion, induced_part, lemma_suite,
-                      list_models, native, pp_axioms, search,
+                      list_models, native, pp_axioms, search, semantics,
                       verify_equivalence, verify_lemmas)
 from gemcheck.search import (SearchBounds, _def_pf, code_of, random_structure,
                              report_json, structure_from_code)
 from gemcheck.semantics import Evaluator
 from gemcheck.structures import dump_structure, load_structure, summarize
 from gemcheck.syntax import NamedFormula, parse
+from gemcheck.theory import builtin_theory_text, parse_theory_text
 
 from util import (all_structures, evaluator_models, labeled_models,
                   oracle_gem_p_model_codes, part_pairs, plain_row_survivors, product_models,
-                  reference_compile, relabeled)
+                  reference_compile, reference_witness, relabeled)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -519,14 +521,16 @@ def test_filter_workers_match_serial(monkeypatch):
     codes = [code_of(s) for s in filter_models("part", 4, Theory("none", ()), workers=2)]
     assert codes == list(range(1 << 16))
     # naturally labeled single-element rows start no pool: 4 candidates at
-    # fusion n=3, 48 at n=4.  Without ext_F the rows are not single-element,
-    # and at n=3 row 0 keeps 8 values and 19 208 candidates start the pool.
-    # The serial representatives carry their evaluation contexts by then; the
-    # pooled models come back through pickles and must still compare and
-    # print alike
+    # fusion n=3, 48 at n=4, 27 648 at n=5.  Without ext_F the rows are not
+    # single-element, and at n=3 row 0 keeps 8 values and 19 208 candidates
+    # start the pool.  The serial representatives carry their evaluation
+    # contexts by then; the pooled models come back through pickles and must
+    # still compare and print alike
     pools.clear()
     assert len(filter_models("fusion", 3, gem_f(), workers=2)) == 3
     assert filter_models("fusion", 4, gem_f(), workers=2) == [] and pools == []
+    assert filter_models("fusion", 5, gem_f(), workers=2) == filter_models("fusion", 5, gem_f())
+    assert pools == []
     t = gem_f().drop("ext_F")
     serial = filter_models("fusion", 3, t)
     assert (len(serial), len(serial.orbits)) == (10, 4)
@@ -591,25 +595,37 @@ def test_native_and_evaluator_disagreement_raises(monkeypatch):
 
 def test_unconfirmed_witness_raises(monkeypatch):
     # false on canonical_gem(2), where {a} is a proper part of {a, b}; the
-    # planted witness x = y = {a} does not refute it
-    nf = NamedFormula("no_PP", parse("forall x . forall y . (P(x, y) -> x = y)"), "", "gem_p")
-    monkeypatch.setattr(Evaluator, "find_witness", lambda ev, f: Assignment({"x": 0, "y": 0}, {}))
-    monkeypatch.setattr(search, "lemma_suite", lambda: Theory("lemmas", (nf,)))
-    for check in (lambda: Evaluator(canonical_gem(2)).check(nf),
-                  lambda: check_theory(canonical_gem(2), Theory("t", (nf,))),
-                  lambda: verify_lemmas(SearchBounds(0, 0), 2)):
-        with pytest.raises(RuntimeError, match="^unsound witness for no_PP; this is a bug$"):
-            check()
+    # planted witness x = y = {a} does not refute it.  It is planted in the
+    # generated search, in place of each witness it finds: the search decides
+    # the first sentence alone and runs after the verdict of the second,
+    # whose plan binds YY after x
+    search_of = semantics._witness_search
+    for text, planted in (("", {}), ("forall YY . ", {"YY": frozenset()})):
+        nf = NamedFormula("no_PP", parse(text + "forall x . forall y . (P(x, y) -> x = y)"),
+                          "", "gem_p")
+        witness = Assignment({"x": 0, "y": 0}, planted)
+        monkeypatch.setattr(semantics, "_witness_search",
+                            lambda f: lambda ctx, env: search_of(f)(ctx, env) and witness)
+        monkeypatch.setattr(search, "lemma_suite", lambda: Theory("lemmas", (nf,)))
+        assert (semantics._decider(nf.sentence) is semantics.compiled(nf.sentence)[0]) == (
+            text != "")
+        for check in (lambda: Evaluator(canonical_gem(2)).check(nf),
+                      lambda: check_theory(canonical_gem(2), Theory("t", (nf,))),
+                      lambda: verify_lemmas(SearchBounds(0, 0), 2)):
+            with pytest.raises(RuntimeError, match="^unsound witness for no_PP; this is a bug$"):
+                check()
 
 
 def test_check_theory_route_matches_the_evaluator_and_the_reference():
-    # every verdict of the per-theory route is the evaluator's and the naive
-    # reference compiler's on that structure, and a structure checked right
-    # after a model of the theory reports as a freshly loaded copy of it does
-    rng = random.Random(20)
+    # every verdict and witness of the per-theory route, on random literals of
+    # three seeds, is the evaluator's and the naive reference's (written-order
+    # closures, backtracking witness search) on that structure, and a
+    # structure checked right after a model of the theory reports as a
+    # freshly loaded copy of it does
     theories = (gem_f(), gem_p(), pp_axioms(), lemma_suite())
     k2 = canonical_gem(2)
-    structures = [random_structure(kind, n, rng) for _ in range(6)
+    structures = [load_structure(dump_structure(random_structure(kind, n, rng)))
+                  for rng in map(random.Random, (20, 21, 22)) for _ in range(2)
                   for kind, top in (("part", 4), ("fusion", 3)) for n in range(top + 1)]
     failed = 0
     for s in structures:
@@ -622,10 +638,26 @@ def test_check_theory_route_matches_the_evaluator_and_the_reference():
             assert list(rep.results) == outcomes
             for nf, o in zip(t, outcomes):
                 assert o.passed == reference_compile(nf.sentence)(ev.ctx, {}), nf.name
+                assert o.witness == reference_witness(ev, nf.sentence), nf.name
             copy = load_structure(dump_structure(s))
             assert rep.to_dict() == check_theory(copy, t).to_dict()
             failed += not rep.all_passed
     assert failed > len(structures)
+
+
+def test_set_up_generates_no_more_functions(monkeypatch):
+    # the set-up of a gemcheck process, rebuilt from fresh parses: each
+    # registry checked once on the one-element structure, where every
+    # obligation holds, generates one function per distinct sentence
+    # (restated axioms share theirs), its witness search or its verdict
+    monkeypatch.setattr("gemcheck.theory._sentence", functools.lru_cache(maxsize=None)(parse))
+    generate, generated = semantics._generate, []
+    monkeypatch.setattr(semantics, "_generate", lambda node, name, emit: (
+        generated.append(name) or generate(node, name, emit)))
+    s = load_structure("n=1\npart: (0,0)\n")
+    for name in ("gem_f", "gem_p", "pp", "lemmas"):
+        assert check_theory(s, parse_theory_text(name, builtin_theory_text(name))).all_passed
+    assert len(generated) <= 25 and set(generated) == {"formula", "witness"}
 
 
 def test_check_theory_reports():

@@ -21,7 +21,7 @@ from gemcheck.theory import lemma_suite, pp_axioms
 
 from util import (IVARS, PVARS, all_structures, desugar, fusion_pairs,
                   random_formula, random_pterm, reference_compile, reference_domain,
-                  reference_term)
+                  reference_term, reference_witness)
 
 
 def _nf(text, name="t"):
@@ -112,7 +112,7 @@ def test_refutes_reads_a_compound_bound_through_generated_term_code():
     f = parse("forall XX . forall y . forall x in U(XX + I(y)) . x = y")
     # x = 0 lies in U({} + I(2)) and refutes x = y
     w = Assignment({"y": 2, "x": 0}, {"XX": frozenset()})
-    assert ev.find_witness(f) == w == _reference_witness(ev, f)
+    assert ev.find_witness(f) == w == reference_witness(ev, f)
     assert ev.refutes(f, w)
     # x = 1 lies outside U({} + I(0)), although the body is false under it
     assert not ev.refutes(f, Assignment({"y": 0, "x": 1}, {"XX": frozenset()}))
@@ -126,7 +126,7 @@ def test_witness_prefix_stops_at_a_rebinding():
     f = parse("forall y . forall z in I(y) . forall y . P(z, y) -> z = y")
     w = ev.find_witness(f)
     # z = 0 comes from I(y) with the outer y = 0; the inner y is not reported
-    assert w == Assignment(individuals={"y": 0, "z": 0}) == _reference_witness(ev, f)
+    assert w == Assignment(individuals={"y": 0, "z": 0}) == reference_witness(ev, f)
     assert ev.refutes(f, w)
     # the inner y = 1 does refute the body, but z = 0 lies outside I(1)
     assert not ev.refutes(f, Assignment(individuals={"y": 1, "z": 0}))
@@ -167,6 +167,8 @@ def test_monotonicity_of_derived_parthood():
 def test_unbound_variable_error():
     with pytest.raises(EvalError):
         Evaluator(PartStructure.from_pairs(1, ())).eval(parse("P(x, y)"))
+    with pytest.raises(EvalError, match="^unbound variable 'x'$"):  # not the generated code's KeyError
+        Evaluator(PartStructure.from_pairs(1, ())).check(_nf("forall y . P(x, y)"))
     with pytest.raises(EvalError):
         Evaluator(PartStructure.from_pairs(2, ())).eval(parse("P(x, x)"),
                                                         Assignment(individuals={"x": 5}))
@@ -276,38 +278,6 @@ def test_generated_terms_match_reference_terms():
 def _reference_eval(ev, f, a=None):
     env = semantics._env_of(ev.ctx.structure, a)
     return reference_compile(f)(ev.ctx, env)
-
-
-def _reference_witness(ev, sentence):
-    """Backtracking search for the first refuting prefix assignment; the
-    prefix ends before the first quantifier that rebinds one of its names."""
-    ctx = ev.ctx
-    prefix, body = [], sentence
-    while isinstance(body, (ForallI, ForallP)) and body.var not in {q.var for q in prefix}:
-        prefix.append(body)
-        body = body.body
-    if not prefix:
-        return None
-    fbody = reference_compile(body)
-    env = {}
-
-    def search(i):
-        if i == len(prefix):
-            return not fbody(ctx, env)
-        var = prefix[i].var
-        for val in reference_domain(prefix[i])(ctx, env):
-            env[var] = val
-            if search(i + 1):
-                return True
-        env.pop(var, None)
-        return False
-
-    if not search(0):
-        return None
-    return Assignment(
-        {q.var: env[q.var] for q in prefix if isinstance(q, ForallI)},
-        {q.var: frozenset(i for i in range(ctx.n) if (env[q.var] >> i) & 1)
-         for q in prefix if isinstance(q, ForallP)})
 
 
 def _plural_guard(rng):
@@ -424,7 +394,7 @@ def _random_witnesses_match_reference(rng, trials, rebind=False):
             continue
         f = _close_universally(rng, f, rebind)
         w = ev.find_witness(f)
-        assert w == _reference_witness(ev, f), (s, print_formula(f))
+        assert w == reference_witness(ev, f), (s, print_formula(f))
         if w is not None:
             assert ev.refutes(f, w)
             refuted += 1
@@ -437,6 +407,66 @@ def test_witness_matches_reference_on_random_sentences():
 
 def test_witness_matches_reference_on_random_rebinding_prefixes():
     assert _random_witnesses_match_reference(random.Random(41), 600, rebind=True) > 50
+
+
+def _reference_refutes(ev, sentence, witness):
+    """``Evaluator.refutes`` by the written-order reference, reading the
+    sentence itself: True if the body is false under the prefix the witness
+    binds, False if it is true, None if a value lies outside its
+    quantifier's domain under the values outside it."""
+    env = semantics._env_of(ev.ctx.structure, witness)
+    prefix, body = [], sentence
+    while isinstance(body, (ForallI, ForallP)) and body.var in env.keys() - {q.var for q in prefix}:
+        prefix.append(body)
+        body = body.body
+    for k, q in enumerate(prefix):
+        outer = {v: x for v, x in env.items() if v not in {p.var for p in prefix[k:]}}
+        if env[q.var] not in reference_domain(q)(ev.ctx, outer):
+            return None
+    return not reference_compile(body)(ev.ctx, env)
+
+
+def test_refutes_matches_the_reference_on_every_kind_of_witness():
+    # witnesses binding a strict prefix of the block, one name more, a value
+    # out of range, or any values in range, so some outside their bound
+    rng = random.Random(34)
+    sentences = [parse(text) for text in _REBINDING_PREFIXES + [
+        "forall XX . forall ZZ sub XX . exists z in ZZ . P(z, z)",
+        "forall XX . forall y . forall x in U(XX + I(y)) . x = y"]]
+    seen = set()
+    for _ in range(500):
+        s = _random_structure_of_reach(rng)
+        f = rng.choice(sentences) if rng.random() < 0.5 else _close_universally(
+            rng, _random_formula_or_block(rng), rebind=rng.random() < 0.3)
+        names, q = [], f
+        while isinstance(q, (ForallI, ForallP)) and q.var not in names:
+            names.append(q.var)
+            q = q.body
+        if not (names and s.n):
+            continue
+        kind = rng.choice(("strict", "extra", "range", "any"))
+        values = {v: rng.randrange(s.n) if v.islower() else
+                  frozenset(i for i in range(s.n) if rng.random() < 0.5)
+                  for v in (names[:rng.randrange(len(names))] if kind == "strict" else names)}
+        if kind == "extra":
+            values["extra"] = rng.randrange(s.n)
+        elif kind == "range":
+            v = rng.choice(names)
+            values[v] = s.n if v.islower() else frozenset({s.n})
+        witness = Assignment({v: x for v, x in values.items() if v.islower()},
+                             {v: x for v, x in values.items() if not v.islower()})
+        ev = Evaluator(s)
+        try:
+            expected = _reference_refutes(ev, f, witness)
+        except EvalError:
+            with pytest.raises(EvalError):
+                ev.refutes(f, witness)
+            seen.add((kind, "error"))
+            continue
+        assert ev.refutes(f, witness) == bool(expected), (s, print_formula(f), witness)
+        seen.add((kind, expected))
+    assert seen == {(kind, outcome) for kind in ("strict", "extra", "any")
+                    for outcome in (True, False, None)} | {("range", "error")}
 
 
 _PLURAL_GUARD_SHAPES = [
@@ -467,7 +497,7 @@ def test_plural_guard_shapes_match_reference(text):
     for s in structures:
         ev = Evaluator(s)
         assert ev.eval(f) == _reference_eval(ev, f), s
-        assert ev.find_witness(f) == _reference_witness(ev, f), s
+        assert ev.find_witness(f) == reference_witness(ev, f), s
 
 
 def test_registry_matches_reference_on_canonical_models():
@@ -479,7 +509,7 @@ def test_registry_matches_reference_on_canonical_models():
             for nf in t:
                 assert ev.eval(nf.sentence) == _reference_eval(ev, nf.sentence), nf.name
                 assert ev.find_witness(nf.sentence) == \
-                    _reference_witness(ev, nf.sentence), nf.name
+                    reference_witness(ev, nf.sentence), nf.name
 
 
 def test_registry_witnesses_match_reference_on_random_structures():
@@ -490,7 +520,7 @@ def test_registry_witnesses_match_reference_on_random_structures():
         for t in registries:
             for nf in t:
                 assert ev.find_witness(nf.sentence) == \
-                    _reference_witness(ev, nf.sentence), nf.name
+                    reference_witness(ev, nf.sentence), nf.name
 
 
 _REBINDING_PREFIXES = [
@@ -519,7 +549,7 @@ def test_one_witness_plan_serves_every_structure():
             ev = Evaluator(s)
             for f in sentences:
                 w = ev.find_witness(f)
-                assert w == _reference_witness(ev, f), (s, print_formula(f))
+                assert w == reference_witness(ev, f), (s, print_formula(f))
                 refuted += w is not None
         assert all(semantics._witness_search(f) is plan for f, plan in plans.items())
         assert refuted > 200
@@ -555,7 +585,7 @@ def _assert_matches_reference(f, structures, a=None):
         ev = Evaluator(s)
         assert ev.eval(f, a) == _reference_eval(ev, f, a), (s, f, a)
         if a is None:
-            assert ev.find_witness(f) == _reference_witness(ev, f), (s, f)
+            assert ev.find_witness(f) == reference_witness(ev, f), (s, f)
 
 
 @pytest.mark.parametrize("names", _HAZARD_NAMES)
@@ -681,6 +711,29 @@ def test_long_lifted_chains_match_their_two_operand_form(operands):
         for s in (canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])):
             ev = Evaluator(s)
             assert (ev.eval(chain), ev.find_witness(chain)) == (ev.eval(two), ev.find_witness(two))
+
+
+def test_right_nested_implications_match_their_two_operand_form():
+    # every pass reads a right-nested "->" chain as its guards and conclusion,
+    # as it reads a universal body: near the parser's limit on nesting, the
+    # chain "A -> ... -> A -> C" has the verdicts and witnesses of "A -> C",
+    # in an existential body that does not lift in x, so its loop tests the
+    # chain, and in one lifted bit-parallel in y
+    rng = random.Random(70)
+    structures = [canonical_gem(2), PartStructure.from_pairs(1, [(0, 0)])]
+    structures += [random_structure(kind, n, rng) for n in (1, 2, 3) for kind in ("part", "fusion")]
+    refuted = 0
+    for prefix, a, c in (("forall YY . exists x . ", "O(x, x)", "F(YY + I(x), x)"),
+                         ("forall x . exists y . ", "P(x, y)", "PP(y, x)")):
+        chain = parse(prefix + " -> ".join([a] * 899 + [c]))
+        two = parse(f"{prefix}{a} -> {c}")
+        for s in structures:
+            ev = Evaluator(s)
+            assert ev.eval(chain) == ev.eval(two), (c, s)
+            witness = ev.find_witness(two)
+            assert ev.find_witness(chain) == witness, (c, s)
+            refuted += witness is not None
+    assert refuted == 3
 
 
 @pytest.mark.parametrize("right, left", [

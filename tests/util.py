@@ -14,7 +14,7 @@ import random
 from gemcheck import native
 from gemcheck.search import (Models, _allowed_rows, _plan, _scan_worker, _stream,
                              code_of, relation_bits, structure_from_code)
-from gemcheck.semantics import Evaluator
+from gemcheck.semantics import Assignment, Evaluator
 from gemcheck.structures import FusionStructure, PartStructure
 from gemcheck.syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI,
                              ForallP, FusionAtom, Iff, Implies, INDIVIDUAL,
@@ -266,6 +266,38 @@ def reference_compile(f):
             return lambda ctx, env: decide(body(ctx, {**env, var: val})
                                            for val in dom(ctx, env))
     raise TypeError(f)
+
+
+def reference_witness(ev, sentence):
+    """Backtracking search for the first refuting prefix assignment; the
+    prefix ends before the first quantifier that rebinds one of its names."""
+    ctx = ev.ctx
+    prefix, body = [], sentence
+    while isinstance(body, (ForallI, ForallP)) and body.var not in {q.var for q in prefix}:
+        prefix.append(body)
+        body = body.body
+    if not prefix:
+        return None
+    fbody = reference_compile(body)
+    env = {}
+
+    def search(i):
+        if i == len(prefix):
+            return not fbody(ctx, env)
+        var = prefix[i].var
+        for val in reference_domain(prefix[i])(ctx, env):
+            env[var] = val
+            if search(i + 1):
+                return True
+        env.pop(var, None)
+        return False
+
+    if not search(0):
+        return None
+    return Assignment(
+        {q.var: env[q.var] for q in prefix if isinstance(q, ForallI)},
+        {q.var: frozenset(i for i in range(ctx.n) if (env[q.var] >> i) & 1)
+         for q in prefix if isinstance(q, ForallP)})
 
 
 # ---------------------------------------------------------------------------
