@@ -53,6 +53,11 @@ false.  Once the plan keeps written order, the bit-parallel variable
 last, the planned loops themselves return the first refuting values they
 reach (guards and pushed domains skip only values that cannot refute).
 A sentence whose whole block keeps written order is decided by its search.
+The plan leaves written order only to close guards earlier or to give a
+plural a pushed domain (``_binding_order``).  Of the registry sentences,
+only ``ext_F`` (x first, in the most guards) and the lemma ``fun_F`` (x
+first, so that ZZ ranges over ``fpre(x)``) are reordered; they are decided
+by their verdict and then searched greedily, every other one by its search.
 
 A plural term compiles the same way, into one generated function
 returning its mask; ``Evaluator.term`` and the bound checks of
@@ -72,9 +77,9 @@ import linecache
 import weakref
 from typing import Optional
 
-from .structures import (PartStructure, Plurality, Structure, _Derived, _check_size,
-                         fusion_rows_from_parts, mask_of, members_of, overlap_masks,
-                         parts_from_fusion_rows)
+from .structures import (PartStructure, Plurality, Structure, _Derived, _bit_table,
+                         _check_size, fusion_rows_from_parts, mask_of, members_of,
+                         overlap_masks, parts_from_fusion_rows)
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
                      NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
@@ -109,20 +114,6 @@ class ObligationVerdict(_Derived):
     name: str
     passed: bool
     witness: Optional[Assignment] = None
-
-
-_BITS = [()]
-
-
-def _bit_table(n: int) -> list:
-    """The members of every mask below 2^n, shared by all contexts."""
-    global _BITS
-    table = _BITS
-    while len(table) < 1 << n:  # extend a copy: readers keep a whole table
-        k = len(table).bit_length() - 1
-        table = table + [t + (k,) for t in table]
-    _BITS = table
-    return table
 
 
 class EvalContext:
@@ -347,16 +338,25 @@ def _binding_order(rest, deps, scoped) -> list:
     """``rest`` ordered so that guards close early.
 
     Each step binds, among the variables whose bound is ready, the one
-    closing the most guards, then the one in the most guards, then an
-    individual before a plural, then the first written.
+    closing the most guards, then the one in the most guards, then one
+    whose binding lets a plural still to bind take a pushed domain (built
+    by ``_guarded_domain`` from a guard reading only the two of them and
+    names already bound), then the first written.  So a block with no
+    such guard keeps written order where the first two tie.
     """
     order, bound = [], set()
+
+    def pushes(q, p) -> bool:
+        both = bound | {q.var, p.var}
+        return _guarded_domain(p, [g for g, gv in scoped if q.var in gv and p.var in gv
+                                   and gv <= both])[0] is not None
 
     def score(q):
         v = q.var
         closes = sum(v in gv and gv <= bound | {v} for _, gv in scoped)
         touches = sum(v in gv for _, gv in scoped)
-        return (closes, touches, isinstance(q, INDIVIDUAL), -rest.index(q))
+        lets = any(pushes(q, p) for p in rest if p is not q and not isinstance(p, INDIVIDUAL))
+        return (closes, touches, lets, -rest.index(q))
 
     rest = list(rest)
     while rest:
@@ -591,7 +591,7 @@ class _Source:
                 if inner is not None:
                     low = f"{whole} ^ {cand}"
                     fixed[inner.var] = True, f"(({low}) & -({low})).bit_length() - 1"
-                self.line(f"if not {value}: return {_assignment(fixed)}")
+                self.line(f"if not {value}: return {self.assignment(fixed)}")
             elif order:
                 self.emit(decide.format(value))
             else:
@@ -702,14 +702,15 @@ class _Source:
                       dom=self.domain(f, None, outer, v)["dom"],
                       SUFFIX=lambda: self.bool(f.body, scope, out))
             f = f.body
-        self.line(f"return {_assignment(found)}")
+        self.line(f"return {self.assignment(found)}")
 
-
-def _assignment(found: dict) -> str:
-    """The ``Assignment`` of ``found``, name -> (whether individual, value)."""
-    individuals = ", ".join(f"{k!r}: {v}" for k, (i, v) in found.items() if i)
-    plurals = ", ".join(f"{k!r}: members_of({v})" for k, (i, v) in found.items() if not i)
-    return f"Assignment({{{individuals}}}, {{{plurals}}})"
+    def assignment(self, found: dict) -> str:
+        """The ``Assignment`` of ``found``, name -> (whether individual,
+        value); a plural's members are read from ``bits``."""
+        individuals = ", ".join(f"{k!r}: {v}" for k, (i, v) in found.items() if i)
+        plurals = ", ".join(f"{k!r}: frozenset({self.use('bits')}[{v}])"
+                            for k, (i, v) in found.items() if not i)
+        return f"Assignment({{{individuals}}}, {{{plurals}}})"
 
 
 def _names(node) -> frozenset:
@@ -728,7 +729,7 @@ def _generate(node, name: str, emit):
     text = "\n\n".join(src.defs) + "\n"
     filename = f"<gemcheck-{name}-{next(_SOURCES)}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    namespace = {"submasks": _submasks, "members_of": members_of, "Assignment": Assignment}
+    namespace = {"submasks": _submasks, "Assignment": Assignment}
     exec(compile(text, filename, "exec"), namespace)
     weakref.finalize(namespace[name], linecache.cache.pop, filename, None)
     return namespace[name]

@@ -351,11 +351,36 @@ def _fusion_pair(members: Iterable[int], x: int) -> str:
     return f"({{{','.join(map(str, members))}}},{x})"
 
 
+_BITS = [()]
+_MEMBER_TEXTS = ["{}"]
+
+
+def _bit_table(n: int) -> list:
+    """The members of every mask below 2^n, ascending, shared by all readers."""
+    global _BITS
+    table = _BITS
+    while len(table) < 1 << n:  # extend a copy: readers keep a whole table
+        k = len(table).bit_length() - 1
+        table = table + [t + (k,) for t in table]
+    _BITS = table
+    return table
+
+
+def _member_texts(n: int) -> list:
+    """The plurality of every mask below 2^n as literals write it, ``{0,2}``
+    for mask 5, shared by all readers as ``_bit_table`` is."""
+    global _MEMBER_TEXTS
+    if len(_MEMBER_TEXTS) < 1 << n:  # a new list: readers keep a whole table
+        _MEMBER_TEXTS = [f"{{{','.join(map(str, t))}}}" for t in _bit_table(n)]
+    return _MEMBER_TEXTS
+
+
 def dump_structure(s: Structure) -> str:
     if isinstance(s, PartStructure):
         pairs = [f"({x},{y})" for x in range(s.n) for y, d in enumerate(s.down) if d >> x & 1]
     else:
-        pairs = [_fusion_pair(iter_bits(p), x) for p, r in enumerate(s.rows) for x in iter_bits(r)]
+        bits, texts = _bit_table(s.n), _member_texts(s.n)
+        pairs = [f"({texts[p]},{x})" for p, r in enumerate(s.rows) for x in bits[r]]
     return " ".join([f"n={s.n}\n{kind_of(s)}:", *pairs]) + "\n"
 
 

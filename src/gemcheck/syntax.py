@@ -288,12 +288,20 @@ _RELATIONS = (SubTerm, TermEq)
 
 
 # ---------------------------------------------------------------------------
-# parser: recursive descent, binary operators by precedence climbing
+# parser: recursive descent, binary operators from an operator stack
+
+#: the most levels of nesting ``parse`` reads around one token: the formula
+#: and each parenthesis, quantifier body, ``not``, plural term and ``U(...)``
+#: around it.  A level takes at most three Python frames, so the parser
+#: reads the same texts from any caller with about 600 frames to spare
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -313,20 +321,36 @@ class _Parser:
         _, line, col = self.toks[self.pos]
         raise (SortError if sort else ParseError)(msg, line, col)
 
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("formula nested too deeply")
+
     # a quantifier is an atom whose body extends rightward
     def formula(self) -> Formula:
         return self.binary(_FORMULA_OPS, self.not_)
 
-    def binary(self, ops: dict, operand, min_prec: int = 1):
-        """Operands joined by the words of ``ops`` that bind at ``min_prec``
-        or tighter, grouped by their precedence and associativity."""
-        f = operand()
-        while (op := ops.get(self.peek())) and op[1] >= min_prec:
-            self.next()
-            f = op[0](f, self.binary(ops, operand, op[1] + (not op[2])))
-        return f
+    def binary(self, ops: dict, operand):
+        """Operands joined by the words of ``ops``, grouped by their
+        precedence and associativity, one level of nesting deeper.
+        Operators wait on a stack until one binding looser comes, so a
+        chain costs no recursion per operand."""
+        self.nest()
+        operands, waiting = [operand()], []
+        while (op := ops.get(self.peek())) or waiting:
+            if waiting and (op is None or waiting[-1][1] > op[1]
+                            or waiting[-1][1] == op[1] and not op[2]):
+                right = operands.pop()
+                operands[-1] = waiting.pop()[0](operands[-1], right)
+            else:
+                self.next()
+                waiting.append(op)
+                operands.append(operand())
+        self.depth -= 1
+        return operands[0]
 
-    def quant(self) -> Formula:
+    def quant(self) -> tuple:
+        """The node class, variable and bound of a quantifier, up to its '.'."""
         kw = self.next()
         var = self.peek()
         if var == "<eof>" or not (var[0].isalpha()):
@@ -344,16 +368,21 @@ class _Parser:
                 self.fail(f"plural variable {var!r} takes 'sub', not 'in'", sort=True)
             bound = self.pterm()
         self.expect(".")
-        body = self.formula()
         if individual:
-            return (ForallI if kw == "forall" else ExistsI)(var, body, bound)
-        return (ForallP if kw == "forall" else ExistsP)(var, body, bound)
+            return (ForallI if kw == "forall" else ExistsI), var, bound
+        return (ForallP if kw == "forall" else ExistsP), var, bound
 
     def not_(self) -> Formula:
-        if self.peek() == "not":
+        nots = 0  # each a level of nesting, read without recursion
+        while self.peek() == "not":
+            self.nest()
             self.next()
-            return Not(self.not_())
-        return self.atom()
+            nots += 1
+        f = self.atom()
+        self.depth -= nots
+        for _ in range(nots):
+            f = Not(f)
+        return f
 
     def ivar(self) -> str:
         w = self.peek()
@@ -373,11 +402,12 @@ class _Parser:
             if after in _TERM_OPS or _ATOMS.get(after) in _RELATIONS:
                 return self._pterm_atom()
             self.next()
-            f = self.formula()
+            f = self.binary(_FORMULA_OPS, self.not_)
             self.expect(")")
             return f
         if w in ("forall", "exists"):
-            return self.quant()
+            cls, var, bound = self.quant()
+            return cls(var, self.binary(_FORMULA_OPS, self.not_), bound)
         cls = _ATOMS.get(w)
         if w == "F" or cls and cls not in _RELATIONS:
             self.next()
@@ -460,11 +490,7 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    try:
-        f = p.formula()
-    except RecursionError:  # at the token reached
-        _, line, col = p.toks[p.pos]
-        raise ParseError("formula nested too deeply", line, col) from None
+    f = p.formula()
     if p.peek() != "<eof>":
         p.fail(f"trailing input {p.peek()!r}")
     return f

@@ -594,21 +594,23 @@ def test_native_and_evaluator_disagreement_raises(monkeypatch):
 
 
 def test_unconfirmed_witness_raises(monkeypatch):
-    # false on canonical_gem(2), where {a} is a proper part of {a, b}; the
-    # planted witness x = y = {a} does not refute it.  It is planted in the
-    # generated search, in place of each witness it finds: the search decides
-    # the first sentence alone and runs after the verdict of the second,
-    # whose plan binds YY after x
+    # false on canonical_gem(2), where {a} is a proper part of {a, b} and
+    # fuses {{a}}; the planted witness x = y = {a}, with YY empty in the
+    # second, does not refute either.  It is planted in the generated search,
+    # in place of each witness it finds: the search decides the first sentence
+    # alone and runs after the verdict of the second, whose plan binds YY
+    # after x, so that YY ranges over the masks fusing to x
     search_of = semantics._witness_search
-    for text, planted in (("", {}), ("forall YY . ", {"YY": frozenset()})):
-        nf = NamedFormula("no_PP", parse(text + "forall x . forall y . (P(x, y) -> x = y)"),
-                          "", "gem_p")
+    for text, planted in (("forall x . forall y . (P(x, y) -> x = y)", {}),
+                          ("forall YY . forall x . forall y . (F(YY, x) and P(x, y) -> x = y)",
+                           {"YY": frozenset()})):
+        nf = NamedFormula("no_PP", parse(text), "", "gem_p")
         witness = Assignment({"x": 0, "y": 0}, planted)
         monkeypatch.setattr(semantics, "_witness_search",
                             lambda f: lambda ctx, env: search_of(f)(ctx, env) and witness)
         monkeypatch.setattr(search, "lemma_suite", lambda: Theory("lemmas", (nf,)))
         assert (semantics._decider(nf.sentence) is semantics.compiled(nf.sentence)[0]) == (
-            text != "")
+            planted != {})
         for check in (lambda: Evaluator(canonical_gem(2)).check(nf),
                       lambda: check_theory(canonical_gem(2), Theory("t", (nf,))),
                       lambda: verify_lemmas(SearchBounds(0, 0), 2)):

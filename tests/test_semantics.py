@@ -555,6 +555,41 @@ def test_one_witness_plan_serves_every_structure():
         assert refuted > 200
 
 
+# the leading block's plan of every registry sentence: its loop variables in
+# binding order, then the bit-parallel one.  Breaking ties by written order
+# where binding neither variable lets a plural take a pushed domain keeps
+# comp_F and gem_p's fun_F in written order; an individual-before-plural
+# tie-break bound x before ZZ in both.  The lemma fun_F binds x first, so
+# that ZZ ranges over fpre(x)
+_REGISTRY_PLANS = {
+    "exists_F": (["ZZ"], None), "approx_F": (["XX", "YY"], "z"), "id_F": (["x"], "y"),
+    "ext_F": (["x", "ZZ", "YY", "UU"], "v"), "comp_F": (["ZZ", "x"], "y"),
+    "wsp_F": (["x"], "y"), "ref_P": (["x"], None), "antis_P": (["x"], "y"),
+    "trans_P": (["x", "y"], "z"), "gem_p fun_F": (["ZZ", "x"], "y"),
+    "as_PP": (["x"], "y"), "trans_PP": (["x", "y"], "z"), "dfP_PP": (["x"], "y"),
+    "FIx": (["x"], None), "P_F2": (["x"], "y"), "lemmas fun_F": (["x", "ZZ"], "y"),
+    "cltosum": (["ZZ"], "x"), "FUIx": (["x"], None), "sumtocl": (["ZZ"], "x"),
+    "defUP": (["ZZ"], "x"), "WSP": (["x"], "y"), "F_P_Mub": (["ZZ"], "x"),
+    "defPF": (["x"], "y"), "defUF": (["ZZ"], "x"),
+}
+
+
+def test_registry_plans_are_pinned():
+    # every distinct registry sentence: its plan, and the one function that
+    # decides it, the witness search where the plan keeps written order
+    plans = {}
+    for t in (gem_f(), gem_p(), pp_axioms(), lemma_suite()):
+        for nf in t:
+            key = f"{t.name} {nf.name}" if nf.name == "fun_F" else nf.name
+            order, _, _, inner, _, written = semantics._plan_block(nf.sentence)
+            plan = ([q.var for q in order], inner and inner.var)
+            assert plans.setdefault(key, plan) == plan, key  # a name restated alike
+            decider = semantics._decider(nf.sentence).__name__  # of the generated function
+            assert decider == ("formula" if written is None else "witness"), key
+            assert (written is None) == (key in ("ext_F", "lemmas fun_F")), key
+    assert plans == _REGISTRY_PLANS
+
+
 # ---------------------------------------------------------------------------
 # hazards for the generated source: names, rebinding, depth, empty domains
 

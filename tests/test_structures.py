@@ -16,7 +16,8 @@ from gemcheck import (Assignment, CapacityError, FusionStructure, PartStructure,
 from gemcheck.semantics import Evaluator, ObligationVerdict
 from gemcheck.search import (CheckReport, SearchBounds, code_of, filter_models, random_structure,
                              structure_from_code)
-from gemcheck.structures import fusion_rows_from_parts, overlap_masks, summarize
+from gemcheck import structures
+from gemcheck.structures import fusion_rows_from_parts, mask_of, overlap_masks, summarize
 from gemcheck.syntax import Eq, ForallI, NamedFormula, PartAtom
 
 from util import all_structures, fusion_pairs, oracle_fuses, part_pairs
@@ -127,6 +128,33 @@ def test_literals_list_pairs_in_sorted_order():
               for _ in range(300)]
     for s in cases:
         assert dump_structure(s) == _sorted_literal(s)
+
+
+def test_member_tables_render_and_witness_as_members_of():
+    # the shared tables against what they replace: fusion literals as
+    # rendered pair by pair from iter_bits, and witness plurals as members_of
+    rng = random.Random(35)
+    cases = [s for n in range(3) for s in all_structures("fusion", n)]
+    cases += [random_structure("fusion", n, rng) for n in (3, 4) for _ in range(100)]
+    for s in cases:
+        pairs = [structures._fusion_pair(structures.iter_bits(p), x)
+                 for p, r in enumerate(s.rows) for x in structures.iter_bits(r)]
+        text = dump_structure(s)
+        assert text == " ".join([f"n={s.n}\nfusion:", *pairs]) + "\n"
+        assert load_structure(text) == s
+    for n in range(6):
+        bits = structures._bit_table(n)
+        assert [frozenset(bits[m]) for m in range(1 << n)] == [
+            structures.members_of(m) for m in range(1 << n)]
+    plurals = 0
+    for s in cases[:60] + [random_structure("part", n, rng) for n in (2, 3, 4) for _ in range(20)]:
+        ev = Evaluator(s)
+        for nf in (*gem_f(), *gem_p()):
+            witness = ev.check(nf).witness
+            for zz in (witness.plurals.values() if witness is not None else ()):
+                assert type(zz) is frozenset and zz == structures.members_of(mask_of(zz))
+                plurals += 1
+    assert plurals > 100
 
 
 def test_induced_part_examples():

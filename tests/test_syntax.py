@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import gemcheck
-from gemcheck import parse, print_formula, semantics
+from gemcheck import parse, print_formula, semantics, syntax
+from gemcheck.structures import _Derived
 from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
                              ForallI, FusionAtom, Iff, Implies, Not, Or,
                              OverlapAtom, ParseError, PartAtom, PInter, PUnion,
@@ -158,6 +159,52 @@ def test_deep_nesting_parses_and_too_deep_is_a_parse_error(prefix):
     assert parse(print_formula(f)) == f
     with pytest.raises(ParseError, match="formula nested too deeply"):
         parse(prefix * 3000 + "x = y" + ")" * 3000)
+
+
+def _parse_outcome(text: str):
+    """The parsed tree of ``text`` in preorder, walked without recursion (a
+    long chain would overflow ``==``), or the (message, line, column) of its
+    parse error."""
+    try:
+        stack, nodes = [parse(text)], []
+    except ParseError as e:
+        return e.msg, e.line, e.col
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Derived):
+            nodes.append(type(node).__name__)
+            stack += reversed(node._values())
+        else:
+            nodes.append(node)
+    return nodes
+
+
+def _called_deeper(frames: int, fn):
+    return fn() if frames == 0 else _called_deeper(frames - 1, fn)
+
+
+def test_parse_reads_the_same_texts_from_a_deeper_caller():
+    # nesting is refused past one fixed depth, counting the formula and each
+    # parenthesis, quantifier body, not, plural term and U(...) around a
+    # token, and operator chains cost no recursion, so a caller 200 frames
+    # deeper gets the same tree, or the same error at the same place
+    limit = syntax.MAX_NESTING
+    nested = []  # (text, its levels), each shape at the limit and one past it
+    for k in (limit - 1, limit):  # the formula and k levels more
+        nested += [(prefix * k + "x = y" + ")" * k, k + 1) for prefix in (
+            "(", "P(x, x) and (", "P(x, x) <-> P(x, x) -> P(x, x) or P(x, x) and (")]
+        nested += [(word * k + "x = x", k + 1) for word in ("exists x . ", "not ")]
+        # a quantifier body and the term inside F(...) besides
+        nested += [(f"forall x . F({former * (k - 2)}I(x){')' * (k - 2)}, x)", k + 1)
+                   for former in ("U(", "(")]
+    chains = ["exists x . " + " -> ".join(["P(x, x)"] * 900), " or ".join(["P(x, x)"] * 5000),
+              "forall XX . " + " + ".join(["XX"] * 5000) + " sub XX"]
+    texts = [text for text, _ in nested] + chains
+    outcomes = [_parse_outcome(text) for text in texts]
+    assert [isinstance(o, tuple) and o[0] for o in outcomes] == [
+        levels > limit and "formula nested too deeply" for _, levels in nested] + [False] * 3
+    for text, outcome in zip(texts, outcomes):
+        assert _called_deeper(200, lambda: _parse_outcome(text)) == outcome, text[:40]
 
 
 def test_quantifier_scope_extends_right():
