@@ -21,9 +21,8 @@ from pathlib import Path
 
 from .syntax import (And, Components, Eq, ExistsI, ExistsP, ForallI, ForallP,
                      Formula, FusionAtom, Iff, Implies, INDIVIDUAL, Member,
-                     NamedFormula, Not, Or, OverlapAtom, PartAtom, PluralTerm,
-                     ProperPartAtom, PVar, PInter, PUnion, Singleton, SubTerm,
-                     TermEq, UNIVERSAL)
+                     NamedFormula, Not, Or, OverlapAtom, PartAtom, ProperPartAtom,
+                     PVar, PInter, PUnion, Singleton, SubTerm, TermEq, UNIVERSAL, _chain)
 from .theory import lemma_suite, theory_by_name
 
 
@@ -35,61 +34,46 @@ def _pv(name: str) -> str:
     return "W" + name.lower()
 
 
-_CONNECTIVES = {And: "&", Or: "|", Implies: "=>", Iff: "<=>"}
+# the symbol of each connective, and of each plural term former and atom
+# applied to its fields in order
+_SYMBOLS = {And: "&", Or: "|", Implies: "=>", Iff: "<=>", Singleton: "sing", PUnion: "un",
+            PInter: "int", Member: "memb", SubTerm: "are", TermEq: "coext", FusionAtom: "fuses",
+            PartAtom: "part", ProperPartAtom: "ppart", OverlapAtom: "overlap"}
 
 
 class _Encoder:
     def __init__(self):
         self.used = set()
 
-    def term(self, t: PluralTerm) -> str:
-        match t:
+    def encode(self, f) -> str:
+        """A formula or plural term; the symbols it applies join ``used``."""
+        match f:
             case PVar(name):
                 return _pv(name)
-            case Singleton(v):
-                self.used.add("sing")
-                return f"sing({_iv(v)})"
-            case PUnion(a, b):
-                self.used.add("un")
-                return f"un({self.term(a)},{self.term(b)})"
-            case PInter(a, b):
-                self.used.add("int")
-                return f"int({self.term(a)},{self.term(b)})"
-            case Components(s):
-                self.used.add("u")
-                return f"u({self.term(s)})"
-        raise TypeError(t)
-
-    def formula(self, f: Formula) -> str:
-        match f:
             case Eq(a, b):
                 return f"({_iv(a)} = {_iv(b)})"
-            case Member(v, t):
-                self.used.add("memb")
-                return f"memb({_iv(v)},{self.term(t)})"
-            case SubTerm(a, b):
-                self.used.add("are")
-                return f"are({self.term(a)},{self.term(b)})"
-            case TermEq(a, b):
-                self.used.add("coext")
-                return f"coext({self.term(a)},{self.term(b)})"
-            case FusionAtom(t, v):
-                self.used.add("fuses")
-                return f"fuses({self.term(t)},{_iv(v)})"
-            case PartAtom(a, b):
-                self.used.add("part")
-                return f"part({_iv(a)},{_iv(b)})"
-            case ProperPartAtom(a, b):
-                self.used.add("ppart")
-                return f"ppart({_iv(a)},{_iv(b)})"
-            case OverlapAtom(a, b):
-                self.used.add("overlap")
-                return f"overlap({_iv(a)},{_iv(b)})"
+            case Singleton() | Member() | SubTerm() | TermEq() | FusionAtom() | PartAtom() | \
+                    ProperPartAtom() | OverlapAtom():
+                sym = _SYMBOLS[type(f)]
+                self.used.add(sym)
+                args = (_iv(x) if isinstance(x, str) else self.encode(x) for x in f._values())
+                return f"{sym}({','.join(args)})"
+            case Components(s):
+                self.used.add("u")
+                return f"u({self.encode(s)})"
             case Not(g):
-                return f"(~ {self.formula(g)})"
-            case And() | Or() | Implies() | Iff():
-                op = _CONNECTIVES[type(f)]
-                return f"({self.formula(f.left)} {op} {self.formula(f.right)})"
+                return f"(~ {self.encode(g)})"
+            case And() | Or() | Implies() | Iff() | PUnion() | PInter():
+                op, fs = _SYMBOLS[type(f)], []
+                for g in _chain(f):  # a frame per level of nesting, none per operand
+                    fs.append(self.encode(g))
+                k = len(fs) - 1
+                if type(f) is Implies:  # nested right
+                    return "".join(f"({g} {op} " for g in fs[:-1]) + fs[-1] + ")" * k
+                if isinstance(f, (PUnion, PInter)):  # a term former, applied
+                    self.used.add(op)
+                    return f"{op}(" * k + fs[0] + "".join(f",{g})" for g in fs[1:])
+                return "(" * k + fs[0] + "".join(f" {op} {g})" for g in fs[1:])
             case ForallI() | ExistsI() | ForallP() | ExistsP():
                 individual = isinstance(f, INDIVIDUAL)
                 v = _iv(f.var) if individual else _pv(f.var)
@@ -97,8 +81,8 @@ class _Encoder:
                 if f.bound is not None:
                     rel = "memb" if individual else "are"
                     self.used.add(rel)
-                    guard = f"{guard} & {rel}({v},{self.term(f.bound)})"
-                body = self.formula(f.body)
+                    guard = f"{guard} & {rel}({v},{self.encode(f.bound)})"
+                body = self.encode(f.body)
                 if not isinstance(f, UNIVERSAL):
                     return f"(? [{v}] : ({guard} & {body}))"
                 if f.bound is not None:
@@ -109,7 +93,7 @@ class _Encoder:
 
 def encode(f: Formula) -> str:
     """Sorted first-order rendering of one formula."""
-    return _Encoder().formula(f)
+    return _Encoder().encode(f)
 
 
 # Definitional axioms for the encoded symbols.  Keyed by symbol; the value
@@ -189,9 +173,9 @@ def emit_obligation(nf: NamedFormula) -> str:
     name, side = nf.name, nf.side
     theory = theory_by_name(side)
     enc = _Encoder()
-    axioms = [(f"ax_{ax.name.lower()}", enc.formula(ax.sentence))
+    axioms = [(f"ax_{ax.name.lower()}", enc.encode(ax.sentence))
               for ax in theory.obligations]
-    conj = enc.formula(nf.sentence)
+    conj = enc.encode(nf.sentence)
     with_star = side == "gem_p" and name == "comp_F"
     defs = _needed_defs(enc.used, side, with_star)
     labels = {label for label, _ in defs}

@@ -11,10 +11,12 @@ search over the rows (``down[y]`` on the part side, ``rows[p]`` on the
 fusion side), each ranging over a value list into which row-local axioms
 are baked (reflexivity on the part side, fusion existence and singleton
 collapse on the fusion side).  Rows are assigned in index order on both
-sides.  Some native checkers are also split into clauses, one per
-instance of the checker's own loop, each filed under the largest row it
-reads and tested as soon as that row is assigned: ext_F instances (ZZ,
-YY, UU) on the fusion side, antis_P (which also decides as_PP) instances
+sides.  Each row has a table of checks that narrow the values it tries,
+each reading only the earlier rows and the value, cheap first: poset
+down-closure, the hoisted ext_F bound, then the clause tests.  Some native
+checkers are split into clauses, one per instance of the checker's own
+loop, each filed under the largest row it reads: ext_F instances (ZZ, YY,
+UU) on the fusion side, antis_P (which also decides as_PP) instances
 (x, y), and trans_P and trans_PP instances (x, y, z) on the part side.
 Only the checkers of the theory's own obligations are filed, so without
 them the search visits the whole product of the value lists.  At each
@@ -52,26 +54,25 @@ skipping equal unions: (7^n - 5^n)/2.
 
 Hoisted bounds.  An ext_F clause filed at its larger side r whose premise
 rows ZZ and YY and other side o come before r says, once ZZ and YY share
-a fusion, that row r equals row o.  Each visit of r folds all of them
-into one bound before the value loop, instead of testing each clause on
-every value: the value must contain ``lo`` and lie within ``hi``.  Clauses
-filed at YY stay tests.  The bounds reject exactly what those clauses
-reject, and assume nothing about single-element rows.
+a fusion, that row r equals row o.  Row r's first check gathers the rows
+o of all of them into one set instead of testing each clause on every
+value: r keeps every value if the set is empty, else only its one member.
+Clauses filed at YY stay tests.  The bound rejects exactly what those
+clauses reject, and assumes nothing about single-element rows.
 
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
-(as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the
-part rows range over naturally labeled posets, where ``x < y`` whenever
-x is a proper part of y: row k takes ``D | 1 << k`` for every ``D``
-within {0..k-1} that is down-closed, holding ``down[x]`` for each x it
-holds, so element k joins as a new maximal element.  The search tests
-each value against the rows already assigned: it keeps a value only if
-every earlier element the value holds has its row within it.
-Reflexivity, antisymmetry and transitivity hold by construction, so
+(as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the part rows
+range over naturally labeled posets, where ``x < y`` whenever x is a
+proper part of y: row k takes ``D | 1 << k`` for every ``D`` within
+{0..k-1} that is down-closed, holding ``down[x]`` for each x it holds,
+so element k joins as a new maximal element.  The row's first check
+keeps a value only if every earlier element it holds has its row within
+it.  Reflexivity, antisymmetry and transitivity hold by construction, so
 antis_P and trans_P are neither filed nor run at the leaves (the
 evaluator still re-verifies them on every orbit), and the search visits
 one natural labeling of a poset per leaf instead of every labeled
-relation.  Every poset has a natural labeling (any linear
-extension of its order), so every isomorphism class is reached.
+relation.  Every poset has a natural labeling (any linear extension of
+its order), so every isomorphism class is reached.
 
 Top last.  When exists_F (fusion unfolded to the closure conditions on
 P) is natively decided too and n >= 1, the last row is only the full
@@ -283,26 +284,47 @@ class Models(list):
         self.orbits = orbits
 
 
-# Instance-triggered clauses.  A clause is one instance of a native
-# checker's own loop.  A family files each of its clauses at size n under
-# the largest row it reads.  A row holds clauses of one kind only, so one
-# test per kind says whether any of a row's clauses rejects the rows.
+# Row checks.  A check ``(fn, data)`` of row r narrows the values r tries:
+# ``fn(rows, r, values, data)`` returns those it keeps, in order, reading
+# only the rows before r and the value (which it may hold in ``rows[r]``).
+# A clause is one instance of a native checker's loop, which a family files
+# at size n under the largest row it reads; one check tests a row's clauses.
 
 
-def _part_fires(rows, clauses) -> bool:
+def _down_closed(rows, r, values, _):
+    # poset rows: each earlier element the value holds brings its own row
+    return [v for v in values if not any(rows[x] & ~v for x in iter_bits(v ^ 1 << r))]
+
+
+def _equal_rows(rows, r, values, equals):
+    # hoisted ext_F clauses (zz, yy, o): row r equals row o once ZZ and YY share a fusion
+    forced = {rows[o] for zz, yy, o in equals if rows[zz] & rows[yy]}
+    return [v for v in values if {v} == forced] if forced else values
+
+
+def _part_tests(rows, r, values, clauses):
     # rows[i] holds bit bx, rows[j] holds bit by and lacks bit c (none if c is 0)
-    for i, j, bx, by, c in clauses:
-        if rows[i] & bx and rows[j] & by and not rows[j] & c:
-            return True
-    return False
+    kept = []
+    for v in values:
+        rows[r] = v
+        for i, j, bx, by, c in clauses:
+            if rows[i] & bx and rows[j] & by and not rows[j] & c:
+                break
+        else:
+            kept.append(v)
+    return kept
 
 
-def _ext_f_fires(rows, clauses) -> bool:
-    # ZZ and YY share a fusion, but row YY, the larger side, and row o differ
-    for zz, yy, o in clauses:
-        if rows[zz] & rows[yy] and rows[yy] != rows[o]:
-            return True
-    return False
+def _ext_f_tests(rows, r, values, clauses):
+    # ZZ and YY (row r, the larger side) share a fusion, but row r and row o differ
+    kept = []
+    for v in values:
+        for zz, _, o in clauses:
+            if rows[zz] & v and v != rows[o]:
+                break
+        else:
+            kept.append(v)
+    return kept
 
 
 def _part_family(shape):
@@ -350,49 +372,32 @@ _CLAUSES = {
 }
 
 
-def _filed_clauses(kind: str, n: int, natives) -> list:
-    """Per row, ``(tests, equals)``: ``tests`` lists the clauses of the
-    natives in ``natives`` whose largest row read is that row, for
-    ``_part_fires`` or ``_ext_f_fires`` by ``kind``.  An ext_F clause
-    ``(zz, yy, o)`` is filed at its larger side r: row r equals row o when
-    rows zz and yy share a fusion.  It is a test where r is yy, and else,
-    with its premise rows and o before r, hoisted into a bound in
-    ``equals``."""
+def _row_checks(kind: str, n: int, natives, natural: bool) -> list:
+    """Per row, its checks, cheap first: down-closure on natural part rows
+    (poset rows), the ext_F clauses that read only earlier rows (hoisted
+    into ``_equal_rows``), then the tests of the other clauses filed there."""
     filed = [([], []) for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
         if family is not None:
             family(n, filed)
-    return filed
-
-
-def _bounds(rows, equals) -> tuple:
-    """``(lo, hi)``: a row's value must contain ``lo`` and lie within ``hi``
-    by its hoisted ext_F clauses, read off the earlier rows."""
-    lo, hi = 0, -1
-    for zz, yy, o in equals:
-        if rows[zz] & rows[yy]:
-            lo |= rows[o]
-            hi &= rows[o]
-    return lo, hi
+    tests = _part_tests if kind == "part" else _ext_f_tests
+    first = [(_down_closed, None)] if natural and kind == "part" else []
+    return [first + [(fn, data) for fn, data in ((_equal_rows, equals), (tests, clauses)) if data]
+            for clauses, equals in filed]
 
 
 def _scan_worker(args) -> list:
     """Structures of the row search over ``allowed`` passing every native.
 
-    Rows are assigned depth first in index order.  A row tries only the
-    values within its hoisted bounds and, on natural part rows (poset
-    rows, down-closed), those holding the whole down-set of each earlier
-    element they hold; after each value the clauses filed there are
-    tested, and a leaf runs every unsplit native in full.
+    Rows are assigned depth first in index order.  A row's checks
+    (``_row_checks``) narrow its values, the search goes on with each value
+    kept, and a leaf runs every unsplit native in full.
     """
     kind, n, allowed, natives, natural = args
-    down_closed = natural and kind == "part"
-    if kind == "part":
-        tables, build, fires = native.part_tables, PartStructure, _part_fires
-    else:
-        tables, build, fires = native.fusion_tables, FusionStructure.from_rows, _ext_f_fires
-    filed = _filed_clauses(kind, n, natives)
+    tables, build = ((native.part_tables, PartStructure) if kind == "part"
+                     else (native.fusion_tables, FusionStructure.from_rows))
+    checks = _row_checks(kind, n, natives, natural)
     leaf = [fn for fn in natives if (kind, fn) not in _CLAUSES]
     rows = [0] * len(allowed)
     found = []
@@ -405,17 +410,12 @@ def _scan_worker(args) -> list:
                     return
             found.append(build(n, tuple(rows)))
             return
-        tests, equals = filed[r]
         values = allowed[r]
-        if down_closed:  # each earlier element the value holds brings its own row
-            values = [v for v in values if not any(rows[x] & ~v for x in iter_bits(v ^ 1 << r))]
-        if equals:
-            lo, hi = _bounds(rows, equals)
-            values = [v for v in values if v & lo == lo and not v & ~hi]
+        for fn, data in checks[r]:
+            values = fn(rows, r, values, data)
         for v in values:
             rows[r] = v
-            if not (tests and fires(rows, tests)):
-                assign(r + 1)
+            assign(r + 1)
 
     assign(0)
     return found

@@ -299,9 +299,15 @@ MAX_NESTING = 200
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.toks = toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.after, opened = {}, []  # "(" position -> the token after its ")"
+        for i, (tok, _, _) in enumerate(toks):
+            if tok == "(":
+                opened.append(i)
+            elif tok == ")" and opened:
+                self.after[opened.pop()] = toks[i + 1][0]
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -398,7 +404,7 @@ class _Parser:
             # "(" opens either a subformula or a plural term heading an
             # atom like "(XX + YY) & ZZ sub XX"; the token after the
             # matching ")" tells which
-            after = self._after_group()
+            after = self.after.get(self.pos, "<eof>")
             if after in _TERM_OPS or _ATOMS.get(after) in _RELATIONS:
                 return self._pterm_atom()
             self.next()
@@ -438,16 +444,6 @@ class _Parser:
         if _is_pvar(w) or w in ("I", "U"):
             return self._pterm_atom()
         self.fail(f"cannot start an atom with {w!r}")
-
-    def _after_group(self) -> str:
-        """The token after the ")" matching the "(" at the current position."""
-        depth = 0
-        for i in range(self.pos, len(self.toks)):
-            tok = self.toks[i][0]
-            depth += (tok == "(") - (tok == ")")
-            if depth == 0:
-                return self.toks[i + 1][0]
-        return "<eof>"
 
     def _pterm_atom(self) -> Formula:
         t = self.pterm()
@@ -505,6 +501,17 @@ _BINARY = {cls: (word, prec, right)
            for word, (cls, prec, right) in (_FORMULA_OPS | _TERM_OPS).items()}
 
 
+def _chain(f) -> list:
+    """The operands of the chain of ``type(f)``, a binary operator, in written
+    order, walked in a loop on the side it nests (the right for ``->``)."""
+    cls, right = type(f), _BINARY[type(f)][2]
+    others = []
+    while type(f) is cls:
+        f, other = (f.right, f.left) if right else (f.left, f.right)
+        others.append(other)
+    return others + [f] if right else [f] + others[::-1]
+
+
 def _pr(f, prec: int) -> str:
     """A formula or plural term, in parentheses if it binds looser than prec."""
     match f:
@@ -526,9 +533,13 @@ def _pr(f, prec: int) -> str:
             return f"{_pr(a, 0)} {_WORD[type(f)]} {_pr(b, 0)}"
         case Not(g):  # nothing binds tighter, so never in parentheses
             return f"not {_pr(g, _NOT)}"
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | PUnion(a, b) | PInter(a, b):
+        case And() | Or() | Implies() | Iff() | PUnion() | PInter():
             word, p, right = _BINARY[type(f)]
-            s = f"{_pr(a, p + right)} {word} {_pr(b, p + (not right))}"
+            operands, texts = _chain(f), []
+            end = len(operands) - 1 if right else 0  # the operand at the side it nests
+            for i, g in enumerate(operands):  # a frame per level of nesting, none per operand
+                texts.append(_pr(g, p + (i != end)))
+            s = f" {word} ".join(texts)
             return f"({s})" if prec > p else s
         case ForallI(v, body, bound) | ExistsI(v, body, bound) | \
                 ForallP(v, body, bound) | ExistsP(v, body, bound):

@@ -8,7 +8,8 @@ search over the unbaked rows (``util.plain_row_survivors``): 1 445 labeled
 models in 20 relabeling orbits on both.  At n=6, where the plain search is
 out of reach, it must list 28 956 labeled models in 68 orbits, L(7) + L(6)
 = 53 + 15 (lattice numbers, OEIS A006966), and ``gem_f`` must have no
-model.  Then the equivalence verification, sweeping both signatures up to
+model and build native fusion tables at exactly 359 leaves of its row
+search, so a change to the work the scan does at its largest size shows.  Then the equivalence verification, sweeping both signatures up to
 n=5, must pass every check, with no model at n=5 on either side.  Run from
 the repository root:
 
@@ -21,12 +22,13 @@ import itertools
 import math
 import sys
 
-from gemcheck import Theory, filter_models, gem_f, search, verify_equivalence
+from gemcheck import Theory, filter_models, gem_f, native, search, verify_equivalence
 from gemcheck.search import SearchBounds
 
 from util import plain_row_survivors, relabeled
 
 EXPECTED = {5: (1445, 20), 6: (28956, 68)}  # (models, orbits) of {id_F, exists_F, ext_F}
+GEM_F_LEAVES = 359  # gem_f's native fusion table builds at n=6, one per leaf
 
 
 def orbit_count(models: list) -> int:
@@ -56,10 +58,16 @@ def main() -> int:
     # the search's own orbits: orbit_count would relabel each model 720 times
     models = filter_models("fusion", 6, theory)
     tally = len(models), len(models.orbits)
-    gem_f_models = len(filter_models("fusion", 6, gem_f()))
+    builds = []
+    tables = native.fusion_tables  # looked up through the module by the scan
+    native.fusion_tables = lambda n, rows: builds.append(n) or tables(n, rows)
+    try:
+        gem_f_models = len(filter_models("fusion", 6, gem_f()))
+    finally:
+        native.fusion_tables = tables
     print(f"fusion n=6: {{id_F, exists_F, ext_F}} {tally} (models, orbits), "
-          f"gem_f {gem_f_models} models")
-    ok = ok and tally == EXPECTED[6] and gem_f_models == 0
+          f"gem_f {gem_f_models} models, {len(builds)} native table builds")
+    ok = ok and tally == EXPECTED[6] and gem_f_models == 0 and len(builds) == GEM_F_LEAVES
     report = verify_equivalence(SearchBounds(max_n_part=5, max_n_fusion=5))
     fives = report.part_rows[5]["models"], report.fusion_rows[5]["models"]
     print(f"equivalence to part and fusion n=5: all_ok {report.all_ok}, "

@@ -179,8 +179,8 @@ def test_poset_rows_count_the_posets():
     reps, labeled = [], []
     t = order_theory()
     for n in range(6):
-        allowed, natives, down_closed, _ = search._stream("part", n, t)
-        reps.append(len(search._scan_worker(("part", n, allowed, natives, down_closed))))
+        allowed, natives, natural, _ = search._stream("part", n, t)
+        reps.append(len(search._scan_worker(("part", n, allowed, natives, natural))))
         labeled.append(len(filter_models("part", n, t)))
     assert reps == [1, 1, 2, 7, 40, 357]  # unlabeled posets, OEIS A006455
     assert labeled == [1, 1, 3, 19, 219, 4231]  # labeled posets, OEIS A001035
@@ -207,8 +207,8 @@ def test_down_closed_rows_match_the_trans_p_clauses(name):
     t = DIFFERENTIAL_THEORIES[name]()
     row_local, natives, _ = search._plan("part", t)
     for n in range(7):
-        allowed, stream_natives, down_closed, _ = search._stream("part", n, t)
-        assert down_closed and native.trans_p not in stream_natives
+        allowed, stream_natives, natural, _ = search._stream("part", n, t)
+        assert natural and native.trans_p not in stream_natives
         reference = search._scan_worker(("part", n, allowed, natives, False))
         assert search._scan_worker(("part", n, allowed, stream_natives, True)) == reference, n
 
@@ -384,37 +384,53 @@ def test_native_and_evaluator_disagreement_raises_on_poset_rows(monkeypatch):
         filter_models("part", 3, gem_p())
 
 
-def _fires_on_the_way(kind, n, checker, rows):
-    """Whether a clause of ``checker`` rejects ``rows`` while the search
-    assigns them, each tested, or read off as a bound, where it is filed
-    with later rows still unset."""
-    filed = search._filed_clauses(kind, n, [checker])
-    fires = search._part_fires if kind == "part" else search._ext_f_fires
+def _fires_on_the_way(checks, rows):
+    """Whether a check of ``checks``, a ``search._row_checks`` table, rejects
+    ``rows`` while the search assigns them: each row's value goes through
+    that row's checks with the later rows still unset."""
     partial = [None] * len(rows)
-    for r, (tests, equals) in enumerate(filed):
-        lo, hi = search._bounds(partial, equals)
-        partial[r] = rows[r]
-        if rows[r] & lo != lo or rows[r] & ~hi or fires(partial, tests):
+    for r, row_checks in enumerate(checks):
+        values = [rows[r]]
+        for fn, data in row_checks:
+            values = fn(partial, r, values, data)
+        if not values:
             return True
+        partial[r] = rows[r]
     return False
 
 
-@pytest.mark.parametrize("kind,name", sorted((kind, fn.__name__)
-                                              for kind, fn in search._CLAUSES))
-def test_clauses_fire_exactly_when_their_checker_fails(kind, name):
+# every clause family's checks, and the poset rows' down-closure alone,
+# which must fire exactly where trans_P fails on the relations over those rows
+@pytest.mark.parametrize("kind,name,natural", [
+    *(pytest.param(kind, name, False, id=f"{kind}-{name}")
+      for kind, name in sorted((kind, fn.__name__) for kind, fn in search._CLAUSES)),
+    pytest.param("part", "trans_p", True, id="part-down_closure")])
+def test_clauses_fire_exactly_when_their_checker_fails(kind, name, natural):
     checker = getattr(native, name)
-    rng = random.Random(31)
-    exhaustive = range(4) if kind == "part" else range(3)
-    structures = [s for n in exhaustive for s in all_structures(kind, n)]
-    structures += [random_structure(kind, 4 if kind == "part" else 3, rng)
-                   for _ in range(200)]
+    if natural:
+        structures = [PartStructure(n, rows) for n in range(5)
+                      for rows in itertools.product(*search._natural_rows(n, False))]
+    else:
+        rng = random.Random(31)
+        exhaustive = range(4) if kind == "part" else range(3)
+        structures = [s for n in exhaustive for s in all_structures(kind, n)]
+        structures += [random_structure(kind, 4 if kind == "part" else 3, rng)
+                       for _ in range(200)]
+    checks = [search._row_checks(kind, n, [] if natural else [checker], natural)
+              for n in range(5)]
     verdicts = set()
     for s in structures:
         rows = s.down if kind == "part" else s.rows
         holds = checker(native.tables_for(s))
-        assert holds != _fires_on_the_way(kind, s.n, checker, rows), summarize(s)
+        assert holds != _fires_on_the_way(checks[s.n], rows), summarize(s)
         verdicts.add(holds)
     assert verdicts == {True, False}
+
+
+def _ext_f_checks(n):
+    """Per fusion row at size n, its ext_F clauses by check: the hoisted
+    ones under ``_equal_rows``, the tested ones under ``_ext_f_tests``."""
+    return [dict(checks) for checks in search._row_checks("fusion", n, [native.ext_f], False)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -430,7 +446,11 @@ def test_ext_f_files_only_clauses_that_can_fire(n):
     def key(zz, yy, a, b):
         return frozenset((zz, yy)), frozenset((a, b))
     clauses = []
-    for r, (tests, equals) in enumerate(search._filed_clauses("fusion", n, [native.ext_f])):
+    for r, filed in enumerate(_ext_f_checks(n)):
+        # the bound first, then the tests, and no other check
+        assert list(filed) == [fn for fn in (search._equal_rows, search._ext_f_tests)
+                               if fn in filed]
+        tests, equals = filed.get(search._ext_f_tests, []), filed.get(search._equal_rows, [])
         # tested at a premise row that is the larger side
         assert all(yy == r > max(zz, o) for zz, yy, o in tests)
         # hoisted: the premise rows and the other side come first
@@ -445,11 +465,12 @@ def test_hoisted_bounds_match_every_directed_instance():
     # each ext_F instance (ZZ, YY, UU) filed at r = max(UU + ZZ, UU + YY) but
     # at neither premise row, when ZZ and YY share a fusion, bounds row r:
     # within row UU + YY if r = UU + ZZ, else containing row UU + ZZ; with
-    # equal unions it says nothing and is not filed
+    # equal unions it says nothing and is not filed.  The bound check,
+    # reading only the earlier rows, keeps exactly the values within them
     rng = random.Random(29)
     structures = [s for n in range(3) for s in all_structures("fusion", n)]
     structures += [random_structure("fusion", 3, rng) for _ in range(300)]
-    filed = [search._filed_clauses("fusion", n, [native.ext_f]) for n in range(4)]
+    filed = [_ext_f_checks(n) for n in range(4)]
     for s in structures:
         rows, size = s.rows, 1 << s.n
         expected = [[0, -1] for _ in range(size)]
@@ -461,8 +482,11 @@ def test_hoisted_bounds_match_every_directed_instance():
                     expected[r][1] &= rows[b]
                 else:
                     expected[r][0] |= rows[a]
-        assert [search._bounds(rows, equals) for _, equals in filed[s.n]] == \
-            [tuple(bound) for bound in expected], summarize(s)
+        for r, ((lo, hi), checks) in enumerate(zip(expected, filed[s.n])):
+            equals = checks.get(search._equal_rows, [])
+            partial = list(rows[:r]) + [None] * (size - r)
+            assert search._equal_rows(partial, r, list(range(size)), equals) == \
+                [v for v in range(size) if v & lo == lo and not v & ~hi], (summarize(s), r)
 
 
 def fusion_ext_theory():
@@ -483,10 +507,10 @@ def test_single_element_rows_match_the_plain_row_search(theory, counts, orbits):
     # assigned
     t = theory()
     for n, (count, orbit_count) in enumerate(zip(counts, orbits)):
-        allowed, natives, down_closed, rest = search._stream("fusion", n, t)
+        allowed, natives, natural, rest = search._stream("fusion", n, t)
         # every nonempty plurality's row is exactly one element
         assert not rest and all(v and not v & (v - 1) for values in allowed[1:] for v in values)
-        raw = search._scan_worker(("fusion", n, allowed, natives, down_closed))
+        raw = search._scan_worker(("fusion", n, allowed, natives, natural))
         # each raw survivor is a natural labeling: row 0 is empty or the
         # bottom 0, every row is one element no lower than its top member,
         # and the full row is the top n-1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gemcheck
-from gemcheck import parse, print_formula, semantics, syntax
+from gemcheck import export, parse, print_formula, semantics, syntax
 from gemcheck.structures import _Derived
 from gemcheck.syntax import (INDIVIDUAL, QUANTIFIERS, And, Eq, ExistsP,
                              ForallI, FusionAtom, Iff, Implies, Not, Or,
@@ -152,13 +152,30 @@ def test_every_operator_pair_groups_as_documented(sort, op1, op2):
         assert parse(f"not {a} {op1} {b}") == node[op1](Not(fa), fb)
 
 
-@pytest.mark.parametrize("prefix", ["(", "P(x, x) and ("])
+@pytest.mark.parametrize("prefix", ["(", "P(x, x) and (",
+                                    "P(x, x) <-> P(x, x) -> P(x, x) or P(x, x) and ("])
 def test_deep_nesting_parses_and_too_deep_is_a_parse_error(prefix):
     text = prefix * 150 + "x = y" + ")" * 150
-    f = parse(text)
-    assert parse(print_formula(f)) == f
-    with pytest.raises(ParseError, match="formula nested too deeply"):
+    # the trees compared in preorder: ``==`` recurses once or more per level
+    assert _parse_outcome(print_formula(parse(text))) == _parse_outcome(text)
+    assert export.encode(parse(text)).count("(Vx = Vy)") == 1
+    # refused at the token after the group that passes the limit; the groups
+    # are paired in one pass, so 3 000 of them are read in linear time
+    with pytest.raises(ParseError, match="formula nested too deeply") as refused:
         parse(prefix * 3000 + "x = y" + ")" * 3000)
+    assert (refused.value.line, refused.value.col) == (1, syntax.MAX_NESTING * len(prefix) + 1)
+
+
+@pytest.mark.parametrize("text", [" or ".join(["P(x, x)"] * 2000),
+                                  " -> ".join(["P(x, x)"] * 2000),
+                                  " + ".join(["XX"] * 2000) + " sub YY"],
+                         ids=["or", "implies", "union"])
+def test_long_chains_print_and_encode(text):
+    # a chain of one operator is walked in a loop on the side it nests (the
+    # right for "->", the left for the others), no frame per operand
+    f = parse(text)
+    assert print_formula(f) == text
+    assert export.encode(f).count("Vx,Vx" if "P(" in text else "Wxx") == 2000
 
 
 def _parse_outcome(text: str):

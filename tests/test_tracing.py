@@ -36,13 +36,19 @@ def test_install_then_uninstall_restores_every_boundary():
 
 
 def test_row_search_builds_native_tables_once_per_leaf():
+    # one build per leaf of the row search, so any change to the work a
+    # scan does shows here: on gem_p's down-closed poset rows with the top
+    # last (the 7 naturally labeled posets on three points, each below a
+    # top, at n=4), and on gem_f's single-element rows
+    cases = [("part", 4, theory.gem_p, 7), ("part", 5, theory.gem_p, 40),
+             ("part", 6, theory.gem_p, 357), ("fusion", 3, theory.gem_f, 3),
+             ("fusion", 4, theory.gem_f, 9), ("fusion", 5, theory.gem_f, 46)]
     tracing = _load_tracing()
-    tracer = tracing.Tracer()
-    tracing.install(tracer)
-    try:
-        search.filter_models("part", 4, theory.gem_p())
-    finally:
-        tracer.uninstall()
-    # the down-closed poset rows with the top last leave the 7 naturally
-    # labeled posets on three points, each below a top
-    assert tracer.summary()["native.tables"]["calls"] == 7
+    for kind, n, make, leaves in cases:
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            search.filter_models(kind, n, make())
+        finally:
+            tracer.uninstall()
+        assert tracer.summary()["native.tables"]["calls"] == leaves, (kind, n)

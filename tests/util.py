@@ -449,8 +449,8 @@ def labeled_models(kind, n, theory):
     """``filter_models`` with the evaluator on every labeled structure: every
     relabeling of the scan's survivors, each through every obligation and,
     if it passes, an orbit of its own."""
-    allowed, natives, down_closed, _ = _stream(kind, n, theory)
-    survivors = {relabeled(s, perm) for s in _scan_worker((kind, n, allowed, natives, down_closed))
+    allowed, natives, natural, _ = _stream(kind, n, theory)
+    survivors = {relabeled(s, perm) for s in _scan_worker((kind, n, allowed, natives, natural))
                  for perm in itertools.permutations(range(n))}
     models = []
     for s in sorted(survivors, key=code_of):
