@@ -13,7 +13,8 @@ are baked (reflexivity on the part side, fusion existence and singleton
 collapse on the fusion side).  Rows are assigned in index order on both
 sides.  Each row has a table of checks that narrow the values it tries,
 each reading only the earlier rows and the value, cheap first: poset
-down-closure, the hoisted ext_F bound, then the clause tests.  Some native
+down-closure, the join rows' cuts, the hoisted ext_F bound, then the
+clause tests.  Some native
 checkers are split into clauses, one per instance of the checker's own
 loop, each filed under the largest row it reads: ext_F instances (ZZ, YY,
 UU) on the fusion side, antis_P (which also decides as_PP) instances
@@ -31,34 +32,18 @@ rejects the orbit, a false natively decided one raises, so the scanning
 stage is never the final authority.  Agreement of the native route with
 the evaluator is itself the subject of the oracle-equivalence tests.
 
-Single-element rows.  When id_F and exists_F are baked and ext_F is
-natively decided, each nonempty plurality's row is one element and row 0
-is empty or one element.  With UU empty and YY = {x}, ext_F says that a
-row holding x equals row {x}, which id_F and exists_F make {x}; so a
-candidate passing ext_F has no other rows.  This is the axioms' own
-clause instance, not a lemma.  The rows also range over natural labelings
-only, as the poset rows below do: row 0 is empty or 0, and a row p of two
-or more members is one element x with ``x >= p.bit_length() - 1``, so the
-full row is n-1.  Every orbit of models has a member on these lists.  A
-candidate passing ext_F is a join-semilattice under derived parthood,
-F({x, y}, y), and f(p) lies above every member x of p (ext_F with UU =
-{x}, ZZ = p and YY = {f(p)}).  So in any linear extension of derived
-parthood f(p) gets a label of at least p's top bit, and f(full), the top,
-comes last.  Row 0 = {b} makes b a bottom (ext_F with ZZ empty, YY = {b}
-and UU = {y} gives F({y, b}, y) for every y), and a bottom is labeled 0 in
-every linear extension.  As ext_F is symmetric in ZZ and YY, each clause
-is an unordered equality, filed once (ZZ < YY): if ZZ and YY share a
-fusion, row UU + ZZ equals row UU + YY.  UU ranges over the submasks of
-the complement of ZZ & YY (its bits in both change neither union),
-skipping equal unions: (7^n - 5^n)/2.
-
-Hoisted bounds.  An ext_F clause filed at its larger side r whose premise
-rows ZZ and YY and other side o come before r says, once ZZ and YY share
-a fusion, that row r equals row o.  Row r's first check gathers the rows
-o of all of them into one set instead of testing each clause on every
+Hoisted bounds.  ext_F is filed on fusion rows other than join rows.  As
+it is symmetric in ZZ and YY, each of its clauses is an unordered
+equality, filed once (ZZ < YY): if ZZ and YY share a fusion, row UU + ZZ
+equals row UU + YY.  UU ranges over the submasks of the complement of
+ZZ & YY (its bits in both change neither union), skipping equal unions:
+(7^n - 5^n)/2.  A clause filed at its larger side r whose premise rows ZZ
+and YY and other side o come before r says, once ZZ and YY share a
+fusion, that row r equals row o.  Row r's first check gathers the rows o
+of all of them into one set instead of testing each clause on every
 value: r keeps every value if the set is empty, else only its one member.
 Clauses filed at YY stay tests.  The bound rejects exactly what those
-clauses reject, and assumes nothing about single-element rows.
+clauses reject.
 
 Poset rows.  When ref_P, antis_P and trans_P are all natively decided
 (as for ``gem_p``; ``pp`` has trans_PP, not trans_P), the part rows
@@ -81,19 +66,42 @@ is part of its fusion, so every element is part of t: t is a top,
 unique by antisymmetry.  In a natural labeling an element above every
 other comes after every other, so t is n-1 and ``down[n-1]`` is full.
 
+Join rows.  When id_F and exists_F are baked and ext_F is natively
+decided, the search runs over poset rows, not fusion rows.  A candidate
+passing the three is a join-semilattice under derived parthood,
+F({x, y}, y), with f(p) the join of p: ext_F with UU empty and YY = {x}
+makes a row holding x equal row {x}, so every row is one element, and
+with UU = {x}, ZZ = p and YY = {f(p)} it puts each member x of p below
+f(p).  So the rows are the poset rows of a natural labeling, top last,
+then a row for the empty plurality, and a leaf folds into fusion rows: p
+fuses to the least label whose row holds p, its join, as that lies below
+every other upper bound.  Every poset has a natural labeling, so every
+orbit has a leaf.  Row k's join cut drops a value when what k shares
+with an earlier j is neither empty nor one element's row: two maximal
+members of it have upper bounds j and k but no join.  No later label lies
+below j or k, so the cut is permanent; at a leaf two minimal upper bounds
+of a pair share a greatest lower bound above it, so they are one.  With
+wsp_F decided, row k keeps a value only if every proper part x of k has
+a part z of k sharing no part with x: wsp_F in order terms, read from
+rows up to k, so it leaves the leaf checkers.  Row 0 = {b} makes b a
+bottom (ext_F with ZZ empty, YY = {b} and UU = {y} gives F({y, b}, y)),
+labeled 0, so the last row is empty or {0}, this only if 0 is below
+every element and, under wsp_F, none is a proper part of another, as a
+bottom is part of both.
+
 Orbits.  Every obligation is a closed sentence whose evaluator and native
 verdicts do not change under relabeling, and the translations commute
 with it (``induced_fusion`` of a relabeled m is ``induced_fusion(m)``
 relabeled, likewise ``induced_part``).  So the survivors are grouped into
 relabeling orbits, each every relabeling of a survivor, and each theory's
 obligations are evaluated only on each orbit's first member in code
-order.  On the natural-labeling streams (poset rows, single-element
-rows) an orbit is counted once, however many of its natural labelings
-survive, and it is complete: a labeled model relabels to a natural
-labeling, which passes every native and so survives.  Elsewhere the baked
-value lists are invariant too, and a filed clause rejects only what its
-native rejects, so the survivors already are whole orbits.  The members
-are expanded into the code-ordered result and each is translated itself.
+order.  On the natural-labeling streams (poset rows, join rows) an orbit
+is counted once, however many of its natural labelings survive, and it
+is complete: a labeled model relabels to a natural labeling, which
+passes every native and so survives.  Elsewhere the baked value lists
+are invariant too, and a filed clause rejects only what its native
+rejects, so the survivors already are whole orbits.  The members are
+expanded into the code-ordered result and each is translated itself.
 The target axioms are checked once per orbit, on the first member's
 image; what is not invariant still runs on each member: the round trip,
 ``def_pf``/``def_uf``, injectivity of the translation, and each failing
@@ -104,10 +112,9 @@ is built, and the reports' ``_sweep`` checks its largest size before it
 scans any.  ``DEFAULT_CEILING`` bounds the product of the baked value
 lists (refused as soon as it passes), not the nominal space: 2^15 at
 part n=7 and 2^21 at n=8 for ``gem_p``, past the ceiling at n=9 (2^28);
-reflexive part rows pass it at n=6 (2^30).  ``gem_f``'s naturally
-labeled single-element rows are within it at fusion n=5 (27 648) and past
-it at n=6 (about 4.6e10); without the bake, fusion rows pass it at n=4
-(about 1.4e14).
+reflexive part rows pass it at n=6 (2^30).  ``gem_f``'s join rows,
+2 * 2^((n-1)(n-2)/2), are within it to fusion n=8 (2^22) and past it at
+n=9 (2^29); without the bake, fusion rows pass it at n=4 (about 1.4e14).
 
 Every witness (of ``check_theory``, ``verify_lemmas``,
 ``find_countermodel``) comes from ``Evaluator._audited_witness``, the one
@@ -151,8 +158,10 @@ _PLAN_ORDER = (native.id_f, native.exists_f, native.antis_p, native.ref_p,
 _ROW_LOCAL = {"part": {native.ref_p, native.approx_f},
               "fusion": {native.id_f, native.exists_f, native.approx_f}}
 
-# with all three natively decided, part rows range over naturally labeled posets
+# with all three natively decided, part rows range over naturally labeled posets,
+# and with these three fusion rows over the joins of join-semilattices among them
 _ORDER_AXIOMS = frozenset({native.ref_p, native.antis_p, native.trans_p})
+_JOIN_AXIOMS = frozenset({native.id_f, native.exists_f, native.ext_f})
 
 
 class SearchBounds(_Derived):
@@ -296,6 +305,26 @@ def _down_closed(rows, r, values, _):
     return [v for v in values if not any(rows[x] & ~v for x in iter_bits(v ^ 1 << r))]
 
 
+def _join_cut(rows, r, values, _):
+    # join rows: what r shares with an earlier j is nothing or one element's
+    # row, else two maximal members have no join (it would lie below both)
+    return [v for v in values
+            if all(not c or rows[c.bit_length() - 1] == c for c in (rows[j] & v for j in range(r)))]
+
+
+def _wsp_cut(rows, r, values, _):
+    # wsp_F in order terms: every proper part x of r has a part z of r sharing no part with x
+    return [v for v in values
+            if all(any(not rows[x] & rows[z] for z in iter_bits(v ^ 1 << r))
+                   for x in iter_bits(v ^ 1 << r))]
+
+
+def _empty_row(rows, r, values, wsp):
+    # row 0, after the n join rows: the bottom 0 if 0 is below every element
+    # and, under wsp_F, no element is a proper part of another
+    return values[:1] if any(not row & 1 or wsp and row & row - 1 for row in rows[:r]) else values
+
+
 def _equal_rows(rows, r, values, equals):
     # hoisted ext_F clauses (zz, yy, o): row r equals row o once ZZ and YY share a fusion
     forced = {rows[o] for zz, yy, o in equals if rows[zz] & rows[yy]}
@@ -373,18 +402,35 @@ _CLAUSES = {
 
 
 def _row_checks(kind: str, n: int, natives, natural: bool) -> list:
-    """Per row, its checks, cheap first: down-closure on natural part rows
-    (poset rows), the ext_F clauses that read only earlier rows (hoisted
-    into ``_equal_rows``), then the tests of the other clauses filed there."""
+    """Per row, its checks, cheap first: on join rows down-closure, the join
+    cut and, with wsp_F decided, the wsp_F cut, then row 0's own; else
+    down-closure on poset rows, the ext_F clauses that read only earlier
+    rows (hoisted into ``_equal_rows``), then the tests of the rest."""
+    if natural and kind == "fusion":
+        wsp = native.wsp_f in natives
+        poset = [(_down_closed, None), (_join_cut, None)] + [(_wsp_cut, None)] * wsp
+        return [poset] * n + [[(_empty_row, wsp)]]
     filed = [([], []) for _ in range(n if kind == "part" else 1 << n)]
     for fn in natives:
         family = _CLAUSES.get((kind, fn))
         if family is not None:
             family(n, filed)
     tests = _part_tests if kind == "part" else _ext_f_tests
-    first = [(_down_closed, None)] if natural and kind == "part" else []
+    first = [(_down_closed, None)] if natural else []
     return [first + [(fn, data) for fn, data in ((_equal_rows, equals), (tests, clauses)) if data]
             for clauses, equals in filed]
+
+
+def _joins(n: int, rows) -> list:
+    """The fusion rows of join rows: a nonempty plurality fuses to the least
+    label whose row holds it (its join), the empty one to row n."""
+    fused = [rows[n]] + [0] * ((1 << n) - 1)
+    for k in reversed(range(n)):  # the least label writes last
+        sub = rows[k]
+        while sub:
+            fused[sub] = 1 << k
+            sub = (sub - 1) & rows[k]
+    return fused
 
 
 def _scan_worker(args) -> list:
@@ -392,23 +438,27 @@ def _scan_worker(args) -> list:
 
     Rows are assigned depth first in index order.  A row's checks
     (``_row_checks``) narrow its values, the search goes on with each value
-    kept, and a leaf runs every unsplit native in full.
+    kept, and a leaf, folded into fusion rows if it is join rows, runs every
+    native its rows do not decide in full.
     """
     kind, n, allowed, natives, natural = args
     tables, build = ((native.part_tables, PartStructure) if kind == "part"
                      else (native.fusion_tables, FusionStructure.from_rows))
+    join = natural and kind == "fusion"
     checks = _row_checks(kind, n, natives, natural)
-    leaf = [fn for fn in natives if (kind, fn) not in _CLAUSES]
+    leaf = [fn for fn in natives
+            if (kind, fn) not in _CLAUSES and not (join and fn is native.wsp_f)]
     rows = [0] * len(allowed)
     found = []
 
     def assign(r):
         if r == len(rows):
+            fused = _joins(n, rows) if join else rows
             if leaf:
-                t = tables(n, rows)
+                t = tables(n, fused)
                 if not all(fn(t) for fn in leaf):
                     return
-            found.append(build(n, tuple(rows)))
+            found.append(build(n, tuple(fused)))
             return
         values = allowed[r]
         for fn, data in checks[r]:
@@ -424,36 +474,27 @@ def _scan_worker(args) -> list:
 def _stream(kind: str, n: int, theory: Theory):
     """``(allowed, natives, natural, rest)``: the scan's value lists and
     natives, whether its rows are natural labelings (down-closed poset
-    rows when ref_P, antis_P and trans_P are all decided, single-element
-    fusion rows when id_F, exists_F and ext_F are), and the evaluator-only
+    rows when ref_P, antis_P and trans_P are all decided, join rows of
+    fusion when id_F, exists_F and ext_F are), and the evaluator-only
     obligations; ``CapacityError`` past the evaluator's domain or the
     ceiling, which a larger n never comes back under."""
     _check_size(n)  # before any value list is built
     row_local, natives, rest = _plan(kind, theory)
-    natural = kind == "part" and _ORDER_AXIOMS <= row_local.union(natives)
-    if natural:
-        allowed = _natural_rows(n, native.exists_f_closure in natives)
-        for fn in (native.antis_p, native.trans_p):  # hold by construction, like ref_P
-            natives.remove(fn)
+    decided = row_local.union(natives)
+    if kind == "part" and _ORDER_AXIOMS <= decided:
+        allowed, built = _natural_rows(n, native.exists_f_closure in natives), _ORDER_AXIOMS
+    elif kind == "fusion" and _JOIN_AXIOMS <= decided:
+        allowed, built = _natural_rows(n, True) + [[0, 1] if n else [0]], _JOIN_AXIOMS
     else:
-        allowed = _allowed_rows(kind, n, row_local)
-        natural = (kind == "fusion" and {native.id_f, native.exists_f} <= row_local
-                   and native.ext_f in natives)
-        if natural:
-            # single-element rows of natural labelings: row 0 is empty or the
-            # bottom 0, and a row of two or more members is one element no
-            # lower than its top member (so the full row is the top, n-1)
-            above = [[1 << x for x in range(k, n)] for k in range(n)]
-            allowed = [[0, 1] if n else [0]] + [
-                allowed[p] if p & (p - 1) == 0 else above[p.bit_length() - 1]
-                for p in range(1, 1 << n)]
+        allowed, built = _allowed_rows(kind, n, row_local), ()
+    natives = [fn for fn in natives if fn not in built]  # hold by construction, like ref_P
     pruned = 1
     for values in allowed:  # stops multiplying once past the ceiling
         pruned *= len(values)
         if pruned > DEFAULT_CEILING:
             raise CapacityError(f"at least {pruned} baked candidates exceed the ceiling "
                                 f"{DEFAULT_CEILING}")
-    return allowed, natives, natural, rest
+    return allowed, natives, bool(built), rest
 
 
 def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models:
@@ -462,8 +503,8 @@ def filter_models(kind: str, n: int, theory: Theory, workers: int = 1) -> Models
 
     Candidates are pre-filtered natively where obligations are recognized
     registry axioms, over natural labelings when ref_P, antis_P and trans_P
-    all are (poset rows) or id_F, exists_F and ext_F are (single-element
-    fusion rows); on each orbit's representative the evaluator then
+    all are (poset rows) or id_F, exists_F and ext_F are (join rows,
+    folded into fusion rows); on each orbit's representative the evaluator then
     decides every other obligation and re-verifies the natively decided
     ones.  A disagreement between the two routes raises rather than
     silently corrupting the model set.  ``CapacityError`` if the baked product

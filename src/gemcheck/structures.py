@@ -86,12 +86,14 @@ class _Derived:
     verdicts and reports.
 
     A subclass's fields are its annotations in order, its ``__match_args__``.
-    ``__init_subclass__`` compiles its ``__init__``, ``__eq__`` and
-    ``_values`` from them, unless it writes its own: a record is built by
-    position or keyword (a trailing field with a class default may be left
-    out), checked by the class's ``__post_init__`` if any, and never changed.
-    ``==`` compares type and fields, ``repr`` prints what a dataclass would,
-    and a pickle (so a pool worker) carries only the fields.  Values derived
+    ``__init_subclass__`` compiles its ``__init__`` and ``_values`` from
+    them, unless it writes its own: a record is built by position or
+    keyword (a trailing field with a class default may be left out),
+    checked by the class's ``__post_init__`` if any, and never changed.
+    ``==`` compares type and fields and ``hash`` hashes them, each walking
+    nested records from a list, so a long chain of formula nodes costs no
+    recursion; ``repr`` prints what a dataclass would, and a pickle (so a
+    pool worker) carries only the fields.  Values derived
     from them stay on the instance, where none of these see them: a context,
     compiled code or a verdict route (``_derived``), and the fields' hash
     (``__hash__``), since sentences key ``native.native_for`` and hashing
@@ -101,10 +103,8 @@ class _Derived:
 
     def __init_subclass__(cls):
         names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
-        own, other = ("".join(f"{x}.{name}, " for name in names) for x in ("self", "other"))
+        own = "".join(f"self.{name}, " for name in names)
         source = (f"def _values(self):\n    return ({own})\n"
-                  f"def __eq__(self, other):\n    return ({own}) == ({other}) "
-                  "if other.__class__ is self.__class__ else NotImplemented\n"
                   f"def __init__(self, {', '.join(names)}):\n    \"Set the fields.\"\n"
                   + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
                   + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""))
@@ -113,7 +113,7 @@ class _Derived:
              or _RECORD_CODE.setdefault(source, compile(source, "<record>", "exec")), namespace)
         namespace["__init__"].__defaults__ = tuple(  # of the trailing fields
             cls.__dict__[name] for name in names if name in cls.__dict__)
-        for name in ("_values", "__eq__", "__init__"):
+        for name in ("_values", "__init__"):
             if name not in cls.__dict__:
                 namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, namespace[name])
@@ -131,10 +131,29 @@ class _Derived:
     __delattr__ = __setattr__
     _hash = None  # until __hash__ first runs
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:  # grows while it is walked
+            if a is not b:
+                for x, y in zip(a._values(), b._values()):
+                    if isinstance(x, _Derived) and x.__class__ is y.__class__:
+                        pairs.append((x, y))
+                    elif x != y:
+                        return False
+        return True
+
     def __hash__(self):
-        if self._hash is None:  # None hashes by address before Python 3.12, so as 0 here
-            object.__setattr__(self, "_hash", hash(
-                tuple(0 if value is None else value for value in self._values())))
+        stack = [self] if self._hash is None else []
+        while stack:  # children first
+            node = stack[-1]
+            below = [x for x in node._values() if isinstance(x, _Derived) and x._hash is None]
+            if below:
+                stack += below
+            else:  # None hashes by address before Python 3.12, so as 0 here
+                object.__setattr__(stack.pop(), "_hash", hash(
+                    tuple(0 if value is None else value for value in node._values())))
         return self._hash
 
     def __repr__(self):

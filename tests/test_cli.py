@@ -283,21 +283,21 @@ def test_export_needs_selection():
 
 
 def test_capacity_exit_code():
-    code, _, err = run_cli("models", "--kind", "fusion", "--n", "6",
+    code, _, err = run_cli("models", "--kind", "fusion", "--n", "9",
                            "--theory", "gem_f", "--workers", "1")
     assert code == 3 and "capacity" in err
 
 
-@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "6"),
-                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "6"),
+@pytest.mark.parametrize("argv", [("equiv", "--max-part", "9"), ("equiv", "--max-fusion", "9"),
+                                  ("lemmas", "--max-part", "9"), ("lemmas", "--max-fusion", "9"),
                                   ("countermodel", "--kind", "fusion", "--theory", "gem_f",
-                                   "--target", "id_F", "--max-n", "6")])
+                                   "--target", "id_F", "--max-n", "9")])
 def test_capacity_fails_before_any_scan(monkeypatch, argv):
     # the largest size is checked first, so nothing is scanned before exit 3
     def no_scan(args):
         raise AssertionError("a size was scanned before the capacity check")
     kind, n, theory = (("part", 9, gemcheck.gem_p()) if "--max-part" in argv
-                       else ("fusion", 6, gemcheck.gem_f()))
+                       else ("fusion", 9, gemcheck.gem_f()))
     with pytest.raises(gemcheck.CapacityError) as lazily:
         gemcheck.filter_models(kind, n, theory)
     monkeypatch.setattr(search, "_scan_worker", no_scan)
@@ -316,9 +316,9 @@ def test_canonical_capacity_fails_before_any_scan(monkeypatch):
 
 
 def test_equiv_reaches_fusion_5():
-    # natural labelings bring fusion n=5 under the ceiling (27 648 baked
-    # candidates); the report is exhaustive there and has no model at n=5,
-    # and a worker count changes no byte (the scan starts a pool at n=5)
+    # join rows bring fusion n=5 under the ceiling (128 baked candidates);
+    # the report is exhaustive there and has no model at n=5, and a worker
+    # count changes no byte (natural streams never start a pool)
     code, out, _ = run_cli("equiv", "--max-fusion", "5", "--format", "json", "--workers", "1")
     d = json.loads(out)
     assert code == 0 and d["violations"] == []
@@ -335,6 +335,19 @@ def test_equiv_reaches_part_7():
     assert (row["models"], row["fusion_axioms_pass"], row["def_pf_pass"],
             row["round_trip_pass"], row["injective"]) == (840, 840, 840, 840, True)
     assert code == 0 and d["violations"] == []
+
+
+def test_equiv_at_7_matches_golden():
+    # the paper's claim at n=7, the first size past 3 with models, on both
+    # sides: 840 labeled models each, every tally passing on all of them
+    code, out, _ = run_cli("equiv", "--max-part", "7", "--max-fusion", "7",
+                           "--format", "json", "--workers", "1")
+    assert code == 0 and out == (GOLDEN / "equiv_7.json").read_text()
+    d = json.loads(out)
+    for row in (d["part_side"][7], d["fusion_side"][7]):
+        tallies = [v for k, v in row.items() if k == "models" or k.endswith("_pass")]
+        assert tallies == [840] * 4 and row["injective"], row
+    assert d["model_counts_match"] and d["violations"] == []
 
 
 @pytest.mark.parametrize("kind,theory_name,target,max_n", [

@@ -48,14 +48,14 @@ def test_enumeration_order_and_codes():
 
 def test_enumeration_capacity():
     # decided on the baked product: 2^28 poset rows for gem_p at n=9 (2^21 at
-    # n=8), 2^30 reflexive rows for pp at n=6, about 4.6e10 naturally labeled
-    # single-element rows for gem_f at n=6 (27 648 at n=5)
+    # n=8), 2^30 reflexive rows for pp at n=6, 2^29 join rows for gem_f at
+    # n=9 (2^22 at n=8)
     with pytest.raises(CapacityError):
         filter_models("part", 9, gem_p())
     with pytest.raises(CapacityError):
         filter_models("part", 6, pp_axioms())
     with pytest.raises(CapacityError):
-        filter_models("fusion", 6, gem_f())
+        filter_models("fusion", 9, gem_f())
     # the product is refused as soon as it passes the ceiling
     with pytest.raises(CapacityError, match="baked candidates"):
         filter_models("part", 12, Theory("none", ()))
@@ -82,15 +82,13 @@ def test_largest_evaluable_domain_is_refused_at_once(kind, theory):
 
 
 def test_fusion_4_row_search_under_the_default_ceiling():
-    # naturally labeled single-element rows leave 48 candidates at fusion
-    # n=4: row 0 takes two values (empty or 0), and a row of two or more
-    # members one per element from its top member up: three for {0, 1}, two
-    # with top member 2, one with top member 3 (the full row among them).
-    # The search files ext_F clauses over all 16 rows and finds no model
-    # (GEM models exist only at sizes 2^k - 1)
+    # join rows leave 16 candidates at fusion n=4: the poset rows of
+    # elements 0, 1 and 2 take 1, 2 and 4 values, the top's row only the
+    # full mask, and row 0 two values (empty or the bottom 0).  The search
+    # finds no model (GEM models exist only at sizes 2^k - 1)
     allowed = search._stream("fusion", 4, gem_f())[0]
-    assert [len(values) for values in allowed] == [2, 1, 1, 3, 1, 2, 2, 2] + [1] * 8
-    assert math.prod(map(len, allowed)) == 48 <= search.DEFAULT_CEILING
+    assert [len(values) for values in allowed] == [1, 2, 4, 1, 2]
+    assert math.prod(map(len, allowed)) == 16 <= search.DEFAULT_CEILING
     assert filter_models("fusion", 4, gem_f()) == []
 
 
@@ -490,7 +488,7 @@ def test_hoisted_bounds_match_every_directed_instance():
 
 
 def fusion_ext_theory():
-    """id_F, exists_F and ext_F alone: the theory of the single-element rows."""
+    """id_F, exists_F and ext_F alone: the theory of the join rows."""
     return Theory("ext", tuple(gem_f().get(name) for name in ("id_F", "exists_F", "ext_F")))
 
 
@@ -502,21 +500,23 @@ def fusion_ext_theory():
                                                    [1, 2, 2, 3, 7])],
                          ids=["gem_f", "ext"])
 def test_single_element_rows_match_the_plain_row_search(theory, counts, orbits):
-    # the baked, hoisted stream over natural labelings against the search
-    # over the unbaked rows, every ext_F instance tested once its rows are
-    # assigned
+    # the join rows, folded into fusion rows at each leaf, against the
+    # search over the unbaked rows, every ext_F instance tested once its
+    # rows are assigned
     t = theory()
     for n, (count, orbit_count) in enumerate(zip(counts, orbits)):
         allowed, natives, natural, rest = search._stream("fusion", n, t)
-        # every nonempty plurality's row is exactly one element
-        assert not rest and all(v and not v & (v - 1) for values in allowed[1:] for v in values)
+        # the poset rows with the top last, then row 0: empty or the bottom 0
+        assert natural and not rest and native.ext_f not in natives
+        assert allowed == search._natural_rows(n, True) + [[0, 1] if n else [0]]
         raw = search._scan_worker(("fusion", n, allowed, natives, natural))
         # each raw survivor is a natural labeling: row 0 is empty or the
         # bottom 0, every row is one element no lower than its top member,
         # and the full row is the top n-1
         for s in raw:
             assert s.rows[0] in (0, 1), summarize(s)
-            assert all(s.rows[p] >> (p.bit_length() - 1) for p in range(1, 1 << n)), summarize(s)
+            assert all(s.rows[p] >> (p.bit_length() - 1) and not s.rows[p] & (s.rows[p] - 1)
+                       for p in range(1, 1 << n)), summarize(s)
             assert not n or s.rows[-1] == 1 << (n - 1), summarize(s)
         models = filter_models("fusion", n, t)
         assert models == plain_row_survivors(n, t)
@@ -524,6 +524,38 @@ def test_single_element_rows_match_the_plain_row_search(theory, counts, orbits):
         # every orbit holds a survivor, and the survivors are models
         assert all(set(orbit) & set(raw) for orbit in models.orbits)
         assert set(raw) <= set(models)
+
+
+def _join_leaves(n):
+    """The leaves of the {id_F, exists_F, ext_F} join rows at size n, each
+    folded into fusion rows, with its native tables."""
+    allowed, natives, natural, _ = search._stream("fusion", n, fusion_ext_theory())
+    return [(s, native.tables_for(s))
+            for s in search._scan_worker(("fusion", n, allowed, natives, natural))]
+
+
+def test_join_leaves_pass_the_axioms_they_bake():
+    # the join rows decide id_F, exists_F, approx_F and ext_F by
+    # construction: no leaf checker runs them, so every leaf must pass them
+    leaves = [leaf for n in range(6) for leaf in _join_leaves(n)]
+    assert len(leaves) == 1 + 2 + 2 + 3 + 9 + 46
+    for s, t in leaves:
+        assert all(fn(t) for fn in (native.id_f, native.exists_f, native.ext_f,
+                                    native.approx_f)), summarize(s)
+
+
+def test_wsp_cut_keeps_a_leaf_exactly_when_wsp_f_passes():
+    # with wsp_F decided the join rows' checks add the wsp_F cut and row 0's
+    # extra condition; on every leaf of the rows without them they reject
+    # the leaf's rows (its parthood, then row 0) exactly when wsp_F fails
+    verdicts = set()
+    for n in range(7):
+        checks = search._row_checks("fusion", n, [native.wsp_f], True)
+        for s, t in _join_leaves(n):
+            holds = native.wsp_f(t)
+            assert holds != _fires_on_the_way(checks, list(t.down) + [s.rows[0]]), summarize(s)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_filter_workers_match_serial(monkeypatch):

@@ -156,14 +156,22 @@ def test_every_operator_pair_groups_as_documented(sort, op1, op2):
                                     "P(x, x) <-> P(x, x) -> P(x, x) or P(x, x) and ("])
 def test_deep_nesting_parses_and_too_deep_is_a_parse_error(prefix):
     text = prefix * 150 + "x = y" + ")" * 150
-    # the trees compared in preorder: ``==`` recurses once or more per level
-    assert _parse_outcome(print_formula(parse(text))) == _parse_outcome(text)
+    assert parse(print_formula(parse(text))) == parse(text)
     assert export.encode(parse(text)).count("(Vx = Vy)") == 1
     # refused at the token after the group that passes the limit; the groups
     # are paired in one pass, so 3 000 of them are read in linear time
     with pytest.raises(ParseError, match="formula nested too deeply") as refused:
         parse(prefix * 3000 + "x = y" + ")" * 3000)
     assert (refused.value.line, refused.value.col) == (1, syntax.MAX_NESTING * len(prefix) + 1)
+
+
+def test_long_chains_compare_and_hash_without_recursion():
+    # ``==`` and ``hash`` walk a chain of one operator in a loop, as printing
+    # and export do, so two separately parsed copies compare and hash equal
+    text = " or ".join(["P(x, x)"] * 2000)
+    a, b = parse(text), parse(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse(text.replace("P(x, x)", "P(x, y)", 1))
 
 
 @pytest.mark.parametrize("text", [" or ".join(["P(x, x)"] * 2000),
@@ -179,9 +187,8 @@ def test_long_chains_print_and_encode(text):
 
 
 def _parse_outcome(text: str):
-    """The parsed tree of ``text`` in preorder, walked without recursion (a
-    long chain would overflow ``==``), or the (message, line, column) of its
-    parse error."""
+    """The parsed tree of ``text`` in preorder, walked without recursion, or
+    the (message, line, column) of its parse error."""
     try:
         stack, nodes = [parse(text)], []
     except ParseError as e:

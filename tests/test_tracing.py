@@ -39,10 +39,11 @@ def test_row_search_builds_native_tables_once_per_leaf():
     # one build per leaf of the row search, so any change to the work a
     # scan does shows here: on gem_p's down-closed poset rows with the top
     # last (the 7 naturally labeled posets on three points, each below a
-    # top, at n=4), and on gem_f's single-element rows
+    # top, at n=4), and on gem_f's join rows, cut where wsp_F fails
     cases = [("part", 4, theory.gem_p, 7), ("part", 5, theory.gem_p, 40),
-             ("part", 6, theory.gem_p, 357), ("fusion", 3, theory.gem_f, 3),
-             ("fusion", 4, theory.gem_f, 9), ("fusion", 5, theory.gem_f, 46)]
+             ("part", 6, theory.gem_p, 357), ("fusion", 3, theory.gem_f, 1),
+             ("fusion", 4, theory.gem_f, 1), ("fusion", 5, theory.gem_f, 5),
+             ("fusion", 6, theory.gem_f, 24), ("fusion", 7, theory.gem_f, 167)]
     tracing = _load_tracing()
     for kind, n, make, leaves in cases:
         tracer = tracing.Tracer()
